@@ -16,12 +16,13 @@ arm angles. Two routes are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import ROTATING, DroneGeometry, thrust_plane_basis
-from .spatial import Quaternion, cross3
+from .spatial import Quaternion
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +65,13 @@ def _default_inertia() -> np.ndarray:
 
 @dataclass
 class DroneModel:
-    """Physical constants shared by the allocator and the simulator."""
+    """Physical constants shared by the allocator and the simulator.
+
+    ``wrench1`` and ``wrench2`` (n_arms x 6, read-only) hold each arm's body
+    wrench [force; torque] per unit throttle thrusting along the geometry's
+    ``basis1`` and ``basis2``, drag torque included. They are built once
+    here and serve every allocator, the flight loop and the pinv matrix.
+    """
 
     geometry: DroneGeometry
     thrust_constant: float = 15.0  # N of thrust per unit throttle
@@ -85,6 +92,30 @@ class DroneModel:
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
             raise ValueError("inertia must be a finite 3x3 matrix or 3-vector of diagonals")
         self.inertia = inertia
+        g = self.geometry
+        mu, drag = self.thrust_constant, self.torque_constant * g.spins[:, None]
+        self.wrench1 = np.hstack([mu * g.basis1, mu * g.moment1 + drag * g.basis1])
+        self.wrench2 = np.hstack([mu * g.basis2, mu * g.moment2 + drag * g.basis2])
+        self.wrench1.flags.writeable = False
+        self.wrench2.flags.writeable = False
+
+    def unit_wrenches(self, angles) -> tuple[np.ndarray, np.ndarray]:
+        """Per-arm wrench W per unit throttle at the given arm angles, and dW/da.
+
+        On rotating arms W = cos(a) wrench1 + sin(a) wrench2, so dW/da =
+        -sin(a) wrench1 + cos(a) wrench2 and d2W/da2 = -W. Fixed arms ignore
+        their angle: W = wrench1 and dW/da = 0.
+        """
+        rotating = self.geometry.rotating
+        c = np.where(rotating, np.cos(angles), 1.0)[:, None]
+        s = np.where(rotating, np.sin(angles), 0.0)[:, None]
+        return c * self.wrench1 + s * self.wrench2, c * self.wrench2 - s * self.wrench1
+
+    @cached_property
+    def _thrust_plane_map(self) -> tuple[np.ndarray, int]:
+        """vectored_thrust_matrix and its rank, built on the first pinv call."""
+        matrix = vectored_thrust_matrix(self)
+        return matrix, int(np.linalg.matrix_rank(matrix))
 
     @property
     def hover_throttle(self) -> float:
@@ -212,25 +243,8 @@ def arm_wrench(arm, throttle: float, angle: float, thrust_constant: float, torqu
     )
 
 
-def _thrust_dirs(geometry: DroneGeometry, angles: np.ndarray):
-    """Vectorized thrust directions and derivatives for all arms, (n, 3) each."""
-    rot = geometry.rotating[:, None]
-    ca = np.cos(angles)[:, None]
-    sa = np.sin(angles)[:, None]
-    n = np.where(rot, ca * geometry.basis1 + sa * geometry.basis2, geometry.zero_dirs)
-    dn = np.where(rot, cross3(geometry.axes, n), 0.0)
-    ddn = np.where(rot, cross3(geometry.axes, dn), 0.0)
-    return n, dn, ddn
-
-
 def _body_wrench_of(throttles, angles, model: DroneModel) -> np.ndarray:
-    g = model.geometry
-    n, _, _ = _thrust_dirs(g, angles)
-    mu, tau = model.thrust_constant, model.torque_constant
-    u = throttles[:, None]
-    forces = mu * u * n
-    torques = mu * u * cross3(g.endpoints, n) + tau * (g.spins * throttles)[:, None] * n
-    return np.concatenate([forces.sum(axis=0), torques.sum(axis=0)])
+    return throttles @ model.unit_wrenches(angles)[0]
 
 
 def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneModel) -> np.ndarray:
@@ -287,38 +301,19 @@ def _assemble(throttles, angles, multipliers, prev_angles, body_wrench, model: D
     Jacobian. Arms never couple to each other through second derivatives,
     so the primal blocks are diagonal.
     """
-    g = model.geometry
-    mu, tau = model.thrust_constant, model.torque_constant
     dt = model.control_period
-    n_arms = g.n_arms
+    n_arms = model.geometry.n_arms
 
-    n, dn, ddn = _thrust_dirs(g, angles)
-    u = throttles[:, None]
-    su = (g.spins * throttles)[:, None]
-    spins = g.spins[:, None]
-    rxn = cross3(g.endpoints, n)
-    rxdn = cross3(g.endpoints, dn)
-    rxddn = cross3(g.endpoints, ddn)
-
-    force = mu * u * n
-    torque = mu * u * rxn + tau * su * n
-    residual = np.concatenate([force.sum(axis=0), torque.sum(axis=0)]) - body_wrench
-
-    force_du = mu * n
-    torque_du = mu * rxn + tau * spins * n
-    force_da = mu * u * dn
-    torque_da = mu * u * rxdn + tau * su * dn
-    grad_u = np.vstack([force_du.T, torque_du.T])  # (6, n)
-    grad_a = np.vstack([force_da.T, torque_da.T])
-
-    lam_f, lam_t = multipliers[:3], multipliers[3:]
-    # second derivatives contracted with the multipliers (diagonal per arm)
-    force_dua = mu * dn
-    torque_dua = mu * rxdn + tau * spins * dn
-    force_daa = mu * u * ddn
-    torque_daa = mu * u * rxddn + tau * su * ddn
-    h_ua = force_dua @ lam_f + torque_dua @ lam_t
-    h_aa = force_daa @ lam_f + torque_daa @ lam_t
+    # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
+    # its angle Jacobian; second derivatives are diagonal per arm, with
+    # d2W/da2 = -W on rotating arms and 0 on fixed ones
+    wrench, d_wrench = model.unit_wrenches(angles)
+    residual = throttles @ wrench - body_wrench
+    grad_u = wrench.T  # (6, n)
+    grad_a = (throttles[:, None] * d_wrench).T
+    lam_w = wrench @ multipliers
+    h_ua = d_wrench @ multipliers
+    h_aa = np.where(model.geometry.rotating, -throttles * lam_w, 0.0)
 
     rate = (angles - prev_angles) / dt
     _, dpu, ddpu = penalty_throttle(throttles, weights)
@@ -336,7 +331,7 @@ def _assemble(throttles, angles, multipliers, prev_angles, body_wrench, model: D
     hess[n_arms: 2 * n_arms, 2 * n_arms:] = grad_a.T
     hess[2 * n_arms:, n_arms: 2 * n_arms] = grad_a
 
-    grad = np.concatenate([dpu + grad_u.T @ multipliers, dpa / dt + grad_a.T @ multipliers, residual])
+    grad = np.concatenate([dpu + lam_w, dpa / dt + throttles * h_ua, residual])
     return hess, grad, residual
 
 
@@ -462,21 +457,10 @@ def vectored_thrust_matrix(model: DroneModel) -> np.ndarray:
     Column pair 2i, 2i+1 multiplies arm i's coordinates (u cos a, u sin a).
     Only valid when every arm rotates; drag torque is included.
     """
-    g = model.geometry
-    if not np.all(g.rotating):
+    if not np.all(model.geometry.rotating):
         raise SolverError("the pseudoinverse route needs every arm to be a rotating arm")
-    mu, tau = model.thrust_constant, model.torque_constant
     # interleave arm-major: columns (b1_0, b2_0, b1_1, b2_1, ...)
-    cols = np.empty((2 * g.n_arms, 6))
-    b1_top = mu * g.basis1
-    b1_bot = mu * np.cross(g.endpoints, g.basis1) + tau * g.spins[:, None] * g.basis1
-    b2_top = mu * g.basis2
-    b2_bot = mu * np.cross(g.endpoints, g.basis2) + tau * g.spins[:, None] * g.basis2
-    cols[0::2, :3] = b1_top
-    cols[0::2, 3:] = b1_bot
-    cols[1::2, :3] = b2_top
-    cols[1::2, 3:] = b2_bot
-    return cols.T
+    return np.stack([model.wrench1, model.wrench2], axis=1).reshape(-1, 6).T
 
 
 def wrap_angle(x):
@@ -494,8 +478,8 @@ def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> A
     throttle keep their previous angle.
     """
     g = model.geometry
-    matrix = vectored_thrust_matrix(model)
-    if np.linalg.matrix_rank(matrix) < 6:
+    matrix, rank = model._thrust_plane_map
+    if rank < 6:
         raise SolverError(f"thrust-plane wrench map of {g.name} is rank deficient")
     body_wrench = inp.body_wrench()
     coords = np.linalg.lstsq(matrix, body_wrench, rcond=None)[0].reshape(g.n_arms, 2)

@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -392,23 +391,18 @@ def _fly_job(settings: dict) -> list[str]:
 
 
 def cmd_fly(args) -> int:
-    """One flight per config; multiple configs run as parallel independent jobs."""
+    """One flight per config; several configs fly one after the other, in the given order."""
     configs = args.config if args.config else [None]
+    all_settings = [merge_settings(args, config_path=path) for path in configs]
     if len(configs) > 1:
         if args.out:
             raise ValueError("--out cannot apply to several configs; set 'out' in each config")
-        all_settings = [merge_settings(args, config_path=path) for path in configs]
         outs = [str(Path(s["out"]).resolve()) for s in all_settings]
         if len(set(outs)) != len(outs):
             raise ValueError("each config must write to a distinct 'out' directory")
-        with ThreadPoolExecutor(max_workers=min(4, len(all_settings))) as pool:
-            results = list(pool.map(_fly_job, all_settings))
-        for lines in results:
-            for line in lines:
-                print(line)
-        return 0
-    for line in _fly_job(merge_settings(args, config_path=configs[0])):
-        print(line)
+    for settings in all_settings:
+        for line in _fly_job(settings):
+            print(line)
     return 0
 
 
@@ -422,10 +416,7 @@ def cmd_compare(args) -> int:
 
     LOG.info("comparison flights: %s sweep, %.1f s each",
              scenario_sqp.sweep.kind, scenario_sqp.duration)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        future_sqp = pool.submit(run_flight, scenario_sqp)
-        future_pinv = pool.submit(run_flight, scenario_pinv)
-        log_sqp, log_pinv = future_sqp.result(), future_pinv.result()
+    log_sqp, log_pinv = run_flight(scenario_sqp), run_flight(scenario_pinv)
 
     out = _out_dir(settings)
     settle = float(settings["settle"])
@@ -463,7 +454,7 @@ def build_parser() -> _Parser:
     def common(p, with_seed=True, multi_config=False):
         if multi_config:
             p.add_argument("--config", action="append",
-                           help="JSON run configuration; repeat to run parallel jobs")
+                           help="JSON run configuration; repeat to fly several in turn")
         else:
             p.add_argument("--config", help="JSON run configuration; flags override it")
         p.add_argument("--geometry", help="catalog id, geometry JSON file, or inline JSON")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DroneGeometry, force_map
+from .geometry import DroneGeometry
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -62,7 +62,7 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     first, and the reduced system is re-solved; at most one clamp per arm.
     """
     g = problem.geometry
-    fm = force_map(g)
+    fm = g.hover_map
     weight = problem.mass * problem.gravity
     target = np.concatenate([weight * problem.up, np.zeros(3)])
 

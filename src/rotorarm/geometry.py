@@ -111,6 +111,10 @@ class DroneGeometry:
         self.basis2 = np.where(
             self.rotating[:, None], np.cross(self.axes, self.zero_dirs), 0.0
         )
+        # torque about the body origin of a unit force along each basis vector
+        self.moment1 = np.cross(self.endpoints, self.basis1)
+        self.moment2 = np.cross(self.endpoints, self.basis2)
+        self.hover_map = force_map(self)
         for arr in (
             self.endpoints,
             self.axes,
@@ -120,6 +124,9 @@ class DroneGeometry:
             self.unidirectional,
             self.basis1,
             self.basis2,
+            self.moment1,
+            self.moment2,
+            *vars(self.hover_map).values(),
         ):
             arr.flags.writeable = False
 
@@ -143,6 +150,7 @@ class ForceMap:
     three net torque about the body origin (drag torque excluded; it is a
     control-allocation detail, not a hover-capability one). ``directions``
     holds each column's force direction and ``col_arm`` the owning arm index.
+    Every geometry builds its own once, as ``DroneGeometry.hover_map``.
     """
 
     matrix: np.ndarray
@@ -152,22 +160,14 @@ class ForceMap:
 
 
 def force_map(geometry: DroneGeometry) -> ForceMap:
-    dirs, owners, uni = [], [], []
-    for i, arm in enumerate(geometry.arms):
-        if arm.kind == ROTATING:
-            b1, b2 = thrust_plane_basis(arm)
-            dirs.extend([b1, b2])
-            owners.extend([i, i])
-            uni.extend([False, False])
-        else:
-            dirs.append(arm.zero_dir.copy())
-            owners.append(i)
-            uni.append(arm.kind == FIXED_UNIDIRECTIONAL)
-    directions = np.array(dirs)
-    owners = np.array(owners)
-    torque_rows = np.cross(geometry.endpoints[owners], directions)
-    matrix = np.vstack([directions.T, torque_rows.T])
-    return ForceMap(matrix, directions, owners, np.array(uni))
+    """Columns (basis1, basis2) per rotating arm and basis1 per fixed arm, in arm order."""
+    n = geometry.n_arms
+    keep = np.column_stack([np.ones(n, dtype=bool), geometry.rotating]).ravel()
+    owners = np.repeat(np.arange(n), 2)[keep]
+    directions = np.stack([geometry.basis1, geometry.basis2], axis=1).reshape(-1, 3)[keep]
+    moments = np.stack([geometry.moment1, geometry.moment2], axis=1).reshape(-1, 3)[keep]
+    matrix = np.vstack([directions.T, moments.T])
+    return ForceMap(matrix, directions, owners, geometry.unidirectional[owners])
 
 
 @dataclass
@@ -196,7 +196,7 @@ def validate(geometry: DroneGeometry) -> ValidationReport:
             violations.append(f"arm {i}: zero_dir must be orthogonal to the arm axis")
         if np.linalg.norm(arm.endpoint) < 1e-12:
             notes.append(f"arm {i}: endpoint at body origin produces no lever-arm torque")
-    fm = force_map(geometry)
+    fm = geometry.hover_map
     rank = int(np.linalg.matrix_rank(fm.matrix))
     if rank < 6:
         violations.append(

@@ -23,7 +23,6 @@ from .allocation import (
     DroneModel,
     PenaltyWeights,
     SolverError,
-    _thrust_dirs,
     pinv_allocate,
     sqp_allocate,
     wrap_angle,
@@ -541,7 +540,6 @@ def run_flight(scenario: Scenario) -> FlightLog:
         "sp_orientation", "throttle_cmd", "angle_cmd", "throttle_act", "angle_act",
         "iterations", "residual", "converged", "pos_error", "ori_error")}
 
-    mu, tau = model.thrust_constant, model.torque_constant
     for k in range(n_ticks):
         t = k * dt
         sp = sweep_setpoint(t, scenario.sweep)
@@ -692,11 +690,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
         else:
             throttle_act = clamped
 
-        n_dirs, _, _ = _thrust_dirs(geometry, angle_act)
-        forces = mu * throttle_act[:, None] * n_dirs
-        torques = mu * throttle_act[:, None] * np.cross(geometry.endpoints, n_dirs) + tau * (
-            geometry.spins * throttle_act
-        )[:, None] * n_dirs
+        wrenches = throttle_act[:, None] * model.unit_wrenches(angle_act)[0]
+        forces, torques = wrenches[:, :3], wrenches[:, 3:]
         if rng is not None:
             forces = forces + rng.normal(0.0, scenario.noise_std, forces.shape) / max(n_arms, 1)
 

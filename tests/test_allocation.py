@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_quaternion, random_unit, rel_error, wrench_chain
 from rotorarm import (
     AllocatorInput,
     AllocatorState,
+    Arm,
+    DroneGeometry,
     DroneModel,
     PenaltyWeights,
     Quaternion,
@@ -28,6 +32,8 @@ from rotorarm import (
     vectored_thrust_matrix,
     wrap_angle,
 )
+from rotorarm import allocation
+from rotorarm.geometry import ARM_KINDS, ROTATING
 
 FD_H = 1e-6
 
@@ -123,6 +129,57 @@ def test_arm_wrench_partials_match_finite_differences(rng):
             ("torque_daa", (at(da=FD_H).torque_da - at(da=-FD_H).torque_da) / (2 * FD_H)),
         ):
             assert rel_error(getattr(w, field_name), fd) < 1e-7, field_name
+
+
+_coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+_vector = st.tuples(_coordinate, _coordinate, _coordinate).map(np.array)
+_unit = _vector.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def _custom_arm(draw):
+    kind = draw(st.sampled_from(ARM_KINDS))
+    endpoint = 0.5 * draw(_vector)
+    direction = draw(_unit)
+    spin = draw(st.sampled_from((-1, 1)))
+    if kind != ROTATING:
+        return Arm(endpoint, direction, direction, spin, kind)
+    # any unit zero direction in the thrust plane, not only the default one
+    other = draw(_unit)
+    in_plane = other - np.dot(other, direction) * direction
+    assume(np.linalg.norm(in_plane) > 0.1)
+    return Arm(endpoint, direction, in_plane / np.linalg.norm(in_plane), spin, kind)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    arms=st.lists(_custom_arm(), min_size=1, max_size=6),
+    mu=st.floats(1.0, 30.0),
+    tau=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_unit_wrenches_match_the_scalar_oracle(arms, mu, tau, data):
+    """W, dW/da and d2W/da2 = -W (rotating) or 0 (fixed) against arm_wrench."""
+    model = DroneModel(DroneGeometry(arms), thrust_constant=mu, torque_constant=tau)
+    n = len(arms)
+    u = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    a = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    wrench, d_wrench = model.unit_wrenches(a)
+    dd_wrench = np.where(model.geometry.rotating[:, None], -wrench, 0.0)
+    for i, arm in enumerate(arms):
+        w = arm_wrench(arm, u[i], a[i], mu, tau)
+        for name, ours in (
+            ("", u[i] * wrench[i]),
+            ("_du", wrench[i]),
+            ("_da", u[i] * d_wrench[i]),
+            ("_daa", u[i] * dd_wrench[i]),
+            ("_dua", d_wrench[i]),
+        ):
+            oracle = np.concatenate([getattr(w, "force" + name), getattr(w, "torque" + name)])
+            np.testing.assert_allclose(
+                ours, oracle, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(oracle))),
+                err_msg=f"arm {i} ({arm.kind}) wrench{name}",
+            )
 
 
 def test_penalty_throttle_shape_and_derivatives():
@@ -395,6 +452,35 @@ def test_vectored_thrust_matrix_needs_rotating_arms():
         vectored_thrust_matrix(model)
     with pytest.raises(SolverError):
         pinv_allocate(AllocatorInput(Quaternion.identity(), np.zeros(3), np.zeros(3)), model)
+
+
+def test_pinv_rejects_a_rank_deficient_layout_on_every_call():
+    # four rotating arms sharing one endpoint and one axis span a single plane
+    axis = np.array([1.0, 0.0, 0.0])
+    arms = [Arm(0.2 * axis, axis, np.array([0.0, 0.0, 1.0]), spin, ROTATING) for spin in (1, -1, 1, -1)]
+    model = DroneModel(DroneGeometry(arms))  # no rank check at construction
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 10.0]), np.zeros(3))
+    for _ in range(2):
+        with pytest.raises(SolverError, match="rank deficient"):
+            pinv_allocate(inp, model)
+    hess, grad = assemble_kkt(AllocatorState.cold_start(model), inp, model, PenaltyWeights())
+    assert np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))
+
+
+def test_pinv_builds_its_matrix_once_per_model(monkeypatch):
+    model = DroneModel(build_catalog("tetrahedron_rot"))
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return vectored_thrust_matrix(m)
+
+    monkeypatch.setattr(allocation, "vectored_thrust_matrix", counted)
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
+    first = pinv_allocate(inp, model)
+    second = pinv_allocate(inp, model)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first.throttles, second.throttles)
 
 
 def test_pinv_allocates_exactly(rng, octa_model):

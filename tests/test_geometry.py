@@ -83,7 +83,8 @@ def test_default_zero_dir(rng):
 
 def test_geometry_arrays_are_read_only():
     g = build_catalog("octahedron_rot")
-    for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.basis1, g.basis2):
+    for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.basis1, g.basis2,
+                g.moment1, g.moment2, g.hover_map.matrix, g.hover_map.directions):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -102,6 +103,17 @@ def test_force_map_octahedron():
         np.testing.assert_allclose(fm.matrix[:3, col], expected_dir, atol=1e-12)
         # hover capability ignores drag torque: pure lever-arm cross product
         np.testing.assert_allclose(fm.matrix[3:, col], np.cross(arm.endpoint, expected_dir), atol=1e-12)
+
+
+def test_hover_map_is_built_once_from_the_moments():
+    for config_id in ("cube_rot", "hexagon_tilt30_fixed"):
+        g = build_catalog(config_id)
+        for i, arm in enumerate(g.arms):
+            np.testing.assert_array_equal(g.moment1[i], np.cross(arm.endpoint, g.basis1[i]))
+            np.testing.assert_array_equal(g.moment2[i], np.cross(arm.endpoint, g.basis2[i]))
+        fresh = force_map(g)
+        for name in ("matrix", "directions", "col_arm", "unidirectional_cols"):
+            np.testing.assert_array_equal(getattr(g.hover_map, name), getattr(fresh, name))
 
 
 def test_force_map_fixed_arms():
