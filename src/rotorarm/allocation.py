@@ -387,10 +387,6 @@ def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_st
     return alpha
 
 
-def _scaled_residual_norm(residual: np.ndarray, torque_scale: float) -> float:
-    return float(math.hypot(np.linalg.norm(residual[:3]), torque_scale * np.linalg.norm(residual[3:])))
-
-
 def sqp_allocate(
     inp: AllocatorInput,
     warm: AllocatorState,
@@ -401,7 +397,6 @@ def sqp_allocate(
     max_iterations: int = 30,
     throttle_step_limit: float = 0.1,
     angle_step_limit: float = 0.2,
-    torque_scale: float = 1.0,
 ) -> AllocatorSolution:
     """Allocate a wrench demand by Newton iteration on the optimality system.
 
@@ -438,7 +433,7 @@ def sqp_allocate(
             raise SolverError("allocator iterate diverged to non-finite values")
         obj = allocation_objective(u, a, a_prev, dt, weights)
         residual = _body_wrench_of(u, a, model) - body_wrench
-        res_norm = _scaled_residual_norm(residual, torque_scale)
+        res_norm = float(math.hypot(np.linalg.norm(residual[:3]), np.linalg.norm(residual[3:])))
         if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
             converged = True
             obj_prev = obj

@@ -229,6 +229,10 @@ class SweepSpec:
                     raise ValueError(f"unknown axis label {label!r} for a {self.kind} sweep")
         if self.step_duration <= 0.0 or not (0.0 < self.accel_fraction < 0.5):
             raise ValueError("step_duration must be positive and accel_fraction in (0, 0.5)")
+        if not self.seconds_per_rev > 0.0:
+            raise ValueError(f"seconds_per_rev must be positive, got {self.seconds_per_rev}")
+        if not (self.revolutions >= 0.0 and self.start_delay >= 0.0):
+            raise ValueError("revolutions and start_delay must be non-negative")
 
     @property
     def duration(self) -> float:
@@ -352,6 +356,13 @@ class Scenario:
             raise ValueError(f"unknown allocator {self.allocator!r}, expected 'sqp' or 'pinv'")
         if self.duration is None:
             self.duration = self.sweep.duration + 2.0
+        ticks = self.duration / self.model.control_period
+        if not (math.isfinite(ticks) and round(ticks) >= 1):
+            raise ValueError(f"duration must cover at least one control tick, got {self.duration}")
+        if not (self.noise_std >= 0.0 and self.motor_lag >= 0.0):
+            raise ValueError("noise_std and motor_lag must be non-negative")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -417,7 +428,7 @@ def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> Fligh
     n_arms = sum(1 for name in header if name.startswith("u_cmd_"))
 
     def block(prefix, width):
-        return rows[:, [col[f"{prefix}{i}" if width > 1 else prefix] for i in range(width)]]
+        return rows[:, [col[f"{prefix}{i}"] for i in range(width)]]
 
     def named(*names):
         return rows[:, [col[n] for n in names]]
@@ -446,49 +457,20 @@ def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> Fligh
     )
 
 
-def _mirror_pays_off(arm, sol, inp, model, weights, scenario) -> bool:
-    """Whether one arm restarted on its mirrored branch solves clearly cheaper.
-
-    A thrust of u at angle a equals a thrust of -u half a turn away, so a
-    negatively pinned arm always has a feasible twin configuration. The twin
-    is adopted only when it converges to a solidly lower objective AND puts
-    real positive throttle on the flipped arm. Without the second condition a
-    lower objective may just mean the trial solve hopped to a cheaper load
-    split among the other arms, a gain that swinging this arm cannot capture,
-    and chasing it causes endless swings.
-    """
-    mirrored = AllocatorState(
-        sol.throttles.copy(), sol.angles.copy(),
-        sol.multipliers.copy(), sol.angles.copy(),
-    )
-    mirrored.throttles[arm] = max(-sol.throttles[arm], 0.01)
-    mirrored.angles[arm] += math.pi
-    mirrored.prev_angles[arm] = mirrored.angles[arm]
-    try:
-        trial = sqp_allocate(
-            inp, mirrored, model, weights,
-            scenario.tol_objective, scenario.tol_constraint,
-            scenario.max_iterations,
-            scenario.throttle_step_limit, scenario.angle_step_limit,
-        )
-    except SolverError:
-        return False
-    return (
-        trial.converged
-        and trial.objective < sol.objective - 0.02
-        and trial.throttles[arm] >= 0.04
-    )
+def _solve(scenario: Scenario, inp: AllocatorInput, warm: AllocatorState,
+           weights: PenaltyWeights) -> AllocatorSolution:
+    """One warm-started Newton-KKT solve under the scenario's solver settings."""
+    return sqp_allocate(inp, warm, scenario.model, weights, scenario.tol_objective,
+                        scenario.tol_constraint, scenario.max_iterations,
+                        scenario.throttle_step_limit, scenario.angle_step_limit)
 
 
-def run_flight(scenario: Scenario) -> FlightLog:
-    """Simulate one closed-loop flight and return the full log.
+class _BranchSupervisor:
+    """Keeps the warm-started Newton chain on the branch the demand needs.
 
-    The allocator runs every tick; when it fails to converge the previous
-    actuator commands are held for that tick and the event is logged.
-
-    A warm-started Newton solve follows one local valley of the allocation
-    landscape, so the loop supervises the warm point with the single-shot
-    linear least-norm solution as a reference. Two mechanisms keep the
+    A warm-started solve follows one local valley of the allocation
+    landscape. After each converged solve, the single-shot linear
+    least-norm solution serves as a reference, and two mechanisms keep the
     chain out of the valleys that wreck a flight:
 
     * Branch transits. The reference is projected onto each lightly loaded
@@ -500,8 +482,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
       An arm already pinned negative has its mirrored branch re-solved
       first and swings only when that solves clearly better, since a
       wrench that pins an arm on both branches alike is best served by
-      staying put; the exception is when a sibling arm is near saturation,
-      which means the flipped thrust is needed immediately.
+      staying put.
 
     * Warm-point pull. Even with every branch right, the chain can settle
       into a far costlier load split than the reference spread. Each tick
@@ -509,18 +490,135 @@ def run_flight(scenario: Scenario) -> FlightLog:
       the next solve undoes the pull when the current valley is genuinely
       better and ratchets across otherwise.
 
-    Commanded angles stay continuous throughout; supervision only ever
-    moves the solver's warm point, never the servo command.
+    Supervision only ever moves the solver's warm point and weights, never
+    the servo command, so commanded angles stay continuous.
+    """
+
+    hist_len = 12  # ticks of share history behind the extrapolation
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.dt = scenario.model.control_period
+        n_arms = scenario.model.geometry.n_arms
+        self.transit_step = 0.9 * scenario.servo_rate_limit * self.dt
+        self.target = np.full(n_arms, np.nan)  # NaN = no transit active
+        self.cool = np.full(n_arms, -np.inf)  # earliest time an arm may re-trigger
+        self.share_hist = np.zeros((self.hist_len, n_arms))
+
+    def advance(self, warm: AllocatorState) -> PenaltyWeights:
+        """Step every active transit's warm angle; return the weights for this solve."""
+        active = ~np.isnan(self.target)
+        if not np.any(active):
+            return self.scenario.weights
+        step = np.clip(self.target[active] - warm.angles[active],
+                       -self.transit_step, self.transit_step)
+        # move the warm point and its motion reference together so the
+        # solver treats the advanced angle as where the arm already is
+        warm.angles[active] += step
+        warm.prev_angles[active] += step
+        done = np.abs(self.target[active] - warm.angles[active]) < 1e-9
+        self.target[np.nonzero(active)[0][done]] = np.nan
+        # keep swinging arms close to unloaded without removing them from
+        # the wrench constraint
+        return replace(
+            self.scenario.weights,
+            throttle=self.scenario.weights.throttle * (1.0 + 49.0 * active),
+        )
+
+    def after_solve(self, k: int, sol: AllocatorSolution, ref: AllocatorSolution | None,
+                    inp: AllocatorInput, weights: PenaltyWeights) -> AllocatorState:
+        """Warm start for the next tick from tick k's converged solve.
+
+        ref is the least-norm reference for the same demand, or None when
+        the linear route failed; inp and weights are what the solve used.
+        """
+        warm = sol.next_warm()
+        if ref is None:
+            return warm
+        t = k * self.dt
+        gap = wrap_angle(ref.angles - sol.angles)
+        share = ref.throttles * np.cos(gap)
+        # an ordinary handoff of load to other arms keeps the projection
+        # near zero; a negative one means the demand changed branch
+        watch = np.isnan(self.target) & (self.cool <= t) & (sol.throttles < 0.05)
+        # the projection is continuous through a crossing, so a short
+        # extrapolation starts the half-turn slightly before the demand
+        # actually reverses
+        slope = (share - self.share_hist[k % self.hist_len]) / (self.hist_len * self.dt)
+        early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
+        for i in np.nonzero(watch & (early | (share < -0.03)))[0]:
+            if sol.throttles[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
+                continue
+            # past a crossing the reference sits on the far branch and picks
+            # the turn direction; before one, either way round reaches the
+            # same branch
+            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
+            self.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
+            # refractory gap so one crossing cannot retrigger on its own
+            # settling transient
+            self.cool[i] = t + 0.3
+        self.share_hist[k % self.hist_len] = share
+        # a small capped pull toward the reference lets the solver ratchet
+        # over to a better valley when one exists, while its own descent
+        # undoes the pull when the current valley is the right one
+        free = np.isnan(self.target)
+        pull_a = np.clip(0.1 * gap, -0.01, 0.01)
+        pull_u = np.clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01)
+        warm.angles[free] += pull_a[free]
+        warm.prev_angles[free] += pull_a[free]
+        warm.throttles[free] += pull_u[free]
+        return warm
+
+    def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
+                         weights: PenaltyWeights) -> bool:
+        """Whether the arm restarted on its mirrored branch solves clearly cheaper.
+
+        A thrust of u at angle a equals a thrust of -u half a turn away, so a
+        negatively pinned arm always has a feasible twin configuration. The
+        twin counts only when it converges to a solidly lower objective AND
+        puts real positive throttle on the flipped arm. Without the second
+        condition a lower objective may just mean the trial solve hopped to a
+        cheaper load split among the other arms, a gain that swinging this
+        arm cannot capture, and chasing it causes endless swings.
+        """
+        mirrored = sol.next_warm()
+        mirrored.throttles[arm] = max(-sol.throttles[arm], 0.01)
+        mirrored.angles[arm] += math.pi
+        mirrored.prev_angles[arm] = mirrored.angles[arm]
+        try:
+            trial = _solve(self.scenario, inp, mirrored, weights)
+        except SolverError:
+            return False
+        return (
+            trial.converged
+            and trial.objective < sol.objective - 0.02
+            and trial.throttles[arm] >= 0.04
+        )
+
+
+def run_flight(scenario: Scenario) -> FlightLog:
+    """Simulate one closed-loop flight and return the full log.
+
+    Each tick: sweep setpoint -> pose PID -> wrench demand -> allocator ->
+    servos and throttles -> per-arm wrenches (plus optional noise) -> log ->
+    rigid-body step. When the allocator fails to converge, the previous
+    actuator commands are held for that tick and the event is logged.
+
+    The Newton-KKT allocator is warm-started from the previous tick. Around
+    each of its solves `_BranchSupervisor` advances the arms in branch
+    transit, which sets that solve's weights, and, after a converged solve,
+    starts new transits from the least-norm reference and pulls the next
+    warm point toward it.
     """
     model = scenario.model
-    geometry = model.geometry
-    n_arms = geometry.n_arms
+    n_arms = model.geometry.n_arms
     dt = model.control_period
     n_ticks = int(round(scenario.duration / dt))
 
     state = RigidBodyState.at_rest()
     pid = PidController(scenario.gains, model.mass, model.gravity)
     warm = AllocatorState.cold_start(model)
+    supervisor = _BranchSupervisor(scenario)
     servos = [
         ServoState(0.0, (), scenario.servo_rate_limit, scenario.servo_delay) for _ in range(n_arms)
     ]
@@ -528,12 +626,6 @@ def run_flight(scenario: Scenario) -> FlightLog:
     angle_cmd = np.zeros(n_arms)
     throttle_act = np.zeros(n_arms)
     rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
-
-    transit_step = 0.9 * scenario.servo_rate_limit * dt
-    transit_target = np.full(n_arms, np.nan)  # NaN = no transit active
-    transit_cool = np.full(n_arms, -np.inf)  # earliest time an arm may re-trigger
-    hist_len = 12
-    share_hist = np.zeros((hist_len, n_arms))
 
     log = {name: [] for name in (
         "t", "position", "velocity", "orientation", "angular_velocity", "sp_position",
@@ -553,31 +645,9 @@ def run_flight(scenario: Scenario) -> FlightLog:
 
         inp = AllocatorInput(state.orientation, force, torque)
         if scenario.allocator == "sqp":
-            active = ~np.isnan(transit_target)
-            if np.any(active):
-                step = np.clip(transit_target[active] - warm.angles[active],
-                               -transit_step, transit_step)
-                # move the warm point and its motion reference together so the
-                # solver treats the advanced angle as where the arm already is
-                warm.angles[active] += step
-                warm.prev_angles[active] += step
-                done = np.abs(transit_target[active] - warm.angles[active]) < 1e-9
-                transit_target[np.nonzero(active)[0][done]] = np.nan
-                # keep swinging arms close to unloaded without removing them
-                # from the wrench constraint
-                weights_t = replace(
-                    scenario.weights,
-                    throttle=scenario.weights.throttle * (1.0 + 49.0 * active),
-                )
-            else:
-                weights_t = scenario.weights
+            weights = supervisor.advance(warm)
             try:
-                sol = sqp_allocate(
-                    inp, warm, model, weights_t,
-                    scenario.tol_objective, scenario.tol_constraint,
-                    scenario.max_iterations,
-                    scenario.throttle_step_limit, scenario.angle_step_limit,
-                )
+                sol = _solve(scenario, inp, warm, weights)
             except SolverError:
                 # a solver breakdown is handled like any non-converged tick:
                 # hold the previous actuator commands and try again next tick
@@ -591,90 +661,12 @@ def run_flight(scenario: Scenario) -> FlightLog:
                     converged=False,
                 )
             if sol.converged:
-                warm = sol.next_warm()
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
-                idle = (
-                    geometry.rotating
-                    & np.isnan(transit_target)
-                    & (transit_cool <= t)
-                )
-                # branch watch: project the linear least-norm reference onto
-                # each arm's current thrust direction. a negative component
-                # means the demand on that arm has moved to the opposite
-                # branch, which the warm-started Newton iteration cannot
-                # reach on its own; an ordinary handoff of load to other
-                # arms keeps the component near zero and fires nothing.
                 try:
                     ref = pinv_allocate(inp, model, prev_angles=sol.angles)
                 except SolverError:
                     ref = None
-                if ref is not None:
-                    gap = wrap_angle(ref.angles - sol.angles)
-                    share = ref.throttles * np.cos(gap)
-                    watch = idle & (sol.throttles < 0.05)
-                    # the projection is continuous through a crossing, so a
-                    # short extrapolation starts the half-turn slightly
-                    # before the demand actually reverses
-                    slope = (share - share_hist[k % hist_len]) / (hist_len * dt)
-                    early = (
-                        watch
-                        & (k >= hist_len)
-                        & (share < 0.02)
-                        & (slope < -0.1)
-                        & (share + 0.18 * slope < -0.04)
-                    )
-                    # a sibling driven near saturation means the wrench
-                    # needs this arm's flipped thrust now, not after the
-                    # pin deepens
-                    urgent = np.max(sol.throttles) > 0.85
-                    cand = early | (watch & (share < -0.03)) | (
-                        idle & urgent & (sol.throttles < -0.015) & (share < -0.02)
-                    )
-                    if np.any(cand):
-                        # transits starve the wrench constraint of
-                        # actuators, so cap how many swing at once
-                        order = sorted(
-                            np.nonzero(cand)[0], key=lambda i: share[i]
-                        )
-                        slots = 2 - int(np.sum(~np.isnan(transit_target)))
-                        for i in order[: max(slots, 0)]:
-                            # an arm already pinned negative may pin alike
-                            # on both branches; swing it only if the
-                            # mirrored branch solves clearly better
-                            if (
-                                not urgent
-                                and sol.throttles[i] < -0.02
-                                and not _mirror_pays_off(
-                                    i, sol, inp, model, weights_t, scenario
-                                )
-                            ):
-                                continue
-                            # past a crossing the reference sits on the far
-                            # branch and picks the turn direction; before
-                            # one, either way round reaches the same branch
-                            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
-                            transit_target[i] = sol.angles[i] + math.copysign(
-                                math.pi, direction
-                            )
-                            # refractory gap so one crossing cannot
-                            # retrigger on its own settling transient
-                            transit_cool[i] = t + 0.3
-                    share_hist[k % hist_len] = share
-                    # the warm chain can settle into a much costlier load
-                    # split than the least-norm spread without any branch
-                    # disagreement. a small capped pull of the warm point
-                    # toward the reference each tick lets the solver ratchet
-                    # over to the better valley when one exists, while its
-                    # own descent undoes the pull when the current valley is
-                    # the right one.
-                    free = np.isnan(transit_target)
-                    pull_a = np.clip(0.1 * gap, -0.01, 0.01)
-                    pull_u = np.clip(
-                        0.1 * (ref.throttles - sol.throttles), -0.01, 0.01
-                    )
-                    warm.angles[free] += pull_a[free]
-                    warm.prev_angles[free] += pull_a[free]
-                    warm.throttles[free] += pull_u[free]
+                warm = supervisor.after_solve(k, sol, ref, inp, weights)
         else:
             sol = pinv_allocate(inp, model, prev_angles=angle_cmd)
             if sol.converged:

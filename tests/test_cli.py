@@ -187,6 +187,20 @@ def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     capsys.readouterr()  # errors go to stderr, keep the terminal clean
 
 
+@pytest.mark.parametrize("sweep, extra", [
+    ({"kind": "continuous_roll", "seconds_per_rev": 0.0}, {}),
+    ({"kind": "hover"}, {"duration": 0.0}),
+    ({"kind": "hover"}, {"noise_std": -0.05}),
+], ids=["zero_seconds_per_rev", "zero_duration", "negative_noise"])
+def test_fly_rejects_invalid_flight_inputs_with_an_error_line(tmp_path, capsys, sweep, extra):
+    config = write_json_file(tmp_path / "c.json", {"sweep": sweep, "out": str(tmp_path / "f"),
+                                                   **extra})
+    assert run_cli("fly", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "f").exists()
+
+
 # ---------------------------------------------------------------------------
 # fly
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import quat_distance
 from rotorarm import (
@@ -80,6 +82,27 @@ def test_servo_tracks_changing_setpoints():
 def test_servo_rejects_bad_dt():
     with pytest.raises(ValueError):
         servo_update(ServoState(), 0.0, 0.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    setpoints=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
+    rate_limit=st.floats(0.1, 50.0),
+    delay=st.floats(0.0, 0.1),
+    dt=st.floats(0.001, 0.02),
+)
+def test_servo_never_exceeds_its_rate_nor_overshoots(setpoints, rate_limit, delay, dt):
+    n_delay = int(round(delay / dt))
+    max_step = rate_limit * dt
+    servo = ServoState(0.0, (), rate_limit, delay)
+    for j, setpoint in enumerate(setpoints):
+        before = servo.angle
+        servo = servo_update(servo, setpoint, dt)
+        # the command issued n_delay ticks ago; until one exists the servo holds
+        target = setpoints[j - n_delay] if j >= n_delay else before
+        slack = 1e-12 * max(1.0, abs(before), abs(target))
+        assert abs(servo.angle - before) <= max_step + slack
+        assert min(before, target) - slack <= servo.angle <= max(before, target) + slack
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +248,15 @@ def test_trapezoid_profile_shape():
     assert np.all(np.diff(values) >= -1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seconds_per_rev": 0.0}, {"seconds_per_rev": -8.0}, {"seconds_per_rev": math.nan},
+    {"revolutions": -1.0}, {"start_delay": -0.5},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_sweep_spec_rejects_invalid_timing(kwargs):
+    with pytest.raises(ValueError):
+        SweepSpec("continuous_roll", **kwargs)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("spiral")
@@ -319,6 +351,16 @@ def test_scenario_defaults_and_validation(octa_model):
         Scenario(model=octa_model, sweep=SweepSpec("hover"), allocator="magic")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"duration": 0.0}, {"duration": -1.0}, {"duration": 0.002}, {"duration": math.inf},
+    {"noise_std": -0.05}, {"motor_lag": -0.02}, {"noise_std": math.nan},
+    {"max_iterations": 0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_scenario_rejects_invalid_flight_inputs(octa_model, kwargs):
+    with pytest.raises(ValueError):
+        Scenario(model=octa_model, sweep=SweepSpec("hover"), **kwargs)
+
+
 def test_hover_flight_stays_put(octa_model):
     log = run_flight(_hover_scenario(octa_model, duration=2.0))
     assert len(log.t) == 400 and log.n_arms == 6
@@ -379,21 +421,25 @@ def test_servo_delay_shows_in_the_log(octa_model):
 
 
 def test_flight_log_csv_round_trip(tmp_path, octa_model):
-    log = run_flight(_hover_scenario(octa_model, duration=0.3))
-    path = tmp_path / "log.csv"
-    log.write_csv(path)
-    again = read_flight_csv(path, allocator=log.allocator)
-    assert again.dt == pytest.approx(log.dt)
-    assert again.allocator == "sqp"
-    np.testing.assert_array_equal(again.t, log.t)
-    np.testing.assert_array_equal(again.position, log.position)
-    np.testing.assert_array_equal(again.orientation, log.orientation)
-    np.testing.assert_array_equal(again.throttle_cmd, log.throttle_cmd)
-    np.testing.assert_array_equal(again.angle_act, log.angle_act)
-    np.testing.assert_array_equal(again.converged, log.converged)
-    assert again.converged.dtype == bool
-    header, rows = log.table()
-    assert len(header) == rows.shape[1] == 26 + 4 * log.n_arms
+    one_arm = _blank_log(5, n_arms=1)  # a synthetic log of a single arm
+    one_arm.throttle_cmd[:, 0] = np.linspace(0.1, 0.5, 5)
+    one_arm.angle_act[:, 0] = np.linspace(-1.0, 1.0, 5)
+    one_arm.position[:, 2] = 0.25
+    for log in (run_flight(_hover_scenario(octa_model, duration=0.3)), one_arm):
+        path = tmp_path / f"log_{log.n_arms}.csv"
+        log.write_csv(path)
+        again = read_flight_csv(path, allocator=log.allocator)
+        assert again.dt == pytest.approx(log.dt)
+        assert again.allocator == "sqp"
+        np.testing.assert_array_equal(again.t, log.t)
+        np.testing.assert_array_equal(again.position, log.position)
+        np.testing.assert_array_equal(again.orientation, log.orientation)
+        np.testing.assert_array_equal(again.throttle_cmd, log.throttle_cmd)
+        np.testing.assert_array_equal(again.angle_act, log.angle_act)
+        np.testing.assert_array_equal(again.converged, log.converged)
+        assert again.converged.dtype == bool
+        header, rows = log.table()
+        assert len(header) == rows.shape[1] == 26 + 4 * log.n_arms
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,247 @@
+"""Branch-transit supervisor of the SQP flight loop, one rule per test.
+
+Each test feeds the supervisor a synthetic converged solve and least-norm
+reference for the six-arm octahedron, so one rule decides the outcome. Arm
+0 is the lightly loaded arm under watch; the other arms carry load and
+agree with the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rotorarm import AllocatorInput, AllocatorSolution, Quaternion, Scenario, SolverError, SweepSpec
+from rotorarm import simulation
+from rotorarm.simulation import _BranchSupervisor
+
+K = 100  # a tick well past the share history's length
+LOADED = 0.3
+
+
+@pytest.fixture
+def supervisor(octa_model):
+    return _BranchSupervisor(Scenario(model=octa_model, sweep=SweepSpec("hover")))
+
+
+def solution(throttle0=0.01, objective=1.0) -> AllocatorSolution:
+    throttles = np.full(6, LOADED)
+    throttles[0] = throttle0
+    angles = np.linspace(-1.0, 1.5, 6)
+    return AllocatorSolution(throttles, angles, np.zeros(6), 3, 0.0, objective, True)
+
+
+def reference(sol, share0=0.0, gap0=0.0) -> AllocatorSolution:
+    """A reference that agrees with the solution except on arm 0.
+
+    Arm 0's reference sits gap0 from its solved angle, with a throttle
+    whose projection on the solved thrust direction is share0.
+    """
+    gaps = np.zeros(6)
+    gaps[0] = gap0
+    throttles = sol.throttles.copy()
+    throttles[0] = share0 / math.cos(gap0)
+    return AllocatorSolution(throttles, sol.angles + gaps, np.zeros(6), 1, 0.0, 0.0, True)
+
+
+def demand(model) -> AllocatorInput:
+    return AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, model.mass * model.gravity]),
+                          np.zeros(3))
+
+
+def after(supervisor, sol, ref, k=K):
+    weights = supervisor.scenario.weights
+    return supervisor.after_solve(k, sol, ref, demand(supervisor.scenario.model), weights)
+
+
+def with_history(supervisor, share0):
+    """Share history in which arm 0 held share0 and the other arms full load."""
+    supervisor.share_hist[:] = LOADED
+    supervisor.share_hist[:, 0] = share0
+
+
+def transiting(supervisor):
+    return list(np.nonzero(~np.isnan(supervisor.target))[0])
+
+
+# ---------------------------------------------------------------------------
+# starting transits
+
+
+def test_negative_share_starts_a_half_turn(supervisor):
+    sol = solution()
+    with_history(supervisor, -0.05)  # flat: the extrapolation stays quiet
+    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    assert transiting(supervisor) == [0]
+    assert supervisor.target[0] == sol.angles[0] + math.pi
+    assert supervisor.cool[0] == pytest.approx(K * supervisor.dt + 0.3)
+
+
+def test_loaded_arm_is_not_watched(supervisor):
+    sol = solution(throttle0=0.2)
+    with_history(supervisor, -0.05)
+    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    assert transiting(supervisor) == []
+
+
+def test_falling_share_starts_early(supervisor):
+    sol = solution()
+    with_history(supervisor, 0.1)  # slope -1.58 /s, extrapolated share -0.28
+    after(supervisor, sol, reference(sol, share0=0.005))
+    assert transiting(supervisor) == [0]
+
+
+def test_early_start_needs_a_small_share(supervisor):
+    sol = solution()
+    with_history(supervisor, 0.5)  # steep fall, but the arm still has share 0.05
+    after(supervisor, sol, reference(sol, share0=0.05))
+    assert transiting(supervisor) == []
+
+
+def test_early_start_needs_a_clear_fall(supervisor):
+    sol = solution()
+    # slope -0.08 /s extrapolates to -0.0434, below -0.04, but the fall is too slow
+    with_history(supervisor, -0.029 + 0.08 * supervisor.hist_len * supervisor.dt)
+    after(supervisor, sol, reference(sol, share0=-0.029, gap0=3.0))
+    assert transiting(supervisor) == []
+
+
+def test_turn_direction_follows_the_reference_past_a_crossing(supervisor):
+    sol = solution()
+    with_history(supervisor, 0.1 * math.cos(-2.8))
+    after(supervisor, sol, reference(sol, share0=0.1 * math.cos(-2.8), gap0=-2.8))
+    assert supervisor.target[0] == sol.angles[0] - math.pi
+
+
+def test_cool_down_blocks_a_retrigger_for_0_3_s(supervisor):
+    sol = solution()
+    ref = reference(sol, share0=-0.05, gap0=3.0)
+    with_history(supervisor, -0.05)
+    after(supervisor, sol, ref, k=0)
+    warm = sol.next_warm()
+    for _ in range(60):
+        supervisor.advance(warm)
+    assert transiting(supervisor) == []  # the half-turn took under 0.3 s
+    after(supervisor, sol, ref, k=59)
+    assert transiting(supervisor) == []
+    after(supervisor, sol, ref, k=61)
+    assert transiting(supervisor) == [0]
+
+
+# ---------------------------------------------------------------------------
+# the mirror check on an arm pinned negative
+
+
+@pytest.fixture
+def trials(monkeypatch):
+    """Replace the mirrored re-solve with a scripted outcome; record its warm points."""
+    calls = []
+    outcome = {}
+
+    def scripted(inp, warm, model, weights, *args):
+        calls.append(warm)
+        if outcome["result"] is SolverError:
+            raise SolverError("scripted breakdown")
+        return outcome["result"]
+
+    monkeypatch.setattr(simulation, "sqp_allocate", scripted)
+    return calls, outcome
+
+
+def pinned_case(supervisor, trials, objective, flipped_throttle):
+    calls, outcome = trials
+    sol = solution(throttle0=-0.03, objective=1.0)
+    trial = solution(throttle0=flipped_throttle, objective=objective)
+    outcome["result"] = SolverError if objective is None else trial
+    with_history(supervisor, -0.05)
+    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    return sol, calls
+
+
+def test_pinned_arm_swings_when_its_mirror_solves_clearly_cheaper(supervisor, trials):
+    sol, calls = pinned_case(supervisor, trials, objective=0.9, flipped_throttle=0.2)
+    assert transiting(supervisor) == [0]
+    (mirrored,) = calls
+    assert mirrored.throttles[0] == 0.03
+    assert mirrored.angles[0] == mirrored.prev_angles[0] == sol.angles[0] + math.pi
+    np.testing.assert_array_equal(mirrored.throttles[1:], sol.throttles[1:])
+
+
+def test_pinned_arm_stays_when_its_mirror_is_no_cheaper(supervisor, trials):
+    pinned_case(supervisor, trials, objective=0.99, flipped_throttle=0.2)
+    assert transiting(supervisor) == []
+
+
+def test_pinned_arm_stays_when_its_mirror_leaves_it_unloaded(supervisor, trials):
+    pinned_case(supervisor, trials, objective=0.9, flipped_throttle=0.03)
+    assert transiting(supervisor) == []
+
+
+def test_pinned_arm_stays_when_its_mirror_breaks_down(supervisor, trials):
+    pinned_case(supervisor, trials, objective=None, flipped_throttle=0.2)
+    assert transiting(supervisor) == []
+
+
+def test_unpinned_arm_swings_without_a_mirror_solve(supervisor, trials):
+    calls, _ = trials
+    sol = solution(throttle0=-0.01)
+    with_history(supervisor, -0.05)
+    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    assert transiting(supervisor) == [0] and calls == []
+
+
+# ---------------------------------------------------------------------------
+# running transits and pulling the warm point
+
+
+def test_transit_walks_the_warm_point_under_a_raised_throttle_weight(supervisor):
+    base = supervisor.scenario.weights
+    sol = solution()
+    warm = sol.next_warm()
+    assert supervisor.advance(warm) is base  # nothing in transit
+    with_history(supervisor, -0.05)
+    warm = after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    start = warm.angles.copy()
+
+    weights = supervisor.advance(warm)
+    np.testing.assert_array_equal(weights.throttle, base.throttle * np.array([50, 1, 1, 1, 1, 1]))
+    assert warm.angles[0] - start[0] == pytest.approx(supervisor.transit_step)
+    assert warm.prev_angles[0] == warm.angles[0]
+    np.testing.assert_array_equal(warm.angles[1:], start[1:])
+    assert supervisor.transit_step == pytest.approx(0.9 * supervisor.scenario.servo_rate_limit
+                                                    * supervisor.dt)
+    while transiting(supervisor):
+        supervisor.advance(warm)
+    assert warm.angles[0] == pytest.approx(sol.angles[0] + math.pi, abs=1e-9)
+
+
+def test_warm_point_is_pulled_toward_the_reference(supervisor):
+    sol = solution(throttle0=0.2)
+    ref = AllocatorSolution(sol.throttles + np.array([0.0, 0.0, 0.0, 0.05, -0.2, 0.0]),
+                            sol.angles + np.array([0.05, 0.5, -0.5, 0.0, 0.0, 0.0]),
+                            np.zeros(6), 1, 0.0, 0.0, True)
+    warm = after(supervisor, sol, ref)
+    np.testing.assert_allclose(warm.angles - sol.angles, [0.005, 0.01, -0.01, 0, 0, 0], atol=1e-15)
+    np.testing.assert_array_equal(warm.prev_angles, warm.angles)
+    np.testing.assert_allclose(warm.throttles - sol.throttles, [0, 0, 0, 0.005, -0.01, 0],
+                               atol=1e-15)
+
+
+def test_arms_in_transit_are_not_pulled(supervisor):
+    sol = solution()
+    with_history(supervisor, -0.05)
+    ref = reference(sol, share0=-0.05, gap0=3.0)
+    ref.throttles[1] += 0.2
+    warm = after(supervisor, sol, ref)
+    assert transiting(supervisor) == [0]
+    assert warm.angles[0] == sol.angles[0] and warm.throttles[0] == sol.throttles[0]
+    assert warm.throttles[1] == sol.throttles[1] + 0.01
+
+
+def test_no_reference_leaves_the_warm_point_and_history_alone(supervisor):
+    sol = solution()
+    with_history(supervisor, 0.1)
+    warm = after(supervisor, sol, None)
+    np.testing.assert_array_equal(warm.angles, sol.angles)
+    np.testing.assert_array_equal(warm.throttles, sol.throttles)
+    assert np.all(supervisor.share_hist[:, 0] == 0.1) and transiting(supervisor) == []
