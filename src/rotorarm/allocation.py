@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,22 +124,36 @@ class DroneModel:
         return self.mass * self.gravity / (self.thrust_constant * self.geometry.n_arms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocatorInput:
+    """One wrench demand at one attitude; immutable once built.
+
+    ``force`` and ``torque`` are read-only copies, so the body-frame wrench,
+    computed on first use and shared by every later caller, cannot go stale.
+    """
+
     orientation: Quaternion
     force: np.ndarray  # demanded net force, world frame, N
     torque: np.ndarray  # demanded net torque, world frame, Nm
 
     def __post_init__(self):
-        self.force = np.asarray(self.force, dtype=float)
-        self.torque = np.asarray(self.torque, dtype=float)
-        for name, v in (("force", self.force), ("torque", self.torque)):
+        for name in ("force", "torque"):
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite 3-vector, got {v!r}")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+
+    @cached_property
+    def _body_wrench(self) -> np.ndarray:
+        inv = self.orientation.inverse()
+        wrench = np.concatenate([inv.rotate(self.force), inv.rotate(self.torque)])
+        wrench.flags.writeable = False
+        return wrench
 
     def body_wrench(self) -> np.ndarray:
-        inv = self.orientation.inverse()
-        return np.concatenate([inv.rotate(self.force), inv.rotate(self.torque)])
+        """Demanded [force; torque] in the body frame (read-only, computed once)."""
+        return self._body_wrench
 
 
 @dataclass
@@ -243,15 +258,11 @@ def arm_wrench(arm, throttle: float, angle: float, thrust_constant: float, torqu
     )
 
 
-def _body_wrench_of(throttles, angles, model: DroneModel) -> np.ndarray:
-    return throttles @ model.unit_wrenches(angles)[0]
-
-
 def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneModel) -> np.ndarray:
     """Produced-minus-demanded body wrench; zero at an exact allocation."""
     throttles = np.asarray(throttles, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    return _body_wrench_of(throttles, angles, model) - inp.body_wrench()
+    return throttles @ model.unit_wrenches(angles)[0] - inp.body_wrench()
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +304,57 @@ def allocation_objective(throttles, angles, prev_angles, period: float, weights:
 # optimality system
 
 
-def _assemble(throttles, angles, multipliers, prev_angles, body_wrench, model: DroneModel, weights: PenaltyWeights):
-    """Gradient K and Jacobian H of the stationarity system at one iterate.
+class _Iterate(NamedTuple):
+    """Every quantity of one iterate that depends on the primal variables."""
 
-    Layout: variables are (throttles, angles, multipliers); K stacks the two
-    stationarity blocks and the constraint residual, H is its symmetric
-    Jacobian. Arms never couple to each other through second derivatives,
-    so the primal blocks are diagonal.
+    wrench: np.ndarray  # per-arm unit wrenches W, (n, 6)
+    d_wrench: np.ndarray  # dW/da
+    residual: np.ndarray  # produced minus demanded body wrench
+    objective: float  # what allocation_objective gives
+    dpu: np.ndarray  # throttle penalty, first and second derivatives
+    ddpu: np.ndarray
+    dpa: np.ndarray  # arm-rate penalty, first and second derivatives
+    ddpa: np.ndarray
+
+
+def _evaluate(throttles, angles, prev_angles, body_wrench, model: DroneModel,
+              weights: PenaltyWeights) -> _Iterate:
+    """Evaluate one iterate once; that serves both its convergence test and the next assembly."""
+    wrench, d_wrench = model.unit_wrenches(angles)
+    rate = (angles - prev_angles) / model.control_period
+    pu, dpu, ddpu = penalty_throttle(throttles, weights)
+    pa, dpa, ddpa = penalty_arm_rate(rate, weights)
+    return _Iterate(wrench, d_wrench, throttles @ wrench - body_wrench,
+                    float(np.sum(pu) + np.sum(pa)), dpu, ddpu, dpa, ddpa)
+
+
+def _assemble(throttles, multipliers, it: _Iterate, model: DroneModel):
+    """Jacobian H and gradient K of the stationarity system at one iterate.
+
+    ``it`` is the evaluation of the same primal variables. Layout: variables
+    are (throttles, angles, multipliers); K stacks the two stationarity
+    blocks and the constraint residual, H is its symmetric Jacobian. Arms
+    never couple to each other through second derivatives, so the primal
+    blocks are diagonal.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
+    wrench, d_wrench = it.wrench, it.d_wrench
 
     # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
     # its angle Jacobian; second derivatives are diagonal per arm, with
     # d2W/da2 = -W on rotating arms and 0 on fixed ones
-    wrench, d_wrench = model.unit_wrenches(angles)
-    residual = throttles @ wrench - body_wrench
     grad_u = wrench.T  # (6, n)
     grad_a = (throttles[:, None] * d_wrench).T
     lam_w = wrench @ multipliers
     h_ua = d_wrench @ multipliers
     h_aa = np.where(model.geometry.rotating, -throttles * lam_w, 0.0)
 
-    rate = (angles - prev_angles) / dt
-    _, dpu, ddpu = penalty_throttle(throttles, weights)
-    _, dpa, ddpa = penalty_arm_rate(rate, weights)
-
     dim = 2 * n_arms + 6
     hess = np.zeros((dim, dim))
     idx = np.arange(n_arms)
-    hess[idx, idx] = ddpu  # throttle second derivatives never touch the constraints
-    hess[n_arms + idx, n_arms + idx] = ddpa / (dt * dt) + h_aa
+    hess[idx, idx] = it.ddpu  # throttle second derivatives never touch the constraints
+    hess[n_arms + idx, n_arms + idx] = it.ddpa / (dt * dt) + h_aa
     hess[idx, n_arms + idx] = h_ua
     hess[n_arms + idx, idx] = h_ua
     hess[: n_arms, 2 * n_arms:] = grad_u.T
@@ -331,17 +362,14 @@ def _assemble(throttles, angles, multipliers, prev_angles, body_wrench, model: D
     hess[n_arms: 2 * n_arms, 2 * n_arms:] = grad_a.T
     hess[2 * n_arms:, n_arms: 2 * n_arms] = grad_a
 
-    grad = np.concatenate([dpu + lam_w, dpa / dt + throttles * h_ua, residual])
-    return hess, grad, residual
+    grad = np.concatenate([it.dpu + lam_w, it.dpa / dt + throttles * h_ua, it.residual])
+    return hess, grad
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
     """Public wrapper around the optimality-system assembly; returns (H, K)."""
-    hess, grad, _ = _assemble(
-        state.throttles, state.angles, state.multipliers, state.prev_angles,
-        inp.body_wrench(), model, weights,
-    )
-    return hess, grad
+    it = _evaluate(state.throttles, state.angles, state.prev_angles, inp.body_wrench(), model, weights)
+    return _assemble(state.throttles, state.multipliers, it, model)
 
 
 _REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -408,7 +436,6 @@ def sqp_allocate(
     if weights is None:
         weights = PenaltyWeights()
     body_wrench = inp.body_wrench()
-    dt = model.control_period
     n_arms = model.geometry.n_arms
 
     u = warm.throttles.astype(float).copy()
@@ -418,12 +445,13 @@ def sqp_allocate(
     if len(u) != n_arms or len(a) != n_arms or len(lam) != 6:
         raise ValueError("warm-start arrays do not match the geometry")
 
-    obj_prev = allocation_objective(u, a, a_prev, dt, weights)
+    it = _evaluate(u, a, a_prev, body_wrench, model, weights)
+    obj_prev = it.objective
     iterations = 0
     converged = False
     res_norm = math.inf
     for iterations in range(1, max_iterations + 1):
-        hess, grad, _ = _assemble(u, a, lam, a_prev, body_wrench, model, weights)
+        hess, grad = _assemble(u, lam, it, model)
         du, da, dlam = newton_step(hess, grad, n_arms)
         alpha = step_scale(du, da, throttle_step_limit, angle_step_limit)
         u += alpha * du
@@ -431,9 +459,9 @@ def sqp_allocate(
         lam += alpha * dlam
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(a)) and np.all(np.isfinite(lam))):
             raise SolverError("allocator iterate diverged to non-finite values")
-        obj = allocation_objective(u, a, a_prev, dt, weights)
-        residual = _body_wrench_of(u, a, model) - body_wrench
-        res_norm = float(math.hypot(np.linalg.norm(residual[:3]), np.linalg.norm(residual[3:])))
+        it = _evaluate(u, a, a_prev, body_wrench, model, weights)
+        obj = it.objective
+        res_norm = float(math.hypot(np.linalg.norm(it.residual[:3]), np.linalg.norm(it.residual[3:])))
         if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
             converged = True
             obj_prev = obj

@@ -53,20 +53,29 @@ _POSITION_AXES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class ServoState:
-    """Arm servo with FIFO command latency and a slew-rate bound."""
+    """Arm servos with FIFO command latency and a slew-rate bound.
 
-    angle: float = 0.0
+    ``angle`` is a scalar for one servo or an array with one entry per arm;
+    ``pending`` holds the commands still inside the latency window, oldest
+    first, each shaped like ``angle``.
+    """
+
+    angle: float | np.ndarray = 0.0
     pending: tuple = ()
     rate_limit: float = SERVO_RATE_LIMIT
     delay: float = SERVO_DELAY
 
 
-def servo_update(state: ServoState, setpoint: float, dt: float) -> ServoState:
-    """Advance the servo one tick toward the delayed setpoint, never overshooting."""
+def servo_update(state: ServoState, setpoint, dt: float) -> ServoState:
+    """Advance the servos one tick toward their delayed setpoints, never overshooting.
+
+    Every arm moves independently, so one call on an array of arms gives
+    the same angles as one call per arm.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_delay = int(round(state.delay / dt))
-    pending = state.pending + (float(setpoint),)
+    pending = state.pending + (np.array(setpoint, dtype=float),)
     if len(pending) > n_delay:
         # commands issued n_delay ticks ago become visible now
         target = pending[len(pending) - n_delay - 1]
@@ -74,7 +83,7 @@ def servo_update(state: ServoState, setpoint: float, dt: float) -> ServoState:
     else:
         target = state.angle
     max_step = state.rate_limit * dt
-    step = min(max(target - state.angle, -max_step), max_step)
+    step = np.minimum(np.maximum(target - state.angle, -max_step), max_step)
     return replace(state, angle=state.angle + step, pending=pending)
 
 
@@ -619,9 +628,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
     pid = PidController(scenario.gains, model.mass, model.gravity)
     warm = AllocatorState.cold_start(model)
     supervisor = _BranchSupervisor(scenario)
-    servos = [
-        ServoState(0.0, (), scenario.servo_rate_limit, scenario.servo_delay) for _ in range(n_arms)
-    ]
+    servos = ServoState(np.zeros(n_arms), (), scenario.servo_rate_limit, scenario.servo_delay)
     throttle_cmd = np.zeros(n_arms)
     angle_cmd = np.zeros(n_arms)
     throttle_act = np.zeros(n_arms)
@@ -672,8 +679,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
             if sol.converged:
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
 
-        servos = [servo_update(s, a_i, dt) for s, a_i in zip(servos, angle_cmd)]
-        angle_act = np.array([s.angle for s in servos])
+        servos = servo_update(servos, angle_cmd, dt)
+        angle_act = servos.angle
         clamped = np.clip(throttle_cmd, 0.0, 1.0)
         if scenario.motor_lag > 0.0:
             throttle_act = throttle_act + (clamped - throttle_act) * (

@@ -72,6 +72,54 @@ def test_allocator_input_validation_and_frames():
     np.testing.assert_allclose(wrench, [0.0, -1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_allocator_input_is_read_only():
+    force, torque = np.array([1.0, 2.0, 20.0]), np.array([0.1, 0.0, -0.2])
+    inp = AllocatorInput(Quaternion.identity(), force, torque)
+    force[0] = 99.0  # the caller's arrays stay the caller's
+    assert inp.force[0] == 1.0
+    for array in (inp.force, inp.torque, inp.body_wrench()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    with pytest.raises(AttributeError):
+        inp.force = np.zeros(3)
+    np.testing.assert_array_equal(inp.body_wrench(), [1.0, 2.0, 20.0, 0.1, 0.0, -0.2])
+
+
+def test_body_wrench_is_computed_once_and_only_when_needed(monkeypatch, octa_model):
+    """sqp, pinv and the residual share one lazy body-wrench computation.
+
+    Every Quaternion method is counted: the three callers together must do
+    exactly the attitude work of one body_wrench() call, and building the
+    input must do none.
+    """
+    calls = []
+    for name in ("rotate", "inverse", "conjugate", "to_matrix"):
+        original = getattr(Quaternion, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Quaternion, name, counted)
+    q = Quaternion.from_axis_angle(np.array([0.0, 0.6, 0.8]), 0.7)
+    demand = (np.array([1.0, -2.0, 24.0]), np.array([0.2, 0.1, -0.1]))
+
+    twin = AllocatorInput(q, *demand)
+    twin.body_wrench()
+    one_computation = len(calls)
+    assert one_computation > 0
+
+    calls.clear()
+    inp = AllocatorInput(q, *demand)
+    assert calls == []  # lazy: construction rotates nothing
+    sol = sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model)
+    pinv_allocate(inp, octa_model)
+    constraint_residual(sol.throttles, sol.angles, inp, octa_model)
+    assert len(calls) == one_computation
+    assert inp.body_wrench() is inp.body_wrench()
+    np.testing.assert_array_equal(inp.body_wrench(), twin.body_wrench())
+
+
 def test_thrust_direction_derivatives(rng):
     for g_id in ("octahedron_rot", "tetrahedron_rot"):
         for arm in build_catalog(g_id).arms:

@@ -105,6 +105,23 @@ def test_servo_never_exceeds_its_rate_nor_overshoots(setpoints, rate_limit, dela
         assert min(before, target) - slack <= servo.angle <= max(before, target) + slack
 
 
+@pytest.mark.parametrize("delay", [0.0, 0.0138])  # 0.0138 s is 2.76 ticks of DT
+def test_all_arm_servo_update_equals_one_call_per_arm(delay):
+    rng = np.random.default_rng(7)
+    n_arms, rate_limit = 6, 3.0
+    for _ in range(5):
+        # mixes small moves inside one tick of travel with rate-limited jumps
+        commands = np.cumsum(rng.normal(0.0, 0.05, (40, n_arms)), axis=0)
+        commands += np.where(rng.random((40, n_arms)) < 0.1, rng.uniform(-3.0, 3.0, (40, n_arms)), 0.0)
+        together = ServoState(np.zeros(n_arms), (), rate_limit, delay)
+        apart = [ServoState(0.0, (), rate_limit, delay) for _ in range(n_arms)]
+        for command in commands:
+            together = servo_update(together, command, DT)
+            apart = [servo_update(s, c, DT) for s, c in zip(apart, command)]
+            np.testing.assert_array_equal(together.angle, [s.angle for s in apart])
+        assert len(together.pending) == len(apart[0].pending) == round(delay / DT)
+
+
 # ---------------------------------------------------------------------------
 # rigid body
 
