@@ -113,10 +113,10 @@ class DroneModel:
         return c * self.wrench1 + s * self.wrench2, c * self.wrench2 - s * self.wrench1
 
     @cached_property
-    def _thrust_plane_map(self) -> tuple[np.ndarray, int]:
-        """vectored_thrust_matrix and its rank, built on the first pinv call."""
+    def _thrust_plane_pinv(self) -> tuple[np.ndarray, int]:
+        """Pseudoinverse of vectored_thrust_matrix and its rank, built on the first pinv call."""
         matrix = vectored_thrust_matrix(self)
-        return matrix, int(np.linalg.matrix_rank(matrix))
+        return np.linalg.pinv(matrix), int(np.linalg.matrix_rank(matrix))
 
     @property
     def hover_throttle(self) -> float:
@@ -146,8 +146,8 @@ class AllocatorInput:
 
     @cached_property
     def _body_wrench(self) -> np.ndarray:
-        inv = self.orientation.inverse()
-        wrench = np.concatenate([inv.rotate(self.force), inv.rotate(self.torque)])
+        # v @ R is R^T v: world to body for both rows at once
+        wrench = (np.stack([self.force, self.torque]) @ self.orientation.to_matrix()).ravel()
         wrench.flags.writeable = False
         return wrench
 
@@ -501,11 +501,11 @@ def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> A
     throttle keep their previous angle.
     """
     g = model.geometry
-    matrix, rank = model._thrust_plane_map
+    pinv, rank = model._thrust_plane_pinv
     if rank < 6:
         raise SolverError(f"thrust-plane wrench map of {g.name} is rank deficient")
     body_wrench = inp.body_wrench()
-    coords = np.linalg.lstsq(matrix, body_wrench, rcond=None)[0].reshape(g.n_arms, 2)
+    coords = (pinv @ body_wrench).reshape(g.n_arms, 2)
 
     throttles = np.linalg.norm(coords, axis=1)
     raw = np.arctan2(coords[:, 1], coords[:, 0])

@@ -27,7 +27,7 @@ from .allocation import (
     sqp_allocate,
     wrap_angle,
 )
-from .spatial import Quaternion, integrate_orientation, orientation_error
+from .spatial import Quaternion, cross3, integrate_orientation, orientation_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,7 +122,7 @@ def rigid_body_step(
     position = state.position + velocity * dt
 
     momentum = model.inertia @ state.angular_velocity
-    torque_net = body_torque - np.cross(state.angular_velocity, momentum)
+    torque_net = body_torque - cross3(state.angular_velocity, momentum)
     angular_velocity = state.angular_velocity + np.linalg.solve(model.inertia, torque_net) * dt
     orientation = integrate_orientation(state.orientation, angular_velocity, dt)
     return RigidBodyState(position, velocity, orientation, angular_velocity)
@@ -644,8 +644,11 @@ def run_flight(scenario: Scenario) -> FlightLog:
         sp = sweep_setpoint(t, scenario.sweep)
         pos_error = sp.position - state.position
         ori_error_body = orientation_error(sp.orientation, state.orientation)
-        ori_error_world = state.orientation.rotate(ori_error_body)
-        omega_world = state.orientation.rotate(state.angular_velocity)
+        # the attitude keeps this matrix, so the allocator's body wrench and
+        # the rigid-body step reuse it
+        to_world = state.orientation.to_matrix()
+        ori_error_world = to_world @ ori_error_body
+        omega_world = to_world @ state.angular_velocity
         force, torque = pid.update(
             pos_error, ori_error_world, state.velocity, omega_world, sp.accel, dt
         )

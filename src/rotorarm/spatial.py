@@ -27,7 +27,7 @@ def cross3(a, b) -> np.ndarray:
 
     Same formulas in the same order as ``np.cross``, so results are
     bit-identical, but without its generic axis handling, which dominates
-    the cost on the small arrays used per allocation tick.
+    the cost on the small arrays used per tick.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -48,10 +48,12 @@ class Quaternion:
     """Unit quaternion, scalar part first.
 
     Components are renormalized on every construction, so the unit-norm
-    invariant holds to machine precision at all times.
+    invariant holds to machine precision at all times. The rotation matrix
+    is built on first use and kept, so every rotation by one attitude
+    shares it.
     """
 
-    __slots__ = ("wxyz",)
+    __slots__ = ("wxyz", "_matrix")
 
     def __init__(self, w: float, x: float, y: float, z: float):
         q = np.array([w, x, y, z], dtype=float)
@@ -63,6 +65,7 @@ class Quaternion:
         q /= n
         q.flags.writeable = False
         self.wxyz = q
+        self._matrix = None
 
     @classmethod
     def identity(cls) -> "Quaternion":
@@ -107,20 +110,22 @@ class Quaternion:
 
     def rotate(self, v) -> np.ndarray:
         """Apply the rotation to a 3-vector."""
-        v = np.asarray(v, dtype=float)
-        qv = self.wxyz[1:]
-        t = 2.0 * cross3(qv, v)
-        return v + self.wxyz[0] * t + cross3(qv, t)
+        return self.to_matrix() @ np.asarray(v, dtype=float)
 
     def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.wxyz
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        """Rotation matrix (read-only), built once per quaternion."""
+        if self._matrix is None:
+            w, x, y, z = self.wxyz.tolist()
+            matrix = np.array(
+                [
+                    [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+                ]
+            )
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def dot(self, other: "Quaternion") -> float:
         return float(np.dot(self.wxyz, other.wxyz))

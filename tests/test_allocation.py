@@ -185,8 +185,8 @@ _unit = _vector.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.l
 
 
 @st.composite
-def _custom_arm(draw):
-    kind = draw(st.sampled_from(ARM_KINDS))
+def _custom_arm(draw, kinds=ARM_KINDS):
+    kind = draw(st.sampled_from(kinds))
     endpoint = 0.5 * draw(_vector)
     direction = draw(_unit)
     spin = draw(st.sampled_from((-1, 1)))
@@ -513,6 +513,33 @@ def test_pinv_rejects_a_rank_deficient_layout_on_every_call():
             pinv_allocate(inp, model)
     hess, grad = assemble_kkt(AllocatorState.cold_start(model), inp, model, PenaltyWeights())
     assert np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    arms=st.lists(_custom_arm(kinds=(ROTATING,)), min_size=3, max_size=8),
+    tau=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_pinv_reproduces_every_demand_on_full_rank_custom_layouts(arms, tau, data):
+    """The cached pseudoinverse gives lstsq's minimum-norm coordinates and exact wrenches."""
+    model = DroneModel(DroneGeometry(arms), torque_constant=tau)
+    matrix = vectored_thrust_matrix(model)
+    assume(np.linalg.cond(matrix) < 1e3)  # full rank with room to spare
+    q = Quaternion(*data.draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda c: np.linalg.norm(c) > 0.1)))
+    inp = AllocatorInput(q, 30.0 * data.draw(_vector), 3.0 * data.draw(_vector))
+    demand = inp.body_wrench()
+    assume(np.linalg.norm(demand) > 1e-3)
+
+    sol = pinv_allocate(inp, model)
+    produced = sol.throttles @ model.unit_wrenches(sol.angles)[0]
+    assert np.linalg.norm(produced - demand) <= 1e-9 * np.linalg.norm(demand)
+    coords = np.column_stack([sol.throttles * np.cos(sol.angles),
+                              sol.throttles * np.sin(sol.angles)]).ravel()
+    least_norm = np.linalg.lstsq(matrix, demand, rcond=None)[0]
+    np.testing.assert_allclose(coords, least_norm, rtol=0.0,
+                               atol=1e-12 * max(1.0, np.max(np.abs(least_norm))))
 
 
 def test_pinv_builds_its_matrix_once_per_model(monkeypatch):
