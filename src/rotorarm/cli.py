@@ -46,6 +46,7 @@ from .simulation import (
     summarize,
 )
 from .spatial import Quaternion
+from .tables import write_csv
 
 LOG = logging.getLogger("rotorarm")
 
@@ -227,10 +228,7 @@ def write_json(path, payload) -> None:
 def write_table(out_dir: Path, stem: str, header: list[str], rows: np.ndarray, fmt: str) -> Path:
     path = out_dir / f"{stem}.{fmt}"
     if fmt == "csv":
-        with open(path, "w", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_csv(path, header, rows)
     else:
         write_json(path, {"columns": header, "rows": [list(row) for row in rows]})
     return path

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DroneGeometry
+from .tables import write_csv
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -163,12 +164,7 @@ class EfficiencyMap:
         return header, np.column_stack([self.ups, self.x1, self.x2])
 
     def write_csv(self, path) -> None:
-        header, rows = self.table()
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_csv(path, *self.table())
 
 
 def sweep_orientations(

@@ -28,6 +28,7 @@ from .allocation import (
     wrap_angle,
 )
 from .spatial import Quaternion, cross3, integrate_orientation, orientation_error
+from .tables import write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -420,11 +421,7 @@ class FlightLog:
         return header, rows
 
     def write_csv(self, path) -> None:
-        header, rows = self.table()
-        with open(path, "w", newline="") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_csv(path, *self.table())
 
 
 def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> FlightLog:

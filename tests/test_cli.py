@@ -12,6 +12,7 @@ import pytest
 
 import rotorarm
 from rotorarm import build_catalog, cli
+from rotorarm.tables import write_csv
 
 HOVER_FORCE = 2.4 * 9.81
 
@@ -57,6 +58,16 @@ def test_efficiency_writes_deterministic_files(tmp_path):
     assert 0.0 < summary["x2_min"] <= summary["x2_max"] <= 1.0
     table = np.genfromtxt(out_a / "efficiency_samples.csv", delimiter=",", names=True)
     assert len(table) == 128
+
+
+def test_csv_writer_matches_per_number_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+    rows[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0]
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f", "g"], rows)
+    expected = "a,b,c,d,e,f,g\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_efficiency_json_table_format(tmp_path):
