@@ -118,6 +118,25 @@ class DroneModel:
         matrix = vectored_thrust_matrix(self)
         return np.linalg.pinv(matrix), int(np.linalg.matrix_rank(matrix))
 
+    @cached_property
+    def _kkt_scatter(self) -> np.ndarray:
+        """Flat indices of the eight blocks that `_assemble` writes into the KKT matrix.
+
+        In write order: the throttle and angle diagonals, the throttle-angle
+        coupling and its mirror, then the throttle-multiplier block, the
+        angle-multiplier block and the mirror of each, every (n_arms, 6)
+        block in row-major order.
+        """
+        n = self.geometry.n_arms
+        dim = 2 * n + 6
+        u = np.arange(n)[:, None]  # throttle rows
+        a = n + u  # angle rows
+        lam = 2 * n + np.arange(6)  # multiplier rows
+        index = np.concatenate((u * dim + u, a * dim + a, u * dim + a, a * dim + u,
+                                u * dim + lam, lam * dim + u, a * dim + lam, lam * dim + a), axis=None)
+        index.flags.writeable = False
+        return index
+
     @property
     def hover_throttle(self) -> float:
         """Equal-share throttle that would carry the weight if all arms pushed up."""
@@ -139,7 +158,7 @@ class AllocatorInput:
     def __post_init__(self):
         for name in ("force", "torque"):
             v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
+            if v.shape != (3,) or not np.isfinite(v).all():
                 raise ValueError(f"{name} must be a finite 3-vector, got {v!r}")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -269,25 +288,30 @@ def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneMode
 # objective
 
 
+def _penalty(x, weight, low, high, limit):
+    """Cost weight x^2 + limit d^2 with derivatives, d the distance of x outside [low, high].
+
+    v = x - clip(x, low, high) is x - high above the band, x - low below it
+    and +0 inside, so one pass gives every one-sided quadratic. The clip
+    takes x itself on a tie, which keeps the derivatives' signed zeros.
+    """
+    v = x - np.minimum(high, np.maximum(low, x))
+    p = weight * x * x + limit * (v * v)
+    dp = 2.0 * weight * x + 2.0 * limit * v
+    ddp = 2.0 * weight + 2.0 * limit * (v != 0.0)
+    return p, dp, ddp
+
+
 def penalty_throttle(u, weights: PenaltyWeights):
     """Throttle cost p(u) with first and second derivatives (elementwise)."""
-    u = np.asarray(u, dtype=float)
-    over = np.maximum(0.0, u - weights.throttle_high)
-    under = np.maximum(0.0, weights.throttle_low - u)
-    p = weights.throttle * u * u + weights.limit * (over * over + under * under)
-    dp = 2.0 * weights.throttle * u + 2.0 * weights.limit * (over - under)
-    ddp = 2.0 * weights.throttle + 2.0 * weights.limit * ((over > 0.0) | (under > 0.0))
-    return p, dp, ddp
+    return _penalty(np.asarray(u, dtype=float), weights.throttle,
+                    weights.throttle_low, weights.throttle_high, weights.limit)
 
 
 def penalty_arm_rate(rate, weights: PenaltyWeights):
     """Arm-rate cost p(v) with derivatives; one-sided beyond +-rate_limit."""
-    rate = np.asarray(rate, dtype=float)
-    over = np.maximum(0.0, np.abs(rate) - weights.rate_limit)
-    p = weights.arm_rate * rate * rate + weights.limit * over * over
-    dp = 2.0 * weights.arm_rate * rate + 2.0 * weights.limit * over * np.sign(rate)
-    ddp = 2.0 * weights.arm_rate + 2.0 * weights.limit * (over > 0.0)
-    return p, dp, ddp
+    return _penalty(np.asarray(rate, dtype=float), weights.arm_rate,
+                    -weights.rate_limit, weights.rate_limit, weights.limit)
 
 
 def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
@@ -311,78 +335,85 @@ class _Iterate(NamedTuple):
     d_wrench: np.ndarray  # dW/da
     residual: np.ndarray  # produced minus demanded body wrench
     objective: float  # what allocation_objective gives
-    dpu: np.ndarray  # throttle penalty, first and second derivatives
-    ddpu: np.ndarray
-    dpa: np.ndarray  # arm-rate penalty, first and second derivatives
-    ddpa: np.ndarray
+    dp: np.ndarray  # penalty first and second derivatives over [throttles; arm rates]
+    ddp: np.ndarray
 
 
-def _evaluate(throttles, angles, prev_angles, body_wrench, model: DroneModel,
-              weights: PenaltyWeights) -> _Iterate:
-    """Evaluate one iterate once; that serves both its convergence test and the next assembly."""
+def _penalized(weights: PenaltyWeights, n_arms: int):
+    """`_penalty`'s arguments for the stacked vector [throttles; arm rates]."""
+    weight = np.full(2 * n_arms, weights.arm_rate)
+    weight[:n_arms] = weights.throttle  # a scalar or one weight per arm
+    low = np.array([weights.throttle_low] * n_arms + [-weights.rate_limit] * n_arms)
+    high = np.array([weights.throttle_high] * n_arms + [weights.rate_limit] * n_arms)
+    return weight, low, high, weights.limit
+
+
+def _evaluate(x, prev_angles, body_wrench, model: DroneModel, penalized) -> _Iterate:
+    """Evaluate one iterate once; that serves both its convergence test and the next assembly.
+
+    ``x`` is the iterate [throttles; angles; multipliers] and ``penalized``
+    what `_penalized` gives for the solve's weights.
+    """
+    n_arms = model.geometry.n_arms
+    throttles, angles = x[:n_arms], x[n_arms: 2 * n_arms]
     wrench, d_wrench = model.unit_wrenches(angles)
-    rate = (angles - prev_angles) / model.control_period
-    pu, dpu, ddpu = penalty_throttle(throttles, weights)
-    pa, dpa, ddpa = penalty_arm_rate(rate, weights)
+    rates = (angles - prev_angles) / model.control_period
+    p, dp, ddp = _penalty(np.concatenate((throttles, rates)), *penalized)
+    # two partial sums, in the order allocation_objective adds them
     return _Iterate(wrench, d_wrench, throttles @ wrench - body_wrench,
-                    float(np.sum(pu) + np.sum(pa)), dpu, ddpu, dpa, ddpa)
+                    float(p[:n_arms].sum() + p[n_arms:].sum()), dp, ddp)
 
 
-def _assemble(throttles, multipliers, it: _Iterate, model: DroneModel):
-    """Jacobian H and gradient K of the stationarity system at one iterate.
+def _assemble(x, it: _Iterate, model: DroneModel):
+    """Jacobian H and gradient K of the stationarity system at the iterate x.
 
-    ``it`` is the evaluation of the same primal variables. Layout: variables
-    are (throttles, angles, multipliers); K stacks the two stationarity
-    blocks and the constraint residual, H is its symmetric Jacobian. Arms
-    never couple to each other through second derivatives, so the primal
-    blocks are diagonal.
+    ``it`` is the evaluation of the same x. Layout: variables are (throttles,
+    angles, multipliers); K stacks the two stationarity blocks and the
+    constraint residual, H is its symmetric Jacobian. Arms never couple to
+    each other through second derivatives, so the primal blocks are
+    diagonal.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
+    throttles, multipliers = x[:n_arms], x[2 * n_arms:]
     wrench, d_wrench = it.wrench, it.d_wrench
 
     # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
     # its angle Jacobian; second derivatives are diagonal per arm, with
     # d2W/da2 = -W on rotating arms and 0 on fixed ones
-    grad_u = wrench.T  # (6, n)
-    grad_a = (throttles[:, None] * d_wrench).T
+    angle_jacobian = throttles[:, None] * d_wrench  # (n, 6)
     lam_w = wrench @ multipliers
     h_ua = d_wrench @ multipliers
     h_aa = np.where(model.geometry.rotating, -throttles * lam_w, 0.0)
 
     dim = 2 * n_arms + 6
     hess = np.zeros((dim, dim))
-    idx = np.arange(n_arms)
-    hess[idx, idx] = it.ddpu  # throttle second derivatives never touch the constraints
-    hess[n_arms + idx, n_arms + idx] = it.ddpa / (dt * dt) + h_aa
-    hess[idx, n_arms + idx] = h_ua
-    hess[n_arms + idx, idx] = h_ua
-    hess[: n_arms, 2 * n_arms:] = grad_u.T
-    hess[2 * n_arms:, : n_arms] = grad_u
-    hess[n_arms: 2 * n_arms, 2 * n_arms:] = grad_a.T
-    hess[2 * n_arms:, n_arms: 2 * n_arms] = grad_a
-
-    grad = np.concatenate([it.dpu + lam_w, it.dpa / dt + throttles * h_ua, it.residual])
+    # throttle second derivatives never touch the constraints; the blocks
+    # go in the order of DroneModel._kkt_scatter
+    hess.put(model._kkt_scatter, np.concatenate(
+        (it.ddp[:n_arms], it.ddp[n_arms:] / (dt * dt) + h_aa, h_ua, h_ua,
+         wrench, wrench, angle_jacobian, angle_jacobian), axis=None))
+    grad = np.concatenate(
+        (it.dp[:n_arms] + lam_w, it.dp[n_arms:] / dt + throttles * h_ua, it.residual))
     return hess, grad
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
     """Public wrapper around the optimality-system assembly; returns (H, K)."""
-    it = _evaluate(state.throttles, state.angles, state.prev_angles, inp.body_wrench(), model, weights)
-    return _assemble(state.throttles, state.multipliers, it, model)
+    x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
+    n_arms = model.geometry.n_arms
+    it = _evaluate(x, state.prev_angles, inp.body_wrench(), model, _penalized(weights, n_arms))
+    return _assemble(x, it, model)
 
 
 _REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
-    """Solve H delta = -K, regularizing the primal diagonal if needed.
-
-    Returns (d_throttles, d_angles, d_multipliers). Raises SolverError when
-    no regularization level in the ladder produces a usable solve.
-    """
+def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray:
+    """The whole step delta of `newton_step`, as one array laid out like the iterate."""
     n_primal = 2 * n_arms
-    scale = max(1.0, float(np.linalg.norm(grad)))
+    grad_norm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its dispatch
+    scale = max(1.0, grad_norm)
     for gamma in _REGULARIZATIONS:
         matrix = hess
         if gamma > 0.0:
@@ -392,22 +423,34 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
             delta = np.linalg.solve(matrix, -grad)
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             continue
-        if np.linalg.norm(matrix @ delta + grad) > 1e-10 * scale:
+        residual = matrix @ delta + grad
+        if math.sqrt(residual @ residual) > 1e-10 * scale:
             continue
-        return delta[:n_arms], delta[n_arms:n_primal], delta[n_primal:]
+        return delta
     raise SolverError(
         f"optimality system is singular even with diagonal regularization up to "
-        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={np.linalg.norm(grad):.3e})"
+        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={grad_norm:.3e})"
     )
+
+
+def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
+    """Solve H delta = -K, regularizing the primal diagonal if needed.
+
+    Returns (d_throttles, d_angles, d_multipliers). Raises SolverError when
+    no regularization level in the ladder produces a usable solve.
+    """
+    delta = _newton_delta(hess, grad, n_arms)
+    return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
 
 
 def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_step_limit: float = 0.2) -> float:
     """Shrink factor keeping per-iteration updates inside trust bounds."""
     alpha = 1.0
-    max_da = float(np.max(np.abs(d_angles))) if len(np.atleast_1d(d_angles)) else 0.0
-    max_du = float(np.max(np.abs(d_throttles))) if len(np.atleast_1d(d_throttles)) else 0.0
+    abs_da, abs_du = np.abs(d_angles), np.abs(d_throttles)
+    max_da = float(abs_da.max()) if abs_da.size else 0.0
+    max_du = float(abs_du.max()) if abs_du.size else 0.0
     if max_da > angle_step_limit:
         alpha = min(alpha, angle_step_limit / max_da)
     if max_du > throttle_step_limit:
@@ -431,37 +474,38 @@ def sqp_allocate(
     Terminates when the relative objective change falls below tol_objective
     AND the constraint residual norm falls below tol_constraint, or after
     max_iterations. Arm angles are left unwrapped so they can accumulate
-    over continuous rotations.
+    over continuous rotations. The warm state is only read.
     """
     if weights is None:
         weights = PenaltyWeights()
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
-
-    u = warm.throttles.astype(float).copy()
-    a = warm.angles.astype(float).copy()
-    lam = warm.multipliers.astype(float).copy()
-    a_prev = warm.prev_angles.astype(float).copy()
-    if len(u) != n_arms or len(a) != n_arms or len(lam) != 6:
+    if len(warm.throttles) != n_arms or len(warm.angles) != n_arms or len(warm.multipliers) != 6:
         raise ValueError("warm-start arrays do not match the geometry")
 
-    it = _evaluate(u, a, a_prev, body_wrench, model, weights)
+    # the iterate [throttles; angles; multipliers] in one fresh array, and a
+    # view of each part
+    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers), dtype=float)
+    u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
+    a_prev = warm.prev_angles
+    penalized = _penalized(weights, n_arms)
+
+    it = _evaluate(x, a_prev, body_wrench, model, penalized)
     obj_prev = it.objective
     iterations = 0
     converged = False
     res_norm = math.inf
     for iterations in range(1, max_iterations + 1):
-        hess, grad = _assemble(u, lam, it, model)
-        du, da, dlam = newton_step(hess, grad, n_arms)
-        alpha = step_scale(du, da, throttle_step_limit, angle_step_limit)
-        u += alpha * du
-        a += alpha * da
-        lam += alpha * dlam
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(a)) and np.all(np.isfinite(lam))):
+        delta = _newton_delta(*_assemble(x, it, model), n_arms)
+        alpha = step_scale(delta[:n_arms], delta[n_arms: 2 * n_arms],
+                           throttle_step_limit, angle_step_limit)
+        x += alpha * delta
+        if not np.isfinite(x).all():
             raise SolverError("allocator iterate diverged to non-finite values")
-        it = _evaluate(u, a, a_prev, body_wrench, model, weights)
+        it = _evaluate(x, a_prev, body_wrench, model, penalized)
         obj = it.objective
-        res_norm = float(math.hypot(np.linalg.norm(it.residual[:3]), np.linalg.norm(it.residual[3:])))
+        force, torque = it.residual[:3], it.residual[3:]
+        res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
         if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
             converged = True
             obj_prev = obj

@@ -57,9 +57,13 @@ class Quaternion:
 
     def __init__(self, w: float, x: float, y: float, z: float):
         q = np.array([w, x, y, z], dtype=float)
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("quaternion components must be finite")
-        n = np.linalg.norm(q)
+        w, x, y, z = q.tolist()
+        if not math.isfinite(w * w + x * x + y * y + z * z):
+            # the squared norm overflows: scale the largest component to 1 first
+            q /= max(abs(w), abs(x), abs(y), abs(z))
+        n = math.sqrt(q @ q)  # what np.linalg.norm computes, without its dispatch
         if n < 1e-12:
             raise ValueError("quaternion norm too small to normalize")
         q /= n

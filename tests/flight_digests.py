@@ -3,19 +3,30 @@
 Run from a source checkout:
 
     PYTHONPATH=src python tests/flight_digests.py [NAME ...]
+    PYTHONPATH=src python tests/flight_digests.py --check tests/flight_digests.expected
 
 For each flight (all of them, or only the named ones) it prints the number
 of non-converged ticks, the maximum position error and the sha256 of the
-rows of ``FlightLog.table()``. Running it before and after a change and
-diffing the output shows whether any logged value moved. The flights take
-a few minutes in total. The file name does not match ``test_*.py``, so the
+rows of ``FlightLog.table()``. With ``--check FILE`` it also compares each
+line with the line for the same flight in FILE, prints every line that
+moved next to the expected one, and exits 1 if any did. The flights take a
+few minutes in total. The file name does not match ``test_*.py``, so the
 test suite does not collect it.
+
+The hashes are specific to one numpy and BLAS build.
+``flight_digests.expected`` was recorded with numpy 2.4.6 and OpenBLAS
+0.3.31 (DYNAMIC_ARCH, Haswell kernels) on x86-64 Linux under Python 3.11.
+Another build, or another CPU, can move last bits of a flight and so every
+hash, with the counts and errors unchanged; record a fresh file from the
+parent commit there before checking a change.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -72,18 +83,40 @@ def digest(log) -> str:
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
-def main(names) -> int:
-    unknown = [name for name in names if name not in FLIGHTS]
+def digest_line(name: str) -> str:
+    log = fly(name)
+    nonconverged = int(np.sum(~log.converged))
+    return (f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
+            f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}")
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description="Fingerprint the reference SQP flights.")
+    parser.add_argument("names", nargs="*", metavar="NAME", help="flights to run (default: all)")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the lines in FILE; exit 1 if any flight moved")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in FLIGHTS]
     if unknown:
         print(f"unknown flight(s): {', '.join(unknown)}; known: {', '.join(FLIGHTS)}",
               file=sys.stderr)
         return 1
-    for name in names or FLIGHTS:
-        log = fly(name)
-        nonconverged = int(np.sum(~log.converged))
-        print(f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
-              f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}", flush=True)
-    return 0
+    expected = {}
+    if args.check:
+        lines = Path(args.check).read_text().splitlines()
+        expected = {line.split()[0]: line.rstrip() for line in lines if line.strip()}
+    names = args.names or list(FLIGHTS)
+    moved = []
+    for name in names:
+        line = digest_line(name)
+        print(line, flush=True)
+        if args.check and line != expected.get(name):
+            moved.append(name)
+            print(f"MOVED, expected: {expected.get(name, '(no line for this flight)')}", flush=True)
+    if args.check:
+        print(f"{len(moved)} of {len(names)} flights moved"
+              + (f": {', '.join(moved)}" if moved else ""), flush=True)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -50,6 +50,27 @@ def rel_error(analytic, numeric) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
+def penalty_throttle_oracle(u, weights):
+    """The throttle penalty as first written: separate over and under parts."""
+    u = np.asarray(u, dtype=float)
+    over = np.maximum(0.0, u - weights.throttle_high)
+    under = np.maximum(0.0, weights.throttle_low - u)
+    p = weights.throttle * u * u + weights.limit * (over * over + under * under)
+    dp = 2.0 * weights.throttle * u + 2.0 * weights.limit * (over - under)
+    ddp = 2.0 * weights.throttle + 2.0 * weights.limit * ((over > 0.0) | (under > 0.0))
+    return p, dp, ddp
+
+
+def penalty_arm_rate_oracle(rate, weights):
+    """The arm-rate penalty as first written: the overrun of |rate|, signed by rate."""
+    rate = np.asarray(rate, dtype=float)
+    over = np.maximum(0.0, np.abs(rate) - weights.rate_limit)
+    p = weights.arm_rate * rate * rate + weights.limit * over * over
+    dp = 2.0 * weights.arm_rate * rate + 2.0 * weights.limit * over * np.sign(rate)
+    ddp = 2.0 * weights.arm_rate + 2.0 * weights.limit * (over > 0.0)
+    return p, dp, ddp
+
+
 def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
     """Smooth random demand path around hover: the warm-start regime.
 

@@ -1,6 +1,7 @@
 """Quaternion algebra against an independent Rodrigues-matrix oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ def test_quaternion_rejects_degenerate_input():
     with pytest.raises(ValueError):
         Quaternion.from_axis_angle([2.0, 0.0, 0.0], 0.3)
 
+
+def test_quaternion_normalizes_huge_components_and_still_rejects_non_finite_ones(rng):
+    # each of these has a squared norm beyond the float range
+    for components in ((1e200, 0.0, 0.0, 0.0), (1e300, -1e300, 1e300, 1e300),
+                       (-1.7e308, 1e308, 3.0, 0.0), (1e155, 1e154, 0.0, -1e155)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning either
+            q = Quaternion(*components)
+        scaled = np.array(components) / max(map(abs, components))
+        np.testing.assert_allclose(q.wxyz, scaled / np.linalg.norm(scaled), rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(q.wxyz) == pytest.approx(1.0, abs=1e-15)
+    # ordinary components keep the bits of a plain division by the norm
+    for _ in range(20):
+        components = rng.normal(size=4) * 10.0 ** rng.uniform(-5, 5)
+        assert Quaternion(*components).wxyz.tobytes() == (components / np.linalg.norm(components)).tobytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Quaternion(1e200, bad, 0.0, 0.0)
 
 def test_rotate_matches_rodrigues_oracle(rng):
     for _ in range(50):
