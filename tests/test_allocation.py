@@ -301,7 +301,7 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
     moves the last bits of p at most, never those of dp or ddp.
     """
     n = data.draw(st.integers(1, 8), label="n_arms")
-    low = data.draw(st.floats(-0.5, 0.5), label="throttle_low")
+    low = data.draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)), label="throttle_low")
     high = low + data.draw(st.floats(0.01, 2.0), label="band")
     per_arm = st.lists(st.floats(0.1, 60.0), min_size=n, max_size=n).map(np.array)
     weights = PenaltyWeights(
@@ -312,20 +312,21 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
         throttle_high=high,
         rate_limit=data.draw(st.floats(0.1, 20.0), label="rate_limit"),
     )
-    limit = weights.rate_limit
+    rate_limit = weights.rate_limit
     edges_u = (low, high, np.nextafter(low, -np.inf), np.nextafter(high, np.inf), 0.0, -0.0)
-    edges_rate = (limit, -limit, np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf), 0.0, -0.0)
+    edges_rate = (rate_limit, -rate_limit, np.nextafter(rate_limit, np.inf),
+                  np.nextafter(-rate_limit, -np.inf), 0.0, -0.0)
 
     def values(edges, lo, hi, label):
         one = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
         return np.array(data.draw(st.lists(one, min_size=n, max_size=n), label=label))
 
     u = values(edges_u, low - 1.0, high + 1.0, "throttles")
-    rate = values(edges_rate, -3.0 * limit, 3.0 * limit, "rates")
+    rate = values(edges_rate, -3.0 * rate_limit, 3.0 * rate_limit, "rates")
 
     old_u = penalty_throttle_oracle(u, weights)
     old_rate = penalty_arm_rate_oracle(rate, weights)
-    over = np.maximum(0.0, np.abs(rate) - limit)
+    over = np.maximum(0.0, np.abs(rate) - rate_limit)
     regrouped = weights.arm_rate * rate * rate + weights.limit * (over * over)
     np.testing.assert_allclose(regrouped, old_rate[0], rtol=4 * np.finfo(float).eps, atol=0.0)
 
