@@ -262,9 +262,9 @@ def cmd_efficiency(args) -> int:
     header, rows = eff.table()
     samples_path = write_table(out, "efficiency_samples", header, rows, settings["format"])
     summary_path = out / "efficiency_summary.json"
-    write_json(summary_path, eff.summary())
-
     summary = eff.summary()
+    write_json(summary_path, summary)
+
     print(f"efficiency: {geometry.name}, {n_samples} samples, {len(eff.failures)} infeasible")
     print(f"x1 range [{summary['x1_min']:.4f}, {summary['x1_max']:.4f}], "
           f"x2 range [{summary['x2_min']:.4f}, {summary['x2_max']:.4f}]")
@@ -342,7 +342,7 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def flight_stats(log, geometry, settle: float) -> dict:
+def flight_stats(log, settle: float) -> dict:
     stats = summarize(log, settle=settle)
     step = max_command_step(log)
     payload = {
@@ -370,7 +370,7 @@ def _fly_job(settings: dict) -> list[str]:
     out = _out_dir(settings)
     header, rows = log.table()
     log_path = write_table(out, "flight_log", header, rows, settings["format"])
-    stats = flight_stats(log, scenario.model.geometry, float(settings["settle"]))
+    stats = flight_stats(log, float(settings["settle"]))
     stats_path = out / "flight_stats.json"
     write_json(stats_path, stats)
     if stats["n_nonconverged"]:
@@ -425,8 +425,8 @@ def cmd_compare(args) -> int:
 
     comparison = compare_singularity_handling(log_sqp, log_pinv, geometry)
     payload = comparison.to_dict()
-    payload["sqp"] = flight_stats(log_sqp, geometry, settle)
-    payload["pinv"] = flight_stats(log_pinv, geometry, settle)
+    payload["sqp"] = flight_stats(log_sqp, settle)
+    payload["pinv"] = flight_stats(log_pinv, settle)
     comparison_path = out / "comparison.json"
     write_json(comparison_path, payload)
 

@@ -220,7 +220,7 @@ def validate(geometry: DroneGeometry) -> ValidationReport:
     return ValidationReport(violations, rank, notes)
 
 
-def _polygon_layout(n: int, radius: float):
+def _polygon_layout(n: int):
     angles = [2.0 * math.pi * k / n for k in range(n)]
     dirs = [np.array([math.cos(t), math.sin(t), 0.0]) for t in angles]
     return dirs
@@ -254,13 +254,13 @@ def build_catalog(config_id: str, radius: float = DEFAULT_RADIUS) -> DroneGeomet
                     arms.append(Arm(radius * x, x, default_zero_dir(x), spin, ROTATING))
     elif config_id in ("hexagon_rot", "square_rot"):
         n = 6 if config_id == "hexagon_rot" else 4
-        for k, d in enumerate(_polygon_layout(n, radius)):
+        for k, d in enumerate(_polygon_layout(n)):
             arms.append(Arm(radius * d, d, default_zero_dir(d), +1 if k % 2 == 0 else -1, ROTATING))
     elif config_id == "hexagon_tilt30_fixed":
         # flat hexacopter with thrust axes alternately tilted +-30 degrees
         # about the radial direction; conventional unidirectional propellers
         tilt = math.radians(30.0)
-        for k, d in enumerate(_polygon_layout(6, radius)):
+        for k, d in enumerate(_polygon_layout(6)):
             sign = 1.0 if k % 2 == 0 else -1.0
             c, s = math.cos(sign * tilt), math.sin(sign * tilt)
             # rotate body-up about the radial axis d by the tilt angle

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -375,26 +375,31 @@ class Scenario:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
+def _columns(*names: str, dtype=float):
+    """A FlightLog field in the named CSV columns (one name: 1-D); a name ending in "_" is per arm."""
+    return field(metadata={"columns": names, "dtype": dtype})
+
+
 @dataclass
 class FlightLog:
-    """Time-sampled closed-loop record; every field is a numpy array over ticks."""
+    """Time-sampled closed-loop record; each array field declares its CSV columns, in order."""
 
-    t: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
-    orientation: np.ndarray  # (n, 4) quaternion components, scalar first
-    angular_velocity: np.ndarray
-    sp_position: np.ndarray
-    sp_orientation: np.ndarray
-    throttle_cmd: np.ndarray  # (n, n_arms)
-    angle_cmd: np.ndarray
-    throttle_act: np.ndarray
-    angle_act: np.ndarray
-    iterations: np.ndarray
-    residual: np.ndarray
-    converged: np.ndarray
-    pos_error: np.ndarray
-    ori_error: np.ndarray
+    t: np.ndarray = _columns("t")
+    position: np.ndarray = _columns("px", "py", "pz")
+    velocity: np.ndarray = _columns("vx", "vy", "vz")
+    orientation: np.ndarray = _columns("qw", "qx", "qy", "qz")  # scalar first
+    angular_velocity: np.ndarray = _columns("wx", "wy", "wz")
+    sp_position: np.ndarray = _columns("sp_px", "sp_py", "sp_pz")
+    sp_orientation: np.ndarray = _columns("sp_qw", "sp_qx", "sp_qy", "sp_qz")
+    throttle_cmd: np.ndarray = _columns("u_cmd_")  # (ticks, n_arms)
+    angle_cmd: np.ndarray = _columns("a_cmd_")
+    throttle_act: np.ndarray = _columns("u_act_")
+    angle_act: np.ndarray = _columns("a_act_")
+    iterations: np.ndarray = _columns("iterations", dtype=int)
+    residual: np.ndarray = _columns("residual")
+    converged: np.ndarray = _columns("converged", dtype=bool)
+    pos_error: np.ndarray = _columns("pos_error")
+    ori_error: np.ndarray = _columns("ori_error")
     dt: float
     allocator: str
 
@@ -402,65 +407,56 @@ class FlightLog:
     def n_arms(self) -> int:
         return self.throttle_cmd.shape[1]
 
+    @classmethod
+    def from_table(cls, header, rows, dt: float | None, allocator: str) -> FlightLog:
+        """A log from named columns, in any order; dt=None takes the gap of the first two ticks."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or len(rows) == 0:
+            raise ValueError("flight log has no ticks")
+        if rows.shape[1] != len(header):
+            raise ValueError(f"flight log rows have {rows.shape[1]} values for {len(header)} columns")
+        n_arms = max(sum(name.startswith(prefix) for name in header) for prefix in _ARM_PREFIXES)
+        names, spans = _log_columns(n_arms)
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise ValueError(f"flight log has no column {missing[0]!r}")
+        ordered = rows[:, [header.index(name) for name in names]]
+        arrays = {name: ordered[:, index].astype(dtype) for name, index, dtype in spans}
+        if dt is None:
+            t = arrays["t"]
+            dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
+        return cls(**arrays, dt=dt, allocator=allocator)
+
     def table(self) -> tuple[list[str], np.ndarray]:
-        """Column names and a dense (ticks, columns) float matrix of the log."""
-        n_arms = self.n_arms
-        header = ["t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz",
-                  "wx", "wy", "wz", "sp_px", "sp_py", "sp_pz",
-                  "sp_qw", "sp_qx", "sp_qy", "sp_qz"]
-        for prefix in ("u_cmd", "a_cmd", "u_act", "a_act"):
-            header.extend(f"{prefix}_{i}" for i in range(n_arms))
-        header.extend(["iterations", "residual", "converged", "pos_error", "ori_error"])
-        rows = np.column_stack([
-            self.t, self.position, self.velocity, self.orientation, self.angular_velocity,
-            self.sp_position, self.sp_orientation,
-            self.throttle_cmd, self.angle_cmd, self.throttle_act, self.angle_act,
-            self.iterations.astype(float), self.residual, self.converged.astype(float),
-            self.pos_error, self.ori_error,
-        ])
-        return header, rows
+        """Column names and a dense (ticks, columns) float matrix; int and bool fields become floats."""
+        rows = np.column_stack([getattr(self, name) for name, _, _ in _LOG_SCHEMA])
+        return _log_columns(self.n_arms)[0], rows
 
     def write_csv(self, path) -> None:
         write_csv(path, *self.table())
 
 
+# (field, columns, dtype) of every array field of FlightLog, in CSV column order
+_LOG_SCHEMA = [(f.name, f.metadata["columns"], f.metadata["dtype"]) for f in fields(FlightLog)
+               if f.metadata]
+_ARM_PREFIXES = [columns[0] for _, columns, _ in _LOG_SCHEMA if columns[0].endswith("_")]
+
+
+def _log_columns(n_arms: int) -> tuple[list[str], list]:
+    """The header of a log of n_arms arms, and each field's (name, column or slice, dtype)."""
+    header, spans = [], []
+    for name, columns, dtype in _LOG_SCHEMA:
+        start, per_arm = len(header), columns[0] in _ARM_PREFIXES
+        header.extend([f"{columns[0]}{i}" for i in range(n_arms)] if per_arm else columns)
+        spans.append((name, slice(start, len(header)) if per_arm or len(columns) > 1 else start, dtype))
+    return header, spans
+
+
 def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> FlightLog:
-    """Re-ingest a flight log written by FlightLog.write_csv."""
+    """Re-ingest a log written by FlightLog.write_csv; ValueError if the file is not one."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = np.array([[float(x) for x in row] for row in reader])
-    col = {name: i for i, name in enumerate(header)}
-    n_arms = sum(1 for name in header if name.startswith("u_cmd_"))
-
-    def block(prefix, width):
-        return rows[:, [col[f"{prefix}{i}"] for i in range(width)]]
-
-    def named(*names):
-        return rows[:, [col[n] for n in names]]
-
-    t = rows[:, col["t"]]
-    inferred_dt = dt if dt is not None else (float(t[1] - t[0]) if len(t) > 1 else 0.0)
-    return FlightLog(
-        t=t,
-        position=named("px", "py", "pz"),
-        velocity=named("vx", "vy", "vz"),
-        orientation=named("qw", "qx", "qy", "qz"),
-        angular_velocity=named("wx", "wy", "wz"),
-        sp_position=named("sp_px", "sp_py", "sp_pz"),
-        sp_orientation=named("sp_qw", "sp_qx", "sp_qy", "sp_qz"),
-        throttle_cmd=block("u_cmd_", n_arms),
-        angle_cmd=block("a_cmd_", n_arms),
-        throttle_act=block("u_act_", n_arms),
-        angle_act=block("a_act_", n_arms),
-        iterations=rows[:, col["iterations"]],
-        residual=rows[:, col["residual"]],
-        converged=rows[:, col["converged"]] > 0.5,
-        pos_error=rows[:, col["pos_error"]],
-        ori_error=rows[:, col["ori_error"]],
-        dt=inferred_dt,
-        allocator=allocator,
-    )
+        header, *rows = list(csv.reader(handle)) or [[]]
+    return FlightLog.from_table(header, rows, dt, allocator)
 
 
 def _solve(scenario: Scenario, inp: AllocatorInput, warm: AllocatorState,
@@ -631,10 +627,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
     throttle_act = np.zeros(n_arms)
     rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
 
-    log = {name: [] for name in (
-        "t", "position", "velocity", "orientation", "angular_velocity", "sp_position",
-        "sp_orientation", "throttle_cmd", "angle_cmd", "throttle_act", "angle_act",
-        "iterations", "residual", "converged", "pos_error", "ori_error")}
+    header, spans = _log_columns(n_arms)
+    table = np.empty((n_ticks, len(header)))  # one row per tick, filled as it is flown
 
     for k in range(n_ticks):
         t = k * dt
@@ -694,45 +688,19 @@ def run_flight(scenario: Scenario) -> FlightLog:
         if rng is not None:
             forces = forces + rng.normal(0.0, scenario.noise_std, forces.shape) / max(n_arms, 1)
 
-        log["t"].append(t)
-        log["position"].append(state.position.copy())
-        log["velocity"].append(state.velocity.copy())
-        log["orientation"].append(state.orientation.wxyz.copy())
-        log["angular_velocity"].append(state.angular_velocity.copy())
-        log["sp_position"].append(sp.position.copy())
-        log["sp_orientation"].append(sp.orientation.wxyz.copy())
-        log["throttle_cmd"].append(np.array(throttle_cmd, dtype=float).copy())
-        log["angle_cmd"].append(np.array(angle_cmd, dtype=float).copy())
-        log["throttle_act"].append(throttle_act.copy())
-        log["angle_act"].append(angle_act.copy())
-        log["iterations"].append(sol.iterations)
-        log["residual"].append(sol.residual)
-        log["converged"].append(sol.converged)
-        log["pos_error"].append(float(np.linalg.norm(pos_error)))
-        log["ori_error"].append(float(np.linalg.norm(ori_error_body)))
+        tick = dict(
+            t=t, position=state.position, velocity=state.velocity,
+            orientation=state.orientation.wxyz, angular_velocity=state.angular_velocity,
+            sp_position=sp.position, sp_orientation=sp.orientation.wxyz, throttle_cmd=throttle_cmd,
+            angle_cmd=angle_cmd, throttle_act=throttle_act, angle_act=angle_act,
+            iterations=sol.iterations, residual=sol.residual, converged=sol.converged,
+            pos_error=np.linalg.norm(pos_error), ori_error=np.linalg.norm(ori_error_body))
+        for name, index, _ in spans:
+            table[k, index] = tick[name]
 
         state = rigid_body_step(state, forces, torques, model, dt)
 
-    return FlightLog(
-        t=np.array(log["t"]),
-        position=np.array(log["position"]),
-        velocity=np.array(log["velocity"]),
-        orientation=np.array(log["orientation"]),
-        angular_velocity=np.array(log["angular_velocity"]),
-        sp_position=np.array(log["sp_position"]),
-        sp_orientation=np.array(log["sp_orientation"]),
-        throttle_cmd=np.array(log["throttle_cmd"]),
-        angle_cmd=np.array(log["angle_cmd"]),
-        throttle_act=np.array(log["throttle_act"]),
-        angle_act=np.array(log["angle_act"]),
-        iterations=np.array(log["iterations"]),
-        residual=np.array(log["residual"]),
-        converged=np.array(log["converged"], dtype=bool),
-        pos_error=np.array(log["pos_error"]),
-        ori_error=np.array(log["ori_error"]),
-        dt=dt,
-        allocator=scenario.allocator,
-    )
+    return FlightLog.from_table(header, table, dt, scenario.allocator)
 
 
 # ---------------------------------------------------------------------------
