@@ -376,7 +376,7 @@ class Scenario:
 
 
 def _columns(*names: str, dtype=float):
-    """A FlightLog field in the named CSV columns (one name: 1-D); a name ending in "_" is per arm."""
+    """CSV columns of a FlightLog field: one name is 1-D, a name ending in "_" a per-arm prefix."""
     return field(metadata={"columns": names, "dtype": dtype})
 
 
@@ -387,7 +387,7 @@ class FlightLog:
     t: np.ndarray = _columns("t")
     position: np.ndarray = _columns("px", "py", "pz")
     velocity: np.ndarray = _columns("vx", "vy", "vz")
-    orientation: np.ndarray = _columns("qw", "qx", "qy", "qz")  # scalar first
+    orientation: np.ndarray = _columns("qw", "qx", "qy", "qz")  # quaternion, scalar first
     angular_velocity: np.ndarray = _columns("wx", "wy", "wz")
     sp_position: np.ndarray = _columns("sp_px", "sp_py", "sp_pz")
     sp_orientation: np.ndarray = _columns("sp_qw", "sp_qx", "sp_qy", "sp_qz")
@@ -455,8 +455,8 @@ def _log_columns(n_arms: int) -> tuple[list[str], list]:
 def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> FlightLog:
     """Re-ingest a log written by FlightLog.write_csv; ValueError if the file is not one."""
     with open(path, newline="") as handle:
-        header, *rows = list(csv.reader(handle)) or [[]]
-    return FlightLog.from_table(header, rows, dt, allocator)
+        lines = list(csv.reader(handle))
+    return FlightLog.from_table(lines[0] if lines else [], lines[1:], dt, allocator)
 
 
 def _solve(scenario: Scenario, inp: AllocatorInput, warm: AllocatorState,
@@ -691,8 +691,9 @@ def run_flight(scenario: Scenario) -> FlightLog:
         tick = dict(
             t=t, position=state.position, velocity=state.velocity,
             orientation=state.orientation.wxyz, angular_velocity=state.angular_velocity,
-            sp_position=sp.position, sp_orientation=sp.orientation.wxyz, throttle_cmd=throttle_cmd,
-            angle_cmd=angle_cmd, throttle_act=throttle_act, angle_act=angle_act,
+            sp_position=sp.position, sp_orientation=sp.orientation.wxyz,
+            throttle_cmd=throttle_cmd, angle_cmd=angle_cmd,
+            throttle_act=throttle_act, angle_act=angle_act,
             iterations=sol.iterations, residual=sol.residual, converged=sol.converged,
             pos_error=np.linalg.norm(pos_error), ori_error=np.linalg.norm(ori_error_body))
         for name, index, _ in spans:
