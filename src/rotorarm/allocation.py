@@ -406,28 +406,42 @@ def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, 
     return _assemble(x, it, model)
 
 
-def _newton_delta(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+_REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
+def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray:
     """The whole step delta of `newton_step`, as one array laid out like the iterate."""
+    n_primal = 2 * n_arms
     grad_norm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its dispatch
-    try:
-        delta = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        delta = None
-    if delta is not None and np.isfinite(delta).all():
-        residual = hess @ delta + grad
-        if math.sqrt(residual @ residual) <= 1e-10 * max(1.0, grad_norm):
-            return delta
-    raise SolverError(f"optimality system is singular (dim {hess.shape[0]}, |K|={grad_norm:.3e})")
+    scale = max(1.0, grad_norm)
+    for gamma in _REGULARIZATIONS:
+        matrix = hess
+        if gamma > 0.0:
+            matrix = hess.copy()
+            matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
+        try:
+            delta = np.linalg.solve(matrix, -grad)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.isfinite(delta).all():
+            continue
+        residual = matrix @ delta + grad
+        if math.sqrt(residual @ residual) > 1e-10 * scale:
+            continue
+        return delta
+    raise SolverError(
+        f"optimality system is singular even with diagonal regularization up to "
+        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={grad_norm:.3e})"
+    )
 
 
 def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
-    """Solve H delta = -K.
+    """Solve H delta = -K, regularizing the primal diagonal if needed.
 
     Returns (d_throttles, d_angles, d_multipliers). Raises SolverError when
-    the solve fails, gives a non-finite step, or leaves a residual above
-    1e-10 * max(1, |K|).
+    no regularization level in the ladder produces a usable solve.
     """
-    delta = _newton_delta(hess, grad)
+    delta = _newton_delta(hess, grad, n_arms)
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
 
 
@@ -482,7 +496,7 @@ def sqp_allocate(
     converged = False
     res_norm = math.inf
     for iterations in range(1, max_iterations + 1):
-        delta = _newton_delta(*_assemble(x, it, model))
+        delta = _newton_delta(*_assemble(x, it, model), n_arms)
         alpha = step_scale(delta[:n_arms], delta[n_arms: 2 * n_arms],
                            throttle_step_limit, angle_step_limit)
         x += alpha * delta

@@ -481,9 +481,9 @@ def test_newton_step_solves_the_kkt_system(rng, octa_model):
 def test_newton_step_raises_on_hopeless_systems():
     grad = np.ones(8)
     with pytest.raises(SolverError):
-        newton_step(np.zeros((8, 8)), grad, 1)  # singular: the solve itself fails
+        newton_step(np.zeros((8, 8)), grad, 1)  # constraint rows stay singular at every regularization
     with pytest.raises(SolverError):
-        newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal pivots: the step overflows
+        newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: every rung's step overflows
 
 
 def test_step_scale_limits():
