@@ -1,4 +1,4 @@
-"""Fingerprint sixteen reference SQP flights to prove a refactor byte-identical.
+"""Fingerprint seventeen reference flights to prove a refactor byte-identical.
 
 Run from a source checkout:
 
@@ -9,9 +9,13 @@ For each flight (all of them, or only the named ones) it prints the number
 of non-converged ticks, the maximum position error and the sha256 of the
 rows of ``FlightLog.table()``. With ``--check FILE`` it also compares each
 line with the line for the same flight in FILE, prints every line that
-moved next to the expected one, and exits 1 if any did. The flights take a
-few minutes in total. The file name does not match ``test_*.py``, so the
-test suite does not collect it.
+moved next to the expected one, and exits 1 if any did. The flights run in
+a pool of one process per CPU and print in the order of ``FLIGHTS``; they
+take a few minutes of CPU time in total. The file name does not match
+``test_*.py``, so the test suite does not collect it.
+
+Sixteen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
+with the pseudoinverse allocator.
 
 The hashes are specific to one numpy and BLAS build.
 ``flight_digests.expected`` was recorded with numpy 2.4.6 and OpenBLAS
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +75,7 @@ FLIGHTS = {
     "hexagon_pitch_roll_0.6": ("hexagon_rot", orientation_sweep,
                                {"axes": PITCH_ROLL, "amplitude": 0.6}, {}),
     "tetrahedron_pitch_roll": ("tetrahedron_rot", orientation_sweep, {"axes": PITCH_ROLL}, {}),
+    "pitch_pinv": ("octahedron_rot", orientation_sweep, {"axes": ("pitch",)}, {"allocator": "pinv"}),
 }
 
 
@@ -91,7 +98,7 @@ def digest_line(name: str) -> str:
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Fingerprint the reference SQP flights.")
+    parser = argparse.ArgumentParser(description="Fingerprint the reference flights.")
     parser.add_argument("names", nargs="*", metavar="NAME", help="flights to run (default: all)")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the lines in FILE; exit 1 if any flight moved")
@@ -107,12 +114,14 @@ def main(argv) -> int:
         expected = {line.split()[0]: line.rstrip() for line in lines if line.strip()}
     names = args.names or list(FLIGHTS)
     moved = []
-    for name in names:
-        line = digest_line(name)
-        print(line, flush=True)
-        if args.check and line != expected.get(name):
-            moved.append(name)
-            print(f"MOVED, expected: {expected.get(name, '(no line for this flight)')}", flush=True)
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(names))) as pool:
+        lines = pool.map(digest_line, names)  # yields in the order of names
+        for name, line in zip(names, lines):
+            print(line, flush=True)
+            if args.check and line != expected.get(name):
+                moved.append(name)
+                print(f"MOVED, expected: {expected.get(name, '(no line for this flight)')}",
+                      flush=True)
     if args.check:
         print(f"{len(moved)} of {len(names)} flights moved"
               + (f": {', '.join(moved)}" if moved else ""), flush=True)
