@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ROTATING, DroneGeometry, thrust_plane_basis
+from .geometry import DroneGeometry
 from .spatial import Quaternion
 
 TWO_PI = 2.0 * math.pi
@@ -158,7 +158,7 @@ class AllocatorInput:
     def __post_init__(self):
         for name in ("force", "torque"):
             v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.isfinite(v).all():
+            if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
                 raise ValueError(f"{name} must be a finite 3-vector, got {v!r}")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -215,66 +215,7 @@ class AllocatorSolution:
 
 
 # ---------------------------------------------------------------------------
-# thrust direction and wrench derivatives
-
-
-def thrust_direction(arm, angle: float):
-    """Thrust direction of one arm plus its first two angle derivatives.
-
-    For rotating arms n(a) = cos(a) b1 + sin(a) b2, so dn/da = axis x n and
-    d2n/da2 = axis x (axis x n) = -n. Fixed arms return zero derivatives.
-    """
-    if arm.kind != ROTATING:
-        return arm.zero_dir.copy(), np.zeros(3), np.zeros(3)
-    b1, b2 = thrust_plane_basis(arm)
-    n = math.cos(angle) * b1 + math.sin(angle) * b2
-    dn = np.cross(arm.axis, n)
-    ddn = np.cross(arm.axis, dn)
-    return n, dn, ddn
-
-
-@dataclass
-class ArmWrench:
-    """Force/torque of one arm and every partial needed by the allocator."""
-
-    force: np.ndarray
-    torque: np.ndarray
-    force_du: np.ndarray
-    force_da: np.ndarray
-    torque_du: np.ndarray
-    torque_da: np.ndarray
-    force_duu: np.ndarray
-    force_daa: np.ndarray
-    force_dua: np.ndarray
-    torque_duu: np.ndarray
-    torque_daa: np.ndarray
-    torque_dua: np.ndarray
-
-
-def arm_wrench(arm, throttle: float, angle: float, thrust_constant: float, torque_constant: float) -> ArmWrench:
-    """Wrench contribution of one arm about the body origin.
-
-    force = mu u n(a); torque = mu u (r x n) + tau s u n, where the second
-    term is the propeller drag torque along the thrust direction.
-    """
-    n, dn, ddn = thrust_direction(arm, angle)
-    mu, tau = thrust_constant, torque_constant
-    r, s, u = arm.endpoint, float(arm.spin), float(throttle)
-    rxn, rxdn, rxddn = np.cross(r, n), np.cross(r, dn), np.cross(r, ddn)
-    return ArmWrench(
-        force=mu * u * n,
-        torque=mu * u * rxn + tau * s * u * n,
-        force_du=mu * n,
-        force_da=mu * u * dn,
-        torque_du=mu * rxn + tau * s * n,
-        torque_da=mu * u * rxdn + tau * s * u * dn,
-        force_duu=np.zeros(3),
-        force_daa=mu * u * ddn,
-        force_dua=mu * dn,
-        torque_duu=np.zeros(3),
-        torque_daa=mu * u * rxddn + tau * s * u * ddn,
-        torque_dua=mu * rxdn + tau * s * dn,
-    )
+# constraint residual
 
 
 def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneModel) -> np.ndarray:
@@ -535,23 +476,29 @@ def wrap_angle(x):
     return (np.asarray(x, dtype=float) + math.pi) % TWO_PI - math.pi
 
 
-def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> AllocatorSolution:
-    """Single-shot linear allocation through the constant thrust-plane map.
+class LeastNormAllocation(NamedTuple):
+    """Throttles and arm angles of `least_norm_allocation`."""
 
-    Exact for any wrench in the map's range. Arm angles come from atan2 of
-    the plane coordinates, unwrapped to the nearest turn of the previous
-    angle; sign reversals of the coordinate vector still demand half-turn
-    jumps, which is this method's singularity behavior. Arms allocated zero
-    throttle keep their previous angle.
+    throttles: np.ndarray
+    angles: np.ndarray
+
+
+def least_norm_allocation(body_wrench: np.ndarray, model: DroneModel,
+                          prev_angles=None) -> LeastNormAllocation:
+    """Throttles and angles of the minimum-norm solve through the constant thrust-plane map.
+
+    Arm angles come from atan2 of the plane coordinates, unwrapped to the
+    nearest turn of the previous angle; arms allocated zero throttle keep
+    their previous angle. `pinv_allocate` and the flight loop's supervisor
+    reference both call this. Raises SolverError when the map is rank
+    deficient or an arm does not rotate.
     """
-    g = model.geometry
     pinv, rank = model._thrust_plane_pinv
     if rank < 6:
-        raise SolverError(f"thrust-plane wrench map of {g.name} is rank deficient")
-    body_wrench = inp.body_wrench()
-    coords = (pinv @ body_wrench).reshape(g.n_arms, 2)
-
-    throttles = np.linalg.norm(coords, axis=1)
+        raise SolverError(f"thrust-plane wrench map of {model.geometry.name} is rank deficient")
+    coords = (pinv @ body_wrench).reshape(-1, 2)
+    # the row norms as np.linalg.norm(coords, axis=1) computes them
+    throttles = np.sqrt(np.add.reduce(coords * coords, axis=1))
     raw = np.arctan2(coords[:, 1], coords[:, 0])
     if prev_angles is None:
         angles = np.where(throttles > 1e-9, raw, 0.0)
@@ -560,7 +507,18 @@ def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> A
         angles = np.where(
             throttles > 1e-9, prev_angles + wrap_angle(raw - prev_angles), prev_angles
         )
+    return LeastNormAllocation(throttles, angles)
 
+
+def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> AllocatorSolution:
+    """Single-shot linear allocation through the constant thrust-plane map.
+
+    Exact for any wrench in the map's range. The angles are those of
+    `least_norm_allocation`; sign reversals of the coordinate vector still
+    demand half-turn jumps, which is this method's singularity behavior.
+    """
+    body_wrench = inp.body_wrench()
+    throttles, angles = least_norm_allocation(body_wrench, model, prev_angles)
     residual = constraint_residual(throttles, angles, inp, model)
     res_norm = float(np.linalg.norm(residual))
     return AllocatorSolution(

@@ -21,13 +21,15 @@ from .allocation import (
     AllocatorSolution,
     AllocatorState,
     DroneModel,
+    LeastNormAllocation,
     PenaltyWeights,
     SolverError,
+    least_norm_allocation,
     pinv_allocate,
     sqp_allocate,
     wrap_angle,
 )
-from .spatial import Quaternion, cross3, integrate_orientation, orientation_error
+from .spatial import Quaternion, integrate_orientation, orientation_error
 from .tables import write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +37,7 @@ TWO_PI = 2.0 * math.pi
 SERVO_RATE_LIMIT = 2.4 * TWO_PI  # rad/s, arm servo slew bound
 SERVO_DELAY = 0.036  # s, command-to-motion latency
 
-_GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
+_GRAVITY_DIR = (0.0, 0.0, -1.0)
 _AXIS_VECTORS = {
     "roll": np.array([1.0, 0.0, 0.0]),
     "pitch": np.array([0.0, 1.0, 0.0]),
@@ -46,6 +48,22 @@ _AXIS_VECTORS = {
 }
 _ORIENTATION_AXES = ("yaw", "pitch", "roll")
 _POSITION_AXES = ("x", "y", "z")
+_IDENTITY = Quaternion.identity()  # immutable, so every setpoint shares it
+
+
+def _clip(x, low, high):
+    """np.clip(x, low, high) with the same bits, signed zeros and NaN included, minus its dispatch.
+
+    Of the orders of np.minimum and np.maximum, only this one gives
+    np.clip's zero sign when x ties a zero bound.
+    """
+    return np.minimum(high, np.maximum(low, x))
+
+
+def _clip_float(x: float, low: float, high: float) -> float:
+    """`_clip` of one Python float: x unless it is strictly outside, so NaN and ties stay x."""
+    x = low if low > x else x
+    return high if high < x else x
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +103,7 @@ def servo_update(state: ServoState, setpoint, dt: float) -> ServoState:
         target = state.angle
     max_step = state.rate_limit * dt
     step = np.minimum(np.maximum(target - state.angle, -max_step), max_step)
-    return replace(state, angle=state.angle + step, pending=pending)
+    return ServoState(state.angle + step, pending, state.rate_limit, state.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +136,24 @@ def rigid_body_step(
     body_force = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0)
     body_torque = np.asarray(torques, dtype=float).reshape(-1, 3).sum(axis=0)
 
-    world_force = state.orientation.rotate(body_force) + model.mass * model.gravity * _GRAVITY_DIR
-    velocity = state.velocity + (world_force / model.mass) * dt
-    position = state.position + velocity * dt
+    # elementwise arithmetic on 3-vectors in Python floats, as in
+    # PidController.update; the matrix products and the solve stay numpy
+    weight = model.mass * model.gravity
+    world_force = [f + weight * d
+                   for f, d in zip(state.orientation.rotate(body_force).tolist(), _GRAVITY_DIR)]
+    velocity = [v + (f / model.mass) * dt for v, f in zip(state.velocity.tolist(), world_force)]
+    position = [p + v * dt for p, v in zip(state.position.tolist(), velocity)]
 
-    momentum = model.inertia @ state.angular_velocity
-    torque_net = body_torque - cross3(state.angular_velocity, momentum)
-    angular_velocity = state.angular_velocity + np.linalg.solve(model.inertia, torque_net) * dt
+    omega = state.angular_velocity
+    wx, wy, wz = omega.tolist()
+    hx, hy, hz = (model.inertia @ omega).tolist()
+    tx, ty, tz = body_torque.tolist()
+    # minus the gyroscopic term omega x (I omega), by np.cross's formulas
+    torque_net = [tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)]
+    alpha = np.linalg.solve(model.inertia, torque_net).tolist()
+    angular_velocity = np.array([w + a * dt for w, a in zip((wx, wy, wz), alpha)])
     orientation = integrate_orientation(state.orientation, angular_velocity, dt)
-    return RigidBodyState(position, velocity, orientation, angular_velocity)
+    return RigidBodyState(np.array(position), np.array(velocity), orientation, angular_velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +186,13 @@ class PidController:
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)
+        self._weight_ff = (0.0, 0.0, self.mass * self.gravity)
         self.reset()
 
     def reset(self) -> None:
-        self._i_pos = np.zeros(3)
-        self._i_ori = np.zeros(3)
-        self._pom_pos = np.zeros(3)
-        self._pom_ori = np.zeros(3)
+        # integrator and proportional-on-measurement states, as Python floats
+        self._i_pos, self._i_ori = [0.0] * 3, [0.0] * 3
+        self._pom_pos, self._pom_ori = [0.0] * 3, [0.0] * 3
 
     def update(self, pos_error, ori_error, velocity, angular_velocity, accel_ff, dt: float):
         """World-frame (force, torque) demand for one control tick.
@@ -177,25 +204,26 @@ class PidController:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         g = self.gains
-        pos_error = np.asarray(pos_error, dtype=float)
-        ori_error = np.asarray(ori_error, dtype=float)
-        velocity = np.asarray(velocity, dtype=float)
-        angular_velocity = np.asarray(angular_velocity, dtype=float)
-        accel_ff = np.asarray(accel_ff, dtype=float)
+        # each 3-vector as Python floats: the same elementwise arithmetic as
+        # on arrays, in the same order, without numpy's cost per call
+        e_pos, e_ori, vel, omega, accel = [np.asarray(v, dtype=float).tolist() for v in (
+            pos_error, ori_error, velocity, angular_velocity, accel_ff)]
 
-        self._i_pos = np.clip(self._i_pos + g.ki_pos * pos_error * dt, -g.i_max_pos, g.i_max_pos)
-        self._i_ori = np.clip(self._i_ori + g.ki_ori * ori_error * dt, -g.i_max_ori, g.i_max_ori)
+        self._i_pos = [_clip_float(i + g.ki_pos * e * dt, -g.i_max_pos, g.i_max_pos)
+                       for i, e in zip(self._i_pos, e_pos)]
+        self._i_ori = [_clip_float(i + g.ki_ori * e * dt, -g.i_max_ori, g.i_max_ori)
+                       for i, e in zip(self._i_ori, e_ori)]
 
         if g.proportional_on_measurement:
-            self._pom_pos -= g.kp_pos * velocity * dt
-            self._pom_ori -= g.kp_ori * angular_velocity * dt
+            self._pom_pos = [p - g.kp_pos * v * dt for p, v in zip(self._pom_pos, vel)]
+            self._pom_ori = [p - g.kp_ori * w * dt for p, w in zip(self._pom_ori, omega)]
             p_pos, p_ori = self._pom_pos, self._pom_ori
         else:
-            p_pos, p_ori = g.kp_pos * pos_error, g.kp_ori * ori_error
+            p_pos, p_ori = [g.kp_pos * e for e in e_pos], [g.kp_ori * e for e in e_ori]
 
-        weight_ff = self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
-        force = p_pos + self._i_pos - g.kd_pos * velocity + self.mass * accel_ff + weight_ff
-        torque = p_ori + self._i_ori - g.kd_ori * angular_velocity
+        force = np.array([p + i - g.kd_pos * v + self.mass * a + w for p, i, v, a, w
+                          in zip(p_pos, self._i_pos, vel, accel, self._weight_ff)])
+        torque = np.array([p + i - g.kd_ori * w for p, i, w in zip(p_ori, self._i_ori, omega)])
         return force, torque
 
 
@@ -310,20 +338,23 @@ def continuous_roll_angle(t: float, spec: SweepSpec) -> float:
     return TWO_PI * tau / spec.seconds_per_rev
 
 
+def _origin() -> PoseSetpoint:
+    return PoseSetpoint(np.zeros(3), _IDENTITY, np.zeros(3))
+
+
 def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
     """Pose setpoint of the sweep at time t (origin before start and after the end)."""
-    origin = PoseSetpoint(np.zeros(3), Quaternion.identity(), np.zeros(3))
     if spec.kind == "hover" or t < spec.start_delay:
-        return origin
+        return _origin()
     if spec.kind == "continuous_roll":
         angle = continuous_roll_angle(t, spec)
-        return PoseSetpoint(np.zeros(3), Quaternion.from_axis_angle(_AXIS_VECTORS["roll"], angle), np.zeros(3))
+        return PoseSetpoint(np.zeros(3), Quaternion._about(1.0, 0.0, 0.0, angle), np.zeros(3))
 
     tau = t - spec.start_delay
     targets = spec.step_targets()
     step = int(tau // spec.step_duration)
     if step >= len(targets):
-        return origin
+        return _origin()
     label, target = targets[step]
     start = targets[step - 1][1] if step > 0 else 0.0
     value, _, accel = trapezoid_profile(
@@ -332,10 +363,10 @@ def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
     value += start
     axis = _AXIS_VECTORS[label]
     if spec.kind == "position":
-        return PoseSetpoint(value * axis, Quaternion.identity(), accel * axis)
+        return PoseSetpoint(value * axis, _IDENTITY, accel * axis)
     if abs(value) < 1e-15:
-        return origin
-    return PoseSetpoint(np.zeros(3), Quaternion.from_axis_angle(axis, value), np.zeros(3))
+        return _origin()
+    return PoseSetpoint(np.zeros(3), Quaternion._about(*axis.tolist(), value), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +540,11 @@ class _BranchSupervisor:
 
     def advance(self, warm: AllocatorState) -> PenaltyWeights:
         """Step every active transit's warm angle; return the weights for this solve."""
-        active = ~np.isnan(self.target)
-        if not np.any(active):
+        if np.isnan(self.target).all():
             return self.scenario.weights
-        step = np.clip(self.target[active] - warm.angles[active],
-                       -self.transit_step, self.transit_step)
+        active = ~np.isnan(self.target)
+        step = _clip(self.target[active] - warm.angles[active],
+                     -self.transit_step, self.transit_step)
         # move the warm point and its motion reference together so the
         # solver treats the advanced angle as where the arm already is
         warm.angles[active] += step
@@ -527,49 +558,57 @@ class _BranchSupervisor:
             throttle=self.scenario.weights.throttle * (1.0 + 49.0 * active),
         )
 
-    def after_solve(self, k: int, sol: AllocatorSolution, ref: AllocatorSolution | None,
+    def reference(self, inp: AllocatorInput, angles) -> LeastNormAllocation | None:
+        """The least-norm allocation of inp unwrapped to angles, or None when the linear route fails."""
+        try:
+            return least_norm_allocation(inp.body_wrench(), self.scenario.model, angles)
+        except SolverError:
+            return None
+
+    def after_solve(self, k: int, sol: AllocatorSolution, ref: LeastNormAllocation | None,
                     inp: AllocatorInput, weights: PenaltyWeights) -> AllocatorState:
         """Warm start for the next tick from tick k's converged solve.
 
-        ref is the least-norm reference for the same demand, or None when
-        the linear route failed; inp and weights are what the solve used.
+        ref is `reference` for the solved angles (anything with throttles
+        and angles), or None; inp and weights are what the solve used.
         """
-        warm = sol.next_warm()
         if ref is None:
-            return warm
+            return sol.next_warm()
         t = k * self.dt
         gap = wrap_angle(ref.angles - sol.angles)
         share = ref.throttles * np.cos(gap)
+        free = np.isnan(self.target)
         # an ordinary handoff of load to other arms keeps the projection
         # near zero; a negative one means the demand changed branch
-        watch = np.isnan(self.target) & (self.cool <= t) & (sol.throttles < 0.05)
-        # the projection is continuous through a crossing, so a short
-        # extrapolation starts the half-turn slightly before the demand
-        # actually reverses
-        slope = (share - self.share_hist[k % self.hist_len]) / (self.hist_len * self.dt)
-        early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
-        for i in np.nonzero(watch & (early | (share < -0.03)))[0]:
-            if sol.throttles[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
-                continue
-            # past a crossing the reference sits on the far branch and picks
-            # the turn direction; before one, either way round reaches the
-            # same branch
-            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
-            self.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
-            # refractory gap so one crossing cannot retrigger on its own
-            # settling transient
-            self.cool[i] = t + 0.3
+        watch = free & (self.cool <= t) & (sol.throttles < 0.05)
+        if watch.any():
+            # the projection is continuous through a crossing, so a short
+            # extrapolation starts the half-turn slightly before the demand
+            # actually reverses
+            slope = (share - self.share_hist[k % self.hist_len]) / (self.hist_len * self.dt)
+            early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
+            for i in np.nonzero(watch & (early | (share < -0.03)))[0]:
+                if sol.throttles[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
+                    continue
+                # past a crossing the reference sits on the far branch and
+                # picks the turn direction; before one, either way round
+                # reaches the same branch
+                direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
+                self.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
+                free[i] = False
+                # refractory gap so one crossing cannot retrigger on its own
+                # settling transient
+                self.cool[i] = t + 0.3
         self.share_hist[k % self.hist_len] = share
         # a small capped pull toward the reference lets the solver ratchet
         # over to a better valley when one exists, while its own descent
-        # undoes the pull when the current valley is the right one
-        free = np.isnan(self.target)
-        pull_a = np.clip(0.1 * gap, -0.01, 0.01)
-        pull_u = np.clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01)
-        warm.angles[free] += pull_a[free]
-        warm.prev_angles[free] += pull_a[free]
-        warm.throttles[free] += pull_u[free]
-        return warm
+        # undoes the pull when the current valley is the right one; arms in
+        # transit get -0.0, which leaves every float as it is, signed zeros
+        # included
+        pull_a = np.where(free, _clip(0.1 * gap, -0.01, 0.01), -0.0)
+        pull_u = np.where(free, _clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01), -0.0)
+        angles = sol.angles + pull_a
+        return AllocatorState(sol.throttles + pull_u, angles, sol.multipliers.copy(), angles.copy())
 
     def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
                          weights: PenaltyWeights) -> bool:
@@ -626,26 +665,27 @@ def run_flight(scenario: Scenario) -> FlightLog:
     angle_cmd = np.zeros(n_arms)
     throttle_act = np.zeros(n_arms)
     rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
+    motor_step = 1.0 - math.exp(-dt / scenario.motor_lag) if scenario.motor_lag > 0.0 else None
+    sqp = scenario.allocator == "sqp"
 
-    header, spans = _log_columns(n_arms)
+    header, _ = _log_columns(n_arms)
     table = np.empty((n_ticks, len(header)))  # one row per tick, filled as it is flown
 
     for k in range(n_ticks):
         t = k * dt
+        # exactly one call of the module's sweep_setpoint per tick: perfbench
+        # times a tick as the gap between two such calls
         sp = sweep_setpoint(t, scenario.sweep)
         pos_error = sp.position - state.position
         ori_error_body = orientation_error(sp.orientation, state.orientation)
         # the attitude keeps this matrix, so the allocator's body wrench and
         # the rigid-body step reuse it
         to_world = state.orientation.to_matrix()
-        ori_error_world = to_world @ ori_error_body
-        omega_world = to_world @ state.angular_velocity
-        force, torque = pid.update(
-            pos_error, ori_error_world, state.velocity, omega_world, sp.accel, dt
-        )
+        force, torque = pid.update(pos_error, to_world @ ori_error_body, state.velocity,
+                                   to_world @ state.angular_velocity, sp.accel, dt)
 
         inp = AllocatorInput(state.orientation, force, torque)
-        if scenario.allocator == "sqp":
+        if sqp:
             weights = supervisor.advance(warm)
             try:
                 sol = _solve(scenario, inp, warm, weights)
@@ -663,10 +703,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
                 )
             if sol.converged:
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
-                try:
-                    ref = pinv_allocate(inp, model, prev_angles=sol.angles)
-                except SolverError:
-                    ref = None
+                ref = supervisor.reference(inp, sol.angles)
                 warm = supervisor.after_solve(k, sol, ref, inp, weights)
         else:
             sol = pinv_allocate(inp, model, prev_angles=angle_cmd)
@@ -675,11 +712,9 @@ def run_flight(scenario: Scenario) -> FlightLog:
 
         servos = servo_update(servos, angle_cmd, dt)
         angle_act = servos.angle
-        clamped = np.clip(throttle_cmd, 0.0, 1.0)
-        if scenario.motor_lag > 0.0:
-            throttle_act = throttle_act + (clamped - throttle_act) * (
-                1.0 - math.exp(-dt / scenario.motor_lag)
-            )
+        clamped = _clip(throttle_cmd, 0.0, 1.0)
+        if motor_step is not None:
+            throttle_act = throttle_act + (clamped - throttle_act) * motor_step
         else:
             throttle_act = clamped
 
@@ -688,16 +723,16 @@ def run_flight(scenario: Scenario) -> FlightLog:
         if rng is not None:
             forces = forces + rng.normal(0.0, scenario.noise_std, forces.shape) / max(n_arms, 1)
 
-        tick = dict(
-            t=t, position=state.position, velocity=state.velocity,
-            orientation=state.orientation.wxyz, angular_velocity=state.angular_velocity,
-            sp_position=sp.position, sp_orientation=sp.orientation.wxyz,
-            throttle_cmd=throttle_cmd, angle_cmd=angle_cmd,
-            throttle_act=throttle_act, angle_act=angle_act,
-            iterations=sol.iterations, residual=sol.residual, converged=sol.converged,
-            pos_error=np.linalg.norm(pos_error), ori_error=np.linalg.norm(ori_error_body))
-        for name, index, _ in spans:
-            table[k, index] = tick[name]
+        # the tick's values in the order of FlightLog's fields (a test pins
+        # that order); the norms are what np.linalg.norm computes
+        table[k] = [
+            t, *state.position.tolist(), *state.velocity.tolist(),
+            *state.orientation.wxyz.tolist(), *state.angular_velocity.tolist(),
+            *sp.position.tolist(), *sp.orientation.wxyz.tolist(),
+            *throttle_cmd.tolist(), *angle_cmd.tolist(),
+            *throttle_act.tolist(), *angle_act.tolist(),
+            sol.iterations, sol.residual, sol.converged,
+            math.sqrt(pos_error.dot(pos_error)), math.sqrt(ori_error_body.dot(ori_error_body))]
 
         state = rigid_body_step(state, forces, torques, model, dt)
 

@@ -22,20 +22,6 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return v
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product over the last axis of 3-vector arrays, with broadcasting.
-
-    Same formulas in the same order as ``np.cross``, so results are
-    bit-identical, but without its generic axis handling, which dominates
-    the cost on the small arrays used per tick.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
@@ -57,13 +43,16 @@ class Quaternion:
 
     def __init__(self, w: float, x: float, y: float, z: float):
         q = np.array([w, x, y, z], dtype=float)
-        if not np.isfinite(q).all():
-            raise ValueError("quaternion components must be finite")
         w, x, y, z = q.tolist()
         if not math.isfinite(w * w + x * x + y * y + z * z):
-            # the squared norm overflows: scale the largest component to 1 first
+            # a component is not finite, or the squared norm overflows: then
+            # scale the largest component to 1 first
+            if not np.isfinite(q).all():
+                raise ValueError("quaternion components must be finite")
             q /= max(abs(w), abs(x), abs(y), abs(z))
-        n = math.sqrt(q @ q)  # what np.linalg.norm computes, without its dispatch
+        # the numpy dot is what np.linalg.norm computes; a Python-float sum
+        # of the squares differs from it in the last bit
+        n = math.sqrt(q.dot(q))
         if n < 1e-12:
             raise ValueError("quaternion norm too small to normalize")
         q /= n
@@ -79,11 +68,17 @@ class Quaternion:
     def from_axis_angle(cls, axis, angle: float) -> "Quaternion":
         """Rotation of `angle` radians about a unit `axis`."""
         axis = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
-            raise ValueError(f"rotation axis must be unit length, got norm {np.linalg.norm(axis)}")
-        half = 0.5 * float(angle)
+        norm = math.sqrt(axis.dot(axis))
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise ValueError(f"rotation axis must be unit length, got norm {norm}")
+        return cls._about(*axis.tolist(), float(angle))
+
+    @classmethod
+    def _about(cls, x: float, y: float, z: float, angle: float) -> "Quaternion":
+        """`from_axis_angle` on the components of an axis already known to be unit length."""
+        half = 0.5 * angle
         s = math.sin(half)
-        return cls(math.cos(half), s * axis[0], s * axis[1], s * axis[2])
+        return cls(math.cos(half), s * x, s * y, s * z)
 
     @property
     def w(self) -> float:
@@ -95,8 +90,9 @@ class Quaternion:
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product; composes rotations so (p*q).rotate == p.rotate(q.rotate(.))."""
-        w1, x1, y1, z1 = self.wxyz
-        w2, x2, y2, z2 = other.wxyz
+        # Python floats, not numpy scalars: the same arithmetic, done faster
+        w1, x1, y1, z1 = self.wxyz.tolist()
+        w2, x2, y2, z2 = other.wxyz.tolist()
         return Quaternion(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -105,7 +101,7 @@ class Quaternion:
         )
 
     def conjugate(self) -> "Quaternion":
-        w, x, y, z = self.wxyz
+        w, x, y, z = self.wxyz.tolist()
         return Quaternion(w, -x, -y, -z)
 
     def inverse(self) -> "Quaternion":
@@ -136,18 +132,22 @@ class Quaternion:
 
     def axis_angle(self) -> tuple[np.ndarray, float]:
         """Rotation axis and angle in [0, pi]; axis is zero for the identity."""
-        w, x, y, z = self.wxyz
-        if w < 0.0:  # pick the representative with angle <= pi
-            w, x, y, z = -w, -x, -y, -z
-        s = math.sqrt(x * x + y * y + z * z)
-        angle = 2.0 * math.atan2(s, w)
-        if s < 1e-15:
-            return np.zeros(3), 0.0
-        return np.array([x, y, z]) / s, angle
+        *axis, angle = _axis_angle(*self.wxyz.tolist())
+        return np.array(axis), angle
 
     def __repr__(self) -> str:
         w, x, y, z = self.wxyz
         return f"Quaternion({w:.9g}, {x:.9g}, {y:.9g}, {z:.9g})"
+
+
+def _axis_angle(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """Unit axis components and angle in [0, pi] of a unit quaternion; a zero axis for the identity."""
+    if w < 0.0:  # pick the representative with angle <= pi
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-15:
+        return 0.0, 0.0, 0.0, 0.0
+    return x / s, y / s, z / s, 2.0 * math.atan2(s, w)
 
 
 def orientation_error(q_set: Quaternion, q: Quaternion) -> np.ndarray:
@@ -156,8 +156,8 @@ def orientation_error(q_set: Quaternion, q: Quaternion) -> np.ndarray:
     Returns axis * angle with angle in [0, pi]; the zero vector iff the
     attitudes coincide (up to quaternion sign).
     """
-    axis, angle = (q.inverse() * q_set).axis_angle()
-    return axis * angle
+    x, y, z, angle = _axis_angle(*(q.conjugate() * q_set).wxyz.tolist())
+    return np.array([x * angle, y * angle, z * angle])
 
 
 def integrate_orientation(q: Quaternion, omega_body, dt: float) -> Quaternion:
@@ -169,9 +169,10 @@ def integrate_orientation(q: Quaternion, omega_body, dt: float) -> Quaternion:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     theta = np.asarray(omega_body, dtype=float) * dt
-    angle = np.linalg.norm(theta)
+    angle = math.sqrt(theta.dot(theta))  # what np.linalg.norm computes
+    x, y, z = theta.tolist()
     if angle < 1e-12:
-        dq = Quaternion(1.0, 0.5 * theta[0], 0.5 * theta[1], 0.5 * theta[2])
+        dq = Quaternion(1.0, 0.5 * x, 0.5 * y, 0.5 * z)
     else:
-        dq = Quaternion.from_axis_angle(theta / angle, angle)
+        dq = Quaternion._about(x / angle, y / angle, z / angle, angle)
     return q * dq

@@ -1,10 +1,12 @@
 """Shared numeric test utilities: oracles, finite differences, random inputs."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from rotorarm import AllocatorInput, Quaternion, integrate_orientation
+from rotorarm.geometry import ROTATING, thrust_plane_basis
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -71,6 +73,114 @@ def penalty_arm_rate_oracle(rate, weights):
     return p, dp, ddp
 
 
+# ---------------------------------------------------------------------------
+# the per-tick formulas as first written, on arrays and numpy scalars; the
+# program's Python-float versions must give the same bits
+
+
+def normalized_oracle(w, x, y, z) -> np.ndarray:
+    """Quaternion components as the constructor first normalized them."""
+    q = np.array([w, x, y, z], dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("quaternion components must be finite")
+    w, x, y, z = q.tolist()
+    if not math.isfinite(w * w + x * x + y * y + z * z):
+        q /= max(abs(w), abs(x), abs(y), abs(z))
+    n = math.sqrt(q @ q)
+    if n < 1e-12:
+        raise ValueError("quaternion norm too small to normalize")
+    return q / n
+
+
+def product_oracle(p, q) -> np.ndarray:
+    """Hamilton product of two component arrays, on numpy scalars."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return normalized_oracle(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def conjugate_oracle(q) -> np.ndarray:
+    w, x, y, z = q
+    return normalized_oracle(w, -x, -y, -z)
+
+
+def axis_angle_oracle(q) -> tuple[np.ndarray, float]:
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    angle = 2.0 * math.atan2(s, w)
+    if s < 1e-15:
+        return np.zeros(3), 0.0
+    return np.array([x, y, z]) / s, angle
+
+
+def orientation_error_oracle(q_set, q) -> np.ndarray:
+    axis, angle = axis_angle_oracle(product_oracle(conjugate_oracle(q), q_set))
+    return axis * angle
+
+
+def integrate_orientation_oracle(q, omega_body, dt: float) -> np.ndarray:
+    theta = np.asarray(omega_body, dtype=float) * dt
+    angle = np.linalg.norm(theta)
+    if angle < 1e-12:
+        dq = normalized_oracle(1.0, 0.5 * theta[0], 0.5 * theta[1], 0.5 * theta[2])
+    else:
+        axis = theta / angle
+        assert abs(np.linalg.norm(axis) - 1.0) <= 1e-9
+        half = 0.5 * float(angle)
+        s = math.sin(half)
+        dq = normalized_oracle(math.cos(half), s * axis[0], s * axis[1], s * axis[2])
+    return product_oracle(q, dq)
+
+
+def rigid_body_step_oracle(state, forces, torques, model, dt: float):
+    """(position, velocity, orientation components, angular velocity) after one step."""
+    body_force = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0)
+    body_torque = np.asarray(torques, dtype=float).reshape(-1, 3).sum(axis=0)
+    world_force = (state.orientation.to_matrix() @ body_force
+                   + model.mass * model.gravity * np.array([0.0, 0.0, -1.0]))
+    velocity = state.velocity + (world_force / model.mass) * dt
+    position = state.position + velocity * dt
+    momentum = model.inertia @ state.angular_velocity
+    torque_net = body_torque - np.cross(state.angular_velocity, momentum)
+    angular_velocity = state.angular_velocity + np.linalg.solve(model.inertia, torque_net) * dt
+    orientation = integrate_orientation_oracle(state.orientation.wxyz, angular_velocity, dt)
+    return position, velocity, orientation, angular_velocity
+
+
+class PidOracle:
+    """PidController.update as first written, on arrays."""
+
+    def __init__(self, gains, mass: float, gravity: float):
+        self.gains, self.mass, self.gravity = gains, float(mass), float(gravity)
+        self.i_pos, self.i_ori, self.pom_pos, self.pom_ori = (np.zeros(3) for _ in range(4))
+
+    def update(self, pos_error, ori_error, velocity, angular_velocity, accel_ff, dt: float):
+        g = self.gains
+        self.i_pos = np.clip(self.i_pos + g.ki_pos * pos_error * dt, -g.i_max_pos, g.i_max_pos)
+        self.i_ori = np.clip(self.i_ori + g.ki_ori * ori_error * dt, -g.i_max_ori, g.i_max_ori)
+        if g.proportional_on_measurement:
+            self.pom_pos -= g.kp_pos * velocity * dt
+            self.pom_ori -= g.kp_ori * angular_velocity * dt
+            p_pos, p_ori = self.pom_pos, self.pom_ori
+        else:
+            p_pos, p_ori = g.kp_pos * pos_error, g.kp_ori * ori_error
+        weight_ff = self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
+        force = p_pos + self.i_pos - g.kd_pos * velocity + self.mass * accel_ff + weight_ff
+        torque = p_ori + self.i_ori - g.kd_ori * angular_velocity
+        return force, torque
+
+
+def same_bits(a, b) -> bool:
+    """Equal byte for byte as float arrays, so signed zeros and NaN payloads count."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
 def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
     """Smooth random demand path around hover: the warm-start regime.
 
@@ -93,3 +203,67 @@ def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
         torque = np.clip(torque + rng.normal(0.0, 0.03, 3), -1.2, 1.2)
         chain.append(AllocatorInput(q, weight + offset, torque.copy()))
     return chain
+
+
+# ---------------------------------------------------------------------------
+# the scalar oracle of the per-arm wrench map: one arm at a time, plain cross
+# products
+
+
+def thrust_direction(arm, angle: float):
+    """Thrust direction of one arm plus its first two angle derivatives.
+
+    For rotating arms n(a) = cos(a) b1 + sin(a) b2, so dn/da = axis x n and
+    d2n/da2 = axis x (axis x n) = -n. Fixed arms return zero derivatives.
+    """
+    if arm.kind != ROTATING:
+        return arm.zero_dir.copy(), np.zeros(3), np.zeros(3)
+    b1, b2 = thrust_plane_basis(arm)
+    n = math.cos(angle) * b1 + math.sin(angle) * b2
+    dn = np.cross(arm.axis, n)
+    ddn = np.cross(arm.axis, dn)
+    return n, dn, ddn
+
+
+@dataclass
+class ArmWrench:
+    """Force/torque of one arm and every partial needed by the allocator."""
+
+    force: np.ndarray
+    torque: np.ndarray
+    force_du: np.ndarray
+    force_da: np.ndarray
+    torque_du: np.ndarray
+    torque_da: np.ndarray
+    force_duu: np.ndarray
+    force_daa: np.ndarray
+    force_dua: np.ndarray
+    torque_duu: np.ndarray
+    torque_daa: np.ndarray
+    torque_dua: np.ndarray
+
+
+def arm_wrench(arm, throttle: float, angle: float, thrust_constant: float, torque_constant: float) -> ArmWrench:
+    """Wrench contribution of one arm about the body origin.
+
+    force = mu u n(a); torque = mu u (r x n) + tau s u n, where the second
+    term is the propeller drag torque along the thrust direction.
+    """
+    n, dn, ddn = thrust_direction(arm, angle)
+    mu, tau = thrust_constant, torque_constant
+    r, s, u = arm.endpoint, float(arm.spin), float(throttle)
+    rxn, rxdn, rxddn = np.cross(r, n), np.cross(r, dn), np.cross(r, ddn)
+    return ArmWrench(
+        force=mu * u * n,
+        torque=mu * u * rxn + tau * s * u * n,
+        force_du=mu * n,
+        force_da=mu * u * dn,
+        torque_du=mu * rxn + tau * s * n,
+        torque_da=mu * u * rxdn + tau * s * u * dn,
+        force_duu=np.zeros(3),
+        force_daa=mu * u * ddn,
+        force_dua=mu * dn,
+        torque_duu=np.zeros(3),
+        torque_daa=mu * u * rxddn + tau * s * u * ddn,
+        torque_dua=mu * rxdn + tau * s * dn,
+    )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import ttest_rel
 
-from helpers import rel_error, wrench_chain
+from helpers import arm_wrench, rel_error, wrench_chain
 from rotorarm import (
     AllocatorInput,
     AllocatorState,
@@ -24,7 +24,6 @@ from rotorarm import (
     Quaternion,
     Scenario,
     allocation_objective,
-    arm_wrench,
     assemble_kkt,
     build_catalog,
     capacity_fraction,

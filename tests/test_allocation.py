@@ -8,11 +8,13 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    arm_wrench,
     penalty_arm_rate_oracle,
     penalty_throttle_oracle,
     random_quaternion,
     random_unit,
     rel_error,
+    thrust_direction,
     wrench_chain,
 )
 from rotorarm import (
@@ -25,7 +27,6 @@ from rotorarm import (
     Quaternion,
     SolverError,
     allocation_objective,
-    arm_wrench,
     assemble_kkt,
     build_catalog,
     constraint_residual,
@@ -35,7 +36,6 @@ from rotorarm import (
     pinv_allocate,
     sqp_allocate,
     step_scale,
-    thrust_direction,
     vectored_thrust_matrix,
     wrap_angle,
 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import quat_distance
+from helpers import PidOracle, quat_distance, rigid_body_step_oracle, same_bits
 from rotorarm import (
     DroneModel,
     FlightLog,
@@ -35,13 +35,38 @@ from rotorarm import (
     sweep_setpoint,
     trapezoid_profile,
 )
-from rotorarm.simulation import SERVO_DELAY, SERVO_RATE_LIMIT, continuous_roll_angle
+from rotorarm.simulation import (
+    SERVO_DELAY,
+    SERVO_RATE_LIMIT,
+    _clip,
+    _clip_float,
+    continuous_roll_angle,
+)
+from rotorarm.spatial import orientation_error
 from rotorarm.tables import write_csv
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 DT = 0.005
+
+
+# ---------------------------------------------------------------------------
+# clamps
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.0, 0.01, -0.01, 8.0, -8.0, 0.5, -2.0, math.nan, math.inf]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(x=st.lists(st.one_of(st.sampled_from(_EDGES), st.floats()), min_size=1, max_size=12),
+       bounds=st.sampled_from([(0.0, 1.0), (-0.01, 0.01), (-8.0, 8.0), (-0.0, 0.0), (0.0, 0.0)]))
+def test_clip_helpers_give_the_bits_of_np_clip(x, bounds):
+    """Ties, signed zeros and NaN included; other argument orders of minimum/maximum fail this."""
+    x = np.array(x)
+    expected = np.clip(x, *bounds)
+    assert same_bits(_clip(x, *bounds), expected)
+    assert same_bits([_clip_float(v, *bounds) for v in x.tolist()], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +205,26 @@ def test_constant_torque_spins_up(octa_model):
         assert state.angular_velocity[0] == pytest.approx(k * DT, rel=1e-12)
 
 
+def test_rigid_body_step_is_bit_identical_to_the_array_formulas(rng):
+    """Python-float arithmetic, gyroscopic cross product included, against np.cross and arrays."""
+    full = [[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.1]]
+    for inertia in ([0.02, 0.02, 0.02], [0.9, 1.7, 2.3], full):
+        model = DroneModel(build_catalog("octahedron_rot"), inertia=np.array(inertia))
+        for _ in range(30):
+            omega = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)
+            omega[rng.integers(3)] = rng.choice([0.0, -0.0, omega[0]])
+            state = RigidBodyState(rng.normal(size=3), rng.normal(size=3),
+                                   Quaternion(*rng.normal(size=4)), omega)
+            forces, torques = rng.normal(size=(6, 3)) * 10.0, rng.normal(size=(6, 3))
+            stepped = rigid_body_step(state, forces, torques, model, DT)
+            position, velocity, orientation, angular_velocity = rigid_body_step_oracle(
+                state, forces, torques, model, DT)
+            assert same_bits(stepped.position, position)
+            assert same_bits(stepped.velocity, velocity)
+            assert same_bits(stepped.orientation.wxyz, orientation)
+            assert same_bits(stepped.angular_velocity, angular_velocity)
+
+
 def test_rigid_body_rejects_bad_dt(octa_model):
     with pytest.raises(ValueError):
         rigid_body_step(RigidBodyState.at_rest(), np.zeros((1, 3)), np.zeros((1, 3)), octa_model, -DT)
@@ -237,6 +282,19 @@ def test_pid_proportional_on_measurement_removes_setpoint_kick():
     # measured motion accumulates into the proportional state with a minus sign
     force, _ = pid.update(step_error, np.zeros(3), np.array([2.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), DT)
     assert force[0] < 0.1
+
+
+@pytest.mark.parametrize("on_measurement", [False, True])
+def test_pid_update_is_bit_identical_to_the_array_formulas(rng, on_measurement):
+    """Tight integrator bounds, so both clamps act in long runs of ticks."""
+    gains = PidGains(i_max_pos=0.05, i_max_ori=0.01, proportional_on_measurement=on_measurement)
+    pid, oracle = PidController(gains, 2.4, 9.81), PidOracle(gains, 2.4, 9.81)
+    for _ in range(300):
+        inputs = [rng.normal(size=3) * 10.0 ** rng.uniform(-2, 1) for _ in range(5)]
+        inputs[rng.integers(5)][rng.integers(3)] = rng.choice([0.0, -0.0])
+        force, torque = pid.update(*inputs, DT)
+        expected_force, expected_torque = oracle.update(*inputs, DT)
+        assert same_bits(force, expected_force) and same_bits(torque, expected_torque)
 
 
 def test_pid_rejects_bad_dt():
@@ -474,6 +532,29 @@ def test_flight_log_csv_round_trip(tmp_path, octa_model):
         header, rows = log.table()
         assert len(header) == rows.shape[1] == 26 + 4 * log.n_arms
     assert np.issubdtype(flight.iterations.dtype, np.integer)
+
+
+def test_flight_log_rows_hold_each_tick_in_its_field(octa_model):
+    """The flight loop writes each row by position, so check every field against its source."""
+    sweep = orientation_sweep(axes=("pitch",), start_delay=0.1, step_duration=1.0)
+    log = run_flight(Scenario(model=octa_model, sweep=sweep, duration=0.6))
+    np.testing.assert_array_equal(log.t, np.arange(120) * DT)
+    for k, t in enumerate(log.t):
+        sp = sweep_setpoint(t, sweep)
+        assert same_bits(log.sp_position[k], sp.position)
+        assert same_bits(log.sp_orientation[k], sp.orientation.wxyz)
+        assert log.pos_error[k] == pytest.approx(np.linalg.norm(sp.position - log.position[k]),
+                                                 rel=1e-12, abs=1e-300)
+        q = Quaternion(*log.orientation[k])
+        assert log.ori_error[k] == pytest.approx(np.linalg.norm(orientation_error(sp.orientation, q)),
+                                                 rel=1e-12, abs=1e-300)
+    # semi-implicit Euler: each position moves by the velocity logged with it
+    np.testing.assert_array_equal(log.position[1:], log.position[:-1] + log.velocity[1:] * DT)
+    assert np.all(log.ori_error[21:] > 0.0)  # the attitude lags the moving setpoint
+    assert np.all(np.abs(np.diff(log.angle_act, axis=0)) <= SERVO_RATE_LIMIT * DT + 1e-12)
+    np.testing.assert_array_equal(log.throttle_act, np.clip(log.throttle_cmd, 0.0, 1.0))
+    assert np.all(log.converged) and np.all(log.iterations >= 1) and np.all(log.residual < 1e-5)
+    assert np.max(np.abs(log.angle_cmd - log.angle_act)) > 0.0
 
 
 def test_read_flight_csv_names_a_missing_column(tmp_path):

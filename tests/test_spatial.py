@@ -5,10 +5,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import central_diff, quat_distance, random_quaternion, random_unit, rodrigues
+from helpers import (
+    axis_angle_oracle,
+    central_diff,
+    conjugate_oracle,
+    integrate_orientation_oracle,
+    normalized_oracle,
+    orientation_error_oracle,
+    product_oracle,
+    quat_distance,
+    random_quaternion,
+    random_unit,
+    rodrigues,
+    same_bits,
+)
 from rotorarm import Quaternion, integrate_orientation, normalize, orientation_error, vec3
-from rotorarm.spatial import cross3
 
 
 def test_vec3_builds_float_array():
@@ -28,19 +42,6 @@ def test_normalize(rng):
         assert np.allclose(np.cross(n, v), 0.0, atol=1e-9)
     with pytest.raises(ValueError):
         normalize(np.zeros(3))
-
-
-def test_cross3_is_bit_identical_to_numpy(rng):
-    # the allocator's hot path relies on exact equality, not closeness
-    for _ in range(50):
-        scale = 10.0 ** rng.uniform(-6.0, 6.0)
-        a, b = rng.normal(size=3) * scale, rng.normal(size=3)
-        assert np.array_equal(cross3(a, b), np.cross(a, b))
-        a, b = rng.normal(size=(6, 3)) * scale, rng.normal(size=(6, 3))
-        assert np.array_equal(cross3(a, b), np.cross(a, b))
-        a, b = rng.normal(size=3) * scale, rng.normal(size=(7, 3))
-        assert np.array_equal(cross3(a, b), np.cross(a, b))
-        assert np.array_equal(cross3(b, a), np.cross(b, a))
 
 
 def test_quaternion_renormalizes_on_construction():
@@ -77,6 +78,50 @@ def test_quaternion_normalizes_huge_components_and_still_rejects_non_finite_ones
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             Quaternion(1e200, bad, 0.0, 0.0)
+
+# components with signed zeros, units and halves mixed in, so ties and zero
+# signs are drawn often
+_component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), st.floats(-1.0, 1.0))
+_components = st.tuples(_component, _component, _component, _component).filter(
+    lambda c: sum(v * v for v in c) > 1e-6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=_components, q=_components)
+def test_quaternion_algebra_is_bit_identical_to_the_numpy_scalar_formulas(p, q):
+    """The Python-float products, conjugate and axis-angle keep every bit of the first formulas."""
+    a, b = Quaternion(*p), Quaternion(*q)
+    assert same_bits(a.wxyz, normalized_oracle(*p))
+    assert same_bits((a * b).wxyz, product_oracle(a.wxyz, b.wxyz))
+    assert same_bits(a.conjugate().wxyz, conjugate_oracle(a.wxyz))
+    axis, angle = a.axis_angle()
+    expected_axis, expected_angle = axis_angle_oracle(a.wxyz)
+    assert same_bits(axis, expected_axis) and same_bits(angle, expected_angle)
+    assert same_bits(orientation_error(a, b), orientation_error_oracle(a.wxyz, b.wxyz))
+    # equal attitudes take the zero-axis branch
+    assert same_bits(orientation_error(a, a), orientation_error_oracle(a.wxyz, a.wxyz))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(q=_components, omega=st.tuples(_component, _component, _component),
+       exponent=st.integers(-14, 2))
+def test_integrate_orientation_is_bit_identical_to_the_array_formulas(q, omega, exponent):
+    """Both branches: below exponent -9 the rotation is under 1e-12 rad."""
+    omega = np.array(omega) * 10.0 ** exponent
+    start = Quaternion(*q)
+    assert same_bits(integrate_orientation(start, omega, 0.005).wxyz,
+                     integrate_orientation_oracle(start.wxyz, omega, 0.005))
+
+
+def test_quaternion_rejects_a_non_finite_component_in_every_position():
+    for position in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            components = [0.5] * 4
+            components[position] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Quaternion(*components)
+    assert same_bits(Quaternion(1e200, 0.0, 0.0, 0.0).wxyz, [1.0, 0.0, 0.0, 0.0])
+
 
 def test_rotate_matches_rodrigues_oracle(rng):
     for _ in range(50):

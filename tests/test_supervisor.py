@@ -11,7 +11,20 @@ import math
 import numpy as np
 import pytest
 
-from rotorarm import AllocatorInput, AllocatorSolution, Quaternion, Scenario, SolverError, SweepSpec
+from helpers import same_bits
+from rotorarm import (
+    AllocatorInput,
+    AllocatorSolution,
+    DroneModel,
+    Quaternion,
+    Scenario,
+    SolverError,
+    SweepSpec,
+    build_catalog,
+    pinv_allocate,
+    run_flight,
+    vectored_thrust_matrix,
+)
 from rotorarm import simulation
 from rotorarm.simulation import _BranchSupervisor
 
@@ -245,3 +258,47 @@ def test_no_reference_leaves_the_warm_point_and_history_alone(supervisor):
     np.testing.assert_array_equal(warm.angles, sol.angles)
     np.testing.assert_array_equal(warm.throttles, sol.throttles)
     assert np.all(supervisor.share_hist[:, 0] == 0.1) and transiting(supervisor) == []
+
+
+# ---------------------------------------------------------------------------
+# the least-norm reference
+
+
+def test_reference_is_pinv_allocate_bit_for_bit(supervisor, rng):
+    """Random attitudes, demands and previous angles; every tenth demand is zero."""
+    model = supervisor.scenario.model
+    pinv = np.linalg.pinv(vectored_thrust_matrix(model))
+    for case in range(200):
+        scale = 0.0 if case % 10 == 0 else 1.0
+        inp = AllocatorInput(Quaternion(*rng.normal(size=4)), scale * rng.normal(0.0, 15.0, 3),
+                             scale * rng.normal(0.0, 1.5, 3))
+        prev = rng.uniform(-20.0, 20.0, 6)
+        prev[rng.integers(6)] = rng.choice([0.0, -0.0])
+        ref = supervisor.reference(inp, prev)
+        sol = pinv_allocate(inp, model, prev_angles=prev)
+        assert same_bits(ref.throttles, sol.throttles) and same_bits(ref.angles, sol.angles)
+        # the throttles are the row norms that np.linalg.norm computes
+        coords = (pinv @ inp.body_wrench()).reshape(6, 2)
+        assert same_bits(ref.throttles, np.linalg.norm(coords, axis=1))
+        if scale == 0.0:
+            assert same_bits(ref.angles, prev)  # unloaded arms keep their angle
+
+
+def test_a_layout_without_a_reference_flies_with_no_transit_and_no_pull(monkeypatch):
+    """Fixed arms have no thrust-plane map, so every converged tick takes the `ref is None` path."""
+    seen = []
+    after_solve = _BranchSupervisor.after_solve
+
+    def recorded(self, k, sol, ref, inp, weights):
+        warm = after_solve(self, k, sol, ref, inp, weights)
+        seen.append((ref, sol, warm, np.isnan(self.target).all() and not self.share_hist.any()))
+        return warm
+
+    monkeypatch.setattr(_BranchSupervisor, "after_solve", recorded)
+    model = DroneModel(build_catalog("hexagon_tilt30_fixed"))
+    log = run_flight(Scenario(model=model, sweep=SweepSpec("hover"), duration=0.5))
+    assert len(seen) == np.sum(log.converged) == len(log.t)
+    for ref, sol, warm, untouched in seen:
+        assert ref is None and untouched
+        assert same_bits(warm.throttles, sol.throttles) and same_bits(warm.angles, sol.angles)
+        assert same_bits(warm.prev_angles, sol.angles)
