@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -114,7 +115,9 @@ def main(argv) -> int:
         expected = {line.split()[0]: line.rstrip() for line in lines if line.strip()}
     names = args.names or list(FLIGHTS)
     moved = []
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(names))) as pool:
+    # spawned, not forked: the parent has imported numpy, whose BLAS may run threads
+    workers = min(os.cpu_count() or 1, len(names))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         lines = pool.map(digest_line, names)  # yields in the order of names
         for name, line in zip(names, lines):
             print(line, flush=True)
