@@ -200,6 +200,7 @@ class PidController:
         pos_error/ori_error are setpoint-minus-state in the world frame
         (ori_error as an axis*angle vector); velocity/angular_velocity are
         measured world-frame rates; accel_ff is a feedforward acceleration.
+        All five are 3-vectors.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
