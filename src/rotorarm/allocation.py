@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import DroneGeometry
 from .spatial import Quaternion
@@ -30,6 +31,17 @@ TWO_PI = 2.0 * math.pi
 
 class SolverError(RuntimeError):
     """Raised when a linear solve inside the allocator cannot be completed."""
+
+
+def solve_vector(matrix, rhs) -> np.ndarray:
+    """np.linalg.solve(matrix, rhs) for a float square matrix and a 1-D rhs, bit for bit.
+
+    Calls the LAPACK gufunc that np.linalg.solve itself dispatches to for a
+    1-D right-hand side, without that wrapper's type checks. Where the
+    matrix is singular the result is all NaN instead of a LinAlgError.
+    """
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        return _umath_linalg.solve1(matrix, rhs, signature="dd->d")
 
 
 @dataclass
@@ -92,13 +104,36 @@ class DroneModel:
             inertia = np.diag(inertia)
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
             raise ValueError("inertia must be a finite 3x3 matrix or 3-vector of diagonals")
+        try:
+            np.linalg.cholesky(inertia)  # reads one triangle only, so symmetry is checked apart
+            positive_definite = True
+        except np.linalg.LinAlgError:
+            positive_definite = False
+        if not (positive_definite and np.array_equal(inertia, inertia.T)):
+            raise ValueError(f"inertia must be symmetric positive definite, got {inertia.tolist()}")
         self.inertia = inertia
         g = self.geometry
+        self._all_rotating = bool(g.rotating.all())
         mu, drag = self.thrust_constant, self.torque_constant * g.spins[:, None]
         self.wrench1 = np.hstack([mu * g.basis1, mu * g.moment1 + drag * g.basis1])
         self.wrench2 = np.hstack([mu * g.basis2, mu * g.moment2 + drag * g.basis2])
         self.wrench1.flags.writeable = False
         self.wrench2.flags.writeable = False
+
+    def _cos_sin(self, angles) -> tuple[np.ndarray, np.ndarray]:
+        """Columns of cos(a) and sin(a) per arm; a fixed arm reads 1 and 0 whatever its angle."""
+        if self._all_rotating:
+            return np.cos(angles).reshape(-1, 1), np.sin(angles).reshape(-1, 1)
+        rotating = self.geometry.rotating
+        return (np.where(rotating, np.cos(angles), 1.0).reshape(-1, 1),
+                np.where(rotating, np.sin(angles), 0.0).reshape(-1, 1))
+
+    def _wrenches(self, c, s) -> np.ndarray:
+        return c * self.wrench1 + s * self.wrench2
+
+    def wrenches_at(self, angles) -> np.ndarray:
+        """W of `unit_wrenches` alone, for callers that need no derivative."""
+        return self._wrenches(*self._cos_sin(angles))
 
     def unit_wrenches(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Per-arm wrench W per unit throttle at the given arm angles, and dW/da.
@@ -107,10 +142,8 @@ class DroneModel:
         -sin(a) wrench1 + cos(a) wrench2 and d2W/da2 = -W. Fixed arms ignore
         their angle: W = wrench1 and dW/da = 0.
         """
-        rotating = self.geometry.rotating
-        c = np.where(rotating, np.cos(angles), 1.0)[:, None]
-        s = np.where(rotating, np.sin(angles), 0.0)[:, None]
-        return c * self.wrench1 + s * self.wrench2, c * self.wrench2 - s * self.wrench1
+        c, s = self._cos_sin(angles)
+        return self._wrenches(c, s), c * self.wrench2 - s * self.wrench1
 
     @cached_property
     def _thrust_plane_pinv(self) -> tuple[np.ndarray, int]:
@@ -119,21 +152,17 @@ class DroneModel:
         return np.linalg.pinv(matrix), int(np.linalg.matrix_rank(matrix))
 
     @cached_property
-    def _kkt_scatter(self) -> np.ndarray:
-        """Flat indices of the eight blocks that `_assemble` writes into the KKT matrix.
+    def _kkt_diagonals(self) -> np.ndarray:
+        """Flat indices of the per-arm entries that `_assemble` writes into the KKT matrix.
 
-        In write order: the throttle and angle diagonals, the throttle-angle
-        coupling and its mirror, then the throttle-multiplier block, the
-        angle-multiplier block and the mirror of each, every (n_arms, 6)
-        block in row-major order.
+        In write order: the throttle and angle diagonals, then the
+        throttle-angle coupling and its mirror.
         """
         n = self.geometry.n_arms
         dim = 2 * n + 6
-        u = np.arange(n)[:, None]  # throttle rows
+        u = np.arange(n)  # throttle rows
         a = n + u  # angle rows
-        lam = 2 * n + np.arange(6)  # multiplier rows
-        index = np.concatenate((u * dim + u, a * dim + a, u * dim + a, a * dim + u,
-                                u * dim + lam, lam * dim + u, a * dim + lam, lam * dim + a), axis=None)
+        index = np.concatenate((u * dim + u, a * dim + a, u * dim + a, a * dim + u))
         index.flags.writeable = False
         return index
 
@@ -222,7 +251,7 @@ def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneMode
     """Produced-minus-demanded body wrench; zero at an exact allocation."""
     throttles = np.asarray(throttles, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    return throttles @ model.unit_wrenches(angles)[0] - inp.body_wrench()
+    return throttles @ model.wrenches_at(angles) - inp.body_wrench()
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +261,76 @@ def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneMode
 def _penalty(x, weight, low, high, limit):
     """Cost weight x^2 + limit d^2 with derivatives, d the distance of x outside [low, high].
 
-    v = x - clip(x, low, high) is x - high above the band, x - low below it
-    and +0 inside, so one pass gives every one-sided quadratic. The clip
-    takes x itself on a tie, which keeps the derivatives' signed zeros.
+    x, weight, low and high are sequences of Python floats of one length,
+    and p, dp and ddp come back as lists. v = x - clip(x, low, high) is
+    x - high above the band, x - low below it and +0 inside, so one pass
+    gives every one-sided quadratic. The clip keeps x itself on a tie and
+    on NaN, as np.minimum(high, np.maximum(low, x)) does, which keeps the
+    derivatives' signed zeros.
     """
-    v = x - np.minimum(high, np.maximum(low, x))
-    p = weight * x * x + limit * (v * v)
-    dp = 2.0 * weight * x + 2.0 * limit * v
-    ddp = 2.0 * weight + 2.0 * limit * (v != 0.0)
+    two_limit = 2.0 * limit
+    p, dp, ddp = [], [], []
+    for xi, wi, lo, hi in zip(x, weight, low, high):
+        c = lo if lo > xi else xi
+        v = xi - (hi if hi < c else c)
+        p.append(wi * xi * xi + limit * (v * v))
+        dp.append(2.0 * wi * xi + two_limit * v)
+        ddp.append(2.0 * wi + two_limit * (v != 0.0))
     return p, dp, ddp
+
+
+def _penalty_arrays(x, weight, low: float, high: float, limit: float):
+    """`_penalty` of an array of any shape and a scalar or broadcast weight, as arrays."""
+    x, weight = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(weight, dtype=float))
+    size = x.size
+    results = _penalty(x.ravel().tolist(), weight.ravel().tolist(), [low] * size, [high] * size, limit)
+    # [()] turns a 0-d result into a scalar, as elementwise numpy arithmetic does
+    return tuple(np.array(r, dtype=float).reshape(x.shape)[()] for r in results)
 
 
 def penalty_throttle(u, weights: PenaltyWeights):
     """Throttle cost p(u) with first and second derivatives (elementwise)."""
-    return _penalty(np.asarray(u, dtype=float), weights.throttle,
-                    weights.throttle_low, weights.throttle_high, weights.limit)
+    return _penalty_arrays(u, weights.throttle, weights.throttle_low, weights.throttle_high,
+                           weights.limit)
 
 
 def penalty_arm_rate(rate, weights: PenaltyWeights):
     """Arm-rate cost p(v) with derivatives; one-sided beyond +-rate_limit."""
-    return _penalty(np.asarray(rate, dtype=float), weights.arm_rate,
-                    -weights.rate_limit, weights.rate_limit, weights.limit)
+    return _penalty_arrays(rate, weights.arm_rate, -weights.rate_limit, weights.rate_limit,
+                           weights.limit)
+
+
+def _add_reduce(values) -> float:
+    """np.add.reduce of the float64 array of ``values`` bit for bit, on Python floats.
+
+    numpy starts from +0.0 and adds pairwise: fewer than 8 numbers in
+    order, up to 128 in eight interleaved partial sums, more in two halves
+    whose first is a multiple of 8 long.
+    """
+    return 0.0 + _pairwise_sum(values)
+
+
+def _pairwise_sum(values) -> float:
+    """numpy's pairwise_sum of a list of Python floats, without the +0.0 start."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
@@ -276,33 +354,43 @@ class _Iterate(NamedTuple):
     d_wrench: np.ndarray  # dW/da
     residual: np.ndarray  # produced minus demanded body wrench
     objective: float  # what allocation_objective gives
-    dp: np.ndarray  # penalty first and second derivatives over [throttles; arm rates]
-    ddp: np.ndarray
+    values: list  # the iterate as Python floats
+    dp: list  # penalty first and second derivatives over [throttles; arm rates]
+    ddp: list
 
 
 def _penalized(weights: PenaltyWeights, n_arms: int):
     """`_penalty`'s arguments for the stacked vector [throttles; arm rates]."""
-    weight = np.full(2 * n_arms, weights.arm_rate)
-    weight[:n_arms] = weights.throttle  # a scalar or one weight per arm
-    low = np.array([weights.throttle_low] * n_arms + [-weights.rate_limit] * n_arms)
-    high = np.array([weights.throttle_high] * n_arms + [weights.rate_limit] * n_arms)
-    return weight, low, high, weights.limit
+    throttle = np.asarray(weights.throttle, dtype=float).ravel().tolist()
+    if len(throttle) == 1:
+        throttle *= n_arms
+    if len(throttle) != n_arms:
+        raise ValueError(f"the throttle weight must be a scalar or one weight per arm ({n_arms}), "
+                         f"got {len(throttle)}")
+    weight = throttle + [float(weights.arm_rate)] * n_arms
+    low = [float(weights.throttle_low)] * n_arms + [-float(weights.rate_limit)] * n_arms
+    high = [float(weights.throttle_high)] * n_arms + [float(weights.rate_limit)] * n_arms
+    return weight, low, high, float(weights.limit)
 
 
-def _evaluate(x, prev_angles, body_wrench, model: DroneModel, penalized) -> _Iterate:
+def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, penalized) -> _Iterate:
     """Evaluate one iterate once; that serves both its convergence test and the next assembly.
 
-    ``x`` is the iterate [throttles; angles; multipliers] and ``penalized``
-    what `_penalized` gives for the solve's weights.
+    ``x`` is the iterate [throttles; angles; multipliers] and ``values``
+    the same as a list of Python floats, ``prev_angles`` a list too and
+    ``penalized`` what `_penalized` gives for the solve's weights. The
+    per-arm arithmetic runs on Python floats in numpy's operation order,
+    so every value has the bits of the array formulas; the (n, 6) blocks
+    and the matrix products stay numpy.
     """
     n_arms = model.geometry.n_arms
-    throttles, angles = x[:n_arms], x[n_arms: 2 * n_arms]
-    wrench, d_wrench = model.unit_wrenches(angles)
-    rates = (angles - prev_angles) / model.control_period
-    p, dp, ddp = _penalty(np.concatenate((throttles, rates)), *penalized)
+    dt = model.control_period
+    wrench, d_wrench = model.unit_wrenches(x[n_arms: 2 * n_arms])
+    rates = [(a - b) / dt for a, b in zip(values[n_arms: 2 * n_arms], prev_angles)]
+    p, dp, ddp = _penalty(values[:n_arms] + rates, *penalized)
     # two partial sums, in the order allocation_objective adds them
-    return _Iterate(wrench, d_wrench, throttles @ wrench - body_wrench,
-                    float(p[:n_arms].sum() + p[n_arms:].sum()), dp, ddp)
+    return _Iterate(wrench, d_wrench, x[:n_arms] @ wrench - body_wrench,
+                    _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), values, dp, ddp)
 
 
 def _assemble(x, it: _Iterate, model: DroneModel):
@@ -317,34 +405,53 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     dt = model.control_period
     n_arms = model.geometry.n_arms
     throttles, multipliers = x[:n_arms], x[2 * n_arms:]
+    u = it.values[:n_arms]
     wrench, d_wrench = it.wrench, it.d_wrench
 
     # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
     # its angle Jacobian; second derivatives are diagonal per arm, with
     # d2W/da2 = -W on rotating arms and 0 on fixed ones
-    angle_jacobian = throttles[:, None] * d_wrench  # (n, 6)
-    lam_w = wrench @ multipliers
-    h_ua = d_wrench @ multipliers
-    h_aa = np.where(model.geometry.rotating, -throttles * lam_w, 0.0)
+    lam_w = (wrench @ multipliers).tolist()
+    h_ua = (d_wrench @ multipliers).tolist()
+    if model._all_rotating:
+        h_aa = [-ui * lw for ui, lw in zip(u, lam_w)]
+    else:
+        h_aa = [-ui * lw if rotating else 0.0
+                for ui, lw, rotating in zip(u, lam_w, model.geometry.rotating.tolist())]
 
-    dim = 2 * n_arms + 6
-    hess = np.zeros((dim, dim))
-    # throttle second derivatives never touch the constraints; the blocks
-    # go in the order of DroneModel._kkt_scatter
-    hess.put(model._kkt_scatter, np.concatenate(
-        (it.ddp[:n_arms], it.ddp[n_arms:] / (dt * dt) + h_aa, h_ua, h_ua,
-         wrench, wrench, angle_jacobian, angle_jacobian), axis=None))
-    grad = np.concatenate(
-        (it.dp[:n_arms] + lam_w, it.dp[n_arms:] / dt + throttles * h_ua, it.residual))
+    n_primal = 2 * n_arms
+    dt2 = dt * dt
+    ddp, dp = it.ddp, it.dp
+    hess = np.zeros((n_primal + 6, n_primal + 6))
+    # throttle second derivatives never touch the constraints; the entries
+    # go in the order of DroneModel._kkt_diagonals
+    hess.put(model._kkt_diagonals,
+             ddp[:n_arms] + [d / dt2 + h for d, h in zip(ddp[n_arms:], h_aa)] + h_ua + h_ua)
+    constraint = hess[:n_primal, n_primal:]  # the constraint Jacobian, transposed
+    constraint[:n_arms] = wrench
+    constraint[n_arms:] = throttles[:, None] * d_wrench
+    hess[n_primal:, :n_primal] = constraint.T
+    grad = np.array([d + lw for d, lw in zip(dp[:n_arms], lam_w)]
+                    + [d / dt + ui * h for d, ui, h in zip(dp[n_arms:], u, h_ua)]
+                    + it.residual.tolist())
     return hess, grad
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
     """Public wrapper around the optimality-system assembly; returns (H, K)."""
-    x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
     n_arms = model.geometry.n_arms
-    it = _evaluate(x, state.prev_angles, inp.body_wrench(), model, _penalized(weights, n_arms))
+    _check_warm(state, n_arms)
+    x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
+    it = _evaluate(x, x.tolist(), state.prev_angles.tolist(), inp.body_wrench(), model,
+                   _penalized(weights, n_arms))
     return _assemble(x, it, model)
+
+
+def _check_warm(warm: AllocatorState, n_arms: int) -> None:
+    """Raise ValueError unless every warm-start array has one entry per arm (six multipliers)."""
+    shapes = (warm.throttles.shape, warm.angles.shape, warm.prev_angles.shape, warm.multipliers.shape)
+    if shapes != ((n_arms,),) * 3 + ((6,),):
+        raise ValueError("warm-start arrays do not match the geometry")
 
 
 _REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -360,11 +467,8 @@ def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray
         if gamma > 0.0:
             matrix = hess.copy()
             matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
-        try:
-            delta = np.linalg.solve(matrix, -grad)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(delta).all():
+        delta = solve_vector(matrix, -grad)  # all NaN where the matrix is singular
+        if not all(map(math.isfinite, delta.tolist())):
             continue
         residual = matrix @ delta + grad
         if math.sqrt(residual @ residual) > 1e-10 * scale:
@@ -386,12 +490,20 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
 
 
+def _abs_max(values) -> float:
+    """Largest |v| of finite values (a list of floats or an array), 0 when there are none."""
+    if not isinstance(values, list):
+        values = np.ravel(values).tolist()
+    return max(map(abs, values), default=0.0)
+
+
 def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_step_limit: float = 0.2) -> float:
-    """Shrink factor keeping per-iteration updates inside trust bounds."""
+    """Shrink factor keeping per-iteration updates inside trust bounds.
+
+    The steps are finite: arrays, or lists of Python floats.
+    """
     alpha = 1.0
-    abs_da, abs_du = np.abs(d_angles), np.abs(d_throttles)
-    max_da = float(abs_da.max()) if abs_da.size else 0.0
-    max_du = float(abs_du.max()) if abs_du.size else 0.0
+    max_da, max_du = _abs_max(d_angles), _abs_max(d_throttles)
     if max_da > angle_step_limit:
         alpha = min(alpha, angle_step_limit / max_da)
     if max_du > throttle_step_limit:
@@ -421,29 +533,30 @@ def sqp_allocate(
         weights = PenaltyWeights()
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
-    if len(warm.throttles) != n_arms or len(warm.angles) != n_arms or len(warm.multipliers) != 6:
-        raise ValueError("warm-start arrays do not match the geometry")
+    _check_warm(warm, n_arms)
+    a_prev = warm.prev_angles.tolist()
 
     # the iterate [throttles; angles; multipliers] in one fresh array, and a
     # view of each part
     x = np.concatenate((warm.throttles, warm.angles, warm.multipliers), dtype=float)
     u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
-    a_prev = warm.prev_angles
     penalized = _penalized(weights, n_arms)
 
-    it = _evaluate(x, a_prev, body_wrench, model, penalized)
+    it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, penalized)
     obj_prev = it.objective
     iterations = 0
     converged = False
     res_norm = math.inf
     for iterations in range(1, max_iterations + 1):
         delta = _newton_delta(*_assemble(x, it, model), n_arms)
-        alpha = step_scale(delta[:n_arms], delta[n_arms: 2 * n_arms],
+        step = delta.tolist()
+        alpha = step_scale(step[:n_arms], step[n_arms: 2 * n_arms],
                            throttle_step_limit, angle_step_limit)
         x += alpha * delta
-        if not np.isfinite(x).all():
+        values = x.tolist()
+        if not all(map(math.isfinite, values)):
             raise SolverError("allocator iterate diverged to non-finite values")
-        it = _evaluate(x, a_prev, body_wrench, model, penalized)
+        it = _evaluate(x, values, a_prev, body_wrench, model, penalized)
         obj = it.objective
         force, torque = it.residual[:3], it.residual[3:]
         res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))

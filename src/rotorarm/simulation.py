@@ -26,6 +26,7 @@ from .allocation import (
     SolverError,
     least_norm_allocation,
     pinv_allocate,
+    solve_vector,
     sqp_allocate,
     wrap_angle,
 )
@@ -150,7 +151,8 @@ def rigid_body_step(
     tx, ty, tz = body_torque.tolist()
     # minus the gyroscopic term omega x (I omega), by np.cross's formulas
     torque_net = [tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)]
-    alpha = np.linalg.solve(model.inertia, torque_net).tolist()
+    # never singular: DroneModel accepts only a positive-definite inertia
+    alpha = solve_vector(model.inertia, torque_net).tolist()
     angular_velocity = np.array([w + a * dt for w, a in zip((wx, wy, wz), alpha)])
     orientation = integrate_orientation(state.orientation, angular_velocity, dt)
     return RigidBodyState(np.array(position), np.array(velocity), orientation, angular_velocity)
@@ -719,7 +721,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
         else:
             throttle_act = clamped
 
-        wrenches = throttle_act[:, None] * model.unit_wrenches(angle_act)[0]
+        wrenches = throttle_act[:, None] * model.wrenches_at(angle_act)
         forces, torques = wrenches[:, :3], wrenches[:, 3:]
         if rng is not None:
             forces = forces + rng.normal(0.0, scenario.noise_std, forces.shape) / max(n_arms, 1)

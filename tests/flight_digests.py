@@ -1,4 +1,4 @@
-"""Fingerprint seventeen reference flights to prove a refactor byte-identical.
+"""Fingerprint eighteen reference flights to prove a refactor byte-identical.
 
 Run from a source checkout:
 
@@ -14,8 +14,10 @@ a pool of one process per CPU and print in the order of ``FLIGHTS``; they
 take a few minutes of CPU time in total. The file name does not match
 ``test_*.py``, so the test suite does not collect it.
 
-Sixteen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
-with the pseudoinverse allocator.
+Seventeen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
+with the pseudoinverse allocator. ``hexagon_fixed_position`` is the one
+flight on a layout with fixed arms, so the only one through the fixed-arm
+branches of the allocator.
 
 The hashes are specific to one numpy and BLAS build.
 ``flight_digests.expected`` was recorded with numpy 2.4.6 and OpenBLAS
@@ -77,6 +79,7 @@ FLIGHTS = {
                                {"axes": PITCH_ROLL, "amplitude": 0.6}, {}),
     "tetrahedron_pitch_roll": ("tetrahedron_rot", orientation_sweep, {"axes": PITCH_ROLL}, {}),
     "pitch_pinv": ("octahedron_rot", orientation_sweep, {"axes": ("pitch",)}, {"allocator": "pinv"}),
+    "hexagon_fixed_position": ("hexagon_tilt30_fixed", position_sweep, {}, {}),
 }
 
 

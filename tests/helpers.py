@@ -181,6 +181,131 @@ def same_bits(a, b) -> bool:
     """Equal byte for byte as float arrays, so signed zeros and NaN payloads count."""
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
+
+# ---------------------------------------------------------------------------
+# one Newton iterate of sqp_allocate as first written, on arrays; the
+# program's Python-float iterate must give the same bits
+
+
+def unit_wrenches_oracle(model, angles):
+    """W and dW/da with both np.where masks, whatever the layout."""
+    rotating = model.geometry.rotating
+    c = np.where(rotating, np.cos(angles), 1.0)[:, None]
+    s = np.where(rotating, np.sin(angles), 0.0)[:, None]
+    return c * model.wrench1 + s * model.wrench2, c * model.wrench2 - s * model.wrench1
+
+
+def penalty_oracle(x, weight, low, high, limit):
+    """The one-sided penalty over arrays, clip form."""
+    v = x - np.minimum(high, np.maximum(low, x))
+    p = weight * x * x + limit * (v * v)
+    dp = 2.0 * weight * x + 2.0 * limit * v
+    ddp = 2.0 * weight + 2.0 * limit * (v != 0.0)
+    return p, dp, ddp
+
+
+def evaluate_oracle(x, prev_angles, body_wrench, model, weights) -> dict:
+    """Every quantity of one iterate x = [throttles; angles; multipliers]."""
+    n = model.geometry.n_arms
+    throttles, angles = x[:n], x[n: 2 * n]
+    wrench, d_wrench = unit_wrenches_oracle(model, angles)
+    rates = (angles - prev_angles) / model.control_period
+    weight = np.full(2 * n, weights.arm_rate, dtype=float)
+    weight[:n] = weights.throttle
+    low = np.array([weights.throttle_low] * n + [-weights.rate_limit] * n)
+    high = np.array([weights.throttle_high] * n + [weights.rate_limit] * n)
+    p, dp, ddp = penalty_oracle(np.concatenate((throttles, rates)), weight, low, high, weights.limit)
+    return {"wrench": wrench, "d_wrench": d_wrench, "residual": throttles @ wrench - body_wrench,
+            "objective": float(p[:n].sum() + p[n:].sum()), "dp": dp, "ddp": ddp}
+
+
+def assemble_oracle(x, it: dict, model):
+    """KKT matrix and gradient from one scatter of all eight blocks."""
+    dt = model.control_period
+    n = model.geometry.n_arms
+    throttles, multipliers = x[:n], x[2 * n:]
+    wrench, d_wrench, dp, ddp = it["wrench"], it["d_wrench"], it["dp"], it["ddp"]
+    angle_jacobian = throttles[:, None] * d_wrench
+    lam_w = wrench @ multipliers
+    h_ua = d_wrench @ multipliers
+    h_aa = np.where(model.geometry.rotating, -throttles * lam_w, 0.0)
+    dim = 2 * n + 6
+    u = np.arange(n)[:, None]
+    a = n + u
+    lam = 2 * n + np.arange(6)
+    index = np.concatenate((u * dim + u, a * dim + a, u * dim + a, a * dim + u,
+                            u * dim + lam, lam * dim + u, a * dim + lam, lam * dim + a), axis=None)
+    hess = np.zeros((dim, dim))
+    hess.put(index, np.concatenate((ddp[:n], ddp[n:] / (dt * dt) + h_aa, h_ua, h_ua,
+                                    wrench, wrench, angle_jacobian, angle_jacobian), axis=None))
+    grad = np.concatenate((dp[:n] + lam_w, dp[n:] / dt + throttles * h_ua, it["residual"]))
+    return hess, grad
+
+
+REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
+def newton_delta_oracle(hess, grad, n_arms: int):
+    """The Newton step through np.linalg.solve; None when no rung gives one."""
+    n_primal = 2 * n_arms
+    scale = max(1.0, float(np.linalg.norm(grad)))
+    for gamma in REGULARIZATIONS:
+        matrix = hess
+        if gamma > 0.0:
+            matrix = hess.copy()
+            matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
+        try:
+            delta = np.linalg.solve(matrix, -grad)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(delta)):
+            continue
+        if np.linalg.norm(matrix @ delta + grad) > 1e-10 * scale:
+            continue
+        return delta
+    return None
+
+
+def step_scale_oracle(d_throttles, d_angles, throttle_step_limit=0.1, angle_step_limit=0.2):
+    alpha = 1.0
+    abs_da, abs_du = np.abs(d_angles), np.abs(d_throttles)
+    max_da = float(abs_da.max()) if abs_da.size else 0.0
+    max_du = float(abs_du.max()) if abs_du.size else 0.0
+    if max_da > angle_step_limit:
+        alpha = min(alpha, angle_step_limit / max_da)
+    if max_du > throttle_step_limit:
+        alpha = min(alpha, throttle_step_limit / max_du)
+    return alpha
+
+
+def sqp_allocate_oracle(inp, warm, model, weights, max_iterations: int = 30):
+    """sqp_allocate's loop over the oracles above, default tolerances and trust bounds.
+
+    Returns (throttles, angles, multipliers, iterations, residual,
+    objective, converged), or None where sqp_allocate raises SolverError.
+    """
+    n = model.geometry.n_arms
+    body_wrench = inp.body_wrench()
+    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers))
+    it = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
+    obj_prev, iterations, converged, res_norm = it["objective"], 0, False, math.inf
+    for iterations in range(1, max_iterations + 1):
+        delta = newton_delta_oracle(*assemble_oracle(x, it, model), n)
+        if delta is None:
+            return None
+        x = x + step_scale_oracle(delta[:n], delta[n: 2 * n]) * delta
+        if not np.all(np.isfinite(x)):
+            return None
+        it = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
+        obj = it["objective"]
+        res_norm = math.hypot(np.linalg.norm(it["residual"][:3]), np.linalg.norm(it["residual"][3:]))
+        if abs(obj - obj_prev) / max(obj, 1e-9) < 1e-4 and res_norm < 1e-5:
+            converged = True
+            obj_prev = obj
+            break
+        obj_prev = obj
+    return x[:n], x[n: 2 * n], x[2 * n:], iterations, res_norm, obj_prev, converged
+
 def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
     """Smooth random demand path around hover: the warm-start regime.
 

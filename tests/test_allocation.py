@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     arm_wrench,
+    assemble_oracle,
+    evaluate_oracle,
+    newton_delta_oracle,
     penalty_arm_rate_oracle,
     penalty_throttle_oracle,
     random_quaternion,
     random_unit,
     rel_error,
+    same_bits,
+    sqp_allocate_oracle,
+    step_scale_oracle,
     thrust_direction,
     wrench_chain,
 )
@@ -40,7 +46,14 @@ from rotorarm import (
     wrap_angle,
 )
 from rotorarm import allocation
-from rotorarm.geometry import ARM_KINDS, ROTATING, default_zero_dir
+from rotorarm.geometry import (
+    ARM_KINDS,
+    CATALOG_IDS,
+    FIXED_BIDIRECTIONAL,
+    FIXED_UNIDIRECTIONAL,
+    ROTATING,
+    default_zero_dir,
+)
 
 FD_H = 1e-6
 
@@ -56,6 +69,17 @@ def test_model_validation_and_hover_throttle():
         DroneModel(g, control_period=-0.005)
     with pytest.raises(ValueError):
         DroneModel(g, inertia=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("inertia", [
+    [0.0, 0.02, 0.02],
+    [0.02, -0.02, 0.02],
+    [[0.02, 0.001, 0.0], [0.0, 0.02, 0.0], [0.0, 0.0, 0.02]],
+    [[0.02, 0.03, 0.0], [0.03, 0.02, 0.0], [0.0, 0.0, 0.02]],
+], ids=["zero", "negative", "asymmetric", "indefinite"])
+def test_model_rejects_an_inertia_that_is_not_symmetric_positive_definite(inertia):
+    with pytest.raises(ValueError, match="symmetric positive definite"):
+        DroneModel(build_catalog("octahedron_rot"), inertia=np.array(inertia))
 
 
 def test_penalty_weights_validation():
@@ -337,7 +361,8 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
     assert _bits(dp) == _bits(old_rate[1]) and _bits(ddp) == _bits(old_rate[2])
 
     # the stacked pass over [throttles; rates] that every Newton iterate runs
-    p, dp, ddp = allocation._penalty(np.concatenate((u, rate)), *allocation._penalized(weights, n))
+    p, dp, ddp = allocation._penalty(np.concatenate((u, rate)).tolist(),
+                                     *allocation._penalized(weights, n))
     assert _bits(p) == _bits(np.concatenate((old_u[0], regrouped)))
     assert _bits(dp) == _bits(np.concatenate((old_u[1], old_rate[1])))
     assert _bits(ddp) == _bits(np.concatenate((old_u[2], old_rate[2])))
@@ -486,6 +511,63 @@ def test_newton_step_raises_on_hopeless_systems():
         newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: every rung's step overflows
 
 
+@pytest.mark.filterwarnings("error")
+def test_newton_step_breaks_down_and_recovers_without_warnings():
+    # the subnormal case reaches the non-finite-step guard on every rung
+    with pytest.raises(SolverError):
+        newton_step(1e-320 * np.eye(8), np.ones(8), 1)
+    # four arms, constraints on the first six primal variables only: the
+    # last two rows are zero, so rung 0 is exactly singular and rung 1e-8
+    # recovers the step
+    n_arms = 4
+    hess = np.zeros((14, 14))
+    hess[8:, :6] = np.eye(6)
+    hess[:6, 8:] = np.eye(6)
+    grad = np.linspace(-1.0, 1.0, 14)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hess, -grad)
+    expected = newton_delta_oracle(hess, grad, n_arms)
+    assert expected is not None and np.linalg.norm(expected[6:8]) > 1e7  # the 1e-8 rung
+    assert same_bits(np.concatenate(newton_step(hess, grad, n_arms)), expected)
+
+
+def test_solve_vector_is_np_linalg_solve_bit_for_bit(rng):
+    """The direct gufunc call gives np.linalg.solve's bits, so a numpy release that changes either shows here."""
+    for dim in (1, 3, 8, 14, 18, 20):
+        for _ in range(300):
+            matrix = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-3, 4, size=(dim, 1))
+            rhs = rng.normal(size=dim)
+            rhs[rng.random(dim) < 0.2] = 0.0
+            assert same_bits(allocation.solve_vector(matrix, rhs), np.linalg.solve(matrix, rhs))
+    # the inertia solve of the rigid-body step passes a list
+    inertia = np.array([[0.03, 0.001, 0.0], [0.001, 0.02, 0.0], [0.0, 0.0, 0.04]])
+    torque = [0.0, -0.0, 1e-3]
+    assert same_bits(allocation.solve_vector(inertia, torque), np.linalg.solve(inertia, torque))
+    assert np.isnan(allocation.solve_vector(np.zeros((3, 3)), np.ones(3))).all()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from((0.0, -0.0, 1e300, -1e300))),
+                max_size=300))
+def test_add_reduce_is_np_add_reduce_bit_for_bit(values):
+    """Every branch of numpy's pairwise sum: under 8 numbers, up to 128, and halves above."""
+    assert same_bits(allocation._add_reduce(values), np.add.reduce(np.array(values, dtype=float)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_step_scale_is_bit_identical_to_the_array_formulas(data):
+    edges = (0.0, -0.0, 0.1, -0.1, 0.2, -0.2, np.nextafter(0.1, 1.0), np.nextafter(-0.2, -1.0))
+    entry = st.one_of(st.sampled_from(edges), st.floats(-5.0, 5.0))
+    n = data.draw(st.integers(0, 8), label="n_arms")
+    du = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d_throttles"))
+    da = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d_angles"))
+    limits = data.draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)), label="limits")
+    expected = step_scale_oracle(du, da, *limits)
+    for args in ((du, da), (du.tolist(), da.tolist())):  # the arrays of the API, the lists of the solver
+        assert same_bits(step_scale(*args, *limits), expected)
+
+
 def test_step_scale_limits():
     assert step_scale(np.array([0.05]), np.array([0.1])) == 1.0
     assert step_scale(np.array([0.05]), np.array([0.8])) == pytest.approx(0.25)
@@ -555,6 +637,16 @@ def test_sqp_rejects_mismatched_warm_arrays(octa_model):
     bad = AllocatorState(np.zeros(4), np.zeros(4), np.zeros(6), np.zeros(4))
     with pytest.raises(ValueError):
         sqp_allocate(inp, bad, octa_model)
+
+
+def test_integer_weights_solve_like_their_float_values(octa_model):
+    # an integer arm-rate weight once made the stacked weights an integer
+    # array, which truncated the throttle weights to 0
+    inp = AllocatorInput(Quaternion.identity(), np.array([3.0, -2.0, 24.0]), np.array([0.1, 0.0, -0.2]))
+    warm = AllocatorState.cold_start(octa_model)
+    ints = sqp_allocate(inp, warm, octa_model, PenaltyWeights(throttle=0.5, arm_rate=1, limit=100))
+    floats = sqp_allocate(inp, warm, octa_model, PenaltyWeights(throttle=0.5, arm_rate=1.0, limit=100.0))
+    assert same_bits(ints.throttles, floats.throttles) and same_bits(ints.angles, floats.angles)
 
 
 def test_sqp_per_arm_throttle_weights_steer_load(octa_model):
@@ -650,6 +742,121 @@ def test_pinv_reproduces_every_demand_on_full_rank_custom_layouts(arms, tau, dat
     least_norm = np.linalg.lstsq(matrix, demand, rcond=None)[0]
     np.testing.assert_allclose(coords, least_norm, rtol=0.0,
                                atol=1e-12 * max(1.0, np.max(np.abs(least_norm))))
+
+
+@st.composite
+def _mixed_layout(draw):
+    """A custom layout with at least one rotating and one fixed arm, in any order."""
+    arms = [draw(_custom_arm(kinds=(ROTATING,))),
+            draw(_custom_arm(kinds=(FIXED_UNIDIRECTIONAL, FIXED_BIDIRECTIONAL)))]
+    arms += draw(st.lists(_custom_arm(), min_size=2, max_size=6))
+    return DroneGeometry(draw(st.permutations(arms)))
+
+
+_layouts = st.one_of(st.sampled_from(CATALOG_IDS).map(build_catalog), _mixed_layout())
+
+
+@st.composite
+def _allocation_problem(draw):
+    """A model, weights, demand and warm state with values on the penalty band edges."""
+    geometry = draw(_layouts, label="geometry")
+    # over a period of 2**-8 s, rates drawn from rest read back exactly
+    period = draw(st.sampled_from((0.005, 2.0**-8)), label="control_period")
+    model = DroneModel(geometry, control_period=period)
+    n = geometry.n_arms
+    low = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)), label="throttle_low")
+    high = low + draw(st.floats(0.01, 2.0), label="band")
+    per_arm = st.lists(st.floats(0.1, 60.0), min_size=n, max_size=n).map(np.array)
+    weights = PenaltyWeights(
+        throttle=draw(st.one_of(st.just(1.0), st.floats(0.1, 60.0), per_arm), label="throttle"),
+        arm_rate=draw(st.floats(1e-3, 1.0), label="arm_rate"),
+        limit=draw(st.floats(1.0, 1e3), label="limit"),
+        throttle_low=low,
+        throttle_high=high,
+        rate_limit=draw(st.floats(0.1, 20.0), label="rate_limit"),
+    )
+
+    def values(edges, lo, hi, label, size=n):
+        one = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+        return np.array(draw(st.lists(one, min_size=size, max_size=size), label=label), dtype=float)
+
+    u = values((low, high, np.nextafter(low, -np.inf), np.nextafter(high, np.inf), 0.0, -0.0),
+               low - 1.0, high + 1.0, "throttles")
+    rate_limit = weights.rate_limit
+    rates = values((rate_limit, -rate_limit, 0.0, -0.0), -3.0 * rate_limit, 3.0 * rate_limit, "rates")
+    if draw(st.booleans(), label="from_rest"):
+        prev = np.zeros(n)
+        a = rates * period
+    else:
+        a = values((0.0, -0.0, math.pi / 2), -10.0, 10.0, "angles")
+        prev = a - rates * period
+    lam = values((0.0, -0.0), -5.0, 5.0, "multipliers", size=6)
+    hover = model.mass * model.gravity
+    half_turn, axis = draw(_angle, label="half_turn"), draw(_unit, label="axis")
+    orientation = Quaternion(math.cos(half_turn), *(math.sin(half_turn) * axis))
+    force = np.array([0.0, 0.0, hover]) + np.array(draw(
+        st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), label="force"))
+    torque = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), label="torque"))
+    return model, weights, AllocatorInput(orientation, force, torque), AllocatorState(u, a, lam, prev)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # hopeless draws, as before
+@settings(max_examples=150, derandomize=True, deadline=None, phases=_FAIL_FAST)
+@given(problem=_allocation_problem())
+def test_newton_iterate_is_bit_identical_to_the_array_formulas(problem):
+    """Evaluation, KKT assembly, Newton step and step scale against the array oracles, byte for byte.
+
+    Catalog layouts and custom ones mixing fixed and rotating arms, per-arm
+    throttle weights, throttles on the band edges and their neighbours,
+    rates on +-rate_limit and signed zeros everywhere.
+    """
+    model, weights, inp, warm = problem
+    n = model.geometry.n_arms
+    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers))
+    body_wrench = inp.body_wrench()
+    it = allocation._evaluate(x, x.tolist(), warm.prev_angles.tolist(), body_wrench, model,
+                              allocation._penalized(weights, n))
+    old = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
+    for name in ("wrench", "d_wrench", "residual", "objective", "dp", "ddp"):
+        assert same_bits(getattr(it, name), old[name]), name
+    assert same_bits(model.wrenches_at(warm.angles), old["wrench"])
+    assert same_bits(constraint_residual(warm.throttles, warm.angles, inp, model), old["residual"])
+
+    hess, grad = allocation._assemble(x, it, model)
+    old_hess, old_grad = assemble_oracle(x, old, model)
+    assert same_bits(hess, old_hess) and same_bits(grad, old_grad)
+    public = assemble_kkt(warm, inp, model, weights)
+    assert same_bits(public[0], old_hess) and same_bits(public[1], old_grad)
+
+    expected = newton_delta_oracle(old_hess, old_grad, n)
+    if expected is None:
+        with pytest.raises(SolverError):
+            newton_step(hess, grad, n)
+        return
+    delta = np.concatenate(newton_step(hess, grad, n))
+    assert same_bits(delta, expected)
+    step = delta.tolist()
+    assert same_bits(step_scale(step[:n], step[n: 2 * n]),
+                     step_scale_oracle(expected[:n], expected[n: 2 * n]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None, phases=_FAIL_FAST)
+@given(problem=_allocation_problem())
+def test_sqp_allocate_is_bit_identical_to_the_array_formulas(problem):
+    """Whole solves, iteration counts and stopping tests included, against the oracle loop."""
+    model, weights, inp, warm = problem
+    expected = sqp_allocate_oracle(inp, warm, model, weights)
+    if expected is None:
+        with pytest.raises(SolverError):
+            sqp_allocate(inp, warm, model, weights)
+        return
+    sol = sqp_allocate(inp, warm, model, weights)
+    ours = (sol.throttles, sol.angles, sol.multipliers, sol.iterations, sol.residual,
+            sol.objective, sol.converged)
+    for name, value, old in zip(("throttles", "angles", "multipliers", "iterations", "residual",
+                                 "objective", "converged"), ours, expected):
+        assert same_bits(value, old), name
 
 
 def test_pinv_builds_its_matrix_once_per_model(monkeypatch):

@@ -202,7 +202,8 @@ def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     ({"kind": "continuous_roll", "seconds_per_rev": 0.0}, {}),
     ({"kind": "hover"}, {"duration": 0.0}),
     ({"kind": "hover"}, {"noise_std": -0.05}),
-], ids=["zero_seconds_per_rev", "zero_duration", "negative_noise"])
+    ({"kind": "hover"}, {"model": {"inertia": [0.0, 0.02, 0.02]}}),
+], ids=["zero_seconds_per_rev", "zero_duration", "negative_noise", "singular_inertia"])
 def test_fly_rejects_invalid_flight_inputs_with_an_error_line(tmp_path, capsys, sweep, extra):
     config = write_json_file(tmp_path / "c.json", {"sweep": sweep, "out": str(tmp_path / "f"),
                                                    **extra})
