@@ -65,8 +65,10 @@ class PenaltyWeights:
     rate_limit: float = TWO_PI  # rad/s
 
     def __post_init__(self):
-        low = min(np.min(self.throttle), self.arm_rate, self.limit, self.rate_limit)
-        if low <= 0.0:
+        # one test per weight, as a NaN fails `> 0.0`; np.min of per-arm
+        # throttle weights is NaN when any of them is
+        weights = (np.min(self.throttle), self.arm_rate, self.limit, self.rate_limit)
+        if not all(w > 0.0 for w in weights):
             raise ValueError("penalty weights and the rate limit must be positive")
         if not self.throttle_high > self.throttle_low:
             raise ValueError("throttle_high must exceed throttle_low")
@@ -113,7 +115,8 @@ class DroneModel:
             raise ValueError(f"inertia must be symmetric positive definite, got {inertia.tolist()}")
         self.inertia = inertia
         g = self.geometry
-        self._all_rotating = bool(g.rotating.all())
+        self._rotating = g.rotating.tolist()
+        self._all_rotating = all(self._rotating)
         mu, drag = self.thrust_constant, self.torque_constant * g.spins[:, None]
         self.wrench1 = np.hstack([mu * g.basis1, mu * g.moment1 + drag * g.basis1])
         self.wrench2 = np.hstack([mu * g.basis2, mu * g.moment2 + drag * g.basis2])
@@ -413,11 +416,7 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     # d2W/da2 = -W on rotating arms and 0 on fixed ones
     lam_w = (wrench @ multipliers).tolist()
     h_ua = (d_wrench @ multipliers).tolist()
-    if model._all_rotating:
-        h_aa = [-ui * lw for ui, lw in zip(u, lam_w)]
-    else:
-        h_aa = [-ui * lw if rotating else 0.0
-                for ui, lw, rotating in zip(u, lam_w, model.geometry.rotating.tolist())]
+    h_aa = [-ui * lw if rotating else 0.0 for ui, lw, rotating in zip(u, lam_w, model._rotating)]
 
     n_primal = 2 * n_arms
     dt2 = dt * dt
@@ -491,16 +490,23 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
 
 
 def _abs_max(values) -> float:
-    """Largest |v| of finite values (a list of floats or an array), 0 when there are none."""
+    """np.abs(values).max() of a list of floats or an array, 0 when there are none.
+
+    A NaN anywhere gives NaN, as numpy's max does; Python's max passes over
+    a NaN that does not come first.
+    """
     if not isinstance(values, list):
         values = np.ravel(values).tolist()
+    if any(map(math.isnan, values)):
+        return math.nan
     return max(map(abs, values), default=0.0)
 
 
 def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_step_limit: float = 0.2) -> float:
     """Shrink factor keeping per-iteration updates inside trust bounds.
 
-    The steps are finite: arrays, or lists of Python floats.
+    The steps are arrays or lists of Python floats. A NaN step is never
+    over a bound, so it leaves the factor at 1.
     """
     alpha = 1.0
     max_da, max_du = _abs_max(d_angles), _abs_max(d_throttles)

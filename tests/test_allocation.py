@@ -92,6 +92,22 @@ def test_penalty_weights_validation():
         PenaltyWeights(throttle_low=0.5, throttle_high=0.5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("throttle", math.nan),
+    ("throttle", np.array([1.0, math.nan, 2.0])),
+    ("arm_rate", math.nan),
+    ("limit", math.nan),
+    ("rate_limit", math.nan),
+    ("throttle_low", math.nan),
+    ("throttle_high", math.nan),
+], ids=["throttle", "per_arm_throttle", "arm_rate", "limit", "rate_limit", "throttle_low",
+        "throttle_high"])
+def test_penalty_weights_reject_nan(name, value):
+    """A NaN weight or band edge would switch its penalty off or make the solve fail later."""
+    with pytest.raises(ValueError):
+        PenaltyWeights(**{name: value})
+
+
 def test_allocator_input_validation_and_frames():
     with pytest.raises(ValueError):
         AllocatorInput(Quaternion.identity(), np.zeros(2), np.zeros(3))
@@ -557,7 +573,8 @@ def test_add_reduce_is_np_add_reduce_bit_for_bit(values):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_step_scale_is_bit_identical_to_the_array_formulas(data):
-    edges = (0.0, -0.0, 0.1, -0.1, 0.2, -0.2, np.nextafter(0.1, 1.0), np.nextafter(-0.2, -1.0))
+    edges = (0.0, -0.0, 0.1, -0.1, 0.2, -0.2, np.nextafter(0.1, 1.0), np.nextafter(-0.2, -1.0),
+             math.nan)
     entry = st.one_of(st.sampled_from(edges), st.floats(-5.0, 5.0))
     n = data.draw(st.integers(0, 8), label="n_arms")
     du = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d_throttles"))
@@ -574,6 +591,10 @@ def test_step_scale_limits():
     assert step_scale(np.array([0.4]), np.array([0.1])) == pytest.approx(0.25)
     # both limits binding: the tighter one wins
     assert step_scale(np.array([1.0]), np.array([0.4])) == pytest.approx(0.1)
+    # a NaN anywhere in a step leaves that step's bound unused, as np.abs(step).max() does
+    for d_throttles in ([math.nan, 1.0], [1.0, math.nan]):
+        assert step_scale(d_throttles, [0.0, 0.0]) == 1.0
+        assert step_scale(np.array(d_throttles), np.array([0.0, 0.4])) == 0.5
 
 
 def test_sqp_hover_from_cold_start(octa_model):
