@@ -1,4 +1,4 @@
-"""Fingerprint eighteen reference flights to prove a refactor byte-identical.
+"""Fingerprint eighteen reference flights and six efficiency sweeps to prove a refactor byte-identical.
 
 Run from a source checkout:
 
@@ -7,12 +7,15 @@ Run from a source checkout:
 
 For each flight (all of them, or only the named ones) it prints the number
 of non-converged ticks, the maximum position error and the sha256 of the
-rows of ``FlightLog.table()``. With ``--check FILE`` it also compares each
-line with the line for the same flight in FILE, prints every line that
-moved next to the expected one, and exits 1 if any did. The flights run in
-a pool of one process per CPU and print in the order of ``FLIGHTS``; they
-take a few minutes of CPU time in total. The file name does not match
-``test_*.py``, so the test suite does not collect it.
+rows of ``FlightLog.table()``. For each catalog layout, named
+``efficiency_<id>``, it prints the number of infeasible orientations and
+the sha256 of the rows of ``EfficiencyMap.table()`` of a 2000-sample
+``sweep_orientations``. With ``--check FILE`` it also compares each line
+with the line of the same name in FILE, prints every line that moved next
+to the expected one, and exits 1 if any did. The jobs run in a pool of one
+process per CPU and print flights first, in the order of ``FLIGHTS``, then
+sweeps; they take a few minutes of CPU time in total. The file name does
+not match ``test_*.py``, so the test suite does not collect it.
 
 Seventeen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
 with the pseudoinverse allocator. ``hexagon_fixed_position`` is the one
@@ -40,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from rotorarm import (
+    CATALOG_IDS,
     DroneModel,
     Scenario,
     build_catalog,
@@ -47,6 +51,7 @@ from rotorarm import (
     orientation_sweep,
     position_sweep,
     run_flight,
+    sweep_orientations,
 )
 
 PITCH_ROLL = ("pitch", "roll")
@@ -82,6 +87,9 @@ FLIGHTS = {
     "hexagon_fixed_position": ("hexagon_tilt30_fixed", position_sweep, {}, {}),
 }
 
+# efficiency line name -> catalog layout of its 2000-sample sweep
+SWEEPS = {f"efficiency_{config_id}": config_id for config_id in CATALOG_IDS}
+
 
 def fly(name: str):
     geometry, factory, sweep_args, scenario_args = FLIGHTS[name]
@@ -89,12 +97,17 @@ def fly(name: str):
     return run_flight(Scenario(model=model, sweep=factory(**sweep_args), **scenario_args))
 
 
-def digest(log) -> str:
-    _, rows = log.table()
+def digest(result) -> str:
+    """sha256 of the rows of a FlightLog's or an EfficiencyMap's table."""
+    _, rows = result.table()
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def digest_line(name: str) -> str:
+    if name in SWEEPS:
+        sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
+        return (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
+                f"infeasible  sha256 {digest(sweep)}")
     log = fly(name)
     nonconverged = int(np.sum(~log.converged))
     return (f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
@@ -102,21 +115,22 @@ def digest_line(name: str) -> str:
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Fingerprint the reference flights.")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="flights to run (default: all)")
+    parser = argparse.ArgumentParser(description="Fingerprint the reference flights and sweeps.")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="flights and sweeps to run (default: all)")
     parser.add_argument("--check", metavar="FILE",
-                        help="compare with the lines in FILE; exit 1 if any flight moved")
+                        help="compare with the lines in FILE; exit 1 if any line moved")
     args = parser.parse_args(argv)
-    unknown = [name for name in args.names if name not in FLIGHTS]
+    known = [*FLIGHTS, *SWEEPS]
+    unknown = [name for name in args.names if name not in known]
     if unknown:
-        print(f"unknown flight(s): {', '.join(unknown)}; known: {', '.join(FLIGHTS)}",
-              file=sys.stderr)
+        print(f"unknown name(s): {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
         return 1
     expected = {}
     if args.check:
         lines = Path(args.check).read_text().splitlines()
         expected = {line.split()[0]: line.rstrip() for line in lines if line.strip()}
-    names = args.names or list(FLIGHTS)
+    names = args.names or known
     moved = []
     # spawned, not forked: the parent has imported numpy, whose BLAS may run threads
     workers = min(os.cpu_count() or 1, len(names))
@@ -126,10 +140,10 @@ def main(argv) -> int:
             print(line, flush=True)
             if args.check and line != expected.get(name):
                 moved.append(name)
-                print(f"MOVED, expected: {expected.get(name, '(no line for this flight)')}",
+                print(f"MOVED, expected: {expected.get(name, '(no line for this name)')}",
                       flush=True)
     if args.check:
-        print(f"{len(moved)} of {len(names)} flights moved"
+        print(f"{len(moved)} of {len(names)} lines moved"
               + (f": {', '.join(moved)}" if moved else ""), flush=True)
     return 1 if moved else 0
 
