@@ -82,10 +82,12 @@ def _default_inertia() -> np.ndarray:
 class DroneModel:
     """Physical constants shared by the allocator and the simulator.
 
-    ``wrench1`` and ``wrench2`` (n_arms x 6, read-only) hold each arm's body
-    wrench [force; torque] per unit throttle thrusting along the geometry's
-    ``basis1`` and ``basis2``, drag torque included. They are built once
-    here and serve every allocator, the flight loop and the pinv matrix.
+    ``wrench_block`` (n_arms x 2 x 6, read-only) scales the geometry's
+    ``plane_block``: row k of arm i is the body wrench [force; torque] per
+    unit throttle thrusting along basis vector b_k, drag torque included.
+    ``wrench1`` and ``wrench2`` are its views [:, 0] and [:, 1]. It is built
+    once here and serves every allocator, the flight loop and the pinv
+    matrix.
     """
 
     geometry: DroneGeometry
@@ -117,11 +119,11 @@ class DroneModel:
         g = self.geometry
         self._rotating = g.rotating.tolist()
         self._all_rotating = all(self._rotating)
-        mu, drag = self.thrust_constant, self.torque_constant * g.spins[:, None]
-        self.wrench1 = np.hstack([mu * g.basis1, mu * g.moment1 + drag * g.basis1])
-        self.wrench2 = np.hstack([mu * g.basis2, mu * g.moment2 + drag * g.basis2])
-        self.wrench1.flags.writeable = False
-        self.wrench2.flags.writeable = False
+        mu, drag = self.thrust_constant, self.torque_constant * g.spins[:, None, None]
+        basis, moment = g.plane_block[..., :3], g.plane_block[..., 3:]
+        self.wrench_block = np.concatenate([mu * basis, mu * moment + drag * basis], axis=2)
+        self.wrench_block.flags.writeable = False
+        self.wrench1, self.wrench2 = self.wrench_block[:, 0], self.wrench_block[:, 1]
 
     def _cos_sin(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Columns of cos(a) and sin(a) per arm; a fixed arm reads 1 and 0 whatever its angle."""
@@ -586,8 +588,8 @@ def vectored_thrust_matrix(model: DroneModel) -> np.ndarray:
     """
     if not np.all(model.geometry.rotating):
         raise SolverError("the pseudoinverse route needs every arm to be a rotating arm")
-    # interleave arm-major: columns (b1_0, b2_0, b1_1, b2_1, ...)
-    return np.stack([model.wrench1, model.wrench2], axis=1).reshape(-1, 6).T
+    # arm-major: columns (b1_0, b2_0, b1_1, b2_1, ...)
+    return model.wrench_block.reshape(-1, 6).T
 
 
 def wrap_angle(x):

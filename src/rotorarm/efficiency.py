@@ -91,7 +91,7 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
         )
 
     forces = np.zeros((g.n_arms, 3))
-    np.add.at(forces, fm.col_arm, coords[:, None] * fm.directions)
+    np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
     active = np.ones(g.n_arms, dtype=bool)
     for col in np.nonzero(~free)[0]:
         active[fm.col_arm[col]] = False

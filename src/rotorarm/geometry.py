@@ -80,19 +80,16 @@ def default_zero_dir(axis) -> np.ndarray:
     return p / n
 
 
-def thrust_plane_basis(arm: Arm) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (b1, b2) of a rotating arm's thrust plane.
-
-    b1 is the zero-angle direction and b2 = axis x b1, so the thrust direction
-    at arm angle a is cos(a) b1 + sin(a) b2.
-    """
-    if arm.kind != ROTATING:
-        raise GeometryError("thrust_plane_basis is only defined for rotating arms")
-    return arm.zero_dir.copy(), np.cross(arm.axis, arm.zero_dir)
-
-
 class DroneGeometry:
-    """Immutable collection of arms plus precomputed per-arm arrays."""
+    """Immutable collection of arms plus precomputed per-arm arrays.
+
+    ``plane_block`` (n_arms x 2 x 6) is the thrust-plane block: row k of
+    arm i is [b_k; r_i x b_k], a unit force along the basis vector b_k and
+    its torque about the body origin. b_1 is the zero-angle direction and
+    b_2 = axis x b_1 on rotating arms, 0 on fixed ones, so a rotating arm
+    thrusts along cos(a) b_1 + sin(a) b_2. The hover map and every
+    DroneModel wrench are taken from this one block.
+    """
 
     def __init__(self, arms, name: str = "custom"):
         self.arms = tuple(arms)
@@ -105,15 +102,11 @@ class DroneGeometry:
         self.spins = np.array([float(a.spin) for a in self.arms])
         self.rotating = np.array([a.kind == ROTATING for a in self.arms])
         self.unidirectional = np.array([a.kind == FIXED_UNIDIRECTIONAL for a in self.arms])
-        # basis1 == zero_dir for every arm; basis2 spans the rest of the
-        # thrust plane for rotating arms and is zero for fixed arms.
-        self.basis1 = self.zero_dirs.copy()
-        self.basis2 = np.where(
-            self.rotating[:, None], np.cross(self.axes, self.zero_dirs), 0.0
+        basis = np.stack(
+            [self.zero_dirs, np.where(self.rotating[:, None], np.cross(self.axes, self.zero_dirs), 0.0)],
+            axis=1,
         )
-        # torque about the body origin of a unit force along each basis vector
-        self.moment1 = np.cross(self.endpoints, self.basis1)
-        self.moment2 = np.cross(self.endpoints, self.basis2)
+        self.plane_block = np.concatenate([basis, np.cross(self.endpoints[:, None], basis)], axis=2)
         self.hover_map = force_map(self)
         for arr in (
             self.endpoints,
@@ -122,10 +115,7 @@ class DroneGeometry:
             self.spins,
             self.rotating,
             self.unidirectional,
-            self.basis1,
-            self.basis2,
-            self.moment1,
-            self.moment2,
+            self.plane_block,
             *vars(self.hover_map).values(),
         ):
             arr.flags.writeable = False
@@ -148,26 +138,24 @@ class ForceMap:
 
     ``matrix`` is 6 x K: the top three rows produce net force, the bottom
     three net torque about the body origin (drag torque excluded; it is a
-    control-allocation detail, not a hover-capability one). ``directions``
+    control-allocation detail, not a hover-capability one); ``matrix[:3].T``
     holds each column's force direction and ``col_arm`` the owning arm index.
     Every geometry builds its own once, as ``DroneGeometry.hover_map``.
     """
 
     matrix: np.ndarray
-    directions: np.ndarray
     col_arm: np.ndarray
     unidirectional_cols: np.ndarray
 
 
 def force_map(geometry: DroneGeometry) -> ForceMap:
-    """Columns (basis1, basis2) per rotating arm and basis1 per fixed arm, in arm order."""
+    """Both plane_block rows per rotating arm and the first per fixed arm, in arm order."""
     n = geometry.n_arms
     keep = np.column_stack([np.ones(n, dtype=bool), geometry.rotating]).ravel()
     owners = np.repeat(np.arange(n), 2)[keep]
-    directions = np.stack([geometry.basis1, geometry.basis2], axis=1).reshape(-1, 3)[keep]
-    moments = np.stack([geometry.moment1, geometry.moment2], axis=1).reshape(-1, 3)[keep]
-    matrix = np.vstack([directions.T, moments.T])
-    return ForceMap(matrix, directions, owners, geometry.unidirectional[owners])
+    # Fortran order: the bits of solve_hover's matrix @ coords depend on the layout
+    matrix = geometry.plane_block.reshape(-1, 6)[keep].T
+    return ForceMap(matrix, owners, geometry.unidirectional[owners])
 
 
 @dataclass

@@ -403,10 +403,16 @@ class Scenario:
         ticks = self.duration / self.model.control_period
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ValueError(f"duration must cover at least one control tick, got {self.duration}")
-        if not (self.noise_std >= 0.0 and self.motor_lag >= 0.0):
-            raise ValueError("noise_std and motor_lag must be non-negative")
+        if not (self.noise_std >= 0.0 and self.motor_lag >= 0.0 and self.servo_delay >= 0.0):
+            raise ValueError("noise_std, motor_lag and servo_delay must be non-negative")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        # `not > 0` also rejects NaN
+        not_positive = [name for name in ("servo_rate_limit", "throttle_step_limit", "angle_step_limit",
+                                          "tol_objective", "tol_constraint")
+                        if not getattr(self, name) > 0.0]
+        if not_positive:
+            raise ValueError(f"{', '.join(not_positive)} must be positive")
 
 
 def _columns(*names: str, dtype=float):

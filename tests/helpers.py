@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rotorarm import AllocatorInput, Quaternion, integrate_orientation
-from rotorarm.geometry import ROTATING, thrust_plane_basis
+from rotorarm.geometry import ROTATING, GeometryError
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -335,6 +335,17 @@ def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
 # products
 
 
+def thrust_plane_basis(arm):
+    """Orthonormal basis (b1, b2) of a rotating arm's thrust plane.
+
+    b1 is the zero-angle direction and b2 = axis x b1, so the thrust direction
+    at arm angle a is cos(a) b1 + sin(a) b2.
+    """
+    if arm.kind != ROTATING:
+        raise GeometryError("thrust_plane_basis is only defined for rotating arms")
+    return arm.zero_dir.copy(), np.cross(arm.axis, arm.zero_dir)
+
+
 def thrust_direction(arm, angle: float):
     """Thrust direction of one arm plus its first two angle derivatives.
 
@@ -392,3 +403,37 @@ def arm_wrench(arm, throttle: float, angle: float, thrust_constant: float, torqu
         torque_daa=mu * u * rxddn + tau * s * u * ddn,
         torque_dua=mu * rxdn + tau * s * dn,
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-arm maps as first built, one array per basis vector; the program's
+# thrust-plane and wrench blocks must give the same bits
+
+
+def plane_rows_oracle(geometry):
+    """basis1, basis2, moment1 and moment2 (each n_arms x 3) of a geometry."""
+    basis1 = geometry.zero_dirs.copy()
+    basis2 = np.where(geometry.rotating[:, None], np.cross(geometry.axes, geometry.zero_dirs), 0.0)
+    return basis1, basis2, np.cross(geometry.endpoints, basis1), np.cross(geometry.endpoints, basis2)
+
+
+def hover_matrix_oracle(geometry):
+    """The 6 x K hover map: both basis vectors per rotating arm, basis1 per fixed arm."""
+    basis1, basis2, moment1, moment2 = plane_rows_oracle(geometry)
+    keep = np.column_stack([np.ones(geometry.n_arms, dtype=bool), geometry.rotating]).ravel()
+    directions = np.stack([basis1, basis2], axis=1).reshape(-1, 3)[keep]
+    moments = np.stack([moment1, moment2], axis=1).reshape(-1, 3)[keep]
+    return np.vstack([directions.T, moments.T])
+
+
+def wrench_rows_oracle(model):
+    """wrench1 and wrench2 (each n_arms x 6): body wrench per unit throttle, drag included."""
+    basis1, basis2, moment1, moment2 = plane_rows_oracle(model.geometry)
+    mu, drag = model.thrust_constant, model.torque_constant * model.geometry.spins[:, None]
+    return (np.hstack([mu * basis1, mu * moment1 + drag * basis1]),
+            np.hstack([mu * basis2, mu * moment2 + drag * basis2]))
+
+
+def vectored_thrust_matrix_oracle(model):
+    """The 6 x 2n pinv map, columns interleaved arm-major."""
+    return np.stack(wrench_rows_oracle(model), axis=1).reshape(-1, 6).T

@@ -37,15 +37,13 @@ from rotorarm import (
     build_catalog,
     constraint_residual,
     newton_step,
-    penalty_arm_rate,
-    penalty_throttle,
     pinv_allocate,
     sqp_allocate,
-    step_scale,
     vectored_thrust_matrix,
     wrap_angle,
 )
 from rotorarm import allocation
+from rotorarm.allocation import penalty_arm_rate, penalty_throttle, step_scale
 from rotorarm.geometry import (
     ARM_KINDS,
     CATALOG_IDS,

@@ -69,8 +69,8 @@ def test_solve_hover_is_minimum_norm(rng):
     for _ in range(10):
         sol = solve_hover(HoverProblem(g, random_unit(rng)))
         coords = np.stack([
-            np.einsum("ij,ij->i", sol.forces, g.basis1),
-            np.einsum("ij,ij->i", sol.forces, g.basis2),
+            np.einsum("ij,ij->i", sol.forces, g.plane_block[:, 0, :3]),
+            np.einsum("ij,ij->i", sol.forces, g.plane_block[:, 1, :3]),
         ], axis=1).ravel()
         np.testing.assert_allclose(basis.T @ coords, 0.0, atol=1e-9 * max(np.linalg.norm(coords), 1.0))
 

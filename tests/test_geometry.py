@@ -6,22 +6,43 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    hover_matrix_oracle,
+    plane_rows_oracle,
+    thrust_plane_basis,
+    vectored_thrust_matrix_oracle,
+    wrench_rows_oracle,
+)
 from rotorarm import (
     CATALOG_IDS,
     DEFAULT_RADIUS,
     Arm,
     DroneGeometry,
+    DroneModel,
     GeometryError,
     build_catalog,
     default_zero_dir,
     force_map,
     load_geometry,
-    thrust_plane_basis,
     validate,
 )
+from rotorarm.allocation import vectored_thrust_matrix
 from rotorarm.geometry import FIXED_BIDIRECTIONAL, FIXED_UNIDIRECTIONAL, ROTATING
 
 EZ = np.array([0.0, 0.0, 1.0])
+
+
+def _mixed_geometry() -> DroneGeometry:
+    """Octahedron arms with one unidirectional and one bidirectional fixed arm in place of the last two."""
+    octa = build_catalog("octahedron_rot")
+    tilted = np.array([0.0, 0.6, 0.8])
+    fixed = [Arm(octa.arms[4].endpoint, tilted, tilted, 1, FIXED_UNIDIRECTIONAL),
+             Arm(octa.arms[5].endpoint, -tilted, -tilted, -1, FIXED_BIDIRECTIONAL)]
+    return DroneGeometry([*octa.arms[:4], *fixed], name="mixed")
+
+
+def _block_layouts() -> list[DroneGeometry]:
+    return [build_catalog(config_id) for config_id in CATALOG_IDS] + [_mixed_geometry()]
 
 
 def test_every_catalog_entry_is_fully_actuated():
@@ -48,24 +69,28 @@ def test_octahedron_layout():
 
 
 def test_thrust_plane_bases_are_orthonormal():
-    for config_id in ("octahedron_rot", "tetrahedron_rot", "cube_rot", "hexagon_rot", "square_rot"):
-        g = build_catalog(config_id)
+    for g in _block_layouts():
+        basis = g.plane_block[..., :3]
         for i, arm in enumerate(g.arms):
+            if arm.kind != ROTATING:
+                np.testing.assert_array_equal(basis[i, 0], arm.zero_dir)
+                np.testing.assert_array_equal(basis[i, 1], 0.0)
+                continue
             b1, b2 = thrust_plane_basis(arm)
             assert abs(np.dot(b1, arm.axis)) < 1e-12
             assert abs(np.dot(b2, arm.axis)) < 1e-12
             assert abs(np.dot(b1, b2)) < 1e-12
             assert np.linalg.norm(b1) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(b2) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(g.basis1[i], b1, atol=1e-12)
-            np.testing.assert_allclose(g.basis2[i], b2, atol=1e-12)
+            np.testing.assert_allclose(basis[i, 0], b1, atol=1e-12)
+            np.testing.assert_allclose(basis[i, 1], b2, atol=1e-12)
 
 
 def test_thrust_plane_basis_rejects_fixed_arms():
     g = build_catalog("hexagon_tilt30_fixed")
     with pytest.raises(GeometryError):
         thrust_plane_basis(g.arms[0])
-    np.testing.assert_allclose(g.basis2, 0.0, atol=1e-12)
+    np.testing.assert_allclose(g.plane_block[:, 1], 0.0, atol=1e-12)
 
 
 def test_default_zero_dir(rng):
@@ -83,8 +108,9 @@ def test_default_zero_dir(rng):
 
 def test_geometry_arrays_are_read_only():
     g = build_catalog("octahedron_rot")
-    for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.basis1, g.basis2,
-                g.moment1, g.moment2, g.hover_map.matrix, g.hover_map.directions):
+    model = DroneModel(g)
+    for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.plane_block, g.hover_map.matrix,
+                model.wrench_block, model.wrench1, model.wrench2):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -99,21 +125,41 @@ def test_force_map_octahedron():
         arm = g.arms[fm.col_arm[col]]
         b1, b2 = thrust_plane_basis(arm)
         expected_dir = b1 if col % 2 == 0 else b2
-        np.testing.assert_allclose(fm.directions[col], expected_dir, atol=1e-12)
         np.testing.assert_allclose(fm.matrix[:3, col], expected_dir, atol=1e-12)
         # hover capability ignores drag torque: pure lever-arm cross product
         np.testing.assert_allclose(fm.matrix[3:, col], np.cross(arm.endpoint, expected_dir), atol=1e-12)
 
 
 def test_hover_map_is_built_once_from_the_moments():
-    for config_id in ("cube_rot", "hexagon_tilt30_fixed"):
-        g = build_catalog(config_id)
+    for g in _block_layouts():
         for i, arm in enumerate(g.arms):
-            np.testing.assert_array_equal(g.moment1[i], np.cross(arm.endpoint, g.basis1[i]))
-            np.testing.assert_array_equal(g.moment2[i], np.cross(arm.endpoint, g.basis2[i]))
+            for k in range(2):
+                basis, moment = g.plane_block[i, k, :3], g.plane_block[i, k, 3:]
+                np.testing.assert_array_equal(moment, np.cross(arm.endpoint, basis))
         fresh = force_map(g)
-        for name in ("matrix", "directions", "col_arm", "unidirectional_cols"):
+        for name in ("matrix", "col_arm", "unidirectional_cols"):
             np.testing.assert_array_equal(getattr(g.hover_map, name), getattr(fresh, name))
+
+
+def test_every_map_is_the_block_bit_for_bit():
+    """The blocks give the bits and layouts of the one-array-per-basis-vector formulas."""
+    for g in _block_layouts():
+        oracle = hover_matrix_oracle(g)
+        assert g.hover_map.matrix.tobytes("A") == oracle.tobytes("A")
+        assert g.hover_map.matrix.strides == oracle.strides
+        basis1, basis2, moment1, moment2 = plane_rows_oracle(g)
+        np.testing.assert_array_equal(g.plane_block, np.stack(
+            [np.hstack([basis1, moment1]), np.hstack([basis2, moment2])], axis=1), strict=True)
+        model = DroneModel(g, torque_constant=0.3)
+        wrench1, wrench2 = wrench_rows_oracle(model)
+        assert model.wrench1.tobytes() == wrench1.tobytes()
+        assert model.wrench2.tobytes() == wrench2.tobytes()
+        assert np.shares_memory(model.wrench1, model.wrench_block)
+        assert np.shares_memory(model.wrench2, model.wrench_block)
+        if np.all(g.rotating):
+            matrix, oracle = vectored_thrust_matrix(model), vectored_thrust_matrix_oracle(model)
+            assert matrix.tobytes("A") == oracle.tobytes("A")
+            assert matrix.strides == oracle.strides
 
 
 def test_force_map_fixed_arms():
@@ -121,7 +167,7 @@ def test_force_map_fixed_arms():
     fm = force_map(g)
     assert fm.matrix.shape == (6, 6)
     assert np.all(fm.unidirectional_cols)
-    np.testing.assert_allclose(fm.directions, g.zero_dirs, atol=1e-12)
+    np.testing.assert_allclose(fm.matrix[:3].T, g.zero_dirs, atol=1e-12)
 
 
 def test_validate_flags_bad_arms():
