@@ -581,7 +581,7 @@ def sqp_allocate(
 
 
 def vectored_thrust_matrix(model: DroneModel) -> np.ndarray:
-    """Constant 6 x 2n wrench map over thrust-plane coordinates.
+    """Constant 6 x 2n wrench map over thrust-plane coordinates, a read-only view of wrench_block.
 
     Column pair 2i, 2i+1 multiplies arm i's coordinates (u cos a, u sin a).
     Only valid when every arm rotates; drag torque is included.

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     hover_matrix_oracle,
     plane_rows_oracle,
+    same_bits,
     thrust_plane_basis,
     vectored_thrust_matrix_oracle,
     wrench_rows_oracle,
@@ -110,7 +111,7 @@ def test_geometry_arrays_are_read_only():
     g = build_catalog("octahedron_rot")
     model = DroneModel(g)
     for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.plane_block, g.hover_map.matrix,
-                model.wrench_block, model.wrench1, model.wrench2):
+                model.wrench_block, model.wrench1, model.wrench2, vectored_thrust_matrix(model)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -135,7 +136,7 @@ def test_hover_map_is_built_once_from_the_moments():
         for i, arm in enumerate(g.arms):
             for k in range(2):
                 basis, moment = g.plane_block[i, k, :3], g.plane_block[i, k, 3:]
-                np.testing.assert_array_equal(moment, np.cross(arm.endpoint, basis))
+                assert same_bits(moment, np.cross(arm.endpoint, basis))
         fresh = force_map(g)
         for name in ("matrix", "col_arm", "unidirectional_cols"):
             np.testing.assert_array_equal(getattr(g.hover_map, name), getattr(fresh, name))
@@ -148,12 +149,11 @@ def test_every_map_is_the_block_bit_for_bit():
         assert g.hover_map.matrix.tobytes("A") == oracle.tobytes("A")
         assert g.hover_map.matrix.strides == oracle.strides
         basis1, basis2, moment1, moment2 = plane_rows_oracle(g)
-        np.testing.assert_array_equal(g.plane_block, np.stack(
-            [np.hstack([basis1, moment1]), np.hstack([basis2, moment2])], axis=1), strict=True)
+        assert same_bits(g.plane_block, np.stack(
+            [np.hstack([basis1, moment1]), np.hstack([basis2, moment2])], axis=1))
         model = DroneModel(g, torque_constant=0.3)
         wrench1, wrench2 = wrench_rows_oracle(model)
-        assert model.wrench1.tobytes() == wrench1.tobytes()
-        assert model.wrench2.tobytes() == wrench2.tobytes()
+        assert same_bits(model.wrench1, wrench1) and same_bits(model.wrench2, wrench2)
         assert np.shares_memory(model.wrench1, model.wrench_block)
         assert np.shares_memory(model.wrench2, model.wrench_block)
         if np.all(g.rotating):
