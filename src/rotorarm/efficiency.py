@@ -61,40 +61,48 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     minimum-norm least-squares solve. One-sided (unidirectional) arms that
     come out negative are clamped to zero one at a time, most negative
     first, and the reduced system is re-solved; at most one clamp per arm.
+    The clamps and the feasibility test are decided with the pseudo-inverse
+    of the free columns, cached per clamp set on the hover map; the forces
+    of a feasible hover come from one ``np.linalg.lstsq`` on the final set.
     """
     g = problem.geometry
     fm = g.hover_map
     weight = problem.mass * problem.gravity
     target = np.concatenate([weight * problem.up, np.zeros(3)])
 
-    n_cols = fm.matrix.shape[1]
-    free = np.ones(n_cols, dtype=bool)
-    coords = np.zeros(n_cols)
+    clamped = 0  # bit c set: column c is clamped to zero
+    threshold = -1e-12 * weight
     for _ in range(g.n_arms + 1):
-        coords[:] = 0.0
-        sol, *_ = np.linalg.lstsq(fm.matrix[:, free], target, rcond=None)
-        coords[free] = sol
-        negative = fm.unidirectional_cols & free & (coords < -1e-12 * weight)
-        if not np.any(negative):
+        free = fm.free_columns(clamped)
+        sol = free.pinv @ target
+        coords = sol.tolist()
+        worst, lowest = -1, threshold
+        for k in free.one_sided:  # ascending, so the first of equal minima wins
+            if coords[k] < lowest:
+                worst, lowest = k, coords[k]
+        if worst < 0:
             break
-        worst = np.argmin(np.where(negative, coords, np.inf))
-        free[worst] = False
+        clamped |= 1 << free.cols[worst]
 
-    residual = fm.matrix @ coords - target
-    force_tol = 1e-8 * weight
-    torque_tol = 1e-8 * weight * max(g.max_radius, 1e-9)
-    if np.linalg.norm(residual[:3]) > force_tol or np.linalg.norm(residual[3:]) > torque_tol:
+    residual = free.matrix @ sol - target
+    force_res = float(np.linalg.norm(residual[:3]))
+    torque_res = float(np.linalg.norm(residual[3:]))
+    if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
+        x, y, z = problem.up.tolist()
         raise InfeasibleHoverError(
-            f"no admissible hover for up={np.round(problem.up, 6)} on {g.name}: "
-            f"residual force {np.linalg.norm(residual[:3]):.3e} N, "
-            f"torque {np.linalg.norm(residual[3:]):.3e} Nm"
+            f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {g.name}: "
+            f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm"
         )
 
+    sol, *_ = np.linalg.lstsq(free.matrix, target, rcond=None)
+    coords = np.zeros(fm.matrix.shape[1])
+    coords[list(free.cols)] = sol
     forces = np.zeros((g.n_arms, 3))
     np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
     active = np.ones(g.n_arms, dtype=bool)
-    for col in np.nonzero(~free)[0]:
-        active[fm.col_arm[col]] = False
+    for col in range(fm.matrix.shape[1]):
+        if clamped >> col & 1:
+            active[fm.col_arm[col]] = False
     return HoverSolution(forces, active)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,7 @@ class DroneGeometry:
             axis=1,
         )
         self.plane_block = np.concatenate([basis, np.cross(self.endpoints[:, None], basis)], axis=2)
+        self.max_radius = float(np.max(np.linalg.norm(self.endpoints, axis=1)))
         self.hover_map = force_map(self)
         for arr in (
             self.endpoints,
@@ -116,7 +117,6 @@ class DroneGeometry:
             self.rotating,
             self.unidirectional,
             self.plane_block,
-            *vars(self.hover_map).values(),
         ):
             arr.flags.writeable = False
 
@@ -124,12 +124,24 @@ class DroneGeometry:
     def n_arms(self) -> int:
         return len(self.arms)
 
-    @property
-    def max_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.endpoints, axis=1)))
-
     def __repr__(self) -> str:
         return f"DroneGeometry({self.name!r}, {self.n_arms} arms)"
+
+
+@dataclass(frozen=True, eq=False)
+class FreeColumns:
+    """The columns of a ForceMap left free when some are clamped to zero.
+
+    ``cols`` are their indices in ascending order, ``matrix`` is
+    ``ForceMap.matrix[:, cols]`` and ``pinv`` its pseudo-inverse, with the
+    singular-value cutoff of ``np.linalg.lstsq(..., rcond=None)``.
+    ``one_sided`` lists the positions within ``cols`` of unidirectional columns.
+    """
+
+    cols: tuple[int, ...]
+    matrix: np.ndarray
+    pinv: np.ndarray
+    one_sided: tuple[int, ...]
 
 
 @dataclass
@@ -140,12 +152,31 @@ class ForceMap:
     three net torque about the body origin (drag torque excluded; it is a
     control-allocation detail, not a hover-capability one); ``matrix[:3].T``
     holds each column's force direction and ``col_arm`` the owning arm index.
-    Every geometry builds its own once, as ``DroneGeometry.hover_map``.
+    Every geometry builds its own once, as ``DroneGeometry.hover_map``. All
+    arrays are read-only, those of ``free_columns`` included.
     """
 
     matrix: np.ndarray
     col_arm: np.ndarray
     unidirectional_cols: np.ndarray
+    _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.matrix, self.col_arm, self.unidirectional_cols):
+            arr.flags.writeable = False
+
+    def free_columns(self, clamped: int = 0) -> FreeColumns:
+        """The columns whose bit is not set in ``clamped``; built on first use, then cached."""
+        entry = self._free.get(clamped)
+        if entry is None:
+            cols = tuple(c for c in range(self.matrix.shape[1]) if not clamped >> c & 1)
+            matrix = self.matrix[:, np.array(cols, dtype=np.intp)]
+            pinv = np.linalg.pinv(matrix, rcond=np.finfo(float).eps * max(matrix.shape))
+            one_sided = tuple(k for k, c in enumerate(cols) if self.unidirectional_cols[c])
+            for arr in (matrix, pinv):
+                arr.flags.writeable = False
+            entry = self._free[clamped] = FreeColumns(cols, matrix, pinv, one_sided)
+        return entry
 
 
 def force_map(geometry: DroneGeometry) -> ForceMap:

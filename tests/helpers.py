@@ -437,3 +437,55 @@ def wrench_rows_oracle(model):
 def vectored_thrust_matrix_oracle(model):
     """The 6 x 2n pinv map, columns interleaved arm-major."""
     return np.stack(wrench_rows_oracle(model), axis=1).reshape(-1, 6).T
+
+
+# the hover clamp loop as first written
+
+
+@dataclass
+class HoverReference:
+    solution: object  # a HoverSolution, or None where the hover is infeasible
+    force_residual: float
+    torque_residual: float
+
+
+def solve_hover_reference(problem) -> HoverReference:
+    """solve_hover with one np.linalg.lstsq per clamp set: the greedy active set, re-solved.
+
+    Clamps the most negative one-sided coordinate to zero and solves again
+    until none is negative; infeasible when the balance residual exceeds
+    solve_hover's tolerances.
+    """
+    from rotorarm.efficiency import HoverSolution
+
+    g = problem.geometry
+    fm = g.hover_map
+    weight = problem.mass * problem.gravity
+    target = np.concatenate([weight * problem.up, np.zeros(3)])
+
+    n_cols = fm.matrix.shape[1]
+    free = np.ones(n_cols, dtype=bool)
+    coords = np.zeros(n_cols)
+    for _ in range(g.n_arms + 1):
+        coords[:] = 0.0
+        sol, *_ = np.linalg.lstsq(fm.matrix[:, free], target, rcond=None)
+        coords[free] = sol
+        negative = fm.unidirectional_cols & free & (coords < -1e-12 * weight)
+        if not np.any(negative):
+            break
+        worst = np.argmin(np.where(negative, coords, np.inf))
+        free[worst] = False
+
+    residual = fm.matrix @ coords - target
+    force_res = float(np.linalg.norm(residual[:3]))
+    torque_res = float(np.linalg.norm(residual[3:]))
+    if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
+        return HoverReference(None, force_res, torque_res)
+
+    forces = np.zeros((g.n_arms, 3))
+    np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
+    active = np.ones(g.n_arms, dtype=bool)
+    for col in np.nonzero(~free)[0]:
+        active[fm.col_arm[col]] = False
+    return HoverReference(HoverSolution(forces, active), force_res, torque_res)
+

@@ -1,13 +1,19 @@
 """Hover solutions and efficiency metrics against analytic symmetry points."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from helpers import random_unit
+from helpers import random_unit, same_bits, solve_hover_reference
 from rotorarm import (
+    CATALOG_IDS,
+    Arm,
+    DroneGeometry,
     EfficiencyMap,
     HoverProblem,
     InfeasibleHoverError,
@@ -19,6 +25,7 @@ from rotorarm import (
     sweep_orientations,
     upward_fraction,
 )
+from rotorarm.geometry import FIXED_UNIDIRECTIONAL, ROTATING, default_zero_dir
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -127,6 +134,78 @@ def test_unidirectional_arms_clamp_or_fail():
     assert np.all(along >= -1e-9)  # never pushes against a one-way propeller
     with pytest.raises(InfeasibleHoverError):
         solve_hover(HoverProblem(g, -EZ))  # inverted flight needs reversed thrust
+
+
+def test_solve_hover_is_the_lstsq_reference_bit_for_bit():
+    """Same forces, active flags and infeasible orientations as one lstsq per clamp set."""
+    ups = fibonacci_sphere(2000)
+    for config_id in CATALOG_IDS:
+        g = build_catalog(config_id)
+        n_infeasible = 0
+        for up in ups:
+            problem = HoverProblem(g, up)
+            reference = solve_hover_reference(problem)
+            if reference.solution is None:
+                n_infeasible += 1
+                with pytest.raises(InfeasibleHoverError):
+                    solve_hover(problem)
+                continue
+            sol = solve_hover(problem)
+            assert same_bits(sol.forces, reference.solution.forces), (config_id, up)
+            np.testing.assert_array_equal(sol.active, reference.solution.active)
+        assert n_infeasible == (1942 if config_id == "hexagon_tilt30_fixed" else 0)
+
+
+def _mixed_layout(rng, n_rotating: int, n_unidirectional: int) -> DroneGeometry:
+    """Rotating and unidirectional arms with endpoints in a 0.5 m cube and random directions."""
+    arms = []
+    for kind in [ROTATING] * n_rotating + [FIXED_UNIDIRECTIONAL] * n_unidirectional:
+        endpoint = rng.uniform(-0.5, 0.5, size=3)
+        direction = random_unit(rng)
+        zero_dir = default_zero_dir(direction) if kind == ROTATING else direction
+        arms.append(Arm(endpoint, direction, zero_dir, int(rng.choice((-1, 1))), kind))
+    return DroneGeometry(arms, name="mixed")
+
+
+# continuous draws come from a seeded generator, so no two arms or
+# coordinates tie and the clamp order is the reference's by construction
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rotating=st.integers(1, 4),
+       n_unidirectional=st.integers(1, 5))
+def test_solve_hover_agrees_with_the_reference_on_mixed_layouts(seed, n_rotating, n_unidirectional):
+    rng = np.random.default_rng(seed)
+    g = _mixed_layout(rng, n_rotating, n_unidirectional)
+    for _ in range(20):
+        problem = HoverProblem(g, random_unit(rng))
+        reference = solve_hover_reference(problem).solution
+        if reference is None:
+            with pytest.raises(InfeasibleHoverError):
+                solve_hover(problem)
+            continue
+        sol = solve_hover(problem)
+        weight = problem.mass * problem.gravity
+        np.testing.assert_allclose(sol.forces, reference.forces, rtol=0.0, atol=1e-9 * weight)
+        np.testing.assert_array_equal(sol.active, reference.active)
+
+
+def test_infeasible_hover_message_gives_up_and_residuals():
+    g = build_catalog("hexagon_tilt30_fixed")
+    pattern = re.compile(
+        r"no admissible hover for up=\((-?\d+\.\d{6}), (-?\d+\.\d{6}), (-?\d+\.\d{6})\) "
+        r"on hexagon_tilt30_fixed: residual force (\S+) N, torque (\S+) Nm")
+    for up in fibonacci_sphere(200):
+        problem = HoverProblem(g, up)
+        reference = solve_hover_reference(problem)
+        if reference.solution is not None:
+            continue
+        with pytest.raises(InfeasibleHoverError) as raised:
+            solve_hover(problem)
+        match = pattern.fullmatch(str(raised.value))
+        assert match, str(raised.value)
+        assert [float(v) for v in match.groups()[:3]] == [round(v, 6) for v in up.tolist()]
+        assert match[4] == f"{reference.force_residual:.3e}"
+        # the torque residual is the pseudo-inverse's, equal to lstsq's up to rounding
+        assert float(match[5]) == pytest.approx(reference.torque_residual, rel=1e-2, abs=1e-13)
 
 
 def test_fraction_helpers_reject_zero_thrust():

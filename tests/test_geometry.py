@@ -54,6 +54,7 @@ def test_every_catalog_entry_is_fully_actuated():
         assert report.hover_map_rank == 6
         assert g.n_arms >= 4
         assert g.max_radius == pytest.approx(DEFAULT_RADIUS)
+        assert g.max_radius == float(np.max(np.linalg.norm(g.endpoints, axis=1)))
 
 
 def test_octahedron_layout():
@@ -110,10 +111,33 @@ def test_default_zero_dir(rng):
 def test_geometry_arrays_are_read_only():
     g = build_catalog("octahedron_rot")
     model = DroneModel(g)
+    fixed = build_catalog("hexagon_tilt30_fixed").hover_map
+    cached = [fm.free_columns(clamped) for fm, clamped in
+              ((g.hover_map, 0), (fixed, 0), (fixed, 0b1), (fixed, 0b101001))]
     for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.plane_block, g.hover_map.matrix,
+                g.hover_map.col_arm, g.hover_map.unidirectional_cols,
+                *(a for free in cached for a in (free.matrix, free.pinv)),
                 model.wrench_block, model.wrench1, model.wrench2, vectored_thrust_matrix(model)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_free_columns_are_cached_pseudo_inverses():
+    for g in _block_layouts():
+        fm = g.hover_map
+        n_cols = fm.matrix.shape[1]
+        for clamped in (0, 0b1, 0b110, (1 << n_cols) - 1):
+            free = fm.free_columns(clamped)
+            assert fm.free_columns(clamped) is free
+            assert free.cols == tuple(c for c in range(n_cols) if not clamped >> c & 1)
+            assert same_bits(free.matrix, fm.matrix[:, list(free.cols)])
+            assert free.pinv.shape == (len(free.cols), 6)
+            if free.cols:
+                lstsq_cutoff = np.finfo(float).eps * max(free.matrix.shape)
+                np.testing.assert_allclose(free.pinv, np.linalg.pinv(free.matrix, rcond=lstsq_cutoff),
+                                           rtol=0.0, atol=1e-12)
+            assert free.one_sided == tuple(k for k, c in enumerate(free.cols)
+                                           if fm.unidirectional_cols[c])
 
 
 def test_force_map_octahedron():
