@@ -519,6 +519,28 @@ def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_st
     return alpha
 
 
+def check_solver_settings(
+    tol_objective: float = 1e-4,
+    tol_constraint: float = 1e-5,
+    max_iterations: int = 30,
+    throttle_step_limit: float = 0.1,
+    angle_step_limit: float = 0.2,
+) -> None:
+    """Raise ValueError unless ``sqp_allocate``'s settings can run and converge.
+
+    Callers check once per configuration; ``sqp_allocate`` itself does not,
+    since it runs on every tick.
+    """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    settings = {"throttle_step_limit": throttle_step_limit, "angle_step_limit": angle_step_limit,
+                "tol_objective": tol_objective, "tol_constraint": tol_constraint}
+    # `not > 0` also rejects NaN
+    not_positive = [name for name, value in settings.items() if not value > 0.0]
+    if not_positive:
+        raise ValueError(f"{', '.join(not_positive)} must be positive")
+
+
 def sqp_allocate(
     inp: AllocatorInput,
     warm: AllocatorState,

@@ -28,6 +28,7 @@ from .allocation import (
     DroneModel,
     PenaltyWeights,
     SolverError,
+    check_solver_settings,
     pinv_allocate,
     sqp_allocate,
 )
@@ -311,6 +312,7 @@ def parse_allocation_input(payload: dict, n_arms: int):
 
 def cmd_allocate(args) -> int:
     settings = merge_settings(args)
+    check_solver_settings(**settings["solver"])
     model = build_model(settings)
     with open(args.input) as handle:
         payload = json.load(handle)

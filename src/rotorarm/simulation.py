@@ -24,6 +24,7 @@ from .allocation import (
     LeastNormAllocation,
     PenaltyWeights,
     SolverError,
+    check_solver_settings,
     least_norm_allocation,
     pinv_allocate,
     solve_vector,
@@ -405,14 +406,10 @@ class Scenario:
             raise ValueError(f"duration must cover at least one control tick, got {self.duration}")
         if not (self.noise_std >= 0.0 and self.motor_lag >= 0.0 and self.servo_delay >= 0.0):
             raise ValueError("noise_std, motor_lag and servo_delay must be non-negative")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        # `not > 0` also rejects NaN
-        not_positive = [name for name in ("servo_rate_limit", "throttle_step_limit", "angle_step_limit",
-                                          "tol_objective", "tol_constraint")
-                        if not getattr(self, name) > 0.0]
-        if not_positive:
-            raise ValueError(f"{', '.join(not_positive)} must be positive")
+        if not self.servo_rate_limit > 0.0:  # also rejects NaN
+            raise ValueError(f"servo_rate_limit must be positive, got {self.servo_rate_limit}")
+        check_solver_settings(self.tol_objective, self.tol_constraint, self.max_iterations,
+                              self.throttle_step_limit, self.angle_step_limit)
 
 
 def _columns(*names: str, dtype=float):

@@ -188,10 +188,29 @@ def _bad_sweep_kind(tmp_path):
     return ["fly", "--config", config]
 
 
+def _allocate_with_solver(tmp_path, **solver):
+    config = write_json_file(tmp_path / "c.json", {"solver": solver})
+    return ["allocate", hover_request(tmp_path), "--config", config]
+
+
+def _allocate_zero_throttle_step_limit(tmp_path):
+    return _allocate_with_solver(tmp_path, throttle_step_limit=0.0)
+
+
+def _allocate_zero_max_iterations(tmp_path):
+    return _allocate_with_solver(tmp_path, max_iterations=0)
+
+
+def _allocate_negative_tol_constraint(tmp_path):
+    return _allocate_with_solver(tmp_path, tol_constraint=-1.0)
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
     _too_few_samples, _no_command, _unknown_flag, _bad_sweep_kind,
+    _allocate_zero_throttle_step_limit, _allocate_zero_max_iterations,
+    _allocate_negative_tol_constraint,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1
