@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .allocation import (
     AllocatorInput,
@@ -913,6 +912,9 @@ def compare_singularity_handling(
     peaks_p = np.array(peaks_p)
 
     if len(peaks_s) >= 2 and np.ptp(peaks_p - peaks_s) > 0.0:
+        # imported here: scipy adds about 70 MB and a second to every process that loads rotorarm
+        from scipy import stats as scipy_stats
+
         p_value = float(scipy_stats.ttest_rel(peaks_p, peaks_s, alternative="greater").pvalue)
     else:
         p_value = 1.0
