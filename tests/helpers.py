@@ -5,7 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotorarm import AllocatorInput, Quaternion, integrate_orientation
+from rotorarm import (
+    AllocatorInput,
+    DroneModel,
+    Quaternion,
+    Scenario,
+    build_catalog,
+    integrate_orientation,
+    run_flight,
+)
 from rotorarm.geometry import ROTATING, GeometryError
 
 
@@ -489,3 +497,8 @@ def solve_hover_reference(problem) -> HoverReference:
         active[fm.col_arm[col]] = False
     return HoverReference(HoverSolution(forces, active), force_res, torque_res)
 
+
+def fly_octahedron(sweep, allocator: str):
+    """One closed-loop flight of the default octahedron_rot model; a pool job for the acceptance flights."""
+    model = DroneModel(build_catalog("octahedron_rot"))
+    return run_flight(Scenario(model=model, sweep=sweep, allocator=allocator))

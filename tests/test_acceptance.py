@@ -1,20 +1,23 @@
 """Acceptance gate: ten end-to-end checks with pinned tolerances.
 
 Each test prints one PASS/FAIL line in the terminal summary (see conftest).
-The closed-loop flights are shared through a module fixture because they
-dominate the runtime; everything else recomputes from scratch.
+The closed-loop flights are shared through a module fixture, and flown in
+parallel, because they dominate the runtime; everything else recomputes from scratch.
 """
 
 import itertools
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 import numpy as np
 import pytest
 from scipy.stats import ttest_rel
 
-from helpers import arm_wrench, rel_error, wrench_chain
+from helpers import arm_wrench, fly_octahedron, rel_error, wrench_chain
 from rotorarm import (
     AllocatorInput,
     AllocatorState,
@@ -22,7 +25,6 @@ from rotorarm import (
     HoverProblem,
     PenaltyWeights,
     Quaternion,
-    Scenario,
     allocation_objective,
     assemble_kkt,
     build_catalog,
@@ -35,7 +37,6 @@ from rotorarm import (
     max_command_step,
     orientation_sweep,
     position_sweep,
-    run_flight,
     solve_hover,
     sqp_allocate,
     summarize,
@@ -48,21 +49,29 @@ EZ = np.array([0.0, 0.0, 1.0])
 FD_H = 1e-6
 
 
+# the two long flights (about three times the ticks of the others) first, so
+# that they start at once
+ACCEPTANCE_FLIGHTS = {
+    "croll_sqp": (continuous_roll(), "sqp"),
+    "pos_sqp": (position_sweep(), "sqp"),
+    "pitch_sqp": (orientation_sweep(axes=("pitch",)), "sqp"),
+    "pitch_pinv": (orientation_sweep(axes=("pitch",)), "pinv"),
+    "roll_sqp": (orientation_sweep(axes=("roll",)), "sqp"),
+    "roll_pinv": (orientation_sweep(axes=("roll",)), "pinv"),
+}
+
+
 @pytest.fixture(scope="module")
-def flights(octa_model):
-    """Six closed-loop runs reused by the flight-based criteria."""
-    plans = {
-        "pitch_sqp": (orientation_sweep(axes=("pitch",)), "sqp"),
-        "pitch_pinv": (orientation_sweep(axes=("pitch",)), "pinv"),
-        "roll_sqp": (orientation_sweep(axes=("roll",)), "sqp"),
-        "roll_pinv": (orientation_sweep(axes=("roll",)), "pinv"),
-        "croll_sqp": (continuous_roll(), "sqp"),
-        "pos_sqp": (position_sweep(), "sqp"),
-    }
-    return {
-        name: run_flight(Scenario(model=octa_model, sweep=sweep, allocator=allocator))
-        for name, (sweep, allocator) in plans.items()
-    }
+def flights():
+    """Six closed-loop runs on octahedron_rot reused by the flight-based criteria.
+
+    They fly in a pool of spawned processes, one per CPU (spawned, not
+    forked: this process has imported numpy, whose BLAS may run threads).
+    """
+    workers = min(os.cpu_count() or 1, len(ACCEPTANCE_FLIGHTS))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        logs = pool.map(fly_octahedron, *zip(*ACCEPTANCE_FLIGHTS.values()))
+        return dict(zip(ACCEPTANCE_FLIGHTS, logs))
 
 
 # ---------------------------------------------------------------------------
