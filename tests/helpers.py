@@ -14,6 +14,7 @@ from rotorarm import (
     integrate_orientation,
     run_flight,
 )
+from rotorarm.efficiency import HoverSolution
 from rotorarm.geometry import ROTATING, GeometryError
 
 
@@ -464,8 +465,6 @@ def solve_hover_reference(problem) -> HoverReference:
     until none is negative; infeasible when the balance residual exceeds
     solve_hover's tolerances.
     """
-    from rotorarm.efficiency import HoverSolution
-
     g = problem.geometry
     fm = g.hover_map
     weight = problem.mass * problem.gravity
