@@ -33,15 +33,52 @@ class SolverError(RuntimeError):
     """Raised when a linear solve inside the allocator cannot be completed."""
 
 
-def solve_vector(matrix, rhs) -> np.ndarray:
+def _solve_vector_from(gufuncs):
     """np.linalg.solve(matrix, rhs) for a float square matrix and a 1-D rhs, bit for bit.
 
-    Calls the LAPACK gufunc that np.linalg.solve itself dispatches to for a
-    1-D right-hand side, without that wrapper's type checks. Where the
-    matrix is singular the result is all NaN instead of a LinAlgError.
+    The function returned calls ``gufuncs.solve1``, the LAPACK gufunc that
+    np.linalg.solve itself dispatches to, without that wrapper's type
+    checks; where ``gufuncs`` has no such name it calls np.linalg.solve.
+    Either way a singular matrix gives all NaN instead of a LinAlgError.
     """
-    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
-        return _umath_linalg.solve1(matrix, rhs, signature="dd->d")
+    solve1 = getattr(gufuncs, "solve1", None)
+    if solve1 is None:
+        def solve_vector(matrix, rhs) -> np.ndarray:
+            try:
+                return np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                return np.full(len(rhs), math.nan)
+    else:
+        def solve_vector(matrix, rhs) -> np.ndarray:
+            with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+                return solve1(matrix, rhs, signature="dd->d")
+    return solve_vector
+
+
+def _lstsq_column_from(gufuncs):
+    """np.linalg.lstsq(matrix, column, rcond=cutoff)[0] for a float matrix and an (m, 1) column, bit for bit.
+
+    The function returned calls ``gufuncs.lstsq``, the LAPACK gufunc that
+    np.linalg.lstsq itself dispatches to, without that wrapper's checks and
+    error state; where ``gufuncs`` has no such name it calls np.linalg.lstsq.
+    Where the SVD fails the gufunc gives NaN and lstsq raises LinAlgError,
+    so a caller checks the result for NaN.
+    """
+    lstsq = getattr(gufuncs, "lstsq", None)
+    if lstsq is None:
+        def lstsq_column(matrix, column, cutoff: float) -> np.ndarray:
+            return np.linalg.lstsq(matrix, column, rcond=cutoff)[0]
+    else:
+        def lstsq_column(matrix, column, cutoff: float) -> np.ndarray:
+            return lstsq(matrix, column, cutoff, signature="ddd->ddid")[0]
+    return lstsq_column
+
+
+# numpy's private LAPACK gufuncs are looked up once here; a numpy without
+# them under these names (1.x names lstsq's gufunc by shape) gets the public
+# functions, with the same bits
+solve_vector = _solve_vector_from(_umath_linalg)
+lstsq_column = _lstsq_column_from(_umath_linalg)
 
 
 @dataclass

@@ -133,6 +133,10 @@ def merge_settings(args, config_path=None) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             settings[flag] = value
+    for key in ("samples", "seed"):
+        # a JSON config can give 150.9 or true, which int() would quietly truncate
+        if isinstance(settings[key], bool) or not isinstance(settings[key], int):
+            raise ValueError(f"{key} must be an integer, got {settings[key]!r}")
     if settings["format"] not in ("csv", "json"):
         raise ValueError(f"unknown output format {settings['format']!r}, expected csv or json")
     if settings["allocator"] not in ("sqp", "pinv"):
@@ -194,7 +198,7 @@ def build_scenario(settings: dict, allocator: str | None = None) -> Scenario:
         duration=settings["duration"],
         motor_lag=float(settings["motor_lag"]),
         noise_std=float(settings["noise_std"]),
-        seed=int(settings["seed"]),
+        seed=settings["seed"],
         **settings["solver"],
     )
 
@@ -251,7 +255,7 @@ def cmd_efficiency(args) -> int:
     mass = float(model_cfg.get("mass", 2.4))
     gravity = float(model_cfg.get("gravity", 9.81))
     geometry = resolve_geometry(settings["geometry"], float(settings["radius"]))
-    n_samples = int(settings["samples"])
+    n_samples = settings["samples"]
     LOG.info("efficiency sweep: %s, %d samples", geometry.name, n_samples)
 
     eff = sweep_orientations(geometry, n_samples=n_samples, mass=mass, gravity=gravity)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .allocation import _add_reduce, lstsq_column
 from .geometry import DroneGeometry
 from .tables import write_csv
 
@@ -33,11 +34,15 @@ class HoverProblem:
     gravity: float = 9.81
 
     def __post_init__(self):
-        self.up = np.asarray(self.up, dtype=float)
-        if self.up.shape != (3,) or not np.all(np.isfinite(self.up)):
+        up = self.up = np.asarray(self.up, dtype=float)
+        if up.shape != (3,):
             raise ValueError("up must be a finite 3-vector")
-        if abs(np.linalg.norm(self.up) - 1.0) > 1e-6:
-            raise ValueError(f"up must be unit length, got norm {np.linalg.norm(self.up)}")
+        x, y, z = up.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError("up must be a finite 3-vector")
+        norm = math.sqrt((x * x + y * y) + z * z)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"up must be unit length, got norm {norm}")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.gravity > 0.0 and math.isfinite(self.gravity)):
@@ -48,10 +53,11 @@ class HoverProblem:
 class HoverSolution:
     forces: np.ndarray  # (n_arms, 3) per-arm force vectors, N
     active: np.ndarray  # per-arm flag; False when a one-sided arm was clamped to zero
+    # per-arm force magnitudes, the bits of np.linalg.norm(forces, axis=1)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.forces, axis=1)
+    def __post_init__(self):
+        self.norms = np.array([math.sqrt((x * x + y * y) + z * z) for x, y, z in self.forces.tolist()])
 
 
 def solve_hover(problem: HoverProblem) -> HoverSolution:
@@ -63,12 +69,15 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     first, and the reduced system is re-solved; at most one clamp per arm.
     The clamps and the feasibility test are decided with the pseudo-inverse
     of the free columns, cached per clamp set on the hover map; the forces
-    of a feasible hover come from one ``np.linalg.lstsq`` on the final set.
+    of a feasible hover come from one least-squares solve on the final set,
+    with the bits of ``np.linalg.lstsq``, and raise LinAlgError where that
+    solve breaks down.
     """
     g = problem.geometry
     fm = g.hover_map
     weight = problem.mass * problem.gravity
-    target = np.concatenate([weight * problem.up, np.zeros(3)])
+    x, y, z = problem.up.tolist()
+    target = np.array([weight * x, weight * y, weight * z, 0.0, 0.0, 0.0])
 
     clamped = 0  # bit c set: column c is clamped to zero
     threshold = -1e-12 * weight
@@ -84,35 +93,36 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
             break
         clamped |= 1 << free.cols[worst]
 
-    residual = free.matrix @ sol - target
-    force_res = float(np.linalg.norm(residual[:3]))
-    torque_res = float(np.linalg.norm(residual[3:]))
+    fx, fy, fz, tx, ty, tz = (free.matrix @ sol - target).tolist()
+    force_res = math.sqrt((fx * fx + fy * fy) + fz * fz)
+    torque_res = math.sqrt((tx * tx + ty * ty) + tz * tz)
     if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
-        x, y, z = problem.up.tolist()
         raise InfeasibleHoverError(
             f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {g.name}: "
             f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm"
         )
 
-    sol, *_ = np.linalg.lstsq(free.matrix, target, rcond=None)
-    coords = np.zeros(fm.matrix.shape[1])
-    coords[list(free.cols)] = sol
-    forces = np.zeros((g.n_arms, 3))
-    np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
-    active = np.ones(g.n_arms, dtype=bool)
-    for col in range(fm.matrix.shape[1]):
-        if clamped >> col & 1:
-            active[fm.col_arm[col]] = False
-    return HoverSolution(forces, active)
+    coords = lstsq_column(free.matrix, target[:, None], free.cutoff).ravel().tolist()
+    if not all(map(math.isfinite, coords)):
+        raise np.linalg.LinAlgError(f"least-squares hover solve failed for up=({x}, {y}, {z}) on {g.name}")
+    # np.add.at's order: per arm, 0.0 plus each free column's share in column
+    # order; a clamped column would only add a zero
+    forces = [0.0] * (3 * g.n_arms)
+    for c, (dx, dy, dz), arm in zip(coords, free.directions, free.arms):
+        i = 3 * arm
+        forces[i] += c * dx
+        forces[i + 1] += c * dy
+        forces[i + 2] += c * dz
+    return HoverSolution(np.array(forces).reshape(g.n_arms, 3), free.active)
 
 
 def upward_fraction(solution: HoverSolution, up) -> float:
     """Share of total produced thrust that points along `up` (x1 in outputs)."""
     up = np.asarray(up, dtype=float)
-    total = float(np.sum(solution.norms))
+    total = _add_reduce(solution.norms.tolist())
     if total < 1e-12:
         raise ValueError("hover solution produces no thrust; fraction undefined")
-    return float(np.sum(solution.forces @ up)) / total
+    return _add_reduce((solution.forces @ up).tolist()) / total
 
 
 def capacity_fraction(solution: HoverSolution, mass: float, gravity: float, n_arms: int) -> float:
@@ -121,7 +131,9 @@ def capacity_fraction(solution: HoverSolution, mass: float, gravity: float, n_ar
     With every arm sized to the largest force actually used, this is the
     fraction of that installed thrust needed to hover.
     """
-    peak = float(np.max(solution.norms))
+    norms = solution.norms.tolist()
+    # NaN wins, as in np.max; Python's max passes over a NaN that does not come first
+    peak = math.nan if any(map(math.isnan, norms)) else max(norms)
     if peak < 1e-12:
         raise ValueError("hover solution produces no thrust; fraction undefined")
     return mass * gravity / (peak * n_arms)

@@ -133,15 +133,21 @@ class FreeColumns:
     """The columns of a ForceMap left free when some are clamped to zero.
 
     ``cols`` are their indices in ascending order, ``matrix`` is
-    ``ForceMap.matrix[:, cols]`` and ``pinv`` its pseudo-inverse, with the
-    singular-value cutoff of ``np.linalg.lstsq(..., rcond=None)``.
+    ``ForceMap.matrix[:, cols]`` and ``pinv`` its pseudo-inverse, with
+    ``cutoff``, the singular-value cutoff of ``np.linalg.lstsq(..., rcond=None)``.
     ``one_sided`` lists the positions within ``cols`` of unidirectional columns.
+    Per free column, ``directions`` holds its force direction (x, y, z) and
+    ``arms`` its owning arm; ``active`` flags the arms with no clamped column.
     """
 
     cols: tuple[int, ...]
     matrix: np.ndarray
     pinv: np.ndarray
+    cutoff: float
     one_sided: tuple[int, ...]
+    directions: tuple[tuple[float, float, float], ...]
+    arms: tuple[int, ...]
+    active: np.ndarray
 
 
 @dataclass
@@ -171,11 +177,18 @@ class ForceMap:
         if entry is None:
             cols = tuple(c for c in range(self.matrix.shape[1]) if not clamped >> c & 1)
             matrix = self.matrix[:, np.array(cols, dtype=np.intp)]
-            pinv = np.linalg.pinv(matrix, rcond=np.finfo(float).eps * max(matrix.shape))
+            cutoff = float(np.finfo(float).eps * max(matrix.shape))
+            pinv = np.linalg.pinv(matrix, rcond=cutoff)
             one_sided = tuple(k for k, c in enumerate(cols) if self.unidirectional_cols[c])
-            for arr in (matrix, pinv):
+            directions = tuple(map(tuple, matrix[:3].T.tolist()))
+            owners = self.col_arm.tolist()
+            arms = tuple(owners[c] for c in cols)
+            active = np.ones(owners[-1] + 1, dtype=bool)
+            active[[owners[c] for c in range(len(owners)) if clamped >> c & 1]] = False
+            for arr in (matrix, pinv, active):
                 arr.flags.writeable = False
-            entry = self._free[clamped] = FreeColumns(cols, matrix, pinv, one_sided)
+            entry = self._free[clamped] = FreeColumns(cols, matrix, pinv, cutoff, one_sided,
+                                                      directions, arms, active)
         return entry
 
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from rotorarm import (
     integrate_orientation,
     run_flight,
 )
+from rotorarm import allocation
 from rotorarm.efficiency import HoverSolution
 from rotorarm.geometry import ROTATING, GeometryError
 
@@ -495,6 +497,38 @@ def solve_hover_reference(problem) -> HoverReference:
     for col in np.nonzero(~free)[0]:
         active[fm.col_arm[col]] = False
     return HoverReference(HoverSolution(forces, active), force_res, torque_res)
+
+
+# the sweep's per-sample figures as first written, on arrays; the program's
+# Python-float norms and fractions must give the same bits
+
+
+def hover_norms_oracle(forces) -> np.ndarray:
+    return np.linalg.norm(forces, axis=1)
+
+
+def upward_fraction_oracle(forces, up) -> float:
+    up = np.asarray(up, dtype=float)
+    total = float(np.sum(hover_norms_oracle(forces)))
+    if total < 1e-12:
+        raise ValueError("hover solution produces no thrust; fraction undefined")
+    return float(np.sum(forces @ up)) / total
+
+
+def capacity_fraction_oracle(forces, mass: float, gravity: float, n_arms: int) -> float:
+    peak = float(np.max(hover_norms_oracle(forces)))
+    if peak < 1e-12:
+        raise ValueError("hover solution produces no thrust; fraction undefined")
+    return mass * gravity / (peak * n_arms)
+
+
+def nan_lstsq_column():
+    """lstsq_column on a LAPACK gufunc whose SVD fails: its solution is all NaN."""
+
+    def nan_lstsq(matrix, column, cutoff, signature):
+        return np.full((matrix.shape[1], column.shape[1]), math.nan), None, None, None
+
+    return allocation._lstsq_column_from(SimpleNamespace(lstsq=nan_lstsq))
 
 
 def fly_octahedron(sweep, allocator: str):

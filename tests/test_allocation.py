@@ -1,11 +1,13 @@
 """Allocator internals: derivatives, KKT assembly, Newton steps, both solve routes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from helpers import (
     arm_wrench,
@@ -558,6 +560,43 @@ def test_solve_vector_is_np_linalg_solve_bit_for_bit(rng):
     torque = [0.0, -0.0, 1e-3]
     assert same_bits(allocation.solve_vector(inertia, torque), np.linalg.solve(inertia, torque))
     assert np.isnan(allocation.solve_vector(np.zeros((3, 3)), np.ones(3))).all()
+
+
+def test_public_solve_gives_solve_vector_its_bits(rng, monkeypatch):
+    """Through np.linalg.solve, as on a numpy without the gufunc under that name, every bit stays."""
+    gufuncs = SimpleNamespace(**{name: getattr(_umath_linalg, name) for name in dir(_umath_linalg)
+                                 if name != "solve1"})
+    public = allocation._solve_vector_from(gufuncs)
+    solve, calls = np.linalg.solve, []
+
+    def counted_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    for dim in (1, 3, 8, 18):
+        for _ in range(100):
+            matrix = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-3, 4, size=(dim, 1))
+            rhs = rng.normal(size=dim)
+            rhs[rng.random(dim) < 0.2] = 0.0
+            assert same_bits(public(matrix, rhs), allocation.solve_vector(matrix, rhs))
+    inertia = np.array([[0.03, 0.001, 0.0], [0.001, 0.02, 0.0], [0.0, 0.0, 0.04]])
+    assert same_bits(public(inertia, [0.0, -0.0, 1e-3]), allocation.solve_vector(inertia, [0.0, -0.0, 1e-3]))
+    for singular in (np.zeros((3, 3)), np.ones((18, 18))):
+        assert same_bits(public(singular, np.ones(len(singular))), np.full(len(singular), math.nan))
+    assert len(calls) == 4 * 100 + 3
+
+
+def test_public_lstsq_gives_lstsq_column_its_bits(rng):
+    public = allocation._lstsq_column_from(SimpleNamespace())
+    for n_cols in (3, 6, 8, 12, 24):
+        for _ in range(100):
+            matrix = rng.normal(size=(6, n_cols))
+            if n_cols > 6 and rng.random() < 0.3:
+                matrix[:, -1] = matrix[:, 0]  # a repeated column: rank below full
+            column = rng.normal(size=(6, 1))
+            cutoff = np.finfo(float).eps * max(matrix.shape)
+            assert same_bits(public(matrix, column, cutoff), allocation.lstsq_column(matrix, column, cutoff))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import rotorarm
-from rotorarm import build_catalog, cli
+from helpers import nan_lstsq_column
+from rotorarm import build_catalog, cli, efficiency
 from rotorarm.tables import write_csv
 
 HOVER_FORCE = 2.4 * 9.81
@@ -76,6 +77,13 @@ def test_efficiency_json_table_format(tmp_path):
     payload = json.loads((tmp_path / "efficiency_samples.json").read_text())
     assert payload["columns"][:3] == ["up_x", "up_y", "up_z"]
     assert len(payload["rows"]) == 128
+
+
+def test_efficiency_reports_a_failed_least_squares_solve_with_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(efficiency, "lstsq_column", nan_lstsq_column())
+    assert run_cli("efficiency", "--samples", 100, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: least-squares hover solve failed") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +213,36 @@ def _allocate_negative_tol_constraint(tmp_path):
     return _allocate_with_solver(tmp_path, tol_constraint=-1.0)
 
 
+def _config_value(tmp_path, command, **values):
+    return [command, "--config", write_json_file(tmp_path / "c.json", values),
+            "--out", str(tmp_path / "out")]
+
+
+def _fractional_samples(tmp_path):
+    return _config_value(tmp_path, "efficiency", samples=150.9)
+
+
+def _boolean_samples(tmp_path):
+    return _config_value(tmp_path, "efficiency", samples=True)
+
+
+def _fractional_seed(tmp_path):
+    return _config_value(tmp_path, "fly", seed=1.5, sweep={"kind": "hover"}, duration=1.0,
+                         settle=0.2)
+
+
+def _boolean_seed(tmp_path):
+    return _config_value(tmp_path, "fly", seed=True, sweep={"kind": "hover"}, duration=1.0,
+                         settle=0.2)
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
     _too_few_samples, _no_command, _unknown_flag, _bad_sweep_kind,
     _allocate_zero_throttle_step_limit, _allocate_zero_max_iterations,
-    _allocate_negative_tol_constraint,
+    _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
+    _fractional_seed, _boolean_seed,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from helpers import random_unit, same_bits, solve_hover_reference
+from helpers import (
+    capacity_fraction_oracle,
+    hover_norms_oracle,
+    nan_lstsq_column,
+    random_unit,
+    same_bits,
+    solve_hover_reference,
+    upward_fraction_oracle,
+)
 from rotorarm import (
     CATALOG_IDS,
     Arm,
@@ -25,6 +34,8 @@ from rotorarm import (
     sweep_orientations,
     upward_fraction,
 )
+from rotorarm import allocation, efficiency
+from rotorarm.efficiency import HoverSolution
 from rotorarm.geometry import FIXED_UNIDIRECTIONAL, ROTATING, default_zero_dir
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -43,14 +54,25 @@ def test_fibonacci_sphere_is_a_deterministic_unit_lattice():
 
 def test_hover_problem_validation():
     g = build_catalog("octahedron_rot")
-    with pytest.raises(ValueError):
+    not_finite_3_vectors = ([0.0, math.nan, 1.0], [0.0, math.inf, 1.0], [-math.inf, 0.0, 0.0],
+                            [0.0, 1.0], [[0.0], [0.0], [1.0]])
+    for up in not_finite_3_vectors:
+        for given_up in (up, np.array(up)):
+            with pytest.raises(ValueError, match="finite 3-vector"):
+                HoverProblem(g, given_up)
+    with pytest.raises(ValueError, match=r"unit length, got norm 2\.0$"):
         HoverProblem(g, np.array([0.0, 0.0, 2.0]))
+    # the unit-norm check allows 1e-6
+    with pytest.raises(ValueError, match=r"unit length, got norm 1\.000002$"):
+        HoverProblem(g, np.array([0.0, 0.0, 1.0 + 2e-6]))
+    accepted = HoverProblem(g, [0.0, 0.0, 1.0 + 5e-7])
+    assert accepted.up.dtype == float and accepted.up.shape == (3,)
+    assert accepted.up.tolist() == [0.0, 0.0, 1.0 + 5e-7]
+    HoverProblem(g, np.array([0.0, 0.0, 1.0 - 5e-7]))
     with pytest.raises(ValueError):
         HoverProblem(g, EZ, mass=-1.0)
     with pytest.raises(ValueError):
         HoverProblem(g, EZ, gravity=0.0)
-    with pytest.raises(ValueError):
-        HoverProblem(g, np.array([0.0, math.nan, 1.0]))
 
 
 def test_solve_hover_balances_weight_without_torque(rng):
@@ -156,6 +178,43 @@ def test_solve_hover_is_the_lstsq_reference_bit_for_bit():
         assert n_infeasible == (1942 if config_id == "hexagon_tilt30_fixed" else 0)
 
 
+def assert_figures_are_the_array_formulas(sol, problem):
+    """norms, x1 and x2 of a solution byte for byte as np.linalg.norm, np.sum and np.max give them."""
+    n_arms = len(sol.forces)
+    assert same_bits(sol.norms, hover_norms_oracle(sol.forces))
+    assert same_bits(upward_fraction(sol, problem.up), upward_fraction_oracle(sol.forces, problem.up))
+    assert same_bits(capacity_fraction(sol, problem.mass, problem.gravity, n_arms),
+                     capacity_fraction_oracle(sol.forces, problem.mass, problem.gravity, n_arms))
+
+
+def test_norms_and_fractions_are_the_array_formulas_bit_for_bit():
+    ups = fibonacci_sphere(2000)
+    for config_id in CATALOG_IDS:
+        g = build_catalog(config_id)
+        for up in ups:
+            problem = HoverProblem(g, up)
+            try:
+                sol = solve_hover(problem)
+            except InfeasibleHoverError:
+                continue
+            assert_figures_are_the_array_formulas(sol, problem)
+
+
+@pytest.mark.parametrize("forces", [
+    [[1.0, 2.0, 3.0], [0.5, math.nan, 0.0], [0.0, 0.0, 4.0]],
+    [[math.nan, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 4.0]],
+    [[1.0, 2.0, 3.0], [0.0, 0.0, 4.0], [2.0, -1.0, math.nan]],
+    [[1.0, 2.0, 3.0], [0.0, -math.inf, 0.0], [0.0, 0.0, 4.0]],
+    [[-0.0, 0.0, -0.0], [3e-170, -4e-170, 1e-300], [1e200, -1e200, 2e154]],
+], ids=["nan_in_the_middle", "nan_first", "nan_last", "inf", "zeros_tiny_huge"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+def test_figures_of_a_hand_built_solution_are_the_array_formulas(forces):
+    forces = np.array(forces)
+    sol = HoverSolution(forces, np.ones(len(forces), dtype=bool))
+    problem = HoverProblem(build_catalog("octahedron_rot"), np.array([0.6, 0.0, 0.8]))
+    assert_figures_are_the_array_formulas(sol, problem)
+
+
 def _mixed_layout(rng, n_rotating: int, n_unidirectional: int) -> DroneGeometry:
     """Rotating and unidirectional arms with endpoints in a 0.5 m cube and random directions."""
     arms = []
@@ -186,6 +245,29 @@ def test_solve_hover_agrees_with_the_reference_on_mixed_layouts(seed, n_rotating
         weight = problem.mass * problem.gravity
         np.testing.assert_allclose(sol.forces, reference.forces, rtol=0.0, atol=1e-9 * weight)
         np.testing.assert_array_equal(sol.active, reference.active)
+        assert_figures_are_the_array_formulas(sol, problem)
+
+
+def test_a_failed_least_squares_solve_raises_linalgerror(monkeypatch):
+    monkeypatch.setattr(efficiency, "lstsq_column", nan_lstsq_column())
+    with pytest.raises(np.linalg.LinAlgError, match="least-squares hover solve failed"):
+        solve_hover(HoverProblem(build_catalog("octahedron_rot"), EZ))
+
+
+def test_public_lstsq_gives_the_sweep_its_bits(monkeypatch):
+    """Through np.linalg.lstsq, as on a numpy without the gufunc under that name, every table bit stays."""
+    tables = {cid: sweep_orientations(build_catalog(cid), 300).table()[1] for cid in CATALOG_IDS}
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(efficiency, "lstsq_column", allocation._lstsq_column_from(SimpleNamespace()))
+    for config_id, table in tables.items():
+        assert same_bits(sweep_orientations(build_catalog(config_id), 300).table()[1], table), config_id
+    assert len(calls) == 6 * 300 - 291  # one per feasible sample; 291 are infeasible on the fixed layout
 
 
 def test_infeasible_hover_message_gives_up_and_residuals():
@@ -209,8 +291,6 @@ def test_infeasible_hover_message_gives_up_and_residuals():
 
 
 def test_fraction_helpers_reject_zero_thrust():
-    from rotorarm.efficiency import HoverSolution
-
     empty = HoverSolution(np.zeros((4, 3)), np.ones(4, dtype=bool))
     with pytest.raises(ValueError):
         upward_fraction(empty, EZ)

@@ -116,7 +116,7 @@ def test_geometry_arrays_are_read_only():
               ((g.hover_map, 0), (fixed, 0), (fixed, 0b1), (fixed, 0b101001))]
     for arr in (g.endpoints, g.axes, g.zero_dirs, g.spins, g.plane_block, g.hover_map.matrix,
                 g.hover_map.col_arm, g.hover_map.unidirectional_cols,
-                *(a for free in cached for a in (free.matrix, free.pinv)),
+                *(a for free in cached for a in (free.matrix, free.pinv, free.active)),
                 model.wrench_block, model.wrench1, model.wrench2, vectored_thrust_matrix(model)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -138,6 +138,11 @@ def test_free_columns_are_cached_pseudo_inverses():
                                            rtol=0.0, atol=1e-12)
             assert free.one_sided == tuple(k for k, c in enumerate(free.cols)
                                            if fm.unidirectional_cols[c])
+            assert free.cutoff == np.finfo(float).eps * max(6, len(free.cols))
+            assert free.directions == tuple(tuple(fm.matrix[:3, c].tolist()) for c in free.cols)
+            assert free.arms == tuple(int(fm.col_arm[c]) for c in free.cols)
+            clamped_arms = {int(fm.col_arm[c]) for c in range(n_cols) if clamped >> c & 1}
+            assert free.active.tolist() == [i not in clamped_arms for i in range(g.n_arms)]
 
 
 def test_force_map_octahedron():
