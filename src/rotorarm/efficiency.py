@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _add_reduce, lstsq_column
+from .allocation import _abs_max, _add_reduce, lstsq_column
 from .geometry import DroneGeometry
 from .tables import write_csv
 
@@ -131,9 +131,7 @@ def capacity_fraction(solution: HoverSolution, mass: float, gravity: float, n_ar
     With every arm sized to the largest force actually used, this is the
     fraction of that installed thrust needed to hover.
     """
-    norms = solution.norms.tolist()
-    # NaN wins, as in np.max; Python's max passes over a NaN that does not come first
-    peak = math.nan if any(map(math.isnan, norms)) else max(norms)
+    peak = _abs_max(solution.norms.tolist())  # np.max of the non-negative norms, NaN included
     if peak < 1e-12:
         raise ValueError("hover solution produces no thrust; fraction undefined")
     return mass * gravity / (peak * n_arms)
