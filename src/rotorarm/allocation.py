@@ -556,26 +556,26 @@ def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_st
     return alpha
 
 
-def check_solver_settings(
-    tol_objective: float = 1e-4,
-    tol_constraint: float = 1e-5,
-    max_iterations: int = 30,
-    throttle_step_limit: float = 0.1,
-    angle_step_limit: float = 0.2,
-) -> None:
-    """Raise ValueError unless ``sqp_allocate``'s settings can run and converge.
+@dataclass(frozen=True)
+class SolverSettings:
+    """Stopping tests and per-iteration step limits of ``sqp_allocate``, checked once when built."""
 
-    Callers check once per configuration; ``sqp_allocate`` itself does not,
-    since it runs on every tick.
-    """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    settings = {"throttle_step_limit": throttle_step_limit, "angle_step_limit": angle_step_limit,
-                "tol_objective": tol_objective, "tol_constraint": tol_constraint}
-    # `not > 0` also rejects NaN
-    not_positive = [name for name, value in settings.items() if not value > 0.0]
-    if not_positive:
-        raise ValueError(f"{', '.join(not_positive)} must be positive")
+    tol_objective: float = 1e-4  # relative objective change
+    tol_constraint: float = 1e-5  # wrench residual norm
+    max_iterations: int = 30
+    throttle_step_limit: float = 0.1
+    angle_step_limit: float = 0.2
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        limits = {"throttle_step_limit": self.throttle_step_limit,
+                  "angle_step_limit": self.angle_step_limit,
+                  "tol_objective": self.tol_objective, "tol_constraint": self.tol_constraint}
+        # `not > 0` also rejects NaN
+        not_positive = [name for name, value in limits.items() if not value > 0.0]
+        if not_positive:
+            raise ValueError(f"{', '.join(not_positive)} must be positive")
 
 
 def sqp_allocate(
@@ -583,21 +583,20 @@ def sqp_allocate(
     warm: AllocatorState,
     model: DroneModel,
     weights: PenaltyWeights | None = None,
-    tol_objective: float = 1e-4,
-    tol_constraint: float = 1e-5,
-    max_iterations: int = 30,
-    throttle_step_limit: float = 0.1,
-    angle_step_limit: float = 0.2,
+    settings: SolverSettings = SolverSettings(),
 ) -> AllocatorSolution:
     """Allocate a wrench demand by Newton iteration on the optimality system.
 
-    Terminates when the relative objective change falls below tol_objective
-    AND the constraint residual norm falls below tol_constraint, or after
-    max_iterations. Arm angles are left unwrapped so they can accumulate
-    over continuous rotations. The warm state is only read.
+    Terminates when the relative objective change falls below
+    settings.tol_objective AND the constraint residual norm falls below
+    settings.tol_constraint, or after settings.max_iterations. Arm angles
+    are left unwrapped so they can accumulate over continuous rotations.
+    The warm state is only read.
     """
     if weights is None:
         weights = PenaltyWeights()
+    tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
+    throttle_step_limit, angle_step_limit = settings.throttle_step_limit, settings.angle_step_limit
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
     _check_warm(warm, n_arms)
@@ -614,7 +613,7 @@ def sqp_allocate(
     iterations = 0
     converged = False
     res_norm = math.inf
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, settings.max_iterations + 1):
         delta = _newton_delta(*_assemble(x, it, model), n_arms)
         step = delta.tolist()
         alpha = step_scale(step[:n_arms], step[n_arms: 2 * n_arms],

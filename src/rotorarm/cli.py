@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .allocation import (
     DroneModel,
     PenaltyWeights,
     SolverError,
-    check_solver_settings,
+    SolverSettings,
     pinv_allocate,
     sqp_allocate,
 )
@@ -55,19 +56,11 @@ _TOP_KEYS = {
     "geometry", "radius", "model", "weights", "gains", "sweep", "solver", "allocator",
     "duration", "samples", "seed", "noise_std", "motor_lag", "settle", "out", "format",
 }
-_MODEL_KEYS = {"thrust_constant", "torque_constant", "control_period", "mass", "gravity", "inertia"}
-_WEIGHT_KEYS = {"throttle", "arm_rate", "limit", "throttle_low", "throttle_high", "rate_limit"}
-_GAIN_KEYS = {
-    "kp_pos", "ki_pos", "kd_pos", "i_max_pos",
-    "kp_ori", "ki_ori", "kd_ori", "i_max_ori", "proportional_on_measurement",
-}
-_SWEEP_KEYS = {
-    "kind", "amplitude", "step_duration", "accel_fraction", "axes",
-    "start_delay", "revolutions", "seconds_per_rev",
-}
-_SOLVER_KEYS = {
-    "tol_objective", "tol_constraint", "max_iterations",
-    "throttle_step_limit", "angle_step_limit",
+# each config section holds the fields of the dataclass it builds, by name and default
+_SECTIONS = {
+    section: {f.name: f.default for f in fields(cls) if f.name != "geometry"}
+    for section, cls in (("model", DroneModel), ("weights", PenaltyWeights), ("gains", PidGains),
+                         ("sweep", SweepSpec), ("solver", SolverSettings))
 }
 _INPUT_KEYS = {"q", "F", "M", "warm"}
 _WARM_KEYS = {"u", "a", "multipliers", "a_prev"}
@@ -100,10 +93,10 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
+def _check_keys(section: dict, allowed, where: str) -> None:
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
@@ -112,12 +105,9 @@ def load_run_config(path) -> dict:
     with open(path) as handle:
         config = json.load(handle)
     _check_keys(config, _TOP_KEYS, "config")
-    for section, allowed in (
-        ("model", _MODEL_KEYS), ("weights", _WEIGHT_KEYS), ("gains", _GAIN_KEYS),
-        ("sweep", _SWEEP_KEYS), ("solver", _SOLVER_KEYS),
-    ):
+    for section, defaults in _SECTIONS.items():
         if section in config:
-            _check_keys(config[section], allowed, f"config.{section}")
+            _check_keys(config[section], defaults, f"config.{section}")
     return config
 
 
@@ -199,7 +189,7 @@ def build_scenario(settings: dict, allocator: str | None = None) -> Scenario:
         motor_lag=float(settings["motor_lag"]),
         noise_std=float(settings["noise_std"]),
         seed=settings["seed"],
-        **settings["solver"],
+        solver=SolverSettings(**settings["solver"]),
     )
 
 
@@ -251,14 +241,12 @@ def _out_dir(settings: dict) -> Path:
 
 def cmd_efficiency(args) -> int:
     settings = merge_settings(args)
-    model_cfg = settings["model"]
-    mass = float(model_cfg.get("mass", 2.4))
-    gravity = float(model_cfg.get("gravity", 9.81))
-    geometry = resolve_geometry(settings["geometry"], float(settings["radius"]))
+    model = build_model(settings)
+    geometry = model.geometry
     n_samples = settings["samples"]
     LOG.info("efficiency sweep: %s, %d samples", geometry.name, n_samples)
 
-    eff = sweep_orientations(geometry, n_samples=n_samples, mass=mass, gravity=gravity)
+    eff = sweep_orientations(geometry, n_samples=n_samples, mass=model.mass, gravity=model.gravity)
     if len(eff.failures) == n_samples:
         raise InfeasibleHoverError(
             f"geometry {geometry.name!r} cannot hover in any sampled orientation"
@@ -316,7 +304,7 @@ def parse_allocation_input(payload: dict, n_arms: int):
 
 def cmd_allocate(args) -> int:
     settings = merge_settings(args)
-    check_solver_settings(**settings["solver"])
+    solver = SolverSettings(**settings["solver"])
     model = build_model(settings)
     with open(args.input) as handle:
         payload = json.load(handle)
@@ -328,9 +316,7 @@ def cmd_allocate(args) -> int:
     else:
         if warm is None:
             warm = AllocatorState.cold_start(model)
-        solution = sqp_allocate(
-            inp, warm, model, PenaltyWeights(**settings["weights"]), **settings["solver"]
-        )
+        solution = sqp_allocate(inp, warm, model, PenaltyWeights(**settings["weights"]), solver)
 
     result = {
         "u": list(solution.throttles),

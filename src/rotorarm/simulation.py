@@ -23,7 +23,7 @@ from .allocation import (
     LeastNormAllocation,
     PenaltyWeights,
     SolverError,
-    check_solver_settings,
+    SolverSettings,
     least_norm_allocation,
     pinv_allocate,
     solve_vector,
@@ -384,11 +384,7 @@ class Scenario:
     gains: PidGains = field(default_factory=PidGains)
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
     duration: float | None = None  # defaults to sweep duration plus a 2 s tail
-    tol_objective: float = 1e-4
-    tol_constraint: float = 1e-5
-    max_iterations: int = 30
-    throttle_step_limit: float = 0.1
-    angle_step_limit: float = 0.2
+    solver: SolverSettings = field(default_factory=SolverSettings)
     servo_rate_limit: float = SERVO_RATE_LIMIT
     servo_delay: float = SERVO_DELAY
     motor_lag: float = 0.0  # s, first-order throttle lag; 0 = instant
@@ -407,8 +403,6 @@ class Scenario:
             raise ValueError("noise_std, motor_lag and servo_delay must be non-negative")
         if not self.servo_rate_limit > 0.0:  # also rejects NaN
             raise ValueError(f"servo_rate_limit must be positive, got {self.servo_rate_limit}")
-        check_solver_settings(self.tol_objective, self.tol_constraint, self.max_iterations,
-                              self.throttle_step_limit, self.angle_step_limit)
 
 
 def _columns(*names: str, dtype=float):
@@ -493,14 +487,6 @@ def read_flight_csv(path, dt: float | None = None, allocator: str = "") -> Fligh
     with open(path, newline="") as handle:
         lines = list(csv.reader(handle))
     return FlightLog.from_table(lines[0] if lines else [], lines[1:], dt, allocator)
-
-
-def _solve(scenario: Scenario, inp: AllocatorInput, warm: AllocatorState,
-           weights: PenaltyWeights) -> AllocatorSolution:
-    """One warm-started Newton-KKT solve under the scenario's solver settings."""
-    return sqp_allocate(inp, warm, scenario.model, weights, scenario.tol_objective,
-                        scenario.tol_constraint, scenario.max_iterations,
-                        scenario.throttle_step_limit, scenario.angle_step_limit)
 
 
 class _BranchSupervisor:
@@ -632,7 +618,7 @@ class _BranchSupervisor:
         mirrored.angles[arm] += math.pi
         mirrored.prev_angles[arm] = mirrored.angles[arm]
         try:
-            trial = _solve(self.scenario, inp, mirrored, weights)
+            trial = sqp_allocate(inp, mirrored, self.scenario.model, weights, self.scenario.solver)
         except SolverError:
             return False
         return (
@@ -693,7 +679,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
         if sqp:
             weights = supervisor.advance(warm)
             try:
-                sol = _solve(scenario, inp, warm, weights)
+                sol = sqp_allocate(inp, warm, model, weights, scenario.solver)
             except SolverError:
                 # a solver breakdown is handled like any non-converged tick:
                 # hold the previous actuator commands and try again next tick
@@ -701,7 +687,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
                     throttles=warm.throttles.copy(),
                     angles=warm.angles.copy(),
                     multipliers=warm.multipliers.copy(),
-                    iterations=scenario.max_iterations,
+                    iterations=scenario.solver.max_iterations,
                     residual=math.inf,
                     objective=math.inf,
                     converged=False,

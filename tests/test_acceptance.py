@@ -25,6 +25,7 @@ from rotorarm import (
     HoverProblem,
     PenaltyWeights,
     Quaternion,
+    SolverSettings,
     allocation_objective,
     assemble_kkt,
     build_catalog,
@@ -363,7 +364,8 @@ def test_criterion_06_global_optimality_small_instance(note):
             torque += w.torque
         inp = AllocatorInput(Quaternion.identity(), force, torque)
 
-        sol = sqp_allocate(inp, AllocatorState.cold_start(model), model, max_iterations=60)
+        sol = sqp_allocate(inp, AllocatorState.cold_start(model), model,
+                           settings=SolverSettings(max_iterations=60))
         assert sol.converged
         f_sqp = allocation_objective(sol.throttles, sol.angles, np.zeros(4), dt, weights)
         f_grid = _grid_minimum(

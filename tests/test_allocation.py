@@ -34,6 +34,7 @@ from rotorarm import (
     PenaltyWeights,
     Quaternion,
     SolverError,
+    SolverSettings,
     allocation_objective,
     assemble_kkt,
     build_catalog,
@@ -686,7 +687,8 @@ def test_sqp_warm_chain_stays_converged(octa_model):
 
 def test_sqp_reports_nonconvergence(octa_model):
     inp = AllocatorInput(Quaternion.identity(), np.array([12.0, -9.0, 30.0]), np.array([0.5, 0.4, -0.3]))
-    sol = sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model, max_iterations=1)
+    sol = sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model,
+                       settings=SolverSettings(max_iterations=1))
     assert not sol.converged and sol.iterations == 1
 
 

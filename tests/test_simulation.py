@@ -18,6 +18,7 @@ from rotorarm import (
     RigidBodyState,
     Scenario,
     ServoState,
+    SolverSettings,
     SweepSpec,
     build_catalog,
     compare_singularity_handling,
@@ -438,8 +439,11 @@ def test_scenario_defaults_and_validation(octa_model):
     {"tol_constraint": -1e-5}, {"tol_constraint": math.nan},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_rejects_invalid_flight_inputs(octa_model, kwargs):
+    # the solver settings go into the scenario's SolverSettings, as the CLI's solver section does
+    kwargs = dict(kwargs)
+    solver = {f.name: kwargs.pop(f.name) for f in fields(SolverSettings) if f.name in kwargs}
     with pytest.raises(ValueError):
-        Scenario(model=octa_model, sweep=SweepSpec("hover"), **kwargs)
+        Scenario(model=octa_model, sweep=SweepSpec("hover"), solver=SolverSettings(**solver), **kwargs)
 
 
 def test_hover_flight_stays_put(octa_model):
