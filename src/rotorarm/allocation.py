@@ -16,6 +16,7 @@ arm angles. Two routes are provided:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -567,8 +568,11 @@ class SolverSettings:
     angle_step_limit: float = 0.2
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        iterations = self.max_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {iterations!r}")
+        if iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {iterations}")
         limits = {"throttle_step_limit": self.throttle_step_limit,
                   "angle_step_limit": self.angle_step_limit,
                   "tol_objective": self.tol_objective, "tol_constraint": self.tol_constraint}

@@ -101,6 +101,12 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def load_run_config(path) -> dict:
     with open(path) as handle:
         config = json.load(handle)
@@ -108,6 +114,10 @@ def load_run_config(path) -> dict:
     for section, defaults in _SECTIONS.items():
         if section in config:
             _check_keys(config[section], defaults, f"config.{section}")
+            for key, value in config[section].items():
+                # JSON true is a number to Python; only a boolean setting may take one
+                if not isinstance(defaults[key], bool) and _holds_bool(value):
+                    raise ValueError(f"config.{section}.{key} must not be a boolean, got {value!r}")
     return config
 
 
@@ -127,6 +137,9 @@ def merge_settings(args, config_path=None) -> dict:
         # a JSON config can give 150.9 or true, which int() would quietly truncate
         if isinstance(settings[key], bool) or not isinstance(settings[key], int):
             raise ValueError(f"{key} must be an integer, got {settings[key]!r}")
+    for key in ("radius", "duration", "noise_std", "motor_lag", "settle"):
+        if isinstance(settings[key], bool):  # float() would read true as 1.0
+            raise ValueError(f"{key} must be a number, got {settings[key]!r}")
     if settings["format"] not in ("csv", "json"):
         raise ValueError(f"unknown output format {settings['format']!r}, expected csv or json")
     if settings["allocator"] not in ("sqp", "pinv"):
@@ -272,6 +285,8 @@ def _require_vector(payload: dict, key: str, length: int) -> np.ndarray:
     value = payload[key]
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ValueError(f"field {key!r} must be a list of {length} numbers")
+    if _holds_bool(value):
+        raise ValueError(f"field {key!r} must contain only numbers")
     try:
         vec = np.array([float(x) for x in value])
     except (TypeError, ValueError):

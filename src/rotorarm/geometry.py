@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -318,11 +319,14 @@ def _parse_arm(entry: dict, index: int) -> Arm:
     try:
         r = np.asarray(entry["r"], dtype=float)
         kind = entry["kind"]
-        spin = int(entry["s"])
+        spin = entry["s"]
     except KeyError as missing:
         raise GeometryError(f"arm {index}: missing required key {missing}") from None
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"arm {index}: {exc}") from None
+    # int() would read 1.9 or true as the spin 1
+    if isinstance(spin, bool) or not isinstance(spin, numbers.Integral) or spin not in (-1, 1):
+        raise GeometryError(f"arm {index}: spin 's' must be the integer +1 or -1, got {spin!r}")
     if kind == ROTATING:
         if "x" not in entry:
             raise GeometryError(f"arm {index}: rotating arms need an axis 'x'")

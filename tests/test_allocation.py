@@ -685,6 +685,13 @@ def test_sqp_warm_chain_stays_converged(octa_model):
     assert max(iterations) <= 30
 
 
+@pytest.mark.parametrize("max_iterations", [2.5, 30.0, True, "30"])
+def test_solver_settings_take_an_integer_iteration_cap(max_iterations):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverSettings(max_iterations=max_iterations)
+    assert SolverSettings(max_iterations=np.int64(5)).max_iterations == 5
+
+
 def test_sqp_reports_nonconvergence(octa_model):
     inp = AllocatorInput(Quaternion.identity(), np.array([12.0, -9.0, 30.0]), np.array([0.5, 0.4, -0.3]))
     sol = sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model,

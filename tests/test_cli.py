@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -236,17 +237,63 @@ def _boolean_seed(tmp_path):
                          settle=0.2)
 
 
+def _boolean_noise_std(tmp_path):
+    return _config_value(tmp_path, "fly", noise_std=True, sweep={"kind": "hover"}, duration=0.5,
+                         settle=0.2)
+
+
+def _boolean_radius(tmp_path):
+    return _config_value(tmp_path, "efficiency", radius=True, samples=100)
+
+
+def _boolean_model_mass(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"mass": True}, samples=100)
+
+
+def _boolean_max_iterations(tmp_path):
+    return _allocate_with_solver(tmp_path, max_iterations=True)
+
+
+def _boolean_request_vector(tmp_path):
+    request = write_json_file(tmp_path / "r.json", {"q": [True, 0, 0, 0], "F": [0, 0, HOVER_FORCE],
+                                                    "M": [0, 0, 0]})
+    return ["allocate", request]
+
+
+def _efficiency_negative_thrust_constant(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"thrust_constant": -1.0}, samples=100)
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
     _too_few_samples, _no_command, _unknown_flag, _bad_sweep_kind,
     _allocate_zero_throttle_step_limit, _allocate_zero_max_iterations,
     _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
-    _fractional_seed, _boolean_seed,
+    _fractional_seed, _boolean_seed, _boolean_noise_std, _boolean_radius, _boolean_model_mass,
+    _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1
     capsys.readouterr()  # errors go to stderr, keep the terminal clean
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("model", rotorarm.DroneModel), ("weights", rotorarm.PenaltyWeights),
+    ("gains", rotorarm.PidGains), ("sweep", rotorarm.SweepSpec),
+    ("solver", rotorarm.SolverSettings),
+])
+def test_config_sections_take_exactly_their_dataclass_fields(tmp_path, section, cls):
+    names = {f.name for f in fields(cls)} - {"geometry"}  # the model's geometry is its own key
+    values = dict.fromkeys(names, 0)
+    if section == "gains":
+        values["proportional_on_measurement"] = True  # the one boolean setting
+    config = cli.load_run_config(write_json_file(tmp_path / "c.json", {section: values}))
+    assert config[section] == values
+    for extra in ("geometry", "bogus"):
+        path = write_json_file(tmp_path / "c.json", {section: {**values, extra: 0}})
+        with pytest.raises(ValueError, match=f"unknown config.{section} key"):
+            cli.load_run_config(path)
 
 
 @pytest.mark.parametrize("sweep, extra", [

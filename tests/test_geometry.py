@@ -313,6 +313,9 @@ def test_load_geometry_fixed_arms_use_n():
         lambda doc: doc["arms"][0].update(s=0),
         lambda doc: doc.update(arms=doc["arms"][:3]),  # too few arms
         lambda doc: doc.pop("arms"),
+        lambda doc: doc["arms"][0].update(s=1.9),  # spins are the integers +1 and -1 only
+        lambda doc: doc["arms"][0].update(s=-1.5),
+        lambda doc: doc["arms"][0].update(s=True),
     ],
 )
 def test_load_geometry_rejects_malformed_documents(mutate):
