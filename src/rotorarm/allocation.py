@@ -573,11 +573,9 @@ class SolverSettings:
             raise ValueError(f"max_iterations must be an integer, got {iterations!r}")
         if iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {iterations}")
-        limits = {"throttle_step_limit": self.throttle_step_limit,
-                  "angle_step_limit": self.angle_step_limit,
-                  "tol_objective": self.tol_objective, "tol_constraint": self.tol_constraint}
+        names = ("throttle_step_limit", "angle_step_limit", "tol_objective", "tol_constraint")
         # `not > 0` also rejects NaN
-        not_positive = [name for name, value in limits.items() if not value > 0.0]
+        not_positive = [name for name in names if not getattr(self, name) > 0.0]
         if not_positive:
             raise ValueError(f"{', '.join(not_positive)} must be positive")
 
