@@ -322,27 +322,6 @@ def _penalty(x, weight, low, high, limit):
     return p, dp, ddp
 
 
-def _penalty_arrays(x, weight, low: float, high: float, limit: float):
-    """`_penalty` of an array of any shape and a scalar or broadcast weight, as arrays."""
-    x, weight = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(weight, dtype=float))
-    size = x.size
-    results = _penalty(x.ravel().tolist(), weight.ravel().tolist(), [low] * size, [high] * size, limit)
-    # [()] turns a 0-d result into a scalar, as elementwise numpy arithmetic does
-    return tuple(np.array(r, dtype=float).reshape(x.shape)[()] for r in results)
-
-
-def penalty_throttle(u, weights: PenaltyWeights):
-    """Throttle cost p(u) with first and second derivatives (elementwise)."""
-    return _penalty_arrays(u, weights.throttle, weights.throttle_low, weights.throttle_high,
-                           weights.limit)
-
-
-def penalty_arm_rate(rate, weights: PenaltyWeights):
-    """Arm-rate cost p(v) with derivatives; one-sided beyond +-rate_limit."""
-    return _penalty_arrays(rate, weights.arm_rate, -weights.rate_limit, weights.rate_limit,
-                           weights.limit)
-
-
 def _add_reduce(values) -> float:
     """np.add.reduce of the float64 array of ``values`` bit for bit, on Python floats.
 
@@ -376,32 +355,6 @@ def _pairwise_sum(values) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
-    """Total soft cost of an actuator configuration given last tick's angles."""
-    if period <= 0.0:
-        raise ValueError(f"control period must be positive, got {period}")
-    pu, _, _ = penalty_throttle(np.asarray(throttles, dtype=float), weights)
-    rate = (np.asarray(angles, dtype=float) - np.asarray(prev_angles, dtype=float)) / period
-    pa, _, _ = penalty_arm_rate(rate, weights)
-    return float(np.sum(pu) + np.sum(pa))
-
-
-# ---------------------------------------------------------------------------
-# optimality system
-
-
-class _Iterate(NamedTuple):
-    """Every quantity of one iterate that depends on the primal variables."""
-
-    wrench: np.ndarray  # per-arm unit wrenches W, (n, 6)
-    d_wrench: np.ndarray  # dW/da
-    residual: np.ndarray  # produced minus demanded body wrench
-    objective: float  # what allocation_objective gives
-    values: list  # the iterate as Python floats
-    dp: list  # penalty first and second derivatives over [throttles; arm rates]
-    ddp: list
-
-
 def _penalized(weights: PenaltyWeights, n_arms: int):
     """`_penalty`'s arguments for the stacked vector [throttles; arm rates]."""
     throttle = np.asarray(weights.throttle, dtype=float).ravel().tolist()
@@ -416,6 +369,42 @@ def _penalized(weights: PenaltyWeights, n_arms: int):
     return weight, low, high, float(weights.limit)
 
 
+def _objective_pass(throttles: list, angles: list, prev_angles: list, period: float, penalized):
+    """The objective and the penalty derivatives over [throttles; arm rates], from lists of floats.
+
+    The objective is two partial sums, the throttle costs and then the
+    arm-rate costs, each added as numpy's sum of an array adds it.
+    """
+    n_arms = len(throttles)
+    rates = [(a - b) / period for a, b in zip(angles, prev_angles)]
+    p, dp, ddp = _penalty(throttles + rates, *penalized)
+    return _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), dp, ddp
+
+
+def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
+    """Total soft cost of an actuator configuration given last tick's angles."""
+    if period <= 0.0:
+        raise ValueError(f"control period must be positive, got {period}")
+    u, a, a_prev = (np.asarray(v, dtype=float).tolist() for v in (throttles, angles, prev_angles))
+    return _objective_pass(u, a, a_prev, period, _penalized(weights, len(u)))[0]
+
+
+# ---------------------------------------------------------------------------
+# optimality system
+
+
+class _Iterate(NamedTuple):
+    """Every quantity of one iterate that depends on the primal variables."""
+
+    wrench: np.ndarray  # per-arm unit wrenches W, (n, 6)
+    d_wrench: np.ndarray  # dW/da
+    residual: np.ndarray  # produced minus demanded body wrench
+    objective: float  # what allocation_objective gives, by the same pass
+    values: list  # the iterate as Python floats
+    dp: list  # penalty first and second derivatives over [throttles; arm rates]
+    ddp: list
+
+
 def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, penalized) -> _Iterate:
     """Evaluate one iterate once; that serves both its convergence test and the next assembly.
 
@@ -427,13 +416,10 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, penalized)
     and the matrix products stay numpy.
     """
     n_arms = model.geometry.n_arms
-    dt = model.control_period
     wrench, d_wrench = model.unit_wrenches(x[n_arms: 2 * n_arms])
-    rates = [(a - b) / dt for a, b in zip(values[n_arms: 2 * n_arms], prev_angles)]
-    p, dp, ddp = _penalty(values[:n_arms] + rates, *penalized)
-    # two partial sums, in the order allocation_objective adds them
-    return _Iterate(wrench, d_wrench, x[:n_arms] @ wrench - body_wrench,
-                    _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), values, dp, ddp)
+    objective, dp, ddp = _objective_pass(values[:n_arms], values[n_arms: 2 * n_arms], prev_angles,
+                                         model.control_period, penalized)
+    return _Iterate(wrench, d_wrench, x[:n_arms] @ wrench - body_wrench, objective, values, dp, ddp)
 
 
 def _assemble(x, it: _Iterate, model: DroneModel):

@@ -207,7 +207,6 @@ def force_map(geometry: DroneGeometry) -> ForceMap:
 class ValidationReport:
     violations: list[str]
     hover_map_rank: int
-    notes: list[str]
 
     @property
     def ok(self) -> bool:
@@ -217,7 +216,6 @@ class ValidationReport:
 def validate(geometry: DroneGeometry) -> ValidationReport:
     """Check unit norms, plane orthogonality, and hover-map rank."""
     violations: list[str] = []
-    notes: list[str] = []
     if geometry.n_arms < 4:
         violations.append(f"need at least 4 arms, got {geometry.n_arms}")
     for i, arm in enumerate(geometry.arms):
@@ -227,30 +225,12 @@ def validate(geometry: DroneGeometry) -> ValidationReport:
             violations.append(f"arm {i}: zero_dir is not unit length")
         if arm.kind == ROTATING and abs(np.dot(arm.axis, arm.zero_dir)) > UNIT_TOL:
             violations.append(f"arm {i}: zero_dir must be orthogonal to the arm axis")
-        if np.linalg.norm(arm.endpoint) < 1e-12:
-            notes.append(f"arm {i}: endpoint at body origin produces no lever-arm torque")
-    fm = geometry.hover_map
-    rank = int(np.linalg.matrix_rank(fm.matrix))
+    rank = int(np.linalg.matrix_rank(geometry.hover_map.matrix))
     if rank < 6:
         violations.append(
             f"hover force map has rank {rank} < 6; some wrench directions are unreachable"
         )
-    n_coords = fm.matrix.shape[1]
-    if rank >= 6 and n_coords - 6 < 2:
-        notes.append(
-            f"only {n_coords - 6} redundant force coordinates; little room to optimize"
-        )
-    if rank >= 6 and np.any(~geometry.rotating):
-        notes.append(
-            "fixed arms present: rank 6 does not guarantee every wrench is reachable "
-            "(per-arm direction or sign limits still apply)"
-        )
-    elif rank >= 6 and geometry.n_arms == 4:
-        notes.append(
-            "4 rotating arms give 8 force coordinates at rank 6; the reachable "
-            "wrench set is still bounded by per-arm thrust limits"
-        )
-    return ValidationReport(violations, rank, notes)
+    return ValidationReport(violations, rank)
 
 
 def _polygon_layout(n: int):

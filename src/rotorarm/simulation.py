@@ -103,7 +103,7 @@ def servo_update(state: ServoState, setpoint, dt: float) -> ServoState:
     else:
         target = state.angle
     max_step = state.rate_limit * dt
-    step = np.minimum(np.maximum(target - state.angle, -max_step), max_step)
+    step = _clip(target - state.angle, -max_step, max_step)
     return ServoState(state.angle + step, pending, state.rate_limit, state.delay)
 
 
@@ -498,15 +498,15 @@ class _BranchSupervisor:
     chain out of the valleys that wreck a flight:
 
     * Branch transits. The reference is projected onto each lightly loaded
-      arm's current thrust direction; a clearly negative component (or a
-      short extrapolation of one) means the demand has moved to that arm's
-      opposite branch, which no sequence of cheap local steps can reach.
-      The arm is walked half a turn at just under the servo rate and kept
-      nearly unloaded by a raised per-arm throttle weight while it swings.
-      An arm already pinned negative has its mirrored branch re-solved
-      first and swings only when that solves clearly better, since a
-      wrench that pins an arm on both branches alike is best served by
-      staying put.
+      arm's current thrust direction; a small component falling fast
+      enough that a short extrapolation of it is clearly negative means
+      the demand is moving to that arm's opposite branch, which no sequence
+      of cheap local steps can reach. The arm is walked half a turn at just
+      under the servo rate and kept nearly unloaded by a raised per-arm
+      throttle weight while it swings. An arm already pinned negative has
+      its mirrored branch re-solved first and swings only when the flipped
+      arm takes real load there, since a wrench that pins an arm on both
+      branches alike is best served by staying put.
 
     * Warm-point pull. Even with every branch right, the chain can settle
       into a far costlier load split than the reference spread. Each tick
@@ -570,7 +570,7 @@ class _BranchSupervisor:
         share = ref.throttles * np.cos(gap)
         free = np.isnan(self.target)
         # an ordinary handoff of load to other arms keeps the projection
-        # near zero; a negative one means the demand changed branch
+        # near zero; one falling through zero means the demand changes branch
         watch = free & (self.cool <= t) & (sol.throttles < 0.05)
         if watch.any():
             # the projection is continuous through a crossing, so a short
@@ -578,7 +578,7 @@ class _BranchSupervisor:
             # actually reverses
             slope = (share - self.share_hist[k % self.hist_len]) / (self.hist_len * self.dt)
             early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
-            for i in np.nonzero(watch & (early | (share < -0.03)))[0]:
+            for i in np.nonzero(watch & early)[0]:
                 if sol.throttles[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
                     continue
                 # past a crossing the reference sits on the far branch and
@@ -603,15 +603,14 @@ class _BranchSupervisor:
 
     def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
                          weights: PenaltyWeights) -> bool:
-        """Whether the arm restarted on its mirrored branch solves clearly cheaper.
+        """Whether the arm restarted on its mirrored branch takes real load there.
 
         A thrust of u at angle a equals a thrust of -u half a turn away, so a
         negatively pinned arm always has a feasible twin configuration. The
-        twin counts only when it converges to a solidly lower objective AND
-        puts real positive throttle on the flipped arm. Without the second
-        condition a lower objective may just mean the trial solve hopped to a
-        cheaper load split among the other arms, a gain that swinging this
-        arm cannot capture, and chasing it causes endless swings.
+        twin counts only when its solve converges AND puts real positive
+        throttle on the flipped arm. A twin that leaves the arm unloaded has
+        only moved the load to the other arms, which swinging this arm
+        cannot capture, and chasing it causes endless swings.
         """
         mirrored = sol.next_warm()
         mirrored.throttles[arm] = max(-sol.throttles[arm], 0.01)
@@ -621,11 +620,7 @@ class _BranchSupervisor:
             trial = sqp_allocate(inp, mirrored, self.scenario.model, weights, self.scenario.solver)
         except SolverError:
             return False
-        return (
-            trial.converged
-            and trial.objective < sol.objective - 0.02
-            and trial.throttles[arm] >= 0.04
-        )
+        return trial.converged and trial.throttles[arm] >= 0.04
 
 
 def run_flight(scenario: Scenario) -> FlightLog:

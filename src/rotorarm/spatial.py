@@ -14,14 +14,6 @@ import numpy as np
 UNIT_TOL = 1e-9
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector as a float ndarray."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v!r}")
-    return v
-
-
 def normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
@@ -80,14 +72,6 @@ class Quaternion:
         s = math.sin(half)
         return cls(math.cos(half), s * x, s * y, s * z)
 
-    @property
-    def w(self) -> float:
-        return float(self.wxyz[0])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.wxyz[1:]
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product; composes rotations so (p*q).rotate == p.rotate(q.rotate(.))."""
         # Python floats, not numpy scalars: the same arithmetic, done faster
@@ -126,9 +110,6 @@ class Quaternion:
             matrix.flags.writeable = False
             self._matrix = matrix
         return self._matrix
-
-    def dot(self, other: "Quaternion") -> float:
-        return float(np.dot(self.wxyz, other.wxyz))
 
     def axis_angle(self) -> tuple[np.ndarray, float]:
         """Rotation axis and angle in [0, pi]; axis is zero for the identity."""

@@ -215,6 +215,16 @@ def penalty_oracle(x, weight, low, high, limit):
     return p, dp, ddp
 
 
+def allocation_objective_oracle(throttles, angles, prev_angles, period: float, weights) -> float:
+    """The objective as first written: numpy sums of the throttle and the arm-rate penalties."""
+    rates = (angles - prev_angles) / period
+    p_u = penalty_oracle(throttles, weights.throttle, weights.throttle_low, weights.throttle_high,
+                         weights.limit)[0]
+    p_rate = penalty_oracle(rates, weights.arm_rate, -weights.rate_limit, weights.rate_limit,
+                            weights.limit)[0]
+    return float(np.sum(p_u) + np.sum(p_rate))
+
+
 def evaluate_oracle(x, prev_angles, body_wrench, model, weights) -> dict:
     """Every quantity of one iterate x = [throttles; angles; multipliers]."""
     n = model.geometry.n_arms

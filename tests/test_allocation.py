@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 from helpers import (
+    allocation_objective_oracle,
     arm_wrench,
     assemble_oracle,
     evaluate_oracle,
@@ -46,7 +47,7 @@ from rotorarm import (
     wrap_angle,
 )
 from rotorarm import allocation
-from rotorarm.allocation import penalty_arm_rate, penalty_throttle, step_scale
+from rotorarm.allocation import step_scale
 from rotorarm.geometry import (
     ARM_KINDS,
     CATALOG_IDS,
@@ -295,35 +296,47 @@ def test_unit_wrenches_match_the_scalar_oracle(arms, mu, tau, data):
             )
 
 
+def _one_penalty(x, weight, low, high, limit):
+    """`allocation._penalty` of one value: its p, dp and ddp."""
+    return [r[0] for r in allocation._penalty([x], [weight], [low], [high], limit)]
+
+
 def test_penalty_throttle_shape_and_derivatives():
     w = PenaltyWeights()
-    u = np.array([-0.2, 0.0, 0.3, 1.0, 1.25])
-    p, dp, ddp = penalty_throttle(u, w)
-    np.testing.assert_allclose(p[2], 0.09, atol=1e-12)  # plain quadratic inside the band
+
+    def penalty(x):
+        return _one_penalty(x, w.throttle, w.throttle_low, w.throttle_high, w.limit)
+
+    p = [penalty(x)[0] for x in (-0.2, 0.0, 0.3, 1.0, 1.25)]
+    assert p[2] == pytest.approx(0.09, abs=1e-12)  # plain quadratic inside the band
     assert p[0] == pytest.approx(0.04 + 100.0 * 0.04)
     assert p[4] == pytest.approx(1.25**2 + 100.0 * 0.0625)
     for x in (-0.2, 0.3, 1.25):  # away from the kinks the derivatives are smooth
-        fd_p = (penalty_throttle(x + FD_H, w)[0] - penalty_throttle(x - FD_H, w)[0]) / (2 * FD_H)
-        fd_dp = (penalty_throttle(x + FD_H, w)[1] - penalty_throttle(x - FD_H, w)[1]) / (2 * FD_H)
-        assert rel_error(penalty_throttle(x, w)[1], fd_p) < 1e-8
-        assert rel_error(penalty_throttle(x, w)[2], fd_dp) < 1e-6
+        fd_p = (penalty(x + FD_H)[0] - penalty(x - FD_H)[0]) / (2 * FD_H)
+        fd_dp = (penalty(x + FD_H)[1] - penalty(x - FD_H)[1]) / (2 * FD_H)
+        assert rel_error(penalty(x)[1], fd_p) < 1e-8
+        assert rel_error(penalty(x)[2], fd_dp) < 1e-6
     # first derivative stays continuous across the limit
-    left = penalty_throttle(1.0 - 1e-9, w)[1]
-    right = penalty_throttle(1.0 + 1e-9, w)[1]
+    left = penalty(1.0 - 1e-9)[1]
+    right = penalty(1.0 + 1e-9)[1]
     assert abs(left - right) < 1e-6
 
 
 def test_penalty_arm_rate_shape_and_derivatives():
     w = PenaltyWeights()
     limit = w.rate_limit
-    assert penalty_arm_rate(0.5 * limit, w)[0] == pytest.approx(w.arm_rate * 0.25 * limit**2)
-    over = penalty_arm_rate(limit + 1.0, w)[0]
+
+    def penalty(x):
+        return _one_penalty(x, w.arm_rate, -limit, limit, w.limit)
+
+    assert penalty(0.5 * limit)[0] == pytest.approx(w.arm_rate * 0.25 * limit**2)
+    over = penalty(limit + 1.0)[0]
     assert over == pytest.approx(w.arm_rate * (limit + 1.0) ** 2 + w.limit)
     for x in (-9.0, -2.0, 1.5, 8.0):
-        fd_p = (penalty_arm_rate(x + FD_H, w)[0] - penalty_arm_rate(x - FD_H, w)[0]) / (2 * FD_H)
-        fd_dp = (penalty_arm_rate(x + FD_H, w)[1] - penalty_arm_rate(x - FD_H, w)[1]) / (2 * FD_H)
-        assert rel_error(penalty_arm_rate(x, w)[1], fd_p) < 1e-8
-        assert rel_error(penalty_arm_rate(x, w)[2], fd_dp) < 1e-6
+        fd_p = (penalty(x + FD_H)[0] - penalty(x - FD_H)[0]) / (2 * FD_H)
+        fd_dp = (penalty(x + FD_H)[1] - penalty(x - FD_H)[1]) / (2 * FD_H)
+        assert rel_error(penalty(x)[1], fd_p) < 1e-8
+        assert rel_error(penalty(x)[2], fd_dp) < 1e-6
 
 
 def _bits(a) -> bytes:
@@ -371,12 +384,6 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
     regrouped = weights.arm_rate * rate * rate + weights.limit * (over * over)
     np.testing.assert_allclose(regrouped, old_rate[0], rtol=4 * np.finfo(float).eps, atol=0.0)
 
-    for ours, old in zip(penalty_throttle(u, weights), old_u):
-        assert _bits(ours) == _bits(old)
-    p, dp, ddp = penalty_arm_rate(rate, weights)
-    assert _bits(p) == _bits(regrouped)
-    assert _bits(dp) == _bits(old_rate[1]) and _bits(ddp) == _bits(old_rate[2])
-
     # the stacked pass over [throttles; rates] that every Newton iterate runs
     p, dp, ddp = allocation._penalty(np.concatenate((u, rate)).tolist(),
                                      *allocation._penalized(weights, n))
@@ -391,10 +398,34 @@ def test_allocation_objective_is_the_penalty_sum(rng):
     a = rng.uniform(-1.0, 1.0, 6)
     prev = a - rng.uniform(-0.01, 0.01, 6)
     dt = 0.005
-    expected = np.sum(penalty_throttle(u, w)[0]) + np.sum(penalty_arm_rate((a - prev) / dt, w)[0])
+    expected = (np.sum(penalty_throttle_oracle(u, w)[0])
+                + np.sum(penalty_arm_rate_oracle((a - prev) / dt, w)[0]))
     assert allocation_objective(u, a, prev, dt, w) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         allocation_objective(u, a, prev, 0.0, w)
+
+
+@pytest.mark.parametrize("config_id", ["tetrahedron_rot", "octahedron_rot", "cube_rot"])
+def test_allocation_objective_is_the_evaluated_objective_bit_for_bit(rng, config_id):
+    """allocation_objective, `_evaluate`'s objective and the array formulas agree byte for byte.
+
+    Random iterates on 4, 6 and 8 arms with per-arm throttle weights,
+    throttles on both sides of the band and arm rates on both sides of the
+    rate limit.
+    """
+    model = DroneModel(build_catalog(config_id))
+    n, dt = model.geometry.n_arms, model.control_period
+    for _ in range(200):
+        weights = PenaltyWeights(throttle=rng.uniform(0.5, 50.0, n))
+        u = rng.uniform(-0.3, 1.3, n)
+        a = rng.uniform(-10.0, 10.0, n)
+        prev = a - rng.uniform(-2.0, 2.0, n) * weights.rate_limit * dt
+        x = np.concatenate((u, a, rng.normal(0.0, 0.3, 6)))
+        it = allocation._evaluate(x, x.tolist(), prev.tolist(), np.zeros(6), model,
+                                  allocation._penalized(weights, n))
+        objective = allocation_objective(u, a, prev, dt, weights)
+        assert same_bits(objective, it.objective)
+        assert same_bits(objective, allocation_objective_oracle(u, a, prev, dt, weights))
 
 
 def _random_state(model, rng, spread=0.15):

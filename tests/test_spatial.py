@@ -22,16 +22,7 @@ from helpers import (
     rodrigues,
     same_bits,
 )
-from rotorarm import Quaternion, integrate_orientation, normalize, orientation_error, vec3
-
-
-def test_vec3_builds_float_array():
-    v = vec3(1, 2, 3)
-    assert v.dtype == float and v.shape == (3,)
-    with pytest.raises(ValueError):
-        vec3(1.0, math.nan, 0.0)
-    with pytest.raises(ValueError):
-        vec3(math.inf, 0.0, 0.0)
+from rotorarm import Quaternion, integrate_orientation, normalize, orientation_error
 
 
 def test_normalize(rng):

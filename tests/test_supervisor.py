@@ -7,6 +7,7 @@ agree with the reference.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,11 +38,11 @@ def supervisor(octa_model):
     return _BranchSupervisor(Scenario(model=octa_model, sweep=SweepSpec("hover")))
 
 
-def solution(throttle0=0.01, objective=1.0) -> AllocatorSolution:
+def solution(throttle0=0.01, converged=True) -> AllocatorSolution:
     throttles = np.full(6, LOADED)
     throttles[0] = throttle0
     angles = np.linspace(-1.0, 1.5, 6)
-    return AllocatorSolution(throttles, angles, np.zeros(6), 3, 0.0, objective, True)
+    return AllocatorSolution(throttles, angles, np.zeros(6), 3, 0.0, 1.0, converged)
 
 
 def reference(sol, share0=0.0, gap0=0.0) -> AllocatorSolution:
@@ -81,18 +82,9 @@ def transiting(supervisor):
 # starting transits
 
 
-def test_negative_share_starts_a_half_turn(supervisor):
-    sol = solution()
-    with_history(supervisor, -0.05)  # flat: the extrapolation stays quiet
-    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    assert transiting(supervisor) == [0]
-    assert supervisor.target[0] == sol.angles[0] + math.pi
-    assert supervisor.cool[0] == pytest.approx(K * supervisor.dt + 0.3)
-
-
 def test_loaded_arm_is_not_watched(supervisor):
     sol = solution(throttle0=0.2)
-    with_history(supervisor, -0.05)
+    with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
     assert transiting(supervisor) == []
 
@@ -102,6 +94,8 @@ def test_falling_share_starts_early(supervisor):
     with_history(supervisor, 0.1)  # slope -1.58 /s, extrapolated share -0.28
     after(supervisor, sol, reference(sol, share0=0.005))
     assert transiting(supervisor) == [0]
+    assert supervisor.target[0] == sol.angles[0] + math.pi
+    assert supervisor.cool[0] == pytest.approx(K * supervisor.dt + 0.3)
 
 
 def test_early_start_needs_a_small_share(supervisor):
@@ -121,7 +115,7 @@ def test_early_start_needs_a_clear_fall(supervisor):
 
 def test_turn_direction_follows_the_reference_past_a_crossing(supervisor):
     sol = solution()
-    with_history(supervisor, 0.1 * math.cos(-2.8))
+    with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=0.1 * math.cos(-2.8), gap0=-2.8))
     assert supervisor.target[0] == sol.angles[0] - math.pi
 
@@ -129,7 +123,7 @@ def test_turn_direction_follows_the_reference_past_a_crossing(supervisor):
 def test_cool_down_blocks_a_retrigger_for_0_3_s(supervisor):
     sol = solution()
     ref = reference(sol, share0=-0.05, gap0=3.0)
-    with_history(supervisor, -0.05)
+    with_history(supervisor, 0.1)
     after(supervisor, sol, ref, k=0)
     warm = sol.next_warm()
     for _ in range(60):
@@ -161,18 +155,19 @@ def trials(monkeypatch):
     return calls, outcome
 
 
-def pinned_case(supervisor, trials, objective, flipped_throttle):
+def pinned_case(supervisor, trials, result):
+    """Arm 0 pinned at throttle -0.03 under a falling share; result is the mirror solve or SolverError."""
     calls, outcome = trials
-    sol = solution(throttle0=-0.03, objective=1.0)
-    trial = solution(throttle0=flipped_throttle, objective=objective)
-    outcome["result"] = SolverError if objective is None else trial
-    with_history(supervisor, -0.05)
+    sol = solution(throttle0=-0.03)
+    outcome["result"] = result
+    with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
     return sol, calls
 
 
 def test_pinned_arm_swings_when_its_mirror_solves_clearly_cheaper(supervisor, trials):
-    sol, calls = pinned_case(supervisor, trials, objective=0.9, flipped_throttle=0.2)
+    # the objective does not decide: the load the mirror puts on the flipped arm does
+    sol, calls = pinned_case(supervisor, trials, replace(solution(throttle0=0.2), objective=0.9))
     assert transiting(supervisor) == [0]
     (mirrored,) = calls
     assert mirrored.throttles[0] == 0.03
@@ -180,25 +175,25 @@ def test_pinned_arm_swings_when_its_mirror_solves_clearly_cheaper(supervisor, tr
     np.testing.assert_array_equal(mirrored.throttles[1:], sol.throttles[1:])
 
 
-def test_pinned_arm_stays_when_its_mirror_is_no_cheaper(supervisor, trials):
-    pinned_case(supervisor, trials, objective=0.99, flipped_throttle=0.2)
+def test_pinned_arm_stays_when_its_mirror_leaves_it_unloaded(supervisor, trials):
+    pinned_case(supervisor, trials, solution(throttle0=0.03))
     assert transiting(supervisor) == []
 
 
-def test_pinned_arm_stays_when_its_mirror_leaves_it_unloaded(supervisor, trials):
-    pinned_case(supervisor, trials, objective=0.9, flipped_throttle=0.03)
+def test_pinned_arm_stays_when_its_mirror_does_not_converge(supervisor, trials):
+    pinned_case(supervisor, trials, solution(throttle0=0.2, converged=False))
     assert transiting(supervisor) == []
 
 
 def test_pinned_arm_stays_when_its_mirror_breaks_down(supervisor, trials):
-    pinned_case(supervisor, trials, objective=None, flipped_throttle=0.2)
+    pinned_case(supervisor, trials, SolverError)
     assert transiting(supervisor) == []
 
 
 def test_unpinned_arm_swings_without_a_mirror_solve(supervisor, trials):
     calls, _ = trials
     sol = solution(throttle0=-0.01)
-    with_history(supervisor, -0.05)
+    with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
     assert transiting(supervisor) == [0] and calls == []
 
@@ -212,7 +207,7 @@ def test_transit_walks_the_warm_point_under_a_raised_throttle_weight(supervisor)
     sol = solution()
     warm = sol.next_warm()
     assert supervisor.advance(warm) is base  # nothing in transit
-    with_history(supervisor, -0.05)
+    with_history(supervisor, 0.1)
     warm = after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
     start = warm.angles.copy()
 
@@ -242,7 +237,7 @@ def test_warm_point_is_pulled_toward_the_reference(supervisor):
 
 def test_arms_in_transit_are_not_pulled(supervisor):
     sol = solution()
-    with_history(supervisor, -0.05)
+    with_history(supervisor, 0.1)
     ref = reference(sol, share0=-0.05, gap0=3.0)
     ref.throttles[1] += 0.2
     warm = after(supervisor, sol, ref)
