@@ -137,9 +137,10 @@ class DroneModel:
     inertia: np.ndarray = field(default_factory=_default_inertia)
 
     def __post_init__(self):
-        if self.thrust_constant <= 0.0 or self.torque_constant < 0.0:
+        # `not > 0` and `not >= 0` also reject NaN
+        if not (self.thrust_constant > 0.0 and self.torque_constant >= 0.0):
             raise ValueError("thrust_constant must be positive, torque_constant non-negative")
-        if self.control_period <= 0.0 or self.mass <= 0.0 or self.gravity <= 0.0:
+        if not (self.control_period > 0.0 and self.mass > 0.0 and self.gravity > 0.0):
             raise ValueError("control_period, mass, and gravity must be positive")
         inertia = np.asarray(self.inertia, dtype=float)
         if inertia.shape == (3,):

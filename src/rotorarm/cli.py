@@ -52,10 +52,6 @@ from .tables import write_csv
 
 LOG = logging.getLogger("rotorarm")
 
-_TOP_KEYS = {
-    "geometry", "radius", "model", "weights", "gains", "sweep", "solver", "allocator",
-    "duration", "samples", "seed", "noise_std", "motor_lag", "settle", "out", "format",
-}
 # each config section holds the fields of the dataclass it builds, by name and default
 _SECTIONS = {
     section: {f.name: f.default for f in fields(cls) if f.name != "geometry"}
@@ -78,6 +74,7 @@ _DEFAULTS = {
     "out": ".",
     "format": "csv",
 }
+_TOP_KEYS = set(_DEFAULTS) | set(_SECTIONS)
 
 
 class UsageError(ValueError):
@@ -124,7 +121,7 @@ def load_run_config(path) -> dict:
 def merge_settings(args, config_path=None) -> dict:
     """Defaults, then config file, then command-line flags."""
     settings = dict(_DEFAULTS)
-    settings.update({"model": {}, "weights": {}, "gains": {}, "sweep": {}, "solver": {}})
+    settings.update({section: {} for section in _SECTIONS})
     if config_path is None:
         config_path = getattr(args, "config", None)
     if config_path:

@@ -174,6 +174,12 @@ class PidGains:
     i_max_ori: float = 0.8  # Nm
     proportional_on_measurement: bool = False
 
+    def __post_init__(self):
+        gains = [f.name for f in fields(self) if f.name != "proportional_on_measurement"]
+        bad = [name for name in gains if not 0.0 <= getattr(self, name) < math.inf]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite and non-negative")
+
 
 class PidController:
     """Pose PID producing a world-frame wrench demand with weight feedforward.

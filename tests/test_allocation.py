@@ -73,6 +73,13 @@ def test_model_validation_and_hover_throttle():
         DroneModel(g, inertia=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("name", ["thrust_constant", "torque_constant", "control_period", "mass",
+                                  "gravity"])
+def test_model_rejects_a_nan_constant(name):
+    with pytest.raises(ValueError, match=name):
+        DroneModel(build_catalog("octahedron_rot"), **{name: math.nan})
+
+
 @pytest.mark.parametrize("inertia", [
     [0.0, 0.02, 0.02],
     [0.02, -0.02, 0.02],

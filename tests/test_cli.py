@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -264,6 +265,15 @@ def _efficiency_negative_thrust_constant(tmp_path):
     return _config_value(tmp_path, "efficiency", model={"thrust_constant": -1.0}, samples=100)
 
 
+def _efficiency_nan_thrust_constant(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"thrust_constant": math.nan}, samples=100)
+
+
+def _fly_negative_gain(tmp_path):
+    return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
+                         gains={"kp_pos": -5})
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
@@ -272,6 +282,7 @@ def _efficiency_negative_thrust_constant(tmp_path):
     _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
     _fractional_seed, _boolean_seed, _boolean_noise_std, _boolean_radius, _boolean_model_mass,
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
+    _efficiency_nan_thrust_constant, _fly_negative_gain,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1

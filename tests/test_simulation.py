@@ -18,6 +18,7 @@ from rotorarm import (
     RigidBodyState,
     Scenario,
     ServoState,
+    SolverError,
     SolverSettings,
     SweepSpec,
     build_catalog,
@@ -36,6 +37,7 @@ from rotorarm import (
     sweep_setpoint,
     trapezoid_profile,
 )
+from rotorarm import simulation
 from rotorarm.simulation import (
     SERVO_DELAY,
     SERVO_RATE_LIMIT,
@@ -304,6 +306,15 @@ def test_pid_rejects_bad_dt():
         pid.update(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(PidGains)
+                                  if f.name != "proportional_on_measurement"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_pid_gains_reject_a_negative_or_non_finite_gain(name, value):
+    with pytest.raises(ValueError, match=name):
+        PidGains(**{name: value})
+    PidGains(**{name: 0.0})  # a zero gain switches its term off
+
+
 # ---------------------------------------------------------------------------
 # sweep trajectories
 
@@ -463,6 +474,28 @@ def test_hover_flight_under_pinv(octa_model):
     assert np.all(log.converged)
     assert np.max(log.pos_error) < 1e-3
     np.testing.assert_array_equal(log.iterations, 1)
+
+
+def test_a_solver_breakdown_holds_the_commands_for_one_tick(octa_model, monkeypatch):
+    """A SolverError on tick k logs a failed tick with tick k-1's commands; tick k+1 solves again."""
+    k = 50
+    solve, calls = simulation.sqp_allocate, []
+
+    def breaks_once(*args):
+        calls.append(args)
+        if len(calls) == k + 1:
+            raise SolverError("injected breakdown")
+        return solve(*args)
+
+    monkeypatch.setattr(simulation, "sqp_allocate", breaks_once)
+    log = run_flight(_hover_scenario(octa_model, duration=0.5))
+    assert len(calls) == len(log.t)  # one solve per tick, no mirror trial
+    assert np.nonzero(~log.converged)[0].tolist() == [k]
+    assert log.iterations[k] == SolverSettings().max_iterations and log.residual[k] == math.inf
+    for commands in (log.throttle_cmd, log.angle_cmd):
+        assert same_bits(commands[k], commands[k - 1])
+    # the hover's commands move in their last bits every tick, so the hold shows
+    assert not same_bits(log.throttle_cmd[k + 1], log.throttle_cmd[k])
 
 
 def test_flights_are_deterministic(octa_model):

@@ -98,6 +98,14 @@ def test_falling_share_starts_early(supervisor):
     assert supervisor.cool[0] == pytest.approx(K * supervisor.dt + 0.3)
 
 
+def test_the_slope_is_taken_over_the_recorded_share_history(supervisor):
+    sol = solution()
+    after(supervisor, sol, reference(sol, share0=0.1))  # too large a share to start a transit
+    assert transiting(supervisor) == []
+    after(supervisor, sol, reference(sol, share0=0.005), k=K + supervisor.hist_len)
+    assert transiting(supervisor) == [0]
+
+
 def test_early_start_needs_a_small_share(supervisor):
     sol = solution()
     with_history(supervisor, 0.5)  # steep fall, but the arm still has share 0.05
@@ -111,6 +119,25 @@ def test_early_start_needs_a_clear_fall(supervisor):
     with_history(supervisor, -0.029 + 0.08 * supervisor.hist_len * supervisor.dt)
     after(supervisor, sol, reference(sol, share0=-0.029, gap0=3.0))
     assert transiting(supervisor) == []
+
+
+def test_early_start_needs_the_extrapolation_clearly_negative(supervisor):
+    sol = solution()
+    # slope -0.2 /s from share 0.01 extrapolates to -0.026, above -0.04
+    with_history(supervisor, 0.01 + 0.2 * supervisor.hist_len * supervisor.dt)
+    after(supervisor, sol, reference(sol, share0=0.01))
+    assert transiting(supervisor) == []
+
+
+def test_an_arm_in_transit_is_not_nominated_again(supervisor):
+    sol = solution()
+    ref = reference(sol, share0=-0.05, gap0=3.0)
+    with_history(supervisor, 0.1)
+    after(supervisor, sol, ref, k=0)
+    with_history(supervisor, 0.1)
+    after(supervisor, sol, ref, k=61)  # past the cool-down, with the half-turn not yet walked
+    assert transiting(supervisor) == [0]
+    assert supervisor.cool[0] == pytest.approx(0.3)
 
 
 def test_turn_direction_follows_the_reference_past_a_crossing(supervisor):
@@ -218,8 +245,9 @@ def test_transit_walks_the_warm_point_under_a_raised_throttle_weight(supervisor)
     np.testing.assert_array_equal(warm.angles[1:], start[1:])
     assert supervisor.transit_step == pytest.approx(0.9 * supervisor.scenario.servo_rate_limit
                                                     * supervisor.dt)
-    while transiting(supervisor):
+    for _ in range(60):  # the half-turn takes 47 ticks
         supervisor.advance(warm)
+    assert transiting(supervisor) == []
     assert warm.angles[0] == pytest.approx(sol.angles[0] + math.pi, abs=1e-9)
 
 
