@@ -233,14 +233,14 @@ class AllocatorInput:
             v = np.array(getattr(self, name), dtype=float)
             if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
                 raise ValueError(f"{name} must be a finite 3-vector, got {v!r}")
-            v.flags.writeable = False
+            v.setflags(write=False)
             object.__setattr__(self, name, v)
 
     @cached_property
     def _body_wrench(self) -> np.ndarray:
         # v @ R is R^T v: world to body for both rows at once
-        wrench = (np.stack([self.force, self.torque]) @ self.orientation.to_matrix()).ravel()
-        wrench.flags.writeable = False
+        wrench = (np.array((self.force, self.torque)) @ self.orientation.to_matrix()).ravel()
+        wrench.setflags(write=False)
         return wrench
 
     def body_wrench(self) -> np.ndarray:
@@ -656,26 +656,34 @@ def least_norm_allocation(body_wrench: np.ndarray, model: DroneModel,
     """Throttles and angles of the minimum-norm solve through the constant thrust-plane map.
 
     Arm angles come from atan2 of the plane coordinates, unwrapped to the
-    nearest turn of the previous angle; arms allocated zero throttle keep
-    their previous angle. `pinv_allocate` and the flight loop's supervisor
-    reference both call this. Raises SolverError when the map is rank
-    deficient or an arm does not rotate.
+    nearest turn of the previous angle (one per arm); arms allocated zero
+    throttle keep their previous angle. `pinv_allocate` and the flight
+    loop's supervisor reference both call this. Raises SolverError when
+    the map is rank deficient or an arm does not rotate.
+
+    The per-arm arithmetic runs on Python floats in numpy's operation
+    order, with the bits of the array formulas: the row norms of
+    np.linalg.norm(coords, axis=1), and `wrap_angle`'s formula. The matrix
+    product and the atan2 stay numpy, since math.atan2 differs from
+    np.arctan2 in the last bit on some inputs.
     """
     pinv, rank = model._thrust_plane_pinv
     if rank < 6:
         raise SolverError(f"thrust-plane wrench map of {model.geometry.name} is rank deficient")
     coords = (pinv @ body_wrench).reshape(-1, 2)
-    # the row norms as np.linalg.norm(coords, axis=1) computes them
-    throttles = np.sqrt(np.add.reduce(coords * coords, axis=1))
-    raw = np.arctan2(coords[:, 1], coords[:, 0])
+    flat = coords.ravel().tolist()
+    throttles = [math.sqrt(x * x + y * y) for x, y in zip(flat[0::2], flat[1::2])]
+    raw = np.arctan2(coords[:, 1], coords[:, 0]).tolist()
     if prev_angles is None:
-        angles = np.where(throttles > 1e-9, raw, 0.0)
+        angles = [r if u > 1e-9 else 0.0 for u, r in zip(throttles, raw)]
     else:
         prev_angles = np.asarray(prev_angles, dtype=float)
-        angles = np.where(
-            throttles > 1e-9, prev_angles + wrap_angle(raw - prev_angles), prev_angles
-        )
-    return LeastNormAllocation(throttles, angles)
+        if prev_angles.shape != coords.shape[:1]:
+            raise ValueError(f"prev_angles must hold one angle per arm ({len(coords)}), "
+                             f"got shape {prev_angles.shape}")
+        angles = [p + ((r - p + math.pi) % TWO_PI - math.pi) if u > 1e-9 else p
+                  for u, r, p in zip(throttles, raw, prev_angles.tolist())]
+    return LeastNormAllocation(np.array(throttles), np.array(angles))
 
 
 def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> AllocatorSolution:

@@ -28,7 +28,6 @@ from .allocation import (
     pinv_allocate,
     solve_vector,
     sqp_allocate,
-    wrap_angle,
 )
 from .spatial import Quaternion, integrate_orientation, orientation_error
 from .tables import write_csv
@@ -134,28 +133,46 @@ def rigid_body_step(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    body_force = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0)
-    body_torque = np.asarray(torques, dtype=float).reshape(-1, 3).sum(axis=0)
-
     # elementwise arithmetic on 3-vectors in Python floats, as in
     # PidController.update; the matrix products and the solve stay numpy
-    weight = model.mass * model.gravity
-    world_force = [f + weight * d
-                   for f, d in zip(state.orientation.rotate(body_force).tolist(), _GRAVITY_DIR)]
-    velocity = [v + (f / model.mass) * dt for v, f in zip(state.velocity.tolist(), world_force)]
-    position = [p + v * dt for p, v in zip(state.position.tolist(), velocity)]
+    fx, fy, fz = _row_sums(forces)
+    tx, ty, tz = _row_sums(torques)
+    weight, mass = model.mass * model.gravity, model.mass
+    dx, dy, dz = _GRAVITY_DIR
+    gx, gy, gz = state.orientation.rotate([fx, fy, fz]).tolist()
+    vx, vy, vz = state.velocity.tolist()
+    vx, vy, vz = (vx + ((gx + weight * dx) / mass) * dt, vy + ((gy + weight * dy) / mass) * dt,
+                  vz + ((gz + weight * dz) / mass) * dt)
+    px, py, pz = state.position.tolist()
 
     omega = state.angular_velocity
     wx, wy, wz = omega.tolist()
     hx, hy, hz = (model.inertia @ omega).tolist()
-    tx, ty, tz = body_torque.tolist()
     # minus the gyroscopic term omega x (I omega), by np.cross's formulas
     torque_net = [tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)]
     # never singular: DroneModel accepts only a positive-definite inertia
-    alpha = solve_vector(model.inertia, torque_net).tolist()
-    angular_velocity = np.array([w + a * dt for w, a in zip((wx, wy, wz), alpha)])
+    ax, ay, az = solve_vector(model.inertia, torque_net).tolist()
+    angular_velocity = np.array([wx + ax * dt, wy + ay * dt, wz + az * dt])
     orientation = integrate_orientation(state.orientation, angular_velocity, dt)
-    return RigidBodyState(np.array(position), np.array(velocity), orientation, angular_velocity)
+    return RigidBodyState(np.array([px + vx * dt, py + vy * dt, pz + vz * dt]),
+                          np.array([vx, vy, vz]), orientation, angular_velocity)
+
+
+def _row_sums(rows) -> list[float]:
+    """np.asarray(rows, dtype=float).reshape(-1, 3).sum(axis=0) bit for bit, as Python floats.
+
+    numpy sums over the first axis row by row, starting from +0.0. A list
+    of rows, each three Python floats, is summed as it is, without
+    building an array.
+    """
+    if not isinstance(rows, list):
+        rows = np.asarray(rows, dtype=float).reshape(-1, 3).tolist()
+    x = y = z = 0.0
+    for rx, ry, rz in rows:
+        x += rx
+        y += ry
+        z += rz
+    return [x, y, z]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +216,8 @@ class PidController:
 
     def reset(self) -> None:
         # integrator and proportional-on-measurement states, as Python floats
-        self._i_pos, self._i_ori = [0.0] * 3, [0.0] * 3
-        self._pom_pos, self._pom_ori = [0.0] * 3, [0.0] * 3
+        self._i_pos, self._i_ori = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        self._pom_pos, self._pom_ori = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
     def update(self, pos_error, ori_error, velocity, angular_velocity, accel_ff, dt: float):
         """World-frame (force, torque) demand for one control tick.
@@ -213,26 +230,47 @@ class PidController:
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         g = self.gains
-        # each 3-vector as Python floats: the same elementwise arithmetic as
-        # on arrays, in the same order, without numpy's cost per call
-        e_pos, e_ori, vel, omega, accel = [np.asarray(v, dtype=float).tolist() for v in (
-            pos_error, ori_error, velocity, angular_velocity, accel_ff)]
+        # each 3-vector as three Python floats, with the arithmetic written
+        # out per component: the same elementwise operations as on arrays,
+        # in the same order, without numpy's cost per call
+        ex, ey, ez = np.asarray(pos_error, dtype=float).tolist()
+        rx, ry, rz = np.asarray(ori_error, dtype=float).tolist()
+        vx, vy, vz = np.asarray(velocity, dtype=float).tolist()
+        wx, wy, wz = np.asarray(angular_velocity, dtype=float).tolist()
+        ax, ay, az = np.asarray(accel_ff, dtype=float).tolist()
 
-        self._i_pos = [_clip_float(i + g.ki_pos * e * dt, -g.i_max_pos, g.i_max_pos)
-                       for i, e in zip(self._i_pos, e_pos)]
-        self._i_ori = [_clip_float(i + g.ki_ori * e * dt, -g.i_max_ori, g.i_max_ori)
-                       for i, e in zip(self._i_ori, e_ori)]
+        gain, limit = g.ki_pos, g.i_max_pos
+        ix, iy, iz = self._i_pos
+        ix, iy, iz = self._i_pos = (_clip_float(ix + gain * ex * dt, -limit, limit),
+                                    _clip_float(iy + gain * ey * dt, -limit, limit),
+                                    _clip_float(iz + gain * ez * dt, -limit, limit))
+        gain, limit = g.ki_ori, g.i_max_ori
+        jx, jy, jz = self._i_ori
+        jx, jy, jz = self._i_ori = (_clip_float(jx + gain * rx * dt, -limit, limit),
+                                    _clip_float(jy + gain * ry * dt, -limit, limit),
+                                    _clip_float(jz + gain * rz * dt, -limit, limit))
 
         if g.proportional_on_measurement:
-            self._pom_pos = [p - g.kp_pos * v * dt for p, v in zip(self._pom_pos, vel)]
-            self._pom_ori = [p - g.kp_ori * w * dt for p, w in zip(self._pom_ori, omega)]
-            p_pos, p_ori = self._pom_pos, self._pom_ori
+            gain = g.kp_pos
+            px, py, pz = self._pom_pos
+            px, py, pz = self._pom_pos = (px - gain * vx * dt, py - gain * vy * dt,
+                                          pz - gain * vz * dt)
+            gain = g.kp_ori
+            qx, qy, qz = self._pom_ori
+            qx, qy, qz = self._pom_ori = (qx - gain * wx * dt, qy - gain * wy * dt,
+                                          qz - gain * wz * dt)
         else:
-            p_pos, p_ori = [g.kp_pos * e for e in e_pos], [g.kp_ori * e for e in e_ori]
+            gain = g.kp_pos
+            px, py, pz = gain * ex, gain * ey, gain * ez
+            gain = g.kp_ori
+            qx, qy, qz = gain * rx, gain * ry, gain * rz
 
-        force = np.array([p + i - g.kd_pos * v + self.mass * a + w for p, i, v, a, w
-                          in zip(p_pos, self._i_pos, vel, accel, self._weight_ff)])
-        torque = np.array([p + i - g.kd_ori * w for p, i, w in zip(p_ori, self._i_ori, omega)])
+        gain, mass = g.kd_pos, self.mass
+        fx, fy, fz = self._weight_ff
+        force = np.array([px + ix - gain * vx + mass * ax + fx, py + iy - gain * vy + mass * ay + fy,
+                          pz + iz - gain * vz + mass * az + fz])
+        gain = g.kd_ori
+        torque = np.array([qx + jx - gain * wx, qy + jy - gain * wy, qz + jz - gain * wz])
         return force, torque
 
 
@@ -537,7 +575,7 @@ class _BranchSupervisor:
 
     def advance(self, warm: AllocatorState) -> PenaltyWeights:
         """Step every active transit's warm angle; return the weights for this solve."""
-        if np.isnan(self.target).all():
+        if all(map(math.isnan, self.target.tolist())):
             return self.scenario.weights
         active = ~np.isnan(self.target)
         step = _clip(self.target[active] - warm.angles[active],
@@ -567,45 +605,56 @@ class _BranchSupervisor:
         """Warm start for the next tick from tick k's converged solve.
 
         ref is `reference` for the solved angles (anything with throttles
-        and angles), or None; inp and weights are what the solve used.
+        and angles arrays), or None; inp and weights are what the solve
+        used. The per-arm arithmetic runs on Python floats in numpy's
+        operation order, so every value has the bits of the array formulas.
         """
         if ref is None:
             return sol.next_warm()
         t = k * self.dt
-        gap = wrap_angle(ref.angles - sol.angles)
-        share = ref.throttles * np.cos(gap)
-        free = np.isnan(self.target)
+        u, a = sol.throttles.tolist(), sol.angles.tolist()
+        ref_u = ref.throttles.tolist()
+        # wrap_angle(ref.angles - sol.angles), and the reference's projection
+        # on each solved thrust direction
+        gap = [(r - s + math.pi) % TWO_PI - math.pi for r, s in zip(ref.angles.tolist(), a)]
+        share = [r * math.cos(g) for r, g in zip(ref_u, gap)]
+        free = list(map(math.isnan, self.target.tolist()))
+        row = k % self.hist_len
         # an ordinary handoff of load to other arms keeps the projection
         # near zero; one falling through zero means the demand changes branch
-        watch = free & (self.cool <= t) & (sol.throttles < 0.05)
-        if watch.any():
+        watch = [i for i, (f, c, ui) in enumerate(zip(free, self.cool.tolist(), u))
+                 if f and c <= t and ui < 0.05]
+        if watch:
             # the projection is continuous through a crossing, so a short
             # extrapolation starts the half-turn slightly before the demand
             # actually reverses
-            slope = (share - self.share_hist[k % self.hist_len]) / (self.hist_len * self.dt)
-            early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
-            for i in np.nonzero(watch & early)[0]:
-                if sol.throttles[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
+            past, span = self.share_hist[row].tolist(), self.hist_len * self.dt
+            for i in watch:
+                slope = (share[i] - past[i]) / span
+                if not (share[i] < 0.02 and slope < -0.1 and share[i] + 0.18 * slope < -0.04):
+                    continue
+                if u[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
                     continue
                 # past a crossing the reference sits on the far branch and
                 # picks the turn direction; before one, either way round
                 # reaches the same branch
                 direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
-                self.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
+                self.target[i] = a[i] + math.copysign(math.pi, direction)
                 free[i] = False
                 # refractory gap so one crossing cannot retrigger on its own
                 # settling transient
                 self.cool[i] = t + 0.3
-        self.share_hist[k % self.hist_len] = share
+        self.share_hist[row] = share
         # a small capped pull toward the reference lets the solver ratchet
         # over to a better valley when one exists, while its own descent
         # undoes the pull when the current valley is the right one; arms in
         # transit get -0.0, which leaves every float as it is, signed zeros
         # included
-        pull_a = np.where(free, _clip(0.1 * gap, -0.01, 0.01), -0.0)
-        pull_u = np.where(free, _clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01), -0.0)
-        angles = sol.angles + pull_a
-        return AllocatorState(sol.throttles + pull_u, angles, sol.multipliers.copy(), angles.copy())
+        angles = np.array([ai + (_clip_float(0.1 * g, -0.01, 0.01) if f else -0.0)
+                           for ai, g, f in zip(a, gap, free)])
+        throttles = [ui + (_clip_float(0.1 * (r - ui), -0.01, 0.01) if f else -0.0)
+                     for ui, r, f in zip(u, ref_u, free)]
+        return AllocatorState(np.array(throttles), angles, sol.multipliers.copy(), angles.copy())
 
     def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
                          weights: PenaltyWeights) -> bool:
@@ -627,6 +676,24 @@ class _BranchSupervisor:
         except SolverError:
             return False
         return trial.converged and trial.throttles[arm] >= 0.04
+
+
+def _arm_wrenches(arms: list, throttles: list, angles: list) -> tuple[list, list]:
+    """Per-arm body forces and torques as lists of 3-tuples, from throttles and angles as floats.
+
+    ``arms`` holds, per arm, whether it rotates and its rows of the model's
+    wrench1 and wrench2 as Python floats. Arm i's wrench is throttles[i] *
+    model.wrenches_at(angles)[i], with the bits of that array product:
+    u * (cos(a) wrench1 + sin(a) wrench2), where a fixed arm takes cos 1
+    and sin 0 whatever its angle.
+    """
+    forces, torques = [], []
+    for u, a, (rotating, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5)) in zip(
+            throttles, angles, arms):
+        c, s = (math.cos(a), math.sin(a)) if rotating else (1.0, 0.0)
+        forces.append((u * (c * p0 + s * q0), u * (c * p1 + s * q1), u * (c * p2 + s * q2)))
+        torques.append((u * (c * p3 + s * q3), u * (c * p4 + s * q4), u * (c * p5 + s * q5)))
+    return forces, torques
 
 
 def run_flight(scenario: Scenario) -> FlightLog:
@@ -655,7 +722,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
     servos = ServoState(np.zeros(n_arms), (), scenario.servo_rate_limit, scenario.servo_delay)
     throttle_cmd = np.zeros(n_arms)
     angle_cmd = np.zeros(n_arms)
-    throttle_act = np.zeros(n_arms)
+    throttle_act = [0.0] * n_arms
+    arms = list(zip(model._rotating, model.wrench1.tolist(), model.wrench2.tolist()))
     rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
     motor_step = 1.0 - math.exp(-dt / scenario.motor_lag) if scenario.motor_lag > 0.0 else None
     sqp = scenario.allocator == "sqp"
@@ -703,26 +771,27 @@ def run_flight(scenario: Scenario) -> FlightLog:
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
 
         servos = servo_update(servos, angle_cmd, dt)
-        angle_act = servos.angle
-        clamped = _clip(throttle_cmd, 0.0, 1.0)
+        angle_act = servos.angle.tolist()
+        commands = throttle_cmd.tolist()
+        clamped = [_clip_float(u, 0.0, 1.0) for u in commands]
         if motor_step is not None:
-            throttle_act = throttle_act + (clamped - throttle_act) * motor_step
+            throttle_act = [a + (c - a) * motor_step for a, c in zip(throttle_act, clamped)]
         else:
             throttle_act = clamped
 
-        wrenches = throttle_act[:, None] * model.wrenches_at(angle_act)
-        forces, torques = wrenches[:, :3], wrenches[:, 3:]
+        forces, torques = _arm_wrenches(arms, throttle_act, angle_act)
         if rng is not None:
-            forces = forces + rng.normal(0.0, scenario.noise_std, forces.shape) / max(n_arms, 1)
+            noise = (rng.normal(0.0, scenario.noise_std, (n_arms, 3)) / max(n_arms, 1)).tolist()
+            forces = [[f + e for f, e in zip(row, extra)] for row, extra in zip(forces, noise)]
 
         # the tick's values in the order of FlightLog's fields (a test pins
         # that order); the norms are what np.linalg.norm computes
         table[k] = [
             t, *state.position.tolist(), *state.velocity.tolist(),
-            *state.orientation.wxyz.tolist(), *state.angular_velocity.tolist(),
-            *sp.position.tolist(), *sp.orientation.wxyz.tolist(),
-            *throttle_cmd.tolist(), *angle_cmd.tolist(),
-            *throttle_act.tolist(), *angle_act.tolist(),
+            *state.orientation.components, *state.angular_velocity.tolist(),
+            *sp.position.tolist(), *sp.orientation.components,
+            *commands, *angle_cmd.tolist(),
+            *throttle_act, *angle_act,
             sol.iterations, sol.residual, sol.converged,
             math.sqrt(pos_error.dot(pos_error)), math.sqrt(ori_error_body.dot(ori_error_body))]
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from rotorarm import (
     AllocatorInput,
+    AllocatorState,
     DroneModel,
     Quaternion,
     Scenario,
@@ -131,6 +132,16 @@ def axis_angle_oracle(q) -> tuple[np.ndarray, float]:
     return np.array([x, y, z]) / s, angle
 
 
+def rotation_matrix_oracle(q) -> np.ndarray:
+    """The rotation matrix of unit quaternion components, built as a nested array."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def orientation_error_oracle(q_set, q) -> np.ndarray:
     axis, angle = axis_angle_oracle(product_oracle(conjugate_oracle(q), q_set))
     return axis * angle
@@ -163,6 +174,12 @@ def rigid_body_step_oracle(state, forces, torques, model, dt: float):
     angular_velocity = state.angular_velocity + np.linalg.solve(model.inertia, torque_net) * dt
     orientation = integrate_orientation_oracle(state.orientation.wxyz, angular_velocity, dt)
     return position, velocity, orientation, angular_velocity
+
+
+def arm_wrenches_oracle(model, throttles, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm forces and torques of the flight loop as first written: an array product."""
+    wrenches = np.asarray(throttles, dtype=float)[:, None] * model.wrenches_at(angles)
+    return wrenches[:, :3], wrenches[:, 3:]
 
 
 class PidOracle:
@@ -539,6 +556,52 @@ def nan_lstsq_column():
         return np.full((matrix.shape[1], column.shape[1]), math.nan), None, None, None
 
     return allocation._lstsq_column_from(SimpleNamespace(lstsq=nan_lstsq))
+
+
+def least_norm_allocation_oracle(body_wrench, model, prev_angles=None):
+    """least_norm_allocation as first written, on arrays: (throttles, angles)."""
+    pinv = np.linalg.pinv(allocation.vectored_thrust_matrix(model))
+    coords = (pinv @ body_wrench).reshape(-1, 2)
+    throttles = np.sqrt(np.add.reduce(coords * coords, axis=1))
+    raw = np.arctan2(coords[:, 1], coords[:, 0])
+    if prev_angles is None:
+        return throttles, np.where(throttles > 1e-9, raw, 0.0)
+    prev_angles = np.asarray(prev_angles, dtype=float)
+    angles = np.where(throttles > 1e-9, prev_angles + allocation.wrap_angle(raw - prev_angles),
+                      prev_angles)
+    return throttles, angles
+
+
+def after_solve_oracle(supervisor, k, sol, ref, inp, weights):
+    """_BranchSupervisor.after_solve as first written, on arrays.
+
+    It updates the supervisor's target, cool and share_hist arrays as the
+    method does, calls its _mirror_pays_off the same way, and returns the
+    next warm start.
+    """
+    if ref is None:
+        return sol.next_warm()
+    t = k * supervisor.dt
+    gap = allocation.wrap_angle(ref.angles - sol.angles)
+    share = ref.throttles * np.cos(gap)
+    free = np.isnan(supervisor.target)
+    watch = free & (supervisor.cool <= t) & (sol.throttles < 0.05)
+    row = k % supervisor.hist_len
+    if watch.any():
+        slope = (share - supervisor.share_hist[row]) / (supervisor.hist_len * supervisor.dt)
+        early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
+        for i in np.nonzero(watch & early)[0]:
+            if sol.throttles[i] < -0.02 and not supervisor._mirror_pays_off(i, sol, inp, weights):
+                continue
+            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
+            supervisor.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
+            free[i] = False
+            supervisor.cool[i] = t + 0.3
+    supervisor.share_hist[row] = share
+    pull_a = np.where(free, np.clip(0.1 * gap, -0.01, 0.01), -0.0)
+    pull_u = np.where(free, np.clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01), -0.0)
+    angles = sol.angles + pull_a
+    return AllocatorState(sol.throttles + pull_u, angles, sol.multipliers.copy(), angles.copy())
 
 
 def fly_octahedron(sweep, allocator: str):

@@ -14,6 +14,7 @@ from helpers import (
     arm_wrench,
     assemble_oracle,
     evaluate_oracle,
+    least_norm_allocation_oracle,
     newton_delta_oracle,
     penalty_arm_rate_oracle,
     penalty_throttle_oracle,
@@ -990,6 +991,40 @@ def test_pinv_allocates_exactly(rng, octa_model):
         )
         assert np.all(sol.throttles >= 0.0)
         assert sol.objective == pytest.approx(float(np.sum(sol.throttles**2)))
+
+
+@pytest.mark.parametrize("config_id", [c for c in CATALOG_IDS if c != "hexagon_tilt30_fixed"])
+def test_least_norm_allocation_is_the_array_formulas_bit_for_bit(config_id, rng):
+    """Float norms, unwrap and zero-throttle test against the first array formulas.
+
+    Demands run from zero through 1e-11 (every arm under the 1e-9 zero
+    throttle, or only some) to full scale; previous angles are absent, many
+    turns away, signed zeros, or not finite.
+    """
+    model = DroneModel(build_catalog(config_id))
+    n = model.geometry.n_arms
+    unloaded = 0
+    for case in range(300):
+        scale = 0.0 if case % 25 == 0 else 10.0 ** rng.uniform(-11.0, 2.0)
+        body_wrench = scale * rng.normal(size=6)
+        prev = None
+        if case % 3:
+            prev = rng.uniform(-20.0, 20.0, n) * 10.0 ** rng.integers(0, 5)
+            prev[rng.integers(n)] = rng.choice([0.0, -0.0, math.pi, -math.pi, math.nan, math.inf])
+        throttles, angles = allocation.least_norm_allocation(body_wrench, model, prev)
+        with np.errstate(invalid="ignore"):  # numpy's remainder of an infinite angle
+            expected_throttles, expected_angles = least_norm_allocation_oracle(body_wrench, model,
+                                                                               prev)
+        assert same_bits(throttles, expected_throttles) and same_bits(angles, expected_angles), case
+        unloaded += int(np.sum(expected_throttles <= 1e-9))
+    assert unloaded > 50  # the zero-throttle branch ran
+
+
+def test_least_norm_allocation_takes_one_previous_angle_per_arm(octa_model):
+    body_wrench = np.array([0.0, 0.0, 23.0, 0.0, 0.0, 0.0])
+    for prev in (np.zeros(5), np.zeros(7), 0.0, np.zeros((6, 1))):
+        with pytest.raises(ValueError, match="one angle per arm"):
+            allocation.least_norm_allocation(body_wrench, octa_model, prev)
 
 
 def test_pinv_unwraps_to_previous_angle(octa_model):

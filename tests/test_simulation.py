@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PidOracle, quat_distance, rigid_body_step_oracle, same_bits
+from helpers import (
+    PidOracle,
+    arm_wrenches_oracle,
+    quat_distance,
+    rigid_body_step_oracle,
+    same_bits,
+)
 from rotorarm import (
     DroneModel,
     FlightLog,
@@ -38,11 +44,14 @@ from rotorarm import (
     trapezoid_profile,
 )
 from rotorarm import simulation
+from rotorarm.geometry import CATALOG_IDS
 from rotorarm.simulation import (
     SERVO_DELAY,
     SERVO_RATE_LIMIT,
+    _arm_wrenches,
     _clip,
     _clip_float,
+    _row_sums,
     continuous_roll_angle,
 )
 from rotorarm.spatial import orientation_error
@@ -226,6 +235,58 @@ def test_rigid_body_step_is_bit_identical_to_the_array_formulas(rng):
             assert same_bits(stepped.velocity, velocity)
             assert same_bits(stepped.orientation.wxyz, orientation)
             assert same_bits(stepped.angular_velocity, angular_velocity)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4, 6, 8, 9, 17])
+def test_body_sums_are_numpy_row_sums_bit_for_bit(n_rows, rng):
+    """Rows as lists of 3-tuples, as arrays and as column views of a wider array; signed zeros too."""
+    for case in range(200):
+        wrenches = rng.normal(size=(n_rows, 6)) * 10.0 ** rng.uniform(-8.0, 3.0)
+        if case % 3 == 0:
+            wrenches[rng.random((n_rows, 6)) < 0.5] = -0.0
+        if case % 7 == 0:
+            wrenches[:] = -0.0
+        for rows in (wrenches[:, :3], wrenches[:, 3:]):
+            expected = np.asarray(rows, dtype=float).reshape(-1, 3).sum(axis=0)
+            as_tuples = [tuple(row) for row in rows.tolist()]
+            assert same_bits(_row_sums(rows), expected)
+            assert same_bits(_row_sums(np.ascontiguousarray(rows)), expected)
+            assert same_bits(_row_sums(as_tuples), expected)
+    assert same_bits(_row_sums(np.array([1.0, -0.0, 2.5])), [1.0, 0.0, 2.5])  # one flat 3-vector
+
+
+def test_rigid_body_step_takes_the_flight_loops_rows_bit_for_bit(rng):
+    """Per-arm rows as the flight loop passes them, lists of 3-tuples, against the array oracle."""
+    model = DroneModel(build_catalog("octahedron_rot"), inertia=np.array([0.9, 1.7, 2.3]))
+    for _ in range(100):
+        state = RigidBodyState(rng.normal(size=3), rng.normal(size=3),
+                               Quaternion(*rng.normal(size=4)), rng.normal(size=3))
+        forces, torques = rng.normal(size=(6, 3)) * 10.0, rng.normal(size=(6, 3))
+        forces[rng.integers(6)] = -0.0
+        stepped = rigid_body_step(state, [tuple(f) for f in forces.tolist()],
+                                  [tuple(t) for t in torques.tolist()], model, DT)
+        position, velocity, orientation, angular_velocity = rigid_body_step_oracle(
+            state, forces, torques, model, DT)
+        assert same_bits(stepped.position, position)
+        assert same_bits(stepped.velocity, velocity)
+        assert same_bits(stepped.orientation.wxyz, orientation)
+        assert same_bits(stepped.angular_velocity, angular_velocity)
+
+
+@pytest.mark.parametrize("config_id", CATALOG_IDS)
+def test_arm_wrenches_are_the_array_product_bit_for_bit(config_id, rng):
+    """Clamped and lagged throttles, signed zeros, angles many turns out; fixed arms ignore theirs."""
+    model = DroneModel(build_catalog(config_id))
+    n = model.geometry.n_arms
+    arms = list(zip(model._rotating, model.wrench1.tolist(), model.wrench2.tolist()))
+    for _ in range(200):
+        throttles = np.clip(rng.uniform(-0.2, 1.2, n), 0.0, 1.0)
+        throttles[rng.integers(n)] = rng.choice([0.0, -0.0, 1.0, 1e-300])
+        angles = rng.uniform(-20.0, 20.0, n) * 10.0 ** rng.integers(0, 4)
+        angles[rng.integers(n)] = rng.choice([0.0, -0.0, math.pi, -0.5 * math.pi])
+        forces, torques = _arm_wrenches(arms, throttles.tolist(), angles.tolist())
+        expected_forces, expected_torques = arm_wrenches_oracle(model, throttles, angles)
+        assert same_bits(forces, expected_forces) and same_bits(torques, expected_torques)
 
 
 def test_rigid_body_rejects_bad_dt(octa_model):

@@ -20,6 +20,7 @@ from helpers import (
     random_quaternion,
     random_unit,
     rodrigues,
+    rotation_matrix_oracle,
     same_bits,
 )
 from rotorarm import Quaternion, integrate_orientation, normalize, orientation_error
@@ -41,6 +42,8 @@ def test_quaternion_renormalizes_on_construction():
     q = Quaternion(3.0, 4.0, 0.0, 0.0)
     assert np.linalg.norm(q.wxyz) == pytest.approx(1.0, abs=1e-15)
     assert not q.wxyz.flags.writeable
+    matrix = q.to_matrix()
+    assert not matrix.flags.writeable and not matrix.base.flags.writeable
 
 
 def test_quaternion_rejects_degenerate_input():
@@ -83,6 +86,8 @@ def test_quaternion_algebra_is_bit_identical_to_the_numpy_scalar_formulas(p, q):
     """The Python-float products, conjugate and axis-angle keep every bit of the first formulas."""
     a, b = Quaternion(*p), Quaternion(*q)
     assert same_bits(a.wxyz, normalized_oracle(*p))
+    assert same_bits(a.components, a.wxyz) and all(type(c) is float for c in a.components)
+    assert same_bits(a.to_matrix(), rotation_matrix_oracle(a.wxyz))
     assert same_bits((a * b).wxyz, product_oracle(a.wxyz, b.wxyz))
     assert same_bits(a.conjugate().wxyz, conjugate_oracle(a.wxyz))
     axis, angle = a.axis_angle()

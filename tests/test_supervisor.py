@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import same_bits
+from helpers import after_solve_oracle, same_bits
 from rotorarm import (
     AllocatorInput,
     AllocatorSolution,
@@ -27,6 +27,7 @@ from rotorarm import (
     vectored_thrust_matrix,
 )
 from rotorarm import simulation
+from rotorarm.allocation import LeastNormAllocation
 from rotorarm.simulation import _BranchSupervisor
 
 K = 100  # a tick well past the share history's length
@@ -281,6 +282,52 @@ def test_no_reference_leaves_the_warm_point_and_history_alone(supervisor):
     np.testing.assert_array_equal(warm.angles, sol.angles)
     np.testing.assert_array_equal(warm.throttles, sol.throttles)
     assert np.all(supervisor.share_hist[:, 0] == 0.1) and transiting(supervisor) == []
+
+
+def test_after_solve_is_the_array_formulas_bit_for_bit(supervisor, rng):
+    """Random solves, references and supervisor states against the first array formulas.
+
+    Transits run on some arms (finite targets, NaN elsewhere), cool-downs
+    are on either side of the tick's time, and the mirror check is a
+    scripted stub, so transits start, pinned arms stay and every branch of
+    the turn direction is taken. The warm start, target, cool and share
+    history must match byte for byte, and the stub must see the same calls.
+    """
+    scenario, inp = supervisor.scenario, demand(supervisor.scenario.model)
+    edges = [0.0, -0.0, 0.05, -0.02, 0.02, math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi]
+    started = mirrored = 0
+    for case in range(400):
+        program, oracle = _BranchSupervisor(scenario), _BranchSupervisor(scenario)
+        k = int(rng.integers(0, 20000))
+        t = k * supervisor.dt
+        target = np.where(rng.random(6) < 0.3, rng.uniform(-10.0, 10.0, 6), np.nan)
+        cool = t + rng.uniform(-0.5, 0.5, 6)
+        history = rng.uniform(-0.1, 0.3, (supervisor.hist_len, 6))
+        calls = []
+        for each in (program, oracle):
+            each.target[:], each.cool[:], each.share_hist[:] = target, cool, history
+            each._mirror_pays_off = lambda arm, sol, inp, weights, each=each: (
+                calls.append((each is program, arm)) or (arm + case) % 2 == 0)
+        throttles = rng.uniform(-0.1, 0.3, 6)
+        gaps = rng.uniform(-4.0, 4.0, 6)
+        for values in (throttles, gaps):
+            values[rng.integers(6)] = rng.choice(edges)
+        angles = rng.uniform(-10.0, 10.0, 6)
+        angles[rng.integers(6)] = rng.choice([0.0, -0.0])
+        sol = AllocatorSolution(throttles, angles, rng.normal(size=6), 3, 0.0, 1.0, True)
+        ref = LeastNormAllocation(rng.uniform(-0.3, 0.3, 6), angles + gaps)
+        weights = scenario.weights
+
+        warm = program.after_solve(k, sol, ref, inp, weights)
+        expected = after_solve_oracle(oracle, k, sol, ref, inp, weights)
+        for name in ("throttles", "angles", "multipliers", "prev_angles"):
+            assert same_bits(getattr(warm, name), getattr(expected, name)), (case, name)
+        for name in ("target", "cool", "share_hist"):
+            assert same_bits(getattr(program, name), getattr(oracle, name)), (case, name)
+        assert [arm for mine, arm in calls if mine] == [arm for mine, arm in calls if not mine]
+        started += int(np.sum(np.isnan(target) & ~np.isnan(program.target)))
+        mirrored += len(calls) // 2
+    assert started > 100 and mirrored > 20  # transits started, pinned arms were tried
 
 
 # ---------------------------------------------------------------------------
