@@ -137,11 +137,12 @@ class DroneModel:
     inertia: np.ndarray = field(default_factory=_default_inertia)
 
     def __post_init__(self):
-        # `not > 0` and `not >= 0` also reject NaN
-        if not (self.thrust_constant > 0.0 and self.torque_constant >= 0.0):
-            raise ValueError("thrust_constant must be positive, torque_constant non-negative")
-        if not (self.control_period > 0.0 and self.mass > 0.0 and self.gravity > 0.0):
-            raise ValueError("control_period, mass, and gravity must be positive")
+        # a chained comparison that fails also rejects NaN
+        if not (0.0 < self.thrust_constant < math.inf and 0.0 <= self.torque_constant < math.inf):
+            raise ValueError("thrust_constant must be positive, torque_constant non-negative, "
+                             "both finite")
+        if not all(0.0 < v < math.inf for v in (self.control_period, self.mass, self.gravity)):
+            raise ValueError("control_period, mass, and gravity must be positive and finite")
         inertia = np.asarray(self.inertia, dtype=float)
         if inertia.shape == (3,):
             inertia = np.diag(inertia)

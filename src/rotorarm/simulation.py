@@ -443,8 +443,8 @@ class Scenario:
         ticks = self.duration / self.model.control_period
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ValueError(f"duration must cover at least one control tick, got {self.duration}")
-        if not (self.noise_std >= 0.0 and self.motor_lag >= 0.0 and self.servo_delay >= 0.0):
-            raise ValueError("noise_std, motor_lag and servo_delay must be non-negative")
+        if not all(0.0 <= v < math.inf for v in (self.noise_std, self.motor_lag, self.servo_delay)):
+            raise ValueError("noise_std, motor_lag and servo_delay must be finite and non-negative")
         if not self.servo_rate_limit > 0.0:  # also rejects NaN
             raise ValueError(f"servo_rate_limit must be positive, got {self.servo_rate_limit}")
 

@@ -81,6 +81,13 @@ def test_model_rejects_a_nan_constant(name):
         DroneModel(build_catalog("octahedron_rot"), **{name: math.nan})
 
 
+@pytest.mark.parametrize("name", ["thrust_constant", "torque_constant", "control_period", "mass",
+                                  "gravity"])
+def test_model_rejects_an_infinite_constant(name):
+    with pytest.raises(ValueError, match=name):
+        DroneModel(build_catalog("octahedron_rot"), **{name: math.inf})
+
+
 @pytest.mark.parametrize("inertia", [
     [0.0, 0.02, 0.02],
     [0.02, -0.02, 0.02],

@@ -269,6 +269,23 @@ def _efficiency_nan_thrust_constant(tmp_path):
     return _config_value(tmp_path, "efficiency", model={"thrust_constant": math.nan}, samples=100)
 
 
+def _efficiency_infinite_thrust_constant(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"thrust_constant": math.inf}, samples=100)
+
+
+def _efficiency_infinite_torque_constant(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"torque_constant": math.inf}, samples=100)
+
+
+def _efficiency_infinite_control_period(tmp_path):
+    return _config_value(tmp_path, "efficiency", model={"control_period": math.inf}, samples=100)
+
+
+def _fly_infinite_motor_lag(tmp_path):
+    return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
+                         motor_lag=math.inf)
+
+
 def _fly_negative_gain(tmp_path):
     return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
                          gains={"kp_pos": -5})
@@ -282,7 +299,9 @@ def _fly_negative_gain(tmp_path):
     _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
     _fractional_seed, _boolean_seed, _boolean_noise_std, _boolean_radius, _boolean_model_mass,
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
-    _efficiency_nan_thrust_constant, _fly_negative_gain,
+    _efficiency_nan_thrust_constant, _fly_negative_gain, _efficiency_infinite_thrust_constant,
+    _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
+    _fly_infinite_motor_lag,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1
