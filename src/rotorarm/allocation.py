@@ -657,7 +657,7 @@ def least_norm_allocation(body_wrench: np.ndarray, model: DroneModel,
     """Throttles and angles of the minimum-norm solve through the constant thrust-plane map.
 
     Arm angles come from atan2 of the plane coordinates, unwrapped to the
-    nearest turn of the previous angle (one per arm); arms allocated zero
+    nearest turn of the previous angle (one per arm, or one for all); arms allocated zero
     throttle keep their previous angle. `pinv_allocate` and the flight
     loop's supervisor reference both call this. Raises SolverError when
     the map is rank deficient or an arm does not rotate.
@@ -678,12 +678,10 @@ def least_norm_allocation(body_wrench: np.ndarray, model: DroneModel,
     if prev_angles is None:
         angles = [r if u > 1e-9 else 0.0 for u, r in zip(throttles, raw)]
     else:
-        prev_angles = np.asarray(prev_angles, dtype=float)
-        if prev_angles.shape != coords.shape[:1]:
-            raise ValueError(f"prev_angles must hold one angle per arm ({len(coords)}), "
-                             f"got shape {prev_angles.shape}")
+        prev = np.empty(len(throttles))
+        prev[:] = prev_angles  # one angle per arm or one for all; ValueError on any other length
         angles = [p + ((r - p + math.pi) % TWO_PI - math.pi) if u > 1e-9 else p
-                  for u, r, p in zip(throttles, raw, prev_angles.tolist())]
+                  for u, r, p in zip(throttles, raw, prev.tolist())]
     return LeastNormAllocation(np.array(throttles), np.array(angles))
 
 

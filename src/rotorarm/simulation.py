@@ -162,10 +162,10 @@ def _row_sums(rows) -> list[float]:
     """np.asarray(rows, dtype=float).reshape(-1, 3).sum(axis=0) bit for bit, as Python floats.
 
     numpy sums over the first axis row by row, starting from +0.0. A list
-    of rows, each three Python floats, is summed as it is, without
-    building an array.
+    of rows, each a tuple or list of three floats, is summed as it is,
+    without building an array; anything else goes through the array.
     """
-    if not isinstance(rows, list):
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], (tuple, list))):
         rows = np.asarray(rows, dtype=float).reshape(-1, 3).tolist()
     x = y = z = 0.0
     for rx, ry, rz in rows:

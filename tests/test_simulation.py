@@ -228,13 +228,17 @@ def test_rigid_body_step_is_bit_identical_to_the_array_formulas(rng):
             state = RigidBodyState(rng.normal(size=3), rng.normal(size=3),
                                    Quaternion(*rng.normal(size=4)), omega)
             forces, torques = rng.normal(size=(6, 3)) * 10.0, rng.normal(size=(6, 3))
-            stepped = rigid_body_step(state, forces, torques, model, DT)
+            forces[rng.integers(6)] = -0.0
             position, velocity, orientation, angular_velocity = rigid_body_step_oracle(
                 state, forces, torques, model, DT)
-            assert same_bits(stepped.position, position)
-            assert same_bits(stepped.velocity, velocity)
-            assert same_bits(stepped.orientation.wxyz, orientation)
-            assert same_bits(stepped.angular_velocity, angular_velocity)
+            # as arrays, and as the flight loop passes the per-arm rows: lists of 3-tuples
+            for rows in ((forces, torques), ([tuple(f) for f in forces.tolist()],
+                                             [tuple(t) for t in torques.tolist()])):
+                stepped = rigid_body_step(state, *rows, model, DT)
+                assert same_bits(stepped.position, position)
+                assert same_bits(stepped.velocity, velocity)
+                assert same_bits(stepped.orientation.wxyz, orientation)
+                assert same_bits(stepped.angular_velocity, angular_velocity)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 4, 6, 8, 9, 17])
@@ -252,25 +256,9 @@ def test_body_sums_are_numpy_row_sums_bit_for_bit(n_rows, rng):
             assert same_bits(_row_sums(rows), expected)
             assert same_bits(_row_sums(np.ascontiguousarray(rows)), expected)
             assert same_bits(_row_sums(as_tuples), expected)
-    assert same_bits(_row_sums(np.array([1.0, -0.0, 2.5])), [1.0, 0.0, 2.5])  # one flat 3-vector
-
-
-def test_rigid_body_step_takes_the_flight_loops_rows_bit_for_bit(rng):
-    """Per-arm rows as the flight loop passes them, lists of 3-tuples, against the array oracle."""
-    model = DroneModel(build_catalog("octahedron_rot"), inertia=np.array([0.9, 1.7, 2.3]))
-    for _ in range(100):
-        state = RigidBodyState(rng.normal(size=3), rng.normal(size=3),
-                               Quaternion(*rng.normal(size=4)), rng.normal(size=3))
-        forces, torques = rng.normal(size=(6, 3)) * 10.0, rng.normal(size=(6, 3))
-        forces[rng.integers(6)] = -0.0
-        stepped = rigid_body_step(state, [tuple(f) for f in forces.tolist()],
-                                  [tuple(t) for t in torques.tolist()], model, DT)
-        position, velocity, orientation, angular_velocity = rigid_body_step_oracle(
-            state, forces, torques, model, DT)
-        assert same_bits(stepped.position, position)
-        assert same_bits(stepped.velocity, velocity)
-        assert same_bits(stepped.orientation.wxyz, orientation)
-        assert same_bits(stepped.angular_velocity, angular_velocity)
+    for flat in (np.array([1.0, -0.0, 2.5]), [1.0, -0.0, 2.5], []):  # one flat 3-vector, no rows
+        expected = np.asarray(flat, dtype=float).reshape(-1, 3).sum(axis=0)
+        assert same_bits(_row_sums(flat), expected)
 
 
 @pytest.mark.parametrize("config_id", CATALOG_IDS)
