@@ -2,10 +2,10 @@
 
 Run from a source checkout:
 
-    PYTHONPATH=src python tests/tick_profile.py [--flight NAME] [--repeat N]
+    PYTHONPATH=src python tests/tick_profile.py
 
-It flies one reference flight of ``tests/flight_digests.py`` (``pitch_roll``
-by default) N times (default 3). Each stage of the tick is replaced, on its
+It flies the ``pitch_roll`` reference flight of ``tests/flight_digests.py``
+three times. Each stage of the tick is replaced, on its
 module or class, by a wrapper that reads ``perf_counter_ns`` around the
 call; a stage called inside another (the mirror trial's ``sqp_allocate``
 inside ``after_solve``) is taken out of the outer stage's time, so every
@@ -24,13 +24,15 @@ collect it.
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 from time import perf_counter_ns
 
-from flight_digests import FLIGHTS, fly
+from flight_digests import fly
 from rotorarm import simulation
+
+FLIGHT = "pitch_roll"
+REPEAT = 3
 
 # (owner, attribute, label) of every stage, in the order printed
 STAGES = (
@@ -76,36 +78,29 @@ class StageClock:
         return timed
 
 
-def profile(name: str) -> tuple[int, int, dict, dict]:
-    """Fly the named flight once under the wrappers; (ticks, tick ns, self ns, calls)."""
+def profile() -> tuple[int, int, dict, dict]:
+    """Fly FLIGHT once under the wrappers; (ticks, tick ns, self ns, calls)."""
     clock = StageClock()
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in STAGES]
     try:
         for (owner, attr, label), (_, _, original) in zip(STAGES, originals):
             setattr(owner, attr, clock.wrap(original, label))
-        log = fly(name)
+        log = fly(FLIGHT)
     finally:
         for owner, attr, original in originals:
             setattr(owner, attr, original)
     return len(log.t), clock.last - clock.first, clock.self_ns, clock.calls
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Time each stage of the flight tick.")
-    parser.add_argument("--flight", default="pitch_roll", choices=list(FLIGHTS))
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        print("--repeat must be at least 1", file=sys.stderr)
-        return 1
-    runs = [profile(args.flight) for _ in range(args.repeat)]
+def main() -> int:
+    runs = [profile() for _ in range(REPEAT)]
     ticks = runs[0][0]
 
     def per_tick(values) -> float:
         return statistics.median(values) / ticks
 
     tick_us = per_tick([tick_ns for _, tick_ns, _, _ in runs]) / 1e3
-    print(f"{args.flight}: {ticks} ticks, median of {args.repeat} flights, raw µs per tick")
+    print(f"{FLIGHT}: {ticks} ticks, median of {REPEAT} flights, raw µs per tick")
     print(f"{'stage':24s} {'us/tick':>9s} {'share':>7s} {'calls/tick':>11s}")
     staged = 0.0
     for _, _, label in STAGES:
@@ -122,4 +117,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
