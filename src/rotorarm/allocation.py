@@ -325,36 +325,23 @@ def _penalty(x, weight, low, high, limit):
 
 
 def _add_reduce(values) -> float:
-    """np.add.reduce of the float64 array of ``values`` bit for bit, on Python floats.
+    """np.add.reduce of the float64 array of a list of floats ``values``, bit for bit.
 
-    numpy starts from +0.0 and adds pairwise: fewer than 8 numbers in
-    order, up to 128 in eight interleaved partial sums, more in two halves
-    whose first is a multiple of 8 long.
+    numpy starts from +0.0 and adds fewer than 8 numbers in order and
+    exactly 8 as four pairs added pairwise, which Python floats repeat at
+    no array's cost. Longer lists, which only custom layouts of more than 8
+    arms produce, go to numpy itself.
     """
-    return 0.0 + _pairwise_sum(values)
-
-
-def _pairwise_sum(values) -> float:
-    """numpy's pairwise_sum of a list of Python floats, without the +0.0 start."""
     n = len(values)
     if n < 8:
         total = 0.0
         for v in values:
             total += v
         return total
-    if n <= 128:
-        r = values[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[tail:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n == 8:
+        r = values
+        return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    return float(np.add.reduce(np.array(values, dtype=float)))
 
 
 def _penalized(weights: PenaltyWeights, n_arms: int):
@@ -530,21 +517,6 @@ def _abs_max(values) -> float:
     return max(map(abs, values), default=0.0)
 
 
-def step_scale(d_throttles, d_angles, throttle_step_limit: float = 0.1, angle_step_limit: float = 0.2) -> float:
-    """Shrink factor keeping per-iteration updates inside trust bounds.
-
-    The steps are arrays or lists of Python floats. A NaN step is never
-    over a bound, so it leaves the factor at 1.
-    """
-    alpha = 1.0
-    max_da, max_du = _abs_max(d_angles), _abs_max(d_throttles)
-    if max_da > angle_step_limit:
-        alpha = min(alpha, angle_step_limit / max_da)
-    if max_du > throttle_step_limit:
-        alpha = min(alpha, throttle_step_limit / max_du)
-    return alpha
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     """Stopping tests and per-iteration step limits of ``sqp_allocate``, checked once when built."""
@@ -566,6 +538,22 @@ class SolverSettings:
         not_positive = [name for name in names if not getattr(self, name) > 0.0]
         if not_positive:
             raise ValueError(f"{', '.join(not_positive)} must be positive")
+
+
+def step_scale(d_throttles, d_angles, throttle_step_limit: float = SolverSettings.throttle_step_limit,
+               angle_step_limit: float = SolverSettings.angle_step_limit) -> float:
+    """Shrink factor keeping per-iteration updates inside trust bounds.
+
+    The steps are arrays or lists of Python floats. A NaN step is never
+    over a bound, so it leaves the factor at 1.
+    """
+    alpha = 1.0
+    max_da, max_du = _abs_max(d_angles), _abs_max(d_throttles)
+    if max_da > angle_step_limit:
+        alpha = min(alpha, angle_step_limit / max_da)
+    if max_du > throttle_step_limit:
+        alpha = min(alpha, throttle_step_limit / max_du)
+    return alpha
 
 
 def sqp_allocate(

@@ -34,7 +34,7 @@ from .allocation import (
     sqp_allocate,
 )
 from .efficiency import InfeasibleHoverError, sweep_orientations
-from .geometry import CATALOG_IDS, DEFAULT_RADIUS, GeometryError, build_catalog, load_geometry
+from .geometry import CATALOG_IDS, DEFAULT_RADIUS, build_catalog, load_geometry
 from .simulation import (
     PidGains,
     Scenario,
@@ -130,13 +130,13 @@ def merge_settings(args, config_path=None) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             settings[flag] = value
-    for key in ("samples", "seed"):
+    for key, default in _DEFAULTS.items():
+        value = settings[key]
         # a JSON config can give 150.9 or true, which int() would quietly truncate
-        if isinstance(settings[key], bool) or not isinstance(settings[key], int):
-            raise ValueError(f"{key} must be an integer, got {settings[key]!r}")
-    for key in ("radius", "duration", "noise_std", "motor_lag", "settle"):
-        if isinstance(settings[key], bool):  # float() would read true as 1.0
-            raise ValueError(f"{key} must be a number, got {settings[key]!r}")
+        if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if isinstance(default, (float, type(None))) and isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")  # float() reads true as 1.0
     if settings["format"] not in ("csv", "json"):
         raise ValueError(f"unknown output format {settings['format']!r}, expected csv or json")
     if settings["allocator"] not in ("sqp", "pinv"):
@@ -145,25 +145,10 @@ def merge_settings(args, config_path=None) -> dict:
 
 
 def resolve_geometry(spec, radius: float = DEFAULT_RADIUS):
-    """Accept a catalog id, a geometry-file path, or an inline JSON object."""
-    if isinstance(spec, dict):
-        return load_geometry(spec)
-    if isinstance(spec, str):
-        if spec in CATALOG_IDS:
-            return build_catalog(spec, radius=radius)
-        if spec.lstrip().startswith("{"):
-            return load_geometry(spec)
-        try:
-            exists = Path(spec).exists()
-        except OSError:
-            exists = False
-        if exists:
-            return load_geometry(Path(spec))
-        raise GeometryError(
-            f"geometry {spec!r} is neither a catalog id {sorted(CATALOG_IDS)}, "
-            "an existing file, nor an inline JSON object"
-        )
-    raise GeometryError(f"cannot interpret geometry specification of type {type(spec).__name__}")
+    """Build a catalog id at `radius`; read any other spec with `load_geometry`."""
+    if isinstance(spec, str) and spec in CATALOG_IDS:
+        return build_catalog(spec, radius=radius)
+    return load_geometry(spec)
 
 
 def build_model(settings: dict) -> DroneModel:
@@ -176,15 +161,11 @@ def build_sweep(section: dict) -> SweepSpec:
     kind = section.pop("kind", "orientation")
     if "axes" in section:
         section["axes"] = tuple(section["axes"])
-    factories = {
-        "orientation": orientation_sweep,
-        "position": position_sweep,
-        "continuous_roll": continuous_roll,
-        "hover": lambda **kw: SweepSpec("hover", **kw),
-    }
-    if kind not in factories:
-        raise ValueError(f"unknown sweep kind {kind!r}, expected one of {sorted(factories)}")
-    return factories[kind](**section)
+    factories = {"orientation": orientation_sweep, "position": position_sweep,
+                 "continuous_roll": continuous_roll}
+    if kind in factories:
+        return factories[kind](**section)
+    return SweepSpec(kind, **section)
 
 
 def build_scenario(settings: dict, allocator: str | None = None) -> Scenario:
@@ -257,15 +238,11 @@ def cmd_efficiency(args) -> int:
     LOG.info("efficiency sweep: %s, %d samples", geometry.name, n_samples)
 
     eff = sweep_orientations(geometry, n_samples=n_samples, mass=model.mass, gravity=model.gravity)
-    if len(eff.failures) == n_samples:
-        raise InfeasibleHoverError(
-            f"geometry {geometry.name!r} cannot hover in any sampled orientation"
-        )
+    summary = eff.summary()  # raises InfeasibleHoverError before any file is written
     out = _out_dir(settings)
     header, rows = eff.table()
     samples_path = write_table(out, "efficiency_samples", header, rows, settings["format"])
     summary_path = out / "efficiency_summary.json"
-    summary = eff.summary()
     write_json(summary_path, summary)
 
     print(f"efficiency: {geometry.name}, {n_samples} samples, {len(eff.failures)} infeasible")

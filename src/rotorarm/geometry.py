@@ -340,7 +340,8 @@ def load_geometry(source) -> DroneGeometry:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise GeometryError(f"geometry file is not valid JSON: {exc}") from None
+            raise GeometryError(f"geometry {str(source)!r} is neither a catalog id {list(CATALOG_IDS)} "
+                                f"nor valid JSON, inline or in a file: {exc}") from None
     if not isinstance(doc, dict):
         raise GeometryError("geometry document must be a JSON object")
     unknown = set(doc) - {"name", "arms"}

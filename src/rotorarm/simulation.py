@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .allocation import (
+    TWO_PI,
     AllocatorInput,
     AllocatorSolution,
     AllocatorState,
@@ -31,8 +32,6 @@ from .allocation import (
 )
 from .spatial import Quaternion, integrate_orientation, orientation_error
 from .tables import write_csv
-
-TWO_PI = 2.0 * math.pi
 
 SERVO_RATE_LIMIT = 2.4 * TWO_PI  # rad/s, arm servo slew bound
 SERVO_DELAY = 0.036  # s, command-to-motion latency
@@ -865,25 +864,19 @@ class FlipEvent:
     alignment: float  # |<arm axis, body-frame up>| at the event
 
 
-def detect_flip_events(
-    log: FlightLog,
-    geometry,
-    threshold: float = math.pi / 2,
-    min_separation: float = 0.5,
-    vertical_cos: float = math.cos(math.radians(25.0)),
-    require_vertical: bool = True,
-    min_throttle: float = 0.02,
-) -> list[FlipEvent]:
-    """Find per-arm commanded-angle jumps larger than `threshold`.
+def detect_flip_events(log: FlightLog, geometry, require_vertical: bool = True) -> list[FlipEvent]:
+    """Find per-arm commanded-angle jumps larger than pi/2 rad.
 
     With require_vertical, an event also needs the arm's rotation axis to be
-    within acos(vertical_cos) of the world vertical, which is the alignment
-    that forces the jump in the linear allocator. An arm is unloaded at the
-    jump itself, so min_throttle is checked over the 0.3 s that follow: a
-    flip whose arm never reloads produces no wrench disturbance and is
-    skipped. Repeated triggers of one arm within min_separation seconds
-    collapse into a single event.
+    within 25 degrees of the world vertical, which is the alignment that
+    forces the jump in the linear allocator. An arm is unloaded at the jump
+    itself, so a throttle of at least 0.02 is required over the 0.3 s that
+    follow: a flip whose arm never reloads produces no wrench disturbance and
+    is skipped. Repeated triggers of one arm within 0.5 s collapse into a
+    single event.
     """
+    threshold, min_separation, min_throttle = math.pi / 2, 0.5, 0.02
+    vertical_cos = math.cos(math.radians(25.0))
     deltas = np.abs(np.diff(log.angle_cmd, axis=0))
     ups = np.empty((len(log.t), 3))
     for k in range(len(log.t)):
@@ -935,19 +928,15 @@ class SingularityComparison:
         }
 
 
-def compare_singularity_handling(
-    log_sqp: FlightLog,
-    log_pinv: FlightLog,
-    geometry,
-    window: float = 1.2,
-    cluster_gap: float = 0.25,
-) -> SingularityComparison:
+def compare_singularity_handling(log_sqp: FlightLog, log_pinv: FlightLog, geometry) -> SingularityComparison:
     """Pair peak position errors around each flip instant of the linear run.
 
-    Events from arms flipping at the same crossing (within cluster_gap) share
-    one window, so each pair is an independent crossing. The p-value is a
+    Each window runs from 0.05 s before a flip instant to 1.2 s after it.
+    Events from arms flipping at the same crossing (within 0.25 s) share one
+    window, so each pair is an independent crossing. The p-value is a
     one-sided paired t-test of pinv peaks exceeding the Newton-solver peaks.
     """
+    window, cluster_gap = 1.2, 0.25
     events = detect_flip_events(log_pinv, geometry)
     times = sorted(e.t for e in events)
     clusters: list[float] = []
