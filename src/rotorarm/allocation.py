@@ -103,11 +103,12 @@ class PenaltyWeights:
     rate_limit: float = TWO_PI  # rad/s
 
     def __post_init__(self):
-        # one test per weight, as a NaN fails `> 0.0`; np.min of per-arm
-        # throttle weights is NaN when any of them is
-        weights = (np.min(self.throttle), self.arm_rate, self.limit, self.rate_limit)
-        if not all(w > 0.0 for w in weights):
-            raise ValueError("penalty weights and the rate limit must be positive")
+        # one test per weight, as a NaN fails both comparisons; np.min of per-arm
+        # throttle weights is NaN when any of them is. An infinite weight turns
+        # a zero penalty into NaN; an infinite rate limit is no limit.
+        weights = (np.min(self.throttle), np.max(self.throttle), self.arm_rate, self.limit)
+        if not (all(0.0 < w < math.inf for w in weights) and self.rate_limit > 0.0):
+            raise ValueError("penalty weights must be positive and finite, the rate limit positive")
         if not self.throttle_high > self.throttle_low:
             raise ValueError("throttle_high must exceed throttle_low")
 

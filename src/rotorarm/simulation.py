@@ -311,8 +311,12 @@ class SweepSpec:
             for label in self.axes:
                 if label not in valid:
                     raise ValueError(f"unknown axis label {label!r} for a {self.kind} sweep")
-        if self.step_duration <= 0.0 or not (0.0 < self.accel_fraction < 0.5):
-            raise ValueError("step_duration must be positive and accel_fraction in (0, 0.5)")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if not 0.0 < self.step_duration < math.inf:
+            raise ValueError(f"step_duration must be positive and finite, got {self.step_duration}")
+        if not 0.0 < self.accel_fraction < 0.5:
+            raise ValueError(f"accel_fraction must be in (0, 0.5), got {self.accel_fraction}")
         if not self.seconds_per_rev > 0.0:
             raise ValueError(f"seconds_per_rev must be positive, got {self.seconds_per_rev}")
         if not (self.revolutions >= 0.0 and self.start_delay >= 0.0):

@@ -125,6 +125,25 @@ def test_penalty_weights_reject_nan(name, value):
         PenaltyWeights(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("throttle", math.inf),
+    ("throttle", np.array([1.0, math.inf, 2.0])),
+    ("arm_rate", math.inf),
+    ("limit", math.inf),
+], ids=["throttle", "per_arm_throttle", "arm_rate", "limit"])
+def test_penalty_weights_reject_infinity(name, value):
+    """An infinite weight turns a zero penalty into NaN (inf * 0)."""
+    with pytest.raises(ValueError, match="finite"):
+        PenaltyWeights(**{name: value})
+
+
+def test_an_infinite_rate_limit_is_no_limit():
+    # arm rates of 600 and -400 rad/s, far past the default limit, cost only their quadratic
+    cost = allocation_objective([0.4, 0.5], [3.0, -2.0], [0.0, 0.0], 0.005,
+                                PenaltyWeights(rate_limit=math.inf))
+    assert cost == pytest.approx(0.4**2 + 0.5**2 + 0.01 * (600.0**2 + 400.0**2))
+
+
 def test_allocator_input_validation_and_frames():
     with pytest.raises(ValueError):
         AllocatorInput(Quaternion.identity(), np.zeros(2), np.zeros(3))

@@ -88,6 +88,21 @@ def test_efficiency_reports_a_failed_least_squares_solve_with_exit_2(tmp_path, c
     assert err.startswith("numerical failure: least-squares hover solve failed") and "Traceback" not in err
 
 
+def test_efficiency_with_no_feasible_sample_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                        monkeypatch):
+    def all_infeasible(geometry, n_samples, mass, gravity):
+        nan = np.full(n_samples, np.nan)
+        failures = [(i, "no admissible hover") for i in range(n_samples)]
+        return efficiency.EfficiencyMap(geometry.name, efficiency.fibonacci_sphere(n_samples),
+                                        nan, nan.copy(), mass, gravity, failures)
+
+    monkeypatch.setattr(cli, "sweep_orientations", all_infeasible)
+    out = tmp_path / "out"
+    assert run_cli("efficiency", "--samples", 100, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: no feasible orientation")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # allocate
 
@@ -291,6 +306,28 @@ def _fly_negative_gain(tmp_path):
                          gains={"kp_pos": -5})
 
 
+def _fly_with_weights(tmp_path, **weights):
+    return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
+                         weights=weights)
+
+
+def _fly_infinite_limit_weight(tmp_path):
+    return _fly_with_weights(tmp_path, limit=math.inf)
+
+
+def _fly_infinite_arm_rate_weight(tmp_path):
+    return _fly_with_weights(tmp_path, arm_rate=math.inf)
+
+
+def _fly_infinite_throttle_weight(tmp_path):
+    return _fly_with_weights(tmp_path, throttle=math.inf)
+
+
+def _allocate_infinite_limit_weight(tmp_path):
+    config = write_json_file(tmp_path / "c.json", {"weights": {"limit": math.inf}})
+    return ["allocate", hover_request(tmp_path), "--config", config]
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
@@ -301,11 +338,18 @@ def _fly_negative_gain(tmp_path):
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
     _efficiency_nan_thrust_constant, _fly_negative_gain, _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
-    _fly_infinite_motor_lag,
+    _fly_infinite_motor_lag, _fly_infinite_limit_weight, _fly_infinite_arm_rate_weight,
+    _fly_infinite_throttle_weight, _allocate_infinite_limit_weight,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1
     capsys.readouterr()  # errors go to stderr, keep the terminal clean
+
+
+def test_a_mistyped_geometry_id_is_told_the_catalog_ids(capsys):
+    assert run_cli("efficiency", "--geometry", "dodecahedron_rot") == 1
+    err = capsys.readouterr().err
+    assert "dodecahedron_rot" in err and all(name in err for name in rotorarm.CATALOG_IDS)
 
 
 @pytest.mark.parametrize("section, cls", [

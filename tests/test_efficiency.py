@@ -1,5 +1,6 @@
 """Hover solutions and efficiency metrics against analytic symmetry points."""
 
+import itertools
 import math
 import re
 from types import SimpleNamespace
@@ -147,6 +148,59 @@ def test_metrics_do_not_depend_on_mass_or_gravity():
             reference = metrics
         else:
             np.testing.assert_allclose(metrics, reference, atol=1e-9)
+
+
+def _fractions_or_none(geometry, up):
+    """(upward, capacity) fractions of the hover at `up`, None where it cannot hover."""
+    try:
+        solution = solve_hover(HoverProblem(geometry, up))
+    except InfeasibleHoverError:
+        return None
+    return upward_fraction(solution, up), capacity_fraction(solution, 2.4, 9.81, geometry.n_arms)
+
+
+# the rotation group of the octahedron: signed permutation matrices with determinant +1
+OCTAHEDRAL_ROTATIONS = [
+    matrix for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+    for matrix in [np.eye(3)[list(perm)] * np.array(signs)[:, None]]
+    if np.linalg.det(matrix) > 0.0
+]
+
+
+def _unit(v):
+    return np.array(v) / math.sqrt(sum(x * x for x in v))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 0.01))
+def test_octahedron_hover_efficiency_has_the_octahedral_symmetry(v):
+    """The layout's design claim: all 24 rotations of the octahedron leave both figures as they are.
+
+    The hover map leaves out drag torque, so propeller spins play no part.
+    """
+    assert len(OCTAHEDRAL_ROTATIONS) == 24
+    g = build_catalog("octahedron_rot")
+    up = _unit(v)
+    expected = _fractions_or_none(g, up)
+    for rotation in OCTAHEDRAL_ROTATIONS:
+        np.testing.assert_allclose(_fractions_or_none(g, rotation @ up), expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_tilted_hexagon_hover_efficiency_repeats_every_third_of_a_turn(xy):
+    """Tilts up to 27 degrees from body-up, on both sides of the edge of the feasible cap."""
+    g = build_catalog("hexagon_tilt30_fixed")
+    up = _unit((*xy, 1.0))
+    c, s = -0.5, math.sqrt(3.0) / 2.0
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    expected = _fractions_or_none(g, up)
+    for rotation in (turn, turn @ turn):
+        turned = _fractions_or_none(g, rotation @ up)
+        assert (turned is None) == (expected is None)
+        if expected is not None:
+            np.testing.assert_allclose(turned, expected, rtol=0.0, atol=1e-12)
 
 
 def test_unidirectional_arms_clamp_or_fail():

@@ -395,6 +395,16 @@ def test_sweep_spec_rejects_invalid_timing(kwargs):
         SweepSpec("continuous_roll", **kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", math.nan), ("amplitude", math.inf), ("amplitude", -math.inf),
+    ("step_duration", math.nan), ("step_duration", math.inf),
+], ids=lambda v: str(v))
+def test_sweep_spec_names_a_non_finite_setting(field, value):
+    """Caught when built, not when the sweep starts (NaN quaternion) or sizes its steps."""
+    with pytest.raises(ValueError, match=field):
+        SweepSpec("orientation", **{field: value})
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("spiral")
