@@ -190,7 +190,7 @@ def test_octahedron_hover_efficiency_has_the_octahedral_symmetry(v):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
 def test_tilted_hexagon_hover_efficiency_repeats_every_third_of_a_turn(xy):
-    """Tilts up to 27 degrees from body-up, on both sides of the edge of the feasible cap."""
+    """Tilts of up to 35 degrees from body-up, on both sides of the edge of the feasible cap."""
     g = build_catalog("hexagon_tilt30_fixed")
     up = _unit((*xy, 1.0))
     c, s = -0.5, math.sqrt(3.0) / 2.0
