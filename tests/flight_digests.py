@@ -1,4 +1,4 @@
-"""Fingerprint eighteen reference flights and six efficiency sweeps to prove a refactor byte-identical.
+"""Fingerprint eighteen reference flights, six efficiency sweeps and two solver chains to prove a refactor byte-identical.
 
 Run from a source checkout:
 
@@ -10,11 +10,20 @@ of non-converged ticks, the maximum position error and the sha256 of the
 rows of ``FlightLog.table()``. For each catalog layout, named
 ``efficiency_<id>``, it prints the number of infeasible orientations and
 the sha256 of the rows of ``EfficiencyMap.table()`` of a 2000-sample
-``sweep_orientations``. With ``--check FILE`` it also compares each line
+``sweep_orientations``. For ``octahedron_rot`` and
+``hexagon_tilt30_fixed``, named ``chain_<id>``, it prints the number of
+non-converged solves and of ``SolverError`` along the warm-started demand
+chain of acceptance criterion 05 (``wrench_chain(model, 10_001, seed=11)``,
+from a cold start, each solve warm-starting the next; a ``SolverError``
+keeps the warm start) and the sha256 of every solve's throttles, angles,
+multipliers, iterations, residual, objective and converged flag, with a
+marker for each ``SolverError``. A flight cannot prove the solver
+byte-identical on its own, since the supervisor moves every warm point;
+the chain feeds ``sqp_allocate`` nothing else. With ``--check FILE`` it also compares each line
 with the line of the same name in FILE, prints every line that moved next
 to the expected one, and exits 1 if any did. The jobs run in a pool of one
 process per CPU and print flights first, in the order of ``FLIGHTS``, then
-sweeps; they take a few minutes of CPU time in total. The file name does
+sweeps, then chains; they take a few minutes of CPU time in total. The file name does
 not match ``test_*.py``, so the test suite does not collect it.
 
 Seventeen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
@@ -42,15 +51,19 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import wrench_chain
 from rotorarm import (
     CATALOG_IDS,
+    AllocatorState,
     DroneModel,
     Scenario,
+    SolverError,
     build_catalog,
     continuous_roll,
     orientation_sweep,
     position_sweep,
     run_flight,
+    sqp_allocate,
     sweep_orientations,
 )
 
@@ -90,6 +103,9 @@ FLIGHTS = {
 # efficiency line name -> catalog layout of its 2000-sample sweep
 SWEEPS = {f"efficiency_{config_id}": config_id for config_id in CATALOG_IDS}
 
+# chain line name -> catalog layout of its warm-started solver chain
+CHAINS = {f"chain_{config_id}": config_id for config_id in ("octahedron_rot", "hexagon_tilt30_fixed")}
+
 
 def fly(name: str):
     geometry, factory, sweep_args, scenario_args = FLIGHTS[name]
@@ -103,7 +119,32 @@ def digest(result) -> str:
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
+def chain_line(name: str) -> str:
+    """Solve criterion 05's demand chain in order and hash every solution."""
+    model = DroneModel(build_catalog(CHAINS[name]))
+    chain = wrench_chain(model, 10_001, seed=11)
+    warm = AllocatorState.cold_start(model)
+    sha = hashlib.sha256()
+    nonconverged = errors = 0
+    for inp in chain:
+        try:
+            sol = sqp_allocate(inp, warm, model)
+        except SolverError:
+            errors += 1
+            sha.update(b"SolverError")
+            continue
+        nonconverged += not sol.converged
+        for values in (sol.throttles, sol.angles, sol.multipliers,
+                       [sol.iterations, sol.residual, sol.objective, sol.converged]):
+            sha.update(np.asarray(values, dtype=float).tobytes())
+        warm = sol.next_warm()
+    return (f"{name:28s} {nonconverged:5d}/{len(chain):<6d} "
+            f"non-converged, {errors} SolverError  sha256 {sha.hexdigest()}")
+
+
 def digest_line(name: str) -> str:
+    if name in CHAINS:
+        return chain_line(name)
     if name in SWEEPS:
         sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
         return (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
@@ -115,13 +156,13 @@ def digest_line(name: str) -> str:
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Fingerprint the reference flights and sweeps.")
+    parser = argparse.ArgumentParser(description="Fingerprint the reference flights, sweeps and chains.")
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="flights and sweeps to run (default: all)")
+                        help="flights, sweeps and chains to run (default: all)")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the lines in FILE; exit 1 if any line moved")
     args = parser.parse_args(argv)
-    known = [*FLIGHTS, *SWEEPS]
+    known = [*FLIGHTS, *SWEEPS, *CHAINS]
     unknown = [name for name in args.names if name not in known]
     if unknown:
         print(f"unknown name(s): {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
