@@ -34,13 +34,21 @@ class SolverError(RuntimeError):
     """Raised when a linear solve inside the allocator cannot be completed."""
 
 
+def _quiet() -> np.errstate:
+    """A fresh scope that silences every floating-point warning; a scope enters only once."""
+    return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
+
+
 def _solve_vector_from(gufuncs):
     """np.linalg.solve(matrix, rhs) for a float square matrix and a 1-D rhs, bit for bit.
 
-    The function returned calls ``gufuncs.solve1``, the LAPACK gufunc that
-    np.linalg.solve itself dispatches to, without that wrapper's type
-    checks; where ``gufuncs`` has no such name it calls np.linalg.solve.
-    Either way a singular matrix gives all NaN instead of a LinAlgError.
+    Returns two functions, ``solve_vector`` and ``solve_quieted``. Both call
+    ``gufuncs.solve1``, the LAPACK gufunc that np.linalg.solve itself
+    dispatches to, without that wrapper's type checks; ``solve_vector``
+    enters a `_quiet` scope of its own, and ``solve_quieted`` is for a
+    caller already inside one. Where ``gufuncs`` has no such name both
+    call np.linalg.solve. Either way a singular matrix gives all NaN
+    instead of a LinAlgError.
     """
     solve1 = getattr(gufuncs, "solve1", None)
     if solve1 is None:
@@ -49,11 +57,15 @@ def _solve_vector_from(gufuncs):
                 return np.linalg.solve(matrix, rhs)
             except np.linalg.LinAlgError:
                 return np.full(len(rhs), math.nan)
-    else:
-        def solve_vector(matrix, rhs) -> np.ndarray:
-            with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
-                return solve1(matrix, rhs, signature="dd->d")
-    return solve_vector
+        return solve_vector, solve_vector
+
+    def solve_quieted(matrix, rhs) -> np.ndarray:
+        return solve1(matrix, rhs, signature="dd->d")
+
+    def solve_vector(matrix, rhs) -> np.ndarray:
+        with _quiet():
+            return solve1(matrix, rhs, signature="dd->d")
+    return solve_vector, solve_quieted
 
 
 def _lstsq_column_from(gufuncs):
@@ -78,21 +90,24 @@ def _lstsq_column_from(gufuncs):
 # numpy's private LAPACK gufuncs are looked up once here; a numpy without
 # them under these names (1.x names lstsq's gufunc by shape) gets the public
 # functions, with the same bits
-solve_vector = _solve_vector_from(_umath_linalg)
+solve_vector, _solve_quieted = _solve_vector_from(_umath_linalg)
 lstsq_column = _lstsq_column_from(_umath_linalg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PenaltyWeights:
-    """Soft-cost coefficients for throttle use, arm-rate use, and limit overruns.
+    """Soft-cost coefficients for throttle use, arm-rate use, and limit overruns; immutable once built.
 
     Throttle outside [throttle_low, throttle_high] and arm rates beyond
     rate_limit are discouraged with one-sided quadratics, keeping the
     objective piecewise quadratic with a continuous first derivative.
 
-    `throttle` may be a per-arm array; a supervisor can then raise the cost
-    of individual arms (for example while walking one across a singular
-    direction) without touching the shared scalar defaults.
+    `throttle` may be a per-arm array, kept as a read-only copy; a
+    supervisor can then raise the cost of individual arms (for example
+    while walking one across a singular direction) with
+    ``dataclasses.replace``, without touching the shared scalar defaults.
+    The solver's per-arm penalty tables are built once per weights object
+    and arm count and kept on the object, which is why it cannot change.
     """
 
     throttle: float = 1.0
@@ -103,6 +118,10 @@ class PenaltyWeights:
     rate_limit: float = TWO_PI  # rad/s
 
     def __post_init__(self):
+        if not isinstance(self.throttle, numbers.Real):
+            throttle = np.array(self.throttle, dtype=float)
+            throttle.setflags(write=False)
+            object.__setattr__(self, "throttle", throttle)
         # one test per weight, as a NaN fails both comparisons; np.min of per-arm
         # throttle weights is NaN when any of them is. An infinite weight turns
         # a zero penalty into NaN; an infinite rate limit is no limit.
@@ -111,6 +130,7 @@ class PenaltyWeights:
             raise ValueError("penalty weights must be positive and finite, the rate limit positive")
         if not self.throttle_high > self.throttle_low:
             raise ValueError("throttle_high must exceed throttle_low")
+        object.__setattr__(self, "_tables", {})  # arm count -> _PenaltyTables, see _penalized
 
 
 def _default_inertia() -> np.ndarray:
@@ -126,7 +146,8 @@ class DroneModel:
     unit throttle thrusting along basis vector b_k, drag torque included.
     ``wrench1`` and ``wrench2`` are its views [:, 0] and [:, 1]. It is built
     once here and serves every allocator, the flight loop and the pinv
-    matrix.
+    matrix. So do the two read-only (2 n_arms, 6) blocks [wrench1; wrench2]
+    and [wrench2; wrench1] of `_wrench_pair`, stacked in one array.
     """
 
     geometry: DroneGeometry
@@ -165,31 +186,44 @@ class DroneModel:
         self.wrench_block = np.concatenate([mu * basis, mu * moment + drag * basis], axis=2)
         self.wrench_block.flags.writeable = False
         self.wrench1, self.wrench2 = self.wrench_block[:, 0], self.wrench_block[:, 1]
+        self._pair_blocks = np.stack((np.concatenate((self.wrench1, self.wrench2)),
+                                      np.concatenate((self.wrench2, self.wrench1))))
+        self._pair_blocks.flags.writeable = False
 
-    def _cos_sin(self, angles) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of cos(a) and sin(a) per arm; a fixed arm reads 1 and 0 whatever its angle."""
+    def _wrench_pair(self, angles: list) -> np.ndarray:
+        """[W; dW/da] of `unit_wrenches` as one (2 n_arms, 6) array, from the angles as floats.
+
+        With c and s per arm, the coefficient columns [c; c] and [s; -s]
+        times the blocks [wrench1; wrench2] and [wrench2; wrench1] give c
+        wrench1 + s wrench2 over c wrench2 + (-s) wrench1, which has the
+        bits of c wrench2 - s wrench1, as a - b is a + (-b) exactly.
+        math.cos and math.sin give np.cos's and np.sin's bits here.
+        """
         if self._all_rotating:
-            return np.cos(angles).reshape(-1, 1), np.sin(angles).reshape(-1, 1)
-        rotating = self.geometry.rotating
-        return (np.where(rotating, np.cos(angles), 1.0).reshape(-1, 1),
-                np.where(rotating, np.sin(angles), 0.0).reshape(-1, 1))
-
-    def _wrenches(self, c, s) -> np.ndarray:
-        return c * self.wrench1 + s * self.wrench2
+            c, s = list(map(math.cos, angles)), list(map(math.sin, angles))
+        else:
+            c = [math.cos(a) if r else 1.0 for a, r in zip(angles, self._rotating)]
+            s = [math.sin(a) if r else 0.0 for a, r in zip(angles, self._rotating)]
+        products = np.array(c + c + s + [-v for v in s]).reshape(2, -1, 1) * self._pair_blocks
+        pair = products[0]
+        pair += products[1]
+        return pair
 
     def wrenches_at(self, angles) -> np.ndarray:
         """W of `unit_wrenches` alone, for callers that need no derivative."""
-        return self._wrenches(*self._cos_sin(angles))
+        return self.unit_wrenches(angles)[0]
 
     def unit_wrenches(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Per-arm wrench W per unit throttle at the given arm angles, and dW/da.
 
         On rotating arms W = cos(a) wrench1 + sin(a) wrench2, so dW/da =
         -sin(a) wrench1 + cos(a) wrench2 and d2W/da2 = -W. Fixed arms ignore
-        their angle: W = wrench1 and dW/da = 0.
+        their angle: W = wrench1 and dW/da = 0. Both are views of one
+        `_wrench_pair`.
         """
-        c, s = self._cos_sin(angles)
-        return self._wrenches(c, s), c * self.wrench2 - s * self.wrench1
+        n = self.geometry.n_arms
+        pair = self._wrench_pair(np.asarray(angles, dtype=float).tolist())
+        return pair[:n], pair[n:]
 
     @cached_property
     def _thrust_plane_pinv(self) -> tuple[np.ndarray, int]:
@@ -304,25 +338,57 @@ def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneMode
 # objective
 
 
-def _penalty(x, weight, low, high, limit):
-    """Cost weight x^2 + limit d^2 with derivatives, d the distance of x outside [low, high].
+class _PenaltyTables(NamedTuple):
+    """Per-entry coefficients of the penalty over one stacked vector, as Python floats."""
 
-    x, weight, low and high are sequences of Python floats of one length,
-    and p, dp and ddp come back as lists. v = x - clip(x, low, high) is
-    x - high above the band, x - low below it and +0 inside, so one pass
-    gives every one-sided quadratic. The clip keeps x itself on a tie and
-    on NaN, as np.minimum(high, np.maximum(low, x)) does, which keeps the
-    derivatives' signed zeros.
+    weight: list
+    low: list
+    high: list
+    limit: float
+    two_weight: list  # 2 w: the curvature inside the band
+    two_weight_over: list  # 2 w + 2 limit: the curvature outside it
+    two_limit: float
+
+
+def _penalty_tables(weight, low, high, limit: float) -> _PenaltyTables:
+    """The tables of `_penalty` and `_penalty_slopes` for the given per-entry weights and band.
+
+    With a positive finite limit, 2 w + 2 limit * (d != 0) is one of the
+    two curvature entries, bit for bit.
     """
     two_limit = 2.0 * limit
-    p, dp, ddp = [], [], []
-    for xi, wi, lo, hi in zip(x, weight, low, high):
+    two_weight = [2.0 * w for w in weight]
+    return _PenaltyTables(list(weight), list(low), list(high), limit, two_weight,
+                          [t + two_limit for t in two_weight], two_limit)
+
+
+def _penalty(x, tables: _PenaltyTables) -> tuple[list, list]:
+    """Cost w x^2 + limit d^2 per entry, and d, the distance of x outside [low, high].
+
+    x is a sequence of Python floats, one per table entry, and both come
+    back as lists. d = x - clip(x, low, high) is x - high above the band,
+    x - low below it and +0 inside, so one pass gives every one-sided
+    quadratic. The clip keeps x itself on a tie and on NaN, as
+    np.minimum(high, np.maximum(low, x)) does, which keeps the derivatives'
+    signed zeros.
+    """
+    limit = tables.limit
+    p, over = [], []
+    for xi, wi, lo, hi in zip(x, tables.weight, tables.low, tables.high):
         c = lo if lo > xi else xi
         v = xi - (hi if hi < c else c)
         p.append(wi * xi * xi + limit * (v * v))
-        dp.append(2.0 * wi * xi + two_limit * v)
-        ddp.append(2.0 * wi + two_limit * (v != 0.0))
-    return p, dp, ddp
+        over.append(v)
+    return p, over
+
+
+def _penalty_slopes(x, over: list, tables: _PenaltyTables) -> tuple[list, list]:
+    """First and second derivatives of `_penalty` at x, from its distances ``over``."""
+    two_limit = tables.two_limit
+    dp = [tw * xi + two_limit * v for tw, xi, v in zip(tables.two_weight, x, over)]
+    ddp = [out if v != 0.0 else inside
+           for inside, out, v in zip(tables.two_weight, tables.two_weight_over, over)]
+    return dp, ddp
 
 
 def _add_reduce(values) -> float:
@@ -345,30 +411,36 @@ def _add_reduce(values) -> float:
     return float(np.add.reduce(np.array(values, dtype=float)))
 
 
-def _penalized(weights: PenaltyWeights, n_arms: int):
-    """`_penalty`'s arguments for the stacked vector [throttles; arm rates]."""
-    throttle = np.asarray(weights.throttle, dtype=float).ravel().tolist()
-    if len(throttle) == 1:
-        throttle *= n_arms
-    if len(throttle) != n_arms:
-        raise ValueError(f"the throttle weight must be a scalar or one weight per arm ({n_arms}), "
-                         f"got {len(throttle)}")
-    weight = throttle + [float(weights.arm_rate)] * n_arms
-    low = [float(weights.throttle_low)] * n_arms + [-float(weights.rate_limit)] * n_arms
-    high = [float(weights.throttle_high)] * n_arms + [float(weights.rate_limit)] * n_arms
-    return weight, low, high, float(weights.limit)
+def _penalized(weights: PenaltyWeights, n_arms: int) -> _PenaltyTables:
+    """The penalty tables of the stacked vector [throttles; arm rates], built once per weights and arm count."""
+    tables = weights._tables.get(n_arms)
+    if tables is None:
+        throttle = np.asarray(weights.throttle, dtype=float).ravel().tolist()
+        if len(throttle) == 1:
+            throttle *= n_arms
+        if len(throttle) != n_arms:
+            raise ValueError(f"the throttle weight must be a scalar or one weight per arm ({n_arms}), "
+                             f"got {len(throttle)}")
+        tables = weights._tables[n_arms] = _penalty_tables(
+            throttle + [float(weights.arm_rate)] * n_arms,
+            [float(weights.throttle_low)] * n_arms + [-float(weights.rate_limit)] * n_arms,
+            [float(weights.throttle_high)] * n_arms + [float(weights.rate_limit)] * n_arms,
+            float(weights.limit))
+    return tables
 
 
-def _objective_pass(throttles: list, angles: list, prev_angles: list, period: float, penalized):
-    """The objective and the penalty derivatives over [throttles; arm rates], from lists of floats.
+def _objective_pass(throttles: list, angles: list, prev_angles: list, period: float,
+                    tables: _PenaltyTables):
+    """The objective, the stacked [throttles; arm rates] and their distances outside the bands.
 
-    The objective is two partial sums, the throttle costs and then the
-    arm-rate costs, each added as numpy's sum of an array adds it.
+    The inputs are lists of floats. The objective is two partial sums, the
+    throttle costs and then the arm-rate costs, each added as numpy's sum
+    of an array adds it.
     """
     n_arms = len(throttles)
-    rates = [(a - b) / period for a, b in zip(angles, prev_angles)]
-    p, dp, ddp = _penalty(throttles + rates, *penalized)
-    return _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), dp, ddp
+    penalized = throttles + [(a - b) / period for a, b in zip(angles, prev_angles)]
+    p, over = _penalty(penalized, tables)
+    return _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), penalized, over
 
 
 def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
@@ -384,32 +456,34 @@ def allocation_objective(throttles, angles, prev_angles, period: float, weights:
 
 
 class _Iterate(NamedTuple):
-    """Every quantity of one iterate that depends on the primal variables."""
+    """Every quantity of one iterate that its convergence test and its assembly read."""
 
-    wrench: np.ndarray  # per-arm unit wrenches W, (n, 6)
-    d_wrench: np.ndarray  # dW/da
+    pair: np.ndarray  # [W; dW/da]: per-arm unit wrenches over their angle derivatives, (2n, 6)
     residual: np.ndarray  # produced minus demanded body wrench
     objective: float  # what allocation_objective gives, by the same pass
     values: list  # the iterate as Python floats
-    dp: list  # penalty first and second derivatives over [throttles; arm rates]
-    ddp: list
+    penalized: list  # [throttles; arm rates] as Python floats
+    over: list  # their distances outside the penalty bands
+    tables: _PenaltyTables  # the solve's penalty tables
 
 
-def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, penalized) -> _Iterate:
+def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) -> _Iterate:
     """Evaluate one iterate once; that serves both its convergence test and the next assembly.
 
     ``x`` is the iterate [throttles; angles; multipliers] and ``values``
     the same as a list of Python floats, ``prev_angles`` a list too and
-    ``penalized`` what `_penalized` gives for the solve's weights. The
+    ``tables`` what `_penalized` gives for the solve's weights. The
     per-arm arithmetic runs on Python floats in numpy's operation order,
-    so every value has the bits of the array formulas; the (n, 6) blocks
-    and the matrix products stay numpy.
+    so every value has the bits of the array formulas; the wrench blocks
+    and the matrix products stay numpy. The penalty derivatives wait for
+    `_assemble`, which a converged iterate never reaches.
     """
     n_arms = model.geometry.n_arms
-    wrench, d_wrench = model.unit_wrenches(x[n_arms: 2 * n_arms])
-    objective, dp, ddp = _objective_pass(values[:n_arms], values[n_arms: 2 * n_arms], prev_angles,
-                                         model.control_period, penalized)
-    return _Iterate(wrench, d_wrench, x[:n_arms] @ wrench - body_wrench, objective, values, dp, ddp)
+    pair = model._wrench_pair(values[n_arms: 2 * n_arms])
+    objective, penalized, over = _objective_pass(values[:n_arms], values[n_arms: 2 * n_arms],
+                                                 prev_angles, model.control_period, tables)
+    return _Iterate(pair, x[:n_arms] @ pair[:n_arms] - body_wrench, objective, values, penalized,
+                    over, tables)
 
 
 def _assemble(x, it: _Iterate, model: DroneModel):
@@ -423,28 +497,27 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
-    throttles, multipliers = x[:n_arms], x[2 * n_arms:]
     u = it.values[:n_arms]
-    wrench, d_wrench = it.wrench, it.d_wrench
+    dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
 
     # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
     # its angle Jacobian; second derivatives are diagonal per arm, with
-    # d2W/da2 = -W on rotating arms and 0 on fixed ones
-    lam_w = (wrench @ multipliers).tolist()
-    h_ua = (d_wrench @ multipliers).tolist()
+    # d2W/da2 = -W on rotating arms and 0 on fixed ones. One product gives
+    # lambda . W over lambda . dW
+    lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
+    lam_w, h_ua = lam_pair[:n_arms], lam_pair[n_arms:]
     h_aa = [-ui * lw if rotating else 0.0 for ui, lw, rotating in zip(u, lam_w, model._rotating)]
 
     n_primal = 2 * n_arms
     dt2 = dt * dt
-    ddp, dp = it.ddp, it.dp
     hess = np.zeros((n_primal + 6, n_primal + 6))
     # throttle second derivatives never touch the constraints; the entries
     # go in the order of DroneModel._kkt_diagonals
     hess.put(model._kkt_diagonals,
              ddp[:n_arms] + [d / dt2 + h for d, h in zip(ddp[n_arms:], h_aa)] + h_ua + h_ua)
-    constraint = hess[:n_primal, n_primal:]  # the constraint Jacobian, transposed
-    constraint[:n_arms] = wrench
-    constraint[n_arms:] = throttles[:, None] * d_wrench
+    # the constraint Jacobian, transposed: [W; u * dW], with 1.0 * W = W bit for bit
+    constraint = hess[:n_primal, n_primal:]
+    np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
     grad = np.array([d + lw for d, lw in zip(dp[:n_arms], lam_w)]
                     + [d / dt + ui * h for d, ui, h in zip(dp[n_arms:], u, h_ua)]
@@ -473,7 +546,10 @@ _REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
 def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray:
-    """The whole step delta of `newton_step`, as one array laid out like the iterate."""
+    """The whole step delta of `newton_step`, as one array laid out like the iterate.
+
+    The caller holds a `_quiet` scope, so a singular solve gives NaN without a warning.
+    """
     n_primal = 2 * n_arms
     grad_norm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its dispatch
     scale = max(1.0, grad_norm)
@@ -482,7 +558,7 @@ def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray
         if gamma > 0.0:
             matrix = hess.copy()
             matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
-        delta = solve_vector(matrix, -grad)  # all NaN where the matrix is singular
+        delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
         if not all(map(math.isfinite, delta.tolist())):
             continue
         residual = matrix @ delta + grad
@@ -501,7 +577,8 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
     Returns (d_throttles, d_angles, d_multipliers). Raises SolverError when
     no regularization level in the ladder produces a usable solve.
     """
-    delta = _newton_delta(hess, grad, n_arms)
+    with _quiet():
+        delta = _newton_delta(hess, grad, n_arms)
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
 
 
@@ -570,7 +647,7 @@ def sqp_allocate(
     settings.tol_objective AND the constraint residual norm falls below
     settings.tol_constraint, or after settings.max_iterations. Arm angles
     are left unwrapped so they can accumulate over continuous rotations.
-    The warm state is only read.
+    The warm state is only read. The iteration runs in one `_quiet` scope.
     """
     if weights is None:
         weights = PenaltyWeights()
@@ -585,31 +662,34 @@ def sqp_allocate(
     # view of each part
     x = np.concatenate((warm.throttles, warm.angles, warm.multipliers), dtype=float)
     u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
-    penalized = _penalized(weights, n_arms)
+    tables = _penalized(weights, n_arms)
 
-    it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, penalized)
-    obj_prev = it.objective
     iterations = 0
     converged = False
     res_norm = math.inf
-    for iterations in range(1, settings.max_iterations + 1):
-        delta = _newton_delta(*_assemble(x, it, model), n_arms)
-        step = delta.tolist()
-        alpha = step_scale(step[:n_arms], step[n_arms: 2 * n_arms],
-                           throttle_step_limit, angle_step_limit)
-        x += alpha * delta
-        values = x.tolist()
-        if not all(map(math.isfinite, values)):
-            raise SolverError("allocator iterate diverged to non-finite values")
-        it = _evaluate(x, values, a_prev, body_wrench, model, penalized)
-        obj = it.objective
-        force, torque = it.residual[:3], it.residual[3:]
-        res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
-        if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
-            converged = True
+    with _quiet():
+        it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
+        obj_prev = it.objective
+        for iterations in range(1, settings.max_iterations + 1):
+            delta = _newton_delta(*_assemble(x, it, model), n_arms)
+            step = delta.tolist()
+            alpha = step_scale(step[:n_arms], step[n_arms: 2 * n_arms],
+                               throttle_step_limit, angle_step_limit)
+            if alpha != 1.0:  # 1.0 * delta is delta
+                delta *= alpha
+            x += delta
+            values = x.tolist()
+            if not all(map(math.isfinite, values)):
+                raise SolverError("allocator iterate diverged to non-finite values")
+            it = _evaluate(x, values, a_prev, body_wrench, model, tables)
+            obj = it.objective
+            force, torque = it.residual[:3], it.residual[3:]
+            res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
+            if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
+                converged = True
+                obj_prev = obj
+                break
             obj_prev = obj
-            break
-        obj_prev = obj
     return AllocatorSolution(u, a, lam, iterations, res_norm, obj_prev, converged)
 
 

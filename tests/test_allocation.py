@@ -1,6 +1,7 @@
 """Allocator internals: derivatives, KKT assembly, Newton steps, both solve routes."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,8 +332,10 @@ def test_unit_wrenches_match_the_scalar_oracle(arms, mu, tau, data):
 
 
 def _one_penalty(x, weight, low, high, limit):
-    """`allocation._penalty` of one value: its p, dp and ddp."""
-    return [r[0] for r in allocation._penalty([x], [weight], [low], [high], limit)]
+    """`allocation._penalty` and `_penalty_slopes` of one value: its p, dp and ddp."""
+    tables = allocation._penalty_tables([weight], [low], [high], limit)
+    p, over = allocation._penalty([x], tables)
+    return [r[0] for r in (p, *allocation._penalty_slopes([x], over, tables))]
 
 
 def test_penalty_throttle_shape_and_derivatives():
@@ -419,8 +422,9 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
     np.testing.assert_allclose(regrouped, old_rate[0], rtol=4 * np.finfo(float).eps, atol=0.0)
 
     # the stacked pass over [throttles; rates] that every Newton iterate runs
-    p, dp, ddp = allocation._penalty(np.concatenate((u, rate)).tolist(),
-                                     *allocation._penalized(weights, n))
+    stacked, tables = np.concatenate((u, rate)).tolist(), allocation._penalized(weights, n)
+    p, over = allocation._penalty(stacked, tables)
+    dp, ddp = allocation._penalty_slopes(stacked, over, tables)
     assert _bits(p) == _bits(np.concatenate((old_u[0], regrouped)))
     assert _bits(dp) == _bits(np.concatenate((old_u[1], old_rate[1])))
     assert _bits(ddp) == _bits(np.concatenate((old_u[2], old_rate[2])))
@@ -632,7 +636,7 @@ def test_public_solve_gives_solve_vector_its_bits(rng, monkeypatch):
     """Through np.linalg.solve, as on a numpy without the gufunc under that name, every bit stays."""
     gufuncs = SimpleNamespace(**{name: getattr(_umath_linalg, name) for name in dir(_umath_linalg)
                                  if name != "solve1"})
-    public = allocation._solve_vector_from(gufuncs)
+    public = allocation._solve_vector_from(gufuncs)[0]
     solve, calls = np.linalg.solve, []
 
     def counted_solve(*args):
@@ -789,6 +793,45 @@ def test_sqp_per_arm_throttle_weights_steer_load(octa_model):
     skewed = sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model, costly_arm0)
     assert skewed.converged
     assert skewed.throttles[0] < 0.25 * plain.throttles[0]
+
+
+def test_penalty_tables_never_serve_another_weights_object(octa_model, rng):
+    """200 short-lived per-arm weights, each solve byte for byte the oracle's with those weights.
+
+    Each weights object is freed before the next is built, so a new one
+    often takes a freed one's id; tables cached by id would hand a solve
+    another object's throttle weights.
+    """
+    inp = AllocatorInput(Quaternion.identity(), np.array([3.0, -2.0, 24.0]), np.array([0.1, 0.0, -0.2]))
+    warm = AllocatorState.cold_start(octa_model)
+    base = PenaltyWeights()
+    names = ("throttles", "angles", "multipliers", "iterations", "residual", "objective", "converged")
+    for _ in range(200):
+        weights = replace(base, throttle=rng.uniform(0.5, 50.0, 6))
+        expected = sqp_allocate_oracle(inp, warm, octa_model, weights)
+        sol = sqp_allocate(inp, warm, octa_model, weights)
+        for name, old in zip(names, expected):
+            assert same_bits(getattr(sol, name), old), name
+        del weights, sol
+
+
+def test_penalty_weights_are_frozen_and_keep_their_own_throttle_weights(octa_model):
+    """No field can be assigned, and the caller's per-arm array can change without moving a solve."""
+    throttle = np.array([50.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    weights = PenaltyWeights(throttle=throttle)
+    for name, value in (("limit", 1.0), ("throttle", np.ones(6)), ("arm_rate", 0.5)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(weights, name, value)
+    inp = AllocatorInput(Quaternion.identity(), np.array([3.0, -2.0, 24.0]), np.array([0.1, 0.0, -0.2]))
+    warm = AllocatorState.cold_start(octa_model)
+    before = sqp_allocate(inp, warm, octa_model, weights)
+    throttle[:] = 1.0
+    assert weights.throttle.tolist() == [50.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        weights.throttle[0] = 1.0  # a read-only copy
+    after = sqp_allocate(inp, warm, octa_model, weights)
+    for name in ("throttles", "angles", "multipliers", "objective"):
+        assert same_bits(getattr(after, name), getattr(before, name)), name
 
 
 def test_next_warm_copies_arrays(octa_model):
@@ -949,8 +992,11 @@ def test_newton_iterate_is_bit_identical_to_the_array_formulas(problem):
     it = allocation._evaluate(x, x.tolist(), warm.prev_angles.tolist(), body_wrench, model,
                               allocation._penalized(weights, n))
     old = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
+    dp, ddp = allocation._penalty_slopes(it.penalized, it.over, it.tables)
+    ours = {"wrench": it.pair[:n], "d_wrench": it.pair[n:], "residual": it.residual,
+            "objective": it.objective, "dp": dp, "ddp": ddp}
     for name in ("wrench", "d_wrench", "residual", "objective", "dp", "ddp"):
-        assert same_bits(getattr(it, name), old[name]), name
+        assert same_bits(ours[name], old[name]), name
     assert same_bits(model.wrenches_at(warm.angles), old["wrench"])
     assert same_bits(constraint_residual(warm.throttles, warm.angles, inp, model), old["residual"])
 
