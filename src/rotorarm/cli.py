@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from dataclasses import fields
@@ -124,8 +125,8 @@ def merge_settings(args, config_path=None) -> dict:
     settings.update({section: {} for section in _SECTIONS})
     if config_path is None:
         config_path = getattr(args, "config", None)
-    if config_path:
-        settings.update(load_run_config(config_path))
+    config = load_run_config(config_path) if config_path else {}
+    settings.update(config)
     for flag in ("geometry", "allocator", "out", "format", "samples", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -141,12 +142,19 @@ def merge_settings(args, config_path=None) -> dict:
         raise ValueError(f"unknown output format {settings['format']!r}, expected csv or json")
     if settings["allocator"] not in ("sqp", "pinv"):
         raise ValueError(f"unknown allocator {settings['allocator']!r}, expected sqp or pinv")
+    if "radius" in config and not _is_catalog_id(settings["geometry"]):
+        raise ValueError("the radius setting scales only catalog layouts, and the geometry setting "
+                         "is a custom layout, whose arm endpoints give its size")
     return settings
+
+
+def _is_catalog_id(spec) -> bool:
+    return isinstance(spec, str) and spec in CATALOG_IDS
 
 
 def resolve_geometry(spec, radius: float = DEFAULT_RADIUS):
     """Build a catalog id at `radius`; read any other spec with `load_geometry`."""
-    if isinstance(spec, str) and spec in CATALOG_IDS:
+    if _is_catalog_id(spec):
         return build_catalog(spec, radius=radius)
     return load_geometry(spec)
 
@@ -259,12 +267,10 @@ def _require_vector(payload: dict, key: str, length: int) -> np.ndarray:
     value = payload[key]
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ValueError(f"field {key!r} must be a list of {length} numbers")
-    if _holds_bool(value):
+    # float() would read "1.5" and true as numbers
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
         raise ValueError(f"field {key!r} must contain only numbers")
-    try:
-        vec = np.array([float(x) for x in value])
-    except (TypeError, ValueError):
-        raise ValueError(f"field {key!r} must contain only numbers") from None
+    vec = np.array([float(x) for x in value])
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"field {key!r} contains non-finite values")
     return vec

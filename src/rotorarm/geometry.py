@@ -290,33 +290,40 @@ def build_catalog(config_id: str, radius: float = DEFAULT_RADIUS) -> DroneGeomet
 _ARM_KEYS = {"r", "x", "n", "z0", "s", "kind"}
 
 
+def _arm_vector(entry: dict, key: str, index: int) -> np.ndarray:
+    """entry[key] as a finite 3-vector; a string or boolean entry is no number."""
+    value = entry[key]
+    items = list(value) if isinstance(value, (list, tuple, np.ndarray)) else None
+    if (items is None or len(items) != 3
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+            or not all(map(math.isfinite, items))):
+        raise GeometryError(f"arm {index}: {key!r} must be a list of 3 finite numbers, got {value!r}")
+    return np.array(items, dtype=float)
+
+
 def _parse_arm(entry: dict, index: int) -> Arm:
     if not isinstance(entry, dict):
         raise GeometryError(f"arm {index}: expected an object, got {type(entry).__name__}")
     unknown = set(entry) - _ARM_KEYS
     if unknown:
         raise GeometryError(f"arm {index}: unknown keys {sorted(unknown)}")
-    try:
-        r = np.asarray(entry["r"], dtype=float)
-        kind = entry["kind"]
-        spin = entry["s"]
-    except KeyError as missing:
-        raise GeometryError(f"arm {index}: missing required key {missing}") from None
-    except (TypeError, ValueError) as exc:
-        raise GeometryError(f"arm {index}: {exc}") from None
+    for key in ("r", "kind", "s"):
+        if key not in entry:
+            raise GeometryError(f"arm {index}: missing required key {key!r}")
+    r, kind, spin = _arm_vector(entry, "r", index), entry["kind"], entry["s"]
     # int() would read 1.9 or true as the spin 1
     if isinstance(spin, bool) or not isinstance(spin, numbers.Integral) or spin not in (-1, 1):
         raise GeometryError(f"arm {index}: spin 's' must be the integer +1 or -1, got {spin!r}")
     if kind == ROTATING:
         if "x" not in entry:
             raise GeometryError(f"arm {index}: rotating arms need an axis 'x'")
-        axis = np.asarray(entry["x"], dtype=float)
-        zero = np.asarray(entry["z0"], dtype=float) if "z0" in entry else default_zero_dir(normalize(axis))
+        axis = _arm_vector(entry, "x", index)
+        zero = _arm_vector(entry, "z0", index) if "z0" in entry else default_zero_dir(normalize(axis))
         return Arm(r, axis, zero, spin, ROTATING)
     if kind in (FIXED_UNIDIRECTIONAL, FIXED_BIDIRECTIONAL):
         if "n" not in entry:
             raise GeometryError(f"arm {index}: fixed arms need a thrust direction 'n'")
-        n_dir = np.asarray(entry["n"], dtype=float)
+        n_dir = _arm_vector(entry, "n", index)
         return Arm(r, n_dir, n_dir, spin, kind)
     raise GeometryError(f"arm {index}: unknown arm kind {kind!r}")
 

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rotorarm
 from helpers import nan_lstsq_column
 from rotorarm import build_catalog, cli, efficiency
+from rotorarm.geometry import ARM_KINDS, GeometryError, load_geometry
 from rotorarm.tables import write_csv
 
 HOVER_FORCE = 2.4 * 9.81
@@ -328,6 +331,11 @@ def _allocate_infinite_limit_weight(tmp_path):
     return ["allocate", hover_request(tmp_path), "--config", config]
 
 
+def _radius_with_custom_geometry(tmp_path):
+    return _config_value(tmp_path, "efficiency", geometry=json.loads(inline_geometry()), radius=0.3,
+                         samples=100)
+
+
 @pytest.mark.parametrize("build_argv", [
     _req_missing_force, _req_nan, _req_extra_key, _req_bad_warm, _req_missing_file,
     _unknown_config_key, _config_not_json, _bad_format, _bad_geometry,
@@ -339,7 +347,7 @@ def _allocate_infinite_limit_weight(tmp_path):
     _efficiency_nan_thrust_constant, _fly_negative_gain, _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
     _fly_infinite_motor_lag, _fly_infinite_limit_weight, _fly_infinite_arm_rate_weight,
-    _fly_infinite_throttle_weight, _allocate_infinite_limit_weight,
+    _fly_infinite_throttle_weight, _allocate_infinite_limit_weight, _radius_with_custom_geometry,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_validation_problems_exit_1(tmp_path, build_argv, capsys):
     assert run_cli(*build_argv(tmp_path)) == 1
@@ -350,6 +358,146 @@ def test_a_mistyped_geometry_id_is_told_the_catalog_ids(capsys):
     assert run_cli("efficiency", "--geometry", "dodecahedron_rot") == 1
     err = capsys.readouterr().err
     assert "dodecahedron_rot" in err and all(name in err for name in rotorarm.CATALOG_IDS)
+
+
+def test_a_radius_for_a_custom_geometry_is_refused_naming_both_settings(tmp_path, capsys):
+    """radius scales catalog layouts only; with a custom layout the CLI says so instead of ignoring it."""
+    geometry = write_json_file(tmp_path / "g.json", json.loads(inline_geometry()))
+    out = tmp_path / "out"
+    with_radius = write_json_file(tmp_path / "c.json", {"radius": 5.0})
+    assert run_cli("efficiency", "--geometry", geometry, "--config", with_radius,
+                   "--samples", 100, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "radius" in err and "geometry" in err and "Traceback" not in err
+    assert not out.exists()
+    # the same layout without the setting runs, and a catalog id takes the radius
+    assert run_cli("efficiency", "--geometry", geometry, "--samples", 100, "--out", out) == 0
+    assert run_cli("efficiency", "--geometry", "square_rot", "--config", with_radius,
+                   "--samples", 100, "--out", out) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed documents and requests, drawn: a validation error and exit 1, never a traceback
+
+# numbers in strings are no numbers, and neither are booleans
+_NOT_A_NUMBER = st.sampled_from(["1", "0.5", "NaN", "", True, False, None, [], {}])
+_ANY_JUNK = st.one_of(_NOT_A_NUMBER, st.text(max_size=4), st.integers(-3, 3),
+                      st.floats(allow_nan=True, allow_infinity=True),
+                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                      st.lists(st.integers(), max_size=2).map(lambda v: [v]))
+
+
+def _junk_vector(length: int):
+    """Anything but a list of `length` finite numbers."""
+    finite = st.floats(-2.0, 2.0)
+    wrong_length = st.lists(finite, max_size=length + 2).filter(lambda v: len(v) != length)
+    non_finite = st.tuples(st.lists(finite, min_size=length - 1, max_size=length - 1),
+                           st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, length - 1)
+                           ).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    junk_entry = st.tuples(st.lists(finite, min_size=length - 1, max_size=length - 1),
+                           _NOT_A_NUMBER, st.integers(0, length - 1)
+                           ).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    return st.one_of(_ANY_JUNK, wrong_length, non_finite, junk_entry)
+
+
+def _valid_geometry_doc() -> dict:
+    return json.loads(inline_geometry())
+
+
+@st.composite
+def _malformed_geometry(draw):
+    """A geometry document with one thing wrong, from its top level down to one arm's field."""
+    doc = _valid_geometry_doc()
+    arm = doc["arms"][draw(st.integers(0, len(doc["arms"]) - 1), label="arm")]
+    fault = draw(st.sampled_from(["not_an_object", "unknown_key", "arms", "arm_not_an_object",
+                                  "arm_unknown_key", "arm_missing_key", "spin", "kind", "vector",
+                                  "too_few_arms"]), label="fault")
+    if fault == "not_an_object":
+        return draw(st.one_of(st.none(), st.integers(), st.text(max_size=4), st.lists(st.integers())))
+    if fault == "unknown_key":
+        doc[draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in ("name", "arms")))] = 1
+    elif fault == "arms":
+        doc["arms"] = draw(st.one_of(st.just(...), _ANY_JUNK.filter(lambda v: not isinstance(v, list))))
+        if doc["arms"] is ...:
+            del doc["arms"]
+    elif fault == "arm_not_an_object":
+        doc["arms"][doc["arms"].index(arm)] = draw(_ANY_JUNK.filter(lambda v: not isinstance(v, dict)))
+    elif fault == "arm_unknown_key":
+        arm[draw(st.text(min_size=1, max_size=3).filter(lambda k: k not in ("r", "x", "n", "z0", "s",
+                                                                               "kind")))] = [0, 0, 1]
+    elif fault == "arm_missing_key":
+        del arm[draw(st.sampled_from(["r", "x", "s", "kind"]))]
+    elif fault == "spin":
+        arm["s"] = draw(st.one_of(st.sampled_from([0, 2, -2, 1.0, -1.0, 1.5, True, False, "1", None]),
+                                  st.integers().filter(lambda v: v not in (-1, 1))))
+    elif fault == "kind":
+        arm["kind"] = draw(st.one_of(st.text(max_size=8).filter(lambda k: k not in ARM_KINDS),
+                                     st.none(), st.integers()))
+    elif fault == "vector":
+        arm[draw(st.sampled_from(["r", "x", "z0"]))] = draw(_junk_vector(3))
+    else:
+        doc["arms"] = doc["arms"][:draw(st.integers(0, 3))]
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_malformed_geometry())
+def test_a_malformed_geometry_is_a_validation_error(doc, tmp_path, capsys):
+    """load_geometry raises GeometryError or ValueError, and the CLI exits 1 with no traceback."""
+    text = json.dumps(doc)
+    with pytest.raises((GeometryError, ValueError)):
+        load_geometry(doc if isinstance(doc, dict) else text)
+    code = run_cli("efficiency", "--geometry", text, "--samples", 100, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def _malformed_request(draw):
+    """An allocation request with one thing wrong, warm start included."""
+    payload = {"q": [1.0, 0.0, 0.0, 0.0], "F": [0.0, 0.0, HOVER_FORCE], "M": [0.0, 0.0, 0.0],
+               "warm": {"u": [0.4] * 6, "a": [0.0] * 6, "multipliers": [0.0] * 6, "a_prev": [0.0] * 6}}
+    fault = draw(st.sampled_from(["not_an_object", "unknown_key", "missing", "vector", "zero_q",
+                                  "warm_not_an_object", "warm_unknown_key", "warm_missing",
+                                  "warm_vector"]), label="fault")
+    warm = payload["warm"]
+    if fault == "not_an_object":
+        return draw(st.one_of(st.none(), st.integers(), st.text(max_size=4), st.lists(st.integers())))
+    if fault == "unknown_key":
+        payload[draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in cli._INPUT_KEYS))] = 1
+    elif fault == "missing":
+        del payload[draw(st.sampled_from(["q", "F", "M"]))]
+    elif fault == "vector":
+        key = draw(st.sampled_from(["q", "F", "M"]))
+        payload[key] = draw(_junk_vector(len(payload[key])))
+    elif fault == "zero_q":
+        payload["q"] = [0.0, 0.0, 0.0, 0.0]
+    elif fault == "warm_not_an_object":
+        payload["warm"] = draw(_ANY_JUNK.filter(lambda v: not isinstance(v, dict)))
+    elif fault == "warm_unknown_key":
+        warm[draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in cli._WARM_KEYS))] = 1
+    elif fault == "warm_missing":
+        del warm[draw(st.sampled_from(["u", "a"]))]
+    else:
+        key = draw(st.sampled_from(["u", "a", "multipliers", "a_prev"]))
+        warm[key] = draw(_junk_vector(len(warm[key])))
+    return payload
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_malformed_request())
+def test_a_malformed_allocation_request_is_a_validation_error(payload, tmp_path, capsys):
+    """parse_allocation_input raises ValueError, and `allocate` exits 1 with no traceback."""
+    with pytest.raises(ValueError):
+        cli.parse_allocation_input(payload, 6)
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(payload))
+    code = run_cli("allocate", request)
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("section, cls", [
