@@ -8,8 +8,13 @@ It flies the ``pitch_roll`` reference flight of ``tests/flight_digests.py``
 three times. Each stage of the tick is replaced, on its
 module or class, by a wrapper that reads ``perf_counter_ns`` around the
 call; a stage called inside another (the mirror trial's ``sqp_allocate``
-inside ``after_solve``) is taken out of the outer stage's time, so every
-nanosecond counts once. The tick is the time from the first
+inside ``after_solve``, and the solver's own stages inside
+``sqp_allocate``) is taken out of the outer stage's time, so every
+nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
+pair, residual and objective of one iterate), ``_assemble`` (the KKT
+matrix and gradient) and ``_newton_delta`` (the Newton solve with its
+regularization ladder); what they leave of ``sqp_allocate`` is its own
+loop: the step scale, the update and the stopping tests. The tick is the time from the first
 ``sweep_setpoint`` call to the end of the last ``rigid_body_step``, over
 the number of ticks; "loop body" is what the stages leave of it (the
 per-arm wrenches, the noise branch, the log row and the loop itself).
@@ -29,7 +34,7 @@ import sys
 from time import perf_counter_ns
 
 from flight_digests import fly
-from rotorarm import simulation
+from rotorarm import allocation, simulation
 
 FLIGHT = "pitch_roll"
 REPEAT = 3
@@ -37,6 +42,9 @@ REPEAT = 3
 # (owner, attribute, label) of every stage, in the order printed
 STAGES = (
     (simulation, "sqp_allocate", "sqp_allocate"),
+    (allocation, "_evaluate", "_evaluate"),
+    (allocation, "_assemble", "_assemble"),
+    (allocation, "_newton_delta", "_newton_delta"),
     (simulation, "pinv_allocate", "pinv_allocate"),
     (simulation._BranchSupervisor, "after_solve", "after_solve"),
     (simulation._BranchSupervisor, "reference", "reference"),
