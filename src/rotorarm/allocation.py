@@ -353,13 +353,13 @@ class _PenaltyTables(NamedTuple):
 def _penalty_tables(weight, low, high, limit: float) -> _PenaltyTables:
     """The tables of `_penalty` and `_penalty_slopes` for the given per-entry weights and band.
 
-    With a positive finite limit, 2 w + 2 limit * (d != 0) is one of the
-    two curvature entries, bit for bit.
+    With positive weights and a finite limit, the curvature 2 w + 2 limit
+    (d != 0) is one of the two curvature entries, bit for bit.
     """
     two_limit = 2.0 * limit
     two_weight = [2.0 * w for w in weight]
-    return _PenaltyTables(list(weight), list(low), list(high), limit, two_weight,
-                          [t + two_limit for t in two_weight], two_limit)
+    return _PenaltyTables(weight, low, high, limit, two_weight, [t + two_limit for t in two_weight],
+                          two_limit)
 
 
 def _penalty(x, tables: _PenaltyTables) -> tuple[list, list]:
