@@ -270,7 +270,10 @@ def _require_vector(payload: dict, key: str, length: int) -> np.ndarray:
     # float() would read "1.5" and true as numbers
     if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
         raise ValueError(f"field {key!r} must contain only numbers")
-    vec = np.array([float(x) for x in value])
+    try:
+        vec = np.array([float(x) for x in value])
+    except OverflowError:  # an integer too large for a float
+        vec = np.full(length, math.inf)
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"field {key!r} contains non-finite values")
     return vec

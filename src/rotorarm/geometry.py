@@ -291,14 +291,17 @@ _ARM_KEYS = {"r", "x", "n", "z0", "s", "kind"}
 
 
 def _arm_vector(entry: dict, key: str, index: int) -> np.ndarray:
-    """entry[key] as a finite 3-vector; a string or boolean entry is no number."""
+    """entry[key] as a finite 3-vector: three numbers, none of them a string or a boolean."""
     value = entry[key]
-    items = list(value) if isinstance(value, (list, tuple, np.ndarray)) else None
-    if (items is None or len(items) != 3
-            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
-            or not all(map(math.isfinite, items))):
-        raise GeometryError(f"arm {index}: {key!r} must be a list of 3 finite numbers, got {value!r}")
-    return np.array(items, dtype=float)
+    if (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)):
+        try:
+            vector = np.array([float(v) for v in value])
+        except OverflowError:  # an integer too large for a float
+            vector = np.full(3, math.inf)
+        if np.all(np.isfinite(vector)):
+            return vector
+    raise GeometryError(f"arm {index}: {key!r} must be a list of 3 finite numbers, got {value!r}")
 
 
 def _parse_arm(entry: dict, index: int) -> Arm:

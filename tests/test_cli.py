@@ -379,8 +379,9 @@ def test_a_radius_for_a_custom_geometry_is_refused_naming_both_settings(tmp_path
 # ---------------------------------------------------------------------------
 # malformed documents and requests, drawn: a validation error and exit 1, never a traceback
 
-# numbers in strings are no numbers, and neither are booleans
-_NOT_A_NUMBER = st.sampled_from(["1", "0.5", "NaN", "", True, False, None, [], {}])
+# numbers in strings are no numbers, and neither are booleans; nor is an integer too
+# large for a float
+_NOT_A_NUMBER = st.sampled_from(["1", "0.5", "NaN", "", True, False, None, [], {}, 10**400])
 _ANY_JUNK = st.one_of(_NOT_A_NUMBER, st.text(max_size=4), st.integers(-3, 3),
                       st.floats(allow_nan=True, allow_infinity=True),
                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
