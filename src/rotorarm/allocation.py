@@ -479,9 +479,10 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
     `_assemble`, which a converged iterate never reaches.
     """
     n_arms = model.geometry.n_arms
-    pair = model._wrench_pair(values[n_arms: 2 * n_arms])
-    objective, penalized, over = _objective_pass(values[:n_arms], values[n_arms: 2 * n_arms],
-                                                 prev_angles, model.control_period, tables)
+    angles = values[n_arms: 2 * n_arms]
+    pair = model._wrench_pair(angles)
+    objective, penalized, over = _objective_pass(values[:n_arms], angles, prev_angles,
+                                                 model.control_period, tables)
     return _Iterate(pair, x[:n_arms] @ pair[:n_arms] - body_wrench, objective, values, penalized,
                     over, tables)
 
