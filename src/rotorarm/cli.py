@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import math
-import numbers
 import os
 import sys
 from dataclasses import fields
@@ -35,7 +34,7 @@ from .allocation import (
     sqp_allocate,
 )
 from .efficiency import InfeasibleHoverError, sweep_orientations
-from .geometry import CATALOG_IDS, DEFAULT_RADIUS, build_catalog, load_geometry
+from .geometry import CATALOG_IDS, DEFAULT_RADIUS, build_catalog, finite_numbers, load_geometry
 from .simulation import (
     PidGains,
     Scenario,
@@ -264,18 +263,9 @@ def cmd_efficiency(args) -> int:
 def _require_vector(payload: dict, key: str, length: int) -> np.ndarray:
     if key not in payload:
         raise ValueError(f"field {key!r} is required")
-    value = payload[key]
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ValueError(f"field {key!r} must be a list of {length} numbers")
-    # float() would read "1.5" and true as numbers
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
-        raise ValueError(f"field {key!r} must contain only numbers")
-    try:
-        vec = np.array([float(x) for x in value])
-    except OverflowError:  # an integer too large for a float
-        vec = np.full(length, math.inf)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"field {key!r} contains non-finite values")
+    vec = finite_numbers(payload[key], length)
+    if vec is None:
+        raise ValueError(f"field {key!r} must be a list of {length} finite numbers")
     return vec
 
 

@@ -290,18 +290,27 @@ def build_catalog(config_id: str, radius: float = DEFAULT_RADIUS) -> DroneGeomet
 _ARM_KEYS = {"r", "x", "n", "z0", "s", "kind"}
 
 
-def _arm_vector(entry: dict, key: str, index: int) -> np.ndarray:
-    """entry[key] as a finite 3-vector: three numbers, none of them a string or a boolean."""
-    value = entry[key]
-    if (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+def finite_numbers(value, length: int) -> np.ndarray | None:
+    """A JSON list of `length` finite numbers as a float array, else None.
+
+    A string or a boolean is no number, though float() reads "1.5" and
+    true; an integer too large for a float is not finite.
+    """
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == length
             and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)):
-        try:
-            vector = np.array([float(v) for v in value])
-        except OverflowError:  # an integer too large for a float
-            vector = np.full(3, math.inf)
-        if np.all(np.isfinite(vector)):
-            return vector
-    raise GeometryError(f"arm {index}: {key!r} must be a list of 3 finite numbers, got {value!r}")
+        return None
+    try:
+        vector = np.array([float(v) for v in value])
+    except OverflowError:
+        return None
+    return vector if np.all(np.isfinite(vector)) else None
+
+
+def _arm_vector(entry: dict, key: str, index: int) -> np.ndarray:
+    vector = finite_numbers(entry[key], 3)
+    if vector is None:
+        raise GeometryError(f"arm {index}: {key!r} must be a list of 3 finite numbers, got {entry[key]!r}")
+    return vector
 
 
 def _parse_arm(entry: dict, index: int) -> Arm:

@@ -1,4 +1,4 @@
-"""Fingerprint eighteen reference flights, six efficiency sweeps and two solver chains to prove a refactor byte-identical.
+"""Fingerprint reference flights, efficiency sweeps and solver chains to prove a refactor byte-identical.
 
 Run from a source checkout:
 
