@@ -197,7 +197,8 @@ class DroneModel:
         times the blocks [wrench1; wrench2] and [wrench2; wrench1] give c
         wrench1 + s wrench2 over c wrench2 + (-s) wrench1, which has the
         bits of c wrench2 - s wrench1, as a - b is a + (-b) exactly.
-        math.cos and math.sin give np.cos's and np.sin's bits here.
+        math.cos and math.sin stand in for np.cos and np.sin, whose bits they
+        matched on every draw of the oracle tests.
         """
         if self._all_rotating:
             c, s = list(map(math.cos, angles)), list(map(math.sin, angles))
