@@ -495,7 +495,7 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     angles, multipliers); K stacks the two stationarity blocks and the
     constraint residual, H is its symmetric Jacobian. Arms never couple to
     each other through second derivatives, so the primal blocks are
-    diagonal.
+    diagonal, and one pass over the arms gives every per-arm entry.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
@@ -507,24 +507,25 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     # d2W/da2 = -W on rotating arms and 0 on fixed ones. One product gives
     # lambda . W over lambda . dW
     lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
-    lam_w, h_ua = lam_pair[:n_arms], lam_pair[n_arms:]
-    h_aa = [-ui * lw if rotating else 0.0 for ui, lw, rotating in zip(u, lam_w, model._rotating)]
+    h_ua = lam_pair[n_arms:]
+    dt2 = dt * dt
+    diag_a, grad_u, grad_a = [], [], []
+    for ui, lw, hu, rotating, dpu, dpa, dda in zip(u, lam_pair, h_ua, model._rotating, dp,
+                                                   dp[n_arms:], ddp[n_arms:]):
+        diag_a.append(dda / dt2 + (-ui * lw if rotating else 0.0))
+        grad_u.append(dpu + lw)
+        grad_a.append(dpa / dt + ui * hu)
 
     n_primal = 2 * n_arms
-    dt2 = dt * dt
     hess = np.zeros((n_primal + 6, n_primal + 6))
     # throttle second derivatives never touch the constraints; the entries
     # go in the order of DroneModel._kkt_diagonals
-    hess.put(model._kkt_diagonals,
-             ddp[:n_arms] + [d / dt2 + h for d, h in zip(ddp[n_arms:], h_aa)] + h_ua + h_ua)
+    hess.put(model._kkt_diagonals, ddp[:n_arms] + diag_a + h_ua + h_ua)
     # the constraint Jacobian, transposed: [W; u * dW], with 1.0 * W = W bit for bit
     constraint = hess[:n_primal, n_primal:]
     np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
-    grad = np.array([d + lw for d, lw in zip(dp[:n_arms], lam_w)]
-                    + [d / dt + ui * h for d, ui, h in zip(dp[n_arms:], u, h_ua)]
-                    + it.residual.tolist())
-    return hess, grad
+    return hess, np.array(grad_u + grad_a + it.residual.tolist())
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
@@ -551,25 +552,23 @@ def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray
     """The whole step delta of `newton_step`, as one array laid out like the iterate.
 
     The caller holds a `_quiet` scope, so a singular solve gives NaN without a warning.
+    A rung is taken when |H delta + K| <= 1e-10 max(1, |K|): a NaN or infinite delta leaves every
+    row of H delta + K non-finite (0 * inf is NaN), which fails that test while |K| is finite.
     """
     n_primal = 2 * n_arms
-    grad_norm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its dispatch
-    scale = max(1.0, grad_norm)
     for gamma in _REGULARIZATIONS:
         matrix = hess
         if gamma > 0.0:
             matrix = hess.copy()
             matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
         delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
-        if not all(map(math.isfinite, delta.tolist())):
-            continue
         residual = matrix @ delta + grad
-        if math.sqrt(residual @ residual) > 1e-10 * scale:
-            continue
-        return delta
+        res = math.sqrt(residual @ residual)  # what np.linalg.norm computes, without its dispatch
+        if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad @ grad)):
+            return delta
     raise SolverError(
         f"optimality system is singular even with diagonal regularization up to "
-        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={grad_norm:.3e})"
+        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={math.sqrt(grad @ grad):.3e})"
     )
 
 
@@ -627,10 +626,12 @@ def step_scale(d_throttles, d_angles, throttle_step_limit: float = SolverSetting
     The steps are arrays or lists of Python floats. A NaN step is never
     over a bound, so it leaves the factor at 1.
     """
-    alpha = 1.0
-    max_da, max_du = _abs_max(d_angles), _abs_max(d_throttles)
-    if max_da > angle_step_limit:
-        alpha = min(alpha, angle_step_limit / max_da)
+    return _scale_for(_abs_max(d_throttles), _abs_max(d_angles), throttle_step_limit, angle_step_limit)
+
+
+def _scale_for(max_du: float, max_da: float, throttle_step_limit: float, angle_step_limit: float) -> float:
+    """`step_scale` of steps whose largest magnitudes are max_du and max_da."""
+    alpha = angle_step_limit / max_da if max_da > angle_step_limit else 1.0  # under 1 when it applies
     if max_du > throttle_step_limit:
         alpha = min(alpha, throttle_step_limit / max_du)
     return alpha
@@ -651,10 +652,8 @@ def sqp_allocate(
     are left unwrapped so they can accumulate over continuous rotations.
     The warm state is only read. The iteration runs in one `_quiet` scope.
     """
-    if weights is None:
-        weights = PenaltyWeights()
+    weights = PenaltyWeights() if weights is None else weights
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
-    throttle_step_limit, angle_step_limit = settings.throttle_step_limit, settings.angle_step_limit
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
     _check_warm(warm, n_arms)
@@ -666,17 +665,15 @@ def sqp_allocate(
     u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
     tables = _penalized(weights, n_arms)
 
-    iterations = 0
-    converged = False
-    res_norm = math.inf
+    iterations, converged, res_norm = 0, False, math.inf
     with _quiet():
         it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
             delta = _newton_delta(*_assemble(x, it, model), n_arms)
-            step = delta.tolist()
-            alpha = step_scale(step[:n_arms], step[n_arms: 2 * n_arms],
-                               throttle_step_limit, angle_step_limit)
+            step = delta.tolist()  # finite (see _newton_delta), so the maxima need no NaN scan
+            alpha = _scale_for(max(map(abs, step[:n_arms])), max(map(abs, step[n_arms: 2 * n_arms])),
+                               settings.throttle_step_limit, settings.angle_step_limit)
             if alpha != 1.0:  # 1.0 * delta is delta
                 delta *= alpha
             x += delta
@@ -687,11 +684,10 @@ def sqp_allocate(
             obj = it.objective
             force, torque = it.residual[:3], it.residual[3:]
             res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
-            if abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint:
-                converged = True
-                obj_prev = obj
-                break
+            converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint
             obj_prev = obj
+            if converged:
+                break
     return AllocatorSolution(u, a, lam, iterations, res_norm, obj_prev, converged)
 
 

@@ -617,6 +617,35 @@ def test_newton_step_breaks_down_and_recovers_without_warnings():
     assert same_bits(np.concatenate(newton_step(hess, grad, n_arms)), expected)
 
 
+def test_the_ladders_acceptance_test_at_its_edges():
+    """One residual test per rung, against the oracle that scans the step for non-finite entries first."""
+    # a residual above 1e-10 and under 1e-10 |K|: only the |K|-scaled bound takes rung 0
+    k = np.arange(8.0)
+    hess = np.cos(np.add.outer(k, 2.0 * k)) + 4.0 * np.eye(8)
+    grad = 1e8 * np.sin(k + 1.0)
+    rung0 = np.linalg.solve(hess, -grad)
+    assert 1e-10 < np.linalg.norm(hess @ rung0 + grad) <= 1e-10 * np.linalg.norm(grad)
+    assert same_bits(newton_delta_oracle(hess, grad, 1), rung0)
+    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), rung0)
+
+    # rung 0 puts -inf in the first variable, whose column is zero off the
+    # diagonal, so H delta + K is NaN there: the rung falls through to 1e-8
+    hess = np.diag([1e-300] + [1.0] * 7)
+    grad = np.array([1e300] + [1.0] * 7)
+    with np.errstate(all="ignore"):
+        rung0 = np.linalg.solve(hess, -grad)
+        assert rung0[0] == -math.inf and math.isnan(np.linalg.norm(hess @ rung0 + grad))
+        expected = newton_delta_oracle(hess, grad, 1)
+    assert expected is not None and -math.inf < expected[0] < -1e307  # the 1e-8 rung
+    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), expected)
+
+    # no rung gives a step: SolverError, with |K| in its message
+    grad = np.full(8, 3.0)
+    assert newton_delta_oracle(np.zeros((8, 8)), grad, 1) is None
+    with pytest.raises(SolverError, match=r"\|K\|=8\.485e\+00"):
+        newton_step(np.zeros((8, 8)), grad, 1)
+
+
 def test_solve_vector_is_np_linalg_solve_bit_for_bit(rng):
     """The direct gufunc call gives np.linalg.solve's bits, so a numpy release that changes either shows here."""
     for dim in (1, 3, 8, 14, 18, 20):
@@ -690,6 +719,29 @@ def test_step_scale_is_bit_identical_to_the_array_formulas(data):
     expected = step_scale_oracle(du, da, *limits)
     for args in ((du, da), (du.tolist(), da.tolist())):  # the arrays of the API, the lists of the solver
         assert same_bits(step_scale(*args, *limits), expected)
+
+
+_UP, _DOWN = (lambda v: float(np.nextafter(v, math.inf))), (lambda v: float(np.nextafter(v, -math.inf)))
+
+
+@pytest.mark.parametrize("du, da", [
+    (0.1, 0.2), (-0.1, -0.2), (_UP(0.1), 0.0), (_DOWN(0.1), 0.0), (_UP(-0.1), 0.0),
+    (_DOWN(-0.1), 0.0), (0.0, _UP(0.2)), (0.0, _DOWN(0.2)), (0.0, _DOWN(-0.2)), (0.0, _UP(-0.2)),
+    (-0.0, -0.0), (0.0, -0.0), (0.3, -0.5), (-0.15, 0.8), (_UP(0.1), _UP(0.2)),
+])
+def test_the_loops_step_scale_on_exact_bound_ties(monkeypatch, octa_model, du, da):
+    """sqp_allocate scales its step as step_scale_oracle does: ties on the bounds, their neighbours,
+    signed zeros, and steps past both bounds at once."""
+    step = np.array([du, 0.0, -0.0, 0.01, -0.02, 0.0] + [-0.0, da, 0.0, 0.05, -0.0, -0.1]
+                    + [0.5, -0.25, 0.0, -0.0, 1e-3, 2.0])
+    # the step _newton_delta would return, fed to the loop's own step scale and update
+    monkeypatch.setattr(allocation, "_newton_delta", lambda hess, grad, n_arms: step.copy())
+    warm = AllocatorState.cold_start(octa_model)
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
+    sol = sqp_allocate(inp, warm, octa_model, settings=SolverSettings(max_iterations=1))
+    x0 = np.concatenate((warm.throttles, warm.angles, warm.multipliers))
+    expected = x0 + step_scale_oracle(step[:6], step[6:12]) * step
+    assert same_bits(np.concatenate((sol.throttles, sol.angles, sol.multipliers)), expected)
 
 
 def test_step_scale_limits():
