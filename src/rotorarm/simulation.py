@@ -284,9 +284,9 @@ class PoseSetpoint:
     accel: np.ndarray  # feedforward linear acceleration, world frame
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """Stepwise sweep through single-axis pose offsets, or a continuous roll.
+    """Stepwise sweep through single-axis pose offsets, or a continuous roll; immutable once built.
 
     Orientation/position sweeps run +A then -A on each axis in turn, always
     returning to the origin pose in between: 4 * len(axes) trapezoidal steps
@@ -321,6 +321,8 @@ class SweepSpec:
             raise ValueError(f"seconds_per_rev must be positive, got {self.seconds_per_rev}")
         if not (self.revolutions >= 0.0 and self.start_delay >= 0.0):
             raise ValueError("revolutions and start_delay must be non-negative")
+        object.__setattr__(self, "_targets", tuple(  # built once, read by sweep_setpoint every tick
+            (label, v) for sign in (1.0, -1.0) for label in self.axes for v in (sign * self.amplitude, 0.0)))
 
     @property
     def duration(self) -> float:
@@ -332,12 +334,7 @@ class SweepSpec:
 
     def step_targets(self) -> list[tuple[str, float]]:
         """Per-step (axis, target value); each step starts from the previous target."""
-        out: list[tuple[str, float]] = []
-        for sign in (1.0, -1.0):
-            for label in self.axes:
-                out.append((label, sign * self.amplitude))
-                out.append((label, 0.0))
-        return out
+        return list(self._targets)
 
 
 def orientation_sweep(amplitude: float = math.pi, **kwargs) -> SweepSpec:
@@ -401,7 +398,7 @@ def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
         return PoseSetpoint(np.zeros(3), Quaternion._about(1.0, 0.0, 0.0, angle), np.zeros(3))
 
     tau = t - spec.start_delay
-    targets = spec.step_targets()
+    targets = spec._targets
     step = int(tau // spec.step_duration)
     if step >= len(targets):
         return _origin()

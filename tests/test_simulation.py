@@ -1,7 +1,7 @@
 """Actuator models, rigid-body stepping, sweep trajectories, and flight analysis."""
 
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -431,6 +431,20 @@ def test_sweep_durations_and_targets():
     spin = continuous_roll(revolutions=3.0, seconds_per_rev=8.0)
     assert spin.start_delay == 0.0 and spin.duration == pytest.approx(24.0)
     assert SweepSpec("hover").duration == pytest.approx(2.0)
+
+
+def test_a_sweep_builds_its_step_targets_once(monkeypatch):
+    """A sweep cannot change once built, so sweep_setpoint reads targets built with it."""
+    spec = orientation_sweep(axes=("pitch", "roll"))
+    with pytest.raises(FrozenInstanceError):
+        spec.amplitude = 1.0
+    targets = spec.step_targets()
+    targets.clear()  # the caller's list, not the sweep's
+    assert len(spec.step_targets()) == 8
+    monkeypatch.setattr(SweepSpec, "step_targets", lambda self: pytest.fail("rebuilt per tick"))
+    halfway = sweep_setpoint(2.0 + 6.0 * 4.5, spec)  # halfway through the -pitch leg
+    assert quat_distance(halfway.orientation, Quaternion.from_axis_angle(np.array([0.0, 1.0, 0.0]),
+                                                                         -math.pi / 2)) < 1e-12
 
 
 def test_orientation_sweep_setpoints_follow_the_stage_plan():
