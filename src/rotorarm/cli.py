@@ -98,23 +98,29 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def _holds_bool(value) -> bool:
+def _leaves(value) -> list:
+    """value itself, or every entry of a list at any depth."""
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
+        return [leaf for entry in value for leaf in _leaves(entry)]
+    return [value]
 
 
 def load_run_config(path) -> dict:
     with open(path) as handle:
         config = json.load(handle)
     _check_keys(config, _TOP_KEYS, "config")
+    settings = {f"config.{key}": value for key, value in config.items() if key not in _SECTIONS}
     for section, defaults in _SECTIONS.items():
         if section in config:
             _check_keys(config[section], defaults, f"config.{section}")
             for key, value in config[section].items():
                 # JSON true is a number to Python; only a boolean setting may take one
-                if not isinstance(defaults[key], bool) and _holds_bool(value):
+                if not isinstance(defaults[key], bool) and any(isinstance(v, bool) for v in _leaves(value)):
                     raise ValueError(f"config.{section}.{key} must not be a boolean, got {value!r}")
+                settings[f"config.{section}.{key}"] = value
+    for where, value in settings.items():  # the rule of finite_numbers; type() passes over bools
+        if any(type(v) is int and finite_numbers([v], 1) is None for v in _leaves(value)):
+            raise ValueError(f"{where} holds an integer too large for a float")
     return config
 
 

@@ -376,6 +376,22 @@ def test_a_radius_for_a_custom_geometry_is_refused_naming_both_settings(tmp_path
                    "--samples", 100, "--out", out) == 0
 
 
+@pytest.mark.parametrize("where, config", [
+    ("config.model.mass", {"model": {"mass": 10**400}}),
+    ("config.model.inertia", {"model": {"inertia": [0.02, -(10**400), 0.02]}}),
+    ("config.radius", {"radius": 10**400}),
+    ("config.sweep.amplitude", {"sweep": {"amplitude": 10**400}}),
+])
+def test_a_config_integer_too_large_for_a_float_is_refused_naming_it(tmp_path, capsys, where, config):
+    """The 401-digit integer that float() cannot read: exit 1 naming the setting, not an OverflowError."""
+    out = tmp_path / "out"
+    argv = ["--config", write_json_file(tmp_path / "c.json", config), "--out", out]
+    assert run_cli("efficiency", "--samples", 100, *argv) == 1
+    err = capsys.readouterr().err
+    assert f"{where} holds an integer too large for a float" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed documents and requests, drawn: a validation error and exit 1, never a traceback
 
