@@ -631,7 +631,7 @@ def step_scale(d_throttles, d_angles, throttle_step_limit: float = SolverSetting
 
 def _scale_for(max_du: float, max_da: float, throttle_step_limit: float, angle_step_limit: float) -> float:
     """`step_scale` of steps whose largest magnitudes are max_du and max_da."""
-    alpha = angle_step_limit / max_da if max_da > angle_step_limit else 1.0  # under 1 when it applies
+    alpha = angle_step_limit / max_da if max_da > angle_step_limit else 1.0  # a ratio under 1 then, so no min
     if max_du > throttle_step_limit:
         alpha = min(alpha, throttle_step_limit / max_du)
     return alpha
