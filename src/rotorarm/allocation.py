@@ -303,8 +303,7 @@ class AllocatorState:
     @classmethod
     def cold_start(cls, model: DroneModel) -> "AllocatorState":
         n = model.geometry.n_arms
-        share = np.full(n, model.hover_throttle)
-        return cls(share, np.zeros(n), np.zeros(6), np.zeros(n))
+        return cls(np.full(n, model.hover_throttle), np.zeros(n), np.zeros(6), np.zeros(n))
 
 
 @dataclass
@@ -545,38 +544,54 @@ def _check_warm(warm: AllocatorState, n_arms: int) -> None:
         raise ValueError("warm-start arrays do not match the geometry")
 
 
-_REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+_INERTIA_FLOOR = 1e-6  # f / max(1, |H_uu|, |H_aa|): see _floored
+
+
+def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
+    """H with each arm's primal block [a, b; b, c] = [H_uu, H_ua; H_ua, H_aa] lifted to its floor.
+
+    A block whose smaller eigenvalue l is below f = _INERTIA_FLOOR max(1, |a|, |c|) gets f - l on
+    both diagonal entries, in a copy (H itself where none is below). The primal block is then positive
+    definite, so H has the inertia (2n, 6, 0) of a step toward a constrained minimum wherever the
+    constraint Jacobian has rank 6. l - f, the smaller eigenvalue of the block less f I, is their
+    product over the larger one where their mean is positive, so a block on its floor keeps its bits
+    and one an ulp below is lifted. A NaN entry lifts nothing.
+    """
+    diagonal, matrix = hess.diagonal(), hess
+    for i, (a, c, b) in enumerate(zip(diagonal[:n_arms].tolist(), diagonal[n_arms: 2 * n_arms].tolist(),
+                                      hess.diagonal(n_arms)[:n_arms].tolist())):
+        f = _INERTIA_FLOOR * max(1.0, abs(a), abs(c))
+        p, q = a - f, c - f
+        if p > 0.0 and p * q > b * b:  # above the floor, with no square root taken
+            continue
+        mean, half = 0.5 * (p + q), 0.5 * (p - q)
+        root = math.sqrt(half * half + b * b)
+        low = (p * q - b * b) / (mean + root) if mean > 0.0 else mean - root
+        if low < 0.0:
+            matrix = hess.copy() if matrix is hess else matrix
+            matrix[i, i], matrix[n_arms + i, n_arms + i] = a - low, c - low
+    return matrix
 
 
 def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray:
     """The whole step delta of `newton_step`, as one array laid out like the iterate.
 
-    The caller holds a `_quiet` scope, so a singular solve gives NaN without a warning.
-    A rung is taken when |H delta + K| <= 1e-10 max(1, |K|): a NaN or infinite delta leaves every
-    row of H delta + K non-finite (0 * inf is NaN), which fails that test while |K| is finite.
+    With H `_floored`, delta is taken when |H delta + K| <= 1e-10 max(1, |K|), which a singular
+    solve's NaN (the caller holds a `_quiet` scope) or an infinite delta fails: 0 * inf is NaN.
     """
-    n_primal = 2 * n_arms
-    for gamma in _REGULARIZATIONS:
-        matrix = hess
-        if gamma > 0.0:
-            matrix = hess.copy()
-            matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
-        delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
-        residual = matrix @ delta + grad
-        res = math.sqrt(residual @ residual)  # what np.linalg.norm computes, without its dispatch
-        if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad @ grad)):
-            return delta
-    raise SolverError(
-        f"optimality system is singular even with diagonal regularization up to "
-        f"{_REGULARIZATIONS[-1]:g} (dim {hess.shape[0]}, |K|={math.sqrt(grad @ grad):.3e})"
-    )
+    matrix = _floored(hess, n_arms)
+    delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
+    residual = matrix @ delta + grad
+    res = math.sqrt(residual @ residual)  # what np.linalg.norm computes, without its dispatch
+    if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad @ grad)):
+        return delta
+    raise SolverError(f"no usable Newton step (dim {hess.shape[0]}, |K|={math.sqrt(grad @ grad):.3e})")
 
 
 def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
-    """Solve H delta = -K, regularizing the primal diagonal if needed.
+    """(d_throttles, d_angles, d_multipliers) of H delta = -K, H `_floored`; H is only read.
 
-    Returns (d_throttles, d_angles, d_multipliers). Raises SolverError when
-    no regularization level in the ladder produces a usable solve.
+    The step `sqp_allocate` takes from the same H and K; SolverError where that fails.
     """
     with _quiet():
         delta = _newton_delta(hess, grad, n_arms)

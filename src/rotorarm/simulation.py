@@ -538,25 +538,22 @@ class _BranchSupervisor:
 
     A warm-started solve follows one local valley of the allocation
     landscape. After each converged solve, the single-shot linear
-    least-norm solution serves as a reference, and two mechanisms keep the
-    chain out of the valleys that wreck a flight:
+    least-norm solution serves as a reference for two mechanisms:
 
     * Branch transits. The reference is projected onto each lightly loaded
       arm's current thrust direction; a small component falling fast
       enough that a short extrapolation of it is clearly negative means
       the demand is moving to that arm's opposite branch, which no sequence
       of cheap local steps can reach. The arm is walked half a turn at just
-      under the servo rate and kept nearly unloaded by a raised per-arm
-      throttle weight while it swings. An arm already pinned negative has
-      its mirrored branch re-solved first and swings only when the flipped
-      arm takes real load there, since a wrench that pins an arm on both
-      branches alike is best served by staying put.
+      under the servo rate, kept nearly unloaded by a raised throttle
+      weight. An arm already pinned negative swings only when its mirrored
+      branch, re-solved, puts real load on it.
 
-    * Warm-point pull. Even with every branch right, the chain can settle
-      into a far costlier load split than the reference spread. Each tick
-      the warm point moves a small capped fraction toward the reference;
-      the next solve undoes the pull when the current valley is genuinely
-      better and ratchets across otherwise.
+    * Warm-angle pull. The chain can settle into a far costlier load split
+      than the reference spread, so each tick the warm angles of the arms
+      not in transit move a small capped fraction toward the reference; the
+      next solve undoes the pull where the current valley is better. The
+      warm throttles are the solved ones.
 
     Supervision only ever moves the solver's warm point and weights, never
     the servo command, so commanded angles stay continuous.
@@ -604,20 +601,18 @@ class _BranchSupervisor:
                     inp: AllocatorInput, weights: PenaltyWeights) -> AllocatorState:
         """Warm start for the next tick from tick k's converged solve.
 
-        ref is `reference` for the solved angles (anything with throttles
-        and angles arrays), or None; inp and weights are what the solve
-        used. The per-arm arithmetic runs on Python floats in numpy's
-        operation order, so every value has the bits of the array formulas.
+        ref is `reference` for the solved angles (anything with throttles and
+        angles arrays), or None; inp and weights are what the solve used. It
+        runs on Python floats in numpy's operation order, with its bits.
         """
         if ref is None:
             return sol.next_warm()
         t = k * self.dt
         u, a = sol.throttles.tolist(), sol.angles.tolist()
-        ref_u = ref.throttles.tolist()
         # wrap_angle(ref.angles - sol.angles), and the reference's projection
         # on each solved thrust direction
         gap = [(r - s + math.pi) % TWO_PI - math.pi for r, s in zip(ref.angles.tolist(), a)]
-        share = [r * math.cos(g) for r, g in zip(ref_u, gap)]
+        share = [r * math.cos(g) for r, g in zip(ref.throttles.tolist(), gap)]
         free = list(map(math.isnan, self.target.tolist()))
         row = k % self.hist_len
         # an ordinary handoff of load to other arms keeps the projection
@@ -645,16 +640,12 @@ class _BranchSupervisor:
                 # settling transient
                 self.cool[i] = t + 0.3
         self.share_hist[row] = share
-        # a small capped pull toward the reference lets the solver ratchet
-        # over to a better valley when one exists, while its own descent
-        # undoes the pull when the current valley is the right one; arms in
-        # transit get -0.0, which leaves every float as it is, signed zeros
-        # included
+        # a small capped pull of the angles toward the reference lets the
+        # solver ratchet over to a better valley, or undo the pull; arms in
+        # transit get -0.0, which leaves every float as it is, signed zeros included
         angles = np.array([ai + (_clip_float(0.1 * g, -0.01, 0.01) if f else -0.0)
                            for ai, g, f in zip(a, gap, free)])
-        throttles = [ui + (_clip_float(0.1 * (r - ui), -0.01, 0.01) if f else -0.0)
-                     for ui, r, f in zip(u, ref_u, free)]
-        return AllocatorState(np.array(throttles), angles, sol.multipliers.copy(), angles.copy())
+        return AllocatorState(sol.throttles.copy(), angles, sol.multipliers.copy(), angles.copy())
 
     def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
                          weights: PenaltyWeights) -> bool:
@@ -708,7 +699,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
     each of its solves `_BranchSupervisor` advances the arms in branch
     transit, which sets that solve's weights, and, after a converged solve,
     starts new transits from the least-norm reference and pulls the next
-    warm point toward it.
+    warm angles toward it.
     """
     model = scenario.model
     n_arms = model.geometry.n_arms
@@ -752,15 +743,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
             except SolverError:
                 # a solver breakdown is handled like any non-converged tick:
                 # hold the previous actuator commands and try again next tick
-                sol = AllocatorSolution(
-                    throttles=warm.throttles.copy(),
-                    angles=warm.angles.copy(),
-                    multipliers=warm.multipliers.copy(),
-                    iterations=scenario.solver.max_iterations,
-                    residual=math.inf,
-                    objective=math.inf,
-                    converged=False,
-                )
+                sol = AllocatorSolution(warm.throttles.copy(), warm.angles.copy(), warm.multipliers.copy(),
+                                        scenario.solver.max_iterations, math.inf, math.inf, False)
             if sol.converged:
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
                 ref = supervisor.reference(inp, sol.angles)

@@ -21,7 +21,12 @@ marker for each ``SolverError``. A flight cannot prove the solver
 byte-identical on its own, since the supervisor moves every warm point;
 the chain feeds ``sqp_allocate`` nothing else. With ``--check FILE`` it also compares each line
 with the line of the same name in FILE, prints every line that moved next
-to the expected one, and exits 1 if any did. The jobs run in a pool of one
+to the expected one, and exits 1 if any did. With ``--summary FILE`` it
+also writes the figures of each flight and chain it ran to FILE as JSON
+(see ``flight_figures`` and ``chain_line``), from the same runs as the
+lines. ``--compare A B`` runs nothing: it prints the figures of two such
+files side by side with their deltas, B less A, and the number of figures
+that moved; it exits 0 whatever moved, so it reports and gates nothing. The jobs run in a pool of one
 process per CPU and print flights first, in the order of ``FLIGHTS``, then
 sweeps, then chains; they take a few minutes of CPU time in total. The file name does
 not match ``test_*.py``, so the test suite does not collect it.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -60,10 +66,12 @@ from rotorarm import (
     SolverError,
     build_catalog,
     continuous_roll,
+    max_command_step,
     orientation_sweep,
     position_sweep,
     run_flight,
     sqp_allocate,
+    summarize,
     sweep_orientations,
 )
 
@@ -106,6 +114,9 @@ SWEEPS = {f"efficiency_{config_id}": config_id for config_id in CATALOG_IDS}
 # chain line name -> catalog layout of its warm-started solver chain
 CHAINS = {f"chain_{config_id}": config_id for config_id in ("octahedron_rot", "hexagon_tilt30_fixed")}
 
+SETTLE_S = 2.0  # the figures' settled window starts here, as `rotorarm fly`'s default settle does
+DIVERGED_M = 1.0  # a flight whose position error passes this has left its sweep
+
 
 def fly(name: str):
     geometry, factory, sweep_args, scenario_args = FLIGHTS[name]
@@ -119,13 +130,35 @@ def digest(result) -> str:
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
-def chain_line(name: str) -> str:
-    """Solve criterion 05's demand chain in order and hash every solution."""
+def iteration_figures(iterations) -> dict:
+    p50, p99 = np.percentile(iterations, [50, 99]).tolist()
+    return {"iterations_p50": p50, "iterations_p99": p99, "iterations_max": int(np.max(iterations))}
+
+
+def flight_figures(log) -> dict:
+    """What a flight did, beyond its bytes: failures, tracking error, iterations, command steps."""
+    settled = summarize(log, settle=SETTLE_S)
+    max_pos = float(np.max(log.pos_error))
+    return {
+        "nonconverged": int(np.sum(~log.converged)),
+        "diverged": not max_pos <= DIVERGED_M,
+        "pos_max_m": max_pos,
+        "pos_settled_mean_m": settled.pos_mean,
+        "ori_max_rad": float(np.max(log.ori_error)),
+        "ori_settled_mean_rad": settled.ori_mean,
+        **iteration_figures(log.iterations),
+        "max_command_step_rad": max_command_step(log),
+    }
+
+
+def chain_line(name: str) -> tuple[str, dict]:
+    """Solve criterion 05's demand chain in order, hash every solution and count its figures."""
     model = DroneModel(build_catalog(CHAINS[name]))
     chain = wrench_chain(model, 10_001, seed=11)
     warm = AllocatorState.cold_start(model)
     sha = hashlib.sha256()
     nonconverged = errors = 0
+    iterations = []
     for inp in chain:
         try:
             sol = sqp_allocate(inp, warm, model)
@@ -134,25 +167,55 @@ def chain_line(name: str) -> str:
             sha.update(b"SolverError")
             continue
         nonconverged += not sol.converged
+        iterations.append(sol.iterations)
         for values in (sol.throttles, sol.angles, sol.multipliers,
                        [sol.iterations, sol.residual, sol.objective, sol.converged]):
             sha.update(np.asarray(values, dtype=float).tobytes())
         warm = sol.next_warm()
-    return (f"{name:28s} {nonconverged:5d}/{len(chain):<6d} "
+    line = (f"{name:28s} {nonconverged:5d}/{len(chain):<6d} "
             f"non-converged, {errors} SolverError  sha256 {sha.hexdigest()}")
+    return line, {"nonconverged": nonconverged, "solver_errors": errors,
+                  **iteration_figures(iterations or [0])}
 
 
-def digest_line(name: str) -> str:
+def digest_line(name: str) -> tuple[str, dict | None]:
+    """The line of one flight, sweep or chain, and its figures (None for a sweep)."""
     if name in CHAINS:
         return chain_line(name)
     if name in SWEEPS:
         sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
         return (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
-                f"infeasible  sha256 {digest(sweep)}")
+                f"infeasible  sha256 {digest(sweep)}"), None
     log = fly(name)
     nonconverged = int(np.sum(~log.converged))
     return (f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
-            f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}")
+            f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}"), flight_figures(log)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the figures of two summaries side by side with B - A; report only."""
+    a, b = (json.loads(Path(path).read_text()) for path in (path_a, path_b))
+    moved = total = 0
+    print(f"{'name':28s} {'figure':22s} {'A':>14s} {'B':>14s} {'B - A':>14s}")
+    for name in [*a, *(n for n in b if n not in a)]:
+        fa, fb = a.get(name, {}), b.get(name, {})
+        for key in [*fa, *(k for k in fb if k not in fa)]:
+            va, vb = fa.get(key), fb.get(key)
+            total += 1
+            if va is None or vb is None or isinstance(va, bool):
+                delta = "" if va == vb else "changed"
+            else:
+                delta = f"{vb - va:+.6g}"
+            moved += va != vb
+            print(f"{name:28s} {key:22s} {_figure(va):>14s} {_figure(vb):>14s} {delta:>14s}")
+    print(f"{moved} of {total} figures moved")
+    return 0
+
+
+def _figure(value) -> str:
+    if value is None:
+        return "(none)"
+    return str(value) if isinstance(value, (bool, int)) else f"{value:.6g}"
 
 
 def main(argv) -> int:
@@ -161,7 +224,13 @@ def main(argv) -> int:
                         help="flights, sweeps and chains to run (default: all)")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the lines in FILE; exit 1 if any line moved")
+    parser.add_argument("--summary", metavar="FILE",
+                        help="also write each flight's and chain's figures to FILE as JSON")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the figures of two summaries with their deltas, and run nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     known = [*FLIGHTS, *SWEEPS, *CHAINS]
     unknown = [name for name in args.names if name not in known]
     if unknown:
@@ -172,17 +241,21 @@ def main(argv) -> int:
         lines = Path(args.check).read_text().splitlines()
         expected = {line.split()[0]: line.rstrip() for line in lines if line.strip()}
     names = args.names or known
-    moved = []
+    moved, figures = [], {}
     # spawned, not forked: the parent has imported numpy, whose BLAS may run threads
     workers = min(os.cpu_count() or 1, len(names))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        lines = pool.map(digest_line, names)  # yields in the order of names
-        for name, line in zip(names, lines):
+        results = pool.map(digest_line, names)  # yields in the order of names
+        for name, (line, figures[name]) in zip(names, results):
             print(line, flush=True)
             if args.check and line != expected.get(name):
                 moved.append(name)
                 print(f"MOVED, expected: {expected.get(name, '(no line for this name)')}",
                       flush=True)
+    if args.summary:
+        summary = {name: f for name, f in figures.items() if f is not None}
+        Path(args.summary).write_text(json.dumps(summary, indent=1) + "\n")
+        print(f"wrote the figures of {len(summary)} flights and chains to {args.summary}")
     if args.check:
         print(f"{len(moved)} of {len(names)} lines moved"
               + (f": {', '.join(moved)}" if moved else ""), flush=True)

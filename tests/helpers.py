@@ -280,28 +280,45 @@ def assemble_oracle(x, it: dict, model):
     return hess, grad
 
 
-REGULARIZATIONS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+INERTIA_FLOOR = 1e-6
+
+
+def floored_oracle(hess, n_arms: int):
+    """The matrix the Newton step solves: every arm's primal block at or above its floor, on arrays.
+
+    Returns a copy of hess; arm i's block [a, b; b, c] sits at rows and
+    columns i and n + i, f = 1e-6 max(1, |a|, |c|), and a block whose
+    smaller eigenvalue is below f gets f minus it added to both diagonal
+    entries, that difference taken on the block less f I.
+    """
+    n = n_arms
+    i = np.arange(n)
+    a, c, b = hess[i, i], hess[n + i, n + i], hess[i, n + i]
+    f = INERTIA_FLOOR * np.maximum(1.0, np.maximum(np.abs(a), np.abs(c)))
+    p, q = a - f, c - f
+    mean, half = 0.5 * (p + q), 0.5 * (p - q)
+    with np.errstate(all="ignore"):
+        low = np.where(mean > 0.0, (p * q - b * b) / (mean + np.sqrt(half * half + b * b)),
+                       mean - np.sqrt(half * half + b * b))
+    lift = ~((p > 0.0) & (p * q > b * b)) & (low < 0.0)
+    matrix = hess.copy()
+    matrix[i, i] = np.where(lift, a - low, a)
+    matrix[n + i, n + i] = np.where(lift, c - low, c)
+    return matrix
 
 
 def newton_delta_oracle(hess, grad, n_arms: int):
-    """The Newton step through np.linalg.solve; None when no rung gives one."""
-    n_primal = 2 * n_arms
-    scale = max(1.0, float(np.linalg.norm(grad)))
-    for gamma in REGULARIZATIONS:
-        matrix = hess
-        if gamma > 0.0:
-            matrix = hess.copy()
-            matrix[np.arange(n_primal), np.arange(n_primal)] += gamma
-        try:
-            delta = np.linalg.solve(matrix, -grad)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(delta)):
-            continue
-        if np.linalg.norm(matrix @ delta + grad) > 1e-10 * scale:
-            continue
-        return delta
-    return None
+    """The Newton step through np.linalg.solve of the floored matrix; None when it gives none."""
+    matrix = floored_oracle(hess, n_arms)
+    try:
+        delta = np.linalg.solve(matrix, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(delta)):
+        return None
+    if np.linalg.norm(matrix @ delta + grad) > 1e-10 * max(1.0, float(np.linalg.norm(grad))):
+        return None
+    return delta
 
 
 def step_scale_oracle(d_throttles, d_angles, throttle_step_limit=0.1, angle_step_limit=0.2):
@@ -598,10 +615,8 @@ def after_solve_oracle(supervisor, k, sol, ref, inp, weights):
             free[i] = False
             supervisor.cool[i] = t + 0.3
     supervisor.share_hist[row] = share
-    pull_a = np.where(free, np.clip(0.1 * gap, -0.01, 0.01), -0.0)
-    pull_u = np.where(free, np.clip(0.1 * (ref.throttles - sol.throttles), -0.01, 0.01), -0.0)
-    angles = sol.angles + pull_a
-    return AllocatorState(sol.throttles + pull_u, angles, sol.multipliers.copy(), angles.copy())
+    angles = sol.angles + np.where(free, np.clip(0.1 * gap, -0.01, 0.01), -0.0)
+    return AllocatorState(sol.throttles.copy(), angles, sol.multipliers.copy(), angles.copy())
 
 
 def fly_octahedron(sweep, allocator: str):

@@ -15,6 +15,7 @@ from helpers import (
     arm_wrench,
     assemble_oracle,
     evaluate_oracle,
+    floored_oracle,
     least_norm_allocation_oracle,
     newton_delta_oracle,
     penalty_arm_rate_oracle,
@@ -592,19 +593,20 @@ def test_newton_step_solves_the_kkt_system(rng, octa_model):
 def test_newton_step_raises_on_hopeless_systems():
     grad = np.ones(8)
     with pytest.raises(SolverError):
-        newton_step(np.zeros((8, 8)), grad, 1)  # constraint rows stay singular at every regularization
+        newton_step(np.zeros((8, 8)), grad, 1)  # the floor lifts the primal block; the constraint rows stay zero
     with pytest.raises(SolverError):
-        newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: every rung's step overflows
+        newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: the step overflows
 
 
 @pytest.mark.filterwarnings("error")
 def test_newton_step_breaks_down_and_recovers_without_warnings():
-    # the subnormal case reaches the non-finite-step guard on every rung
+    # the subnormal case reaches the non-finite-step guard
     with pytest.raises(SolverError):
         newton_step(1e-320 * np.eye(8), np.ones(8), 1)
-    # four arms, constraints on the first six primal variables only: the
-    # last two rows are zero, so rung 0 is exactly singular and rung 1e-8
-    # recovers the step
+    # four arms, constraints on the first six primal variables only, and a
+    # zero primal block: H is exactly singular, and the floor, 1e-6 on every
+    # primal diagonal entry, recovers the step; the angles of arms 2 and 3
+    # meet no constraint, so they take -K / 1e-6
     n_arms = 4
     hess = np.zeros((14, 14))
     hess[8:, :6] = np.eye(6)
@@ -613,37 +615,102 @@ def test_newton_step_breaks_down_and_recovers_without_warnings():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(hess, -grad)
     expected = newton_delta_oracle(hess, grad, n_arms)
-    assert expected is not None and np.linalg.norm(expected[6:8]) > 1e7  # the 1e-8 rung
+    assert expected is not None
+    np.testing.assert_allclose(expected[6:8], -grad[6:8] / 1e-6, rtol=1e-12)
     assert same_bits(np.concatenate(newton_step(hess, grad, n_arms)), expected)
 
 
-def test_the_ladders_acceptance_test_at_its_edges():
-    """One residual test per rung, against the oracle that scans the step for non-finite entries first."""
-    # a residual above 1e-10 and under 1e-10 |K|: only the |K|-scaled bound takes rung 0
+def _kkt_of_blocks(blocks):
+    """A KKT matrix of three arms: primal blocks [a, b; b, c] per arm and the identity as constraint Jacobian."""
+    n = len(blocks)
+    hess = np.zeros((2 * n + 6, 2 * n + 6))
+    for i, (a, b, c) in enumerate(blocks):
+        hess[i, i], hess[n + i, n + i] = a, c
+        hess[i, n + i] = hess[n + i, i] = b
+    hess[:6, 2 * n:] = hess[2 * n:, :6] = np.eye(6)
+    return hess
+
+
+_GRAD = np.linspace(-1.0, 2.0, 12)
+
+
+def test_the_step_acceptance_test_at_its_edges():
+    """One residual test on the floored system, against the oracle that scans the step for non-finite entries first."""
+    # a residual above 1e-10 and under 1e-10 |K|: only the |K|-scaled bound takes the step
     k = np.arange(8.0)
     hess = np.cos(np.add.outer(k, 2.0 * k)) + 4.0 * np.eye(8)
     grad = 1e8 * np.sin(k + 1.0)
-    rung0 = np.linalg.solve(hess, -grad)
-    assert 1e-10 < np.linalg.norm(hess @ rung0 + grad) <= 1e-10 * np.linalg.norm(grad)
-    assert same_bits(newton_delta_oracle(hess, grad, 1), rung0)
-    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), rung0)
+    assert allocation._floored(hess, 1) is hess  # the one block is above its floor
+    step = np.linalg.solve(hess, -grad)
+    assert 1e-10 < np.linalg.norm(hess @ step + grad) <= 1e-10 * np.linalg.norm(grad)
+    assert same_bits(newton_delta_oracle(hess, grad, 1), step)
+    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), step)
 
-    # rung 0 puts -inf in the first variable, whose column is zero off the
-    # diagonal, so H delta + K is NaN there: the rung falls through to 1e-8
-    hess = np.diag([1e-300] + [1.0] * 7)
-    grad = np.array([1e300] + [1.0] * 7)
-    with np.errstate(all="ignore"):
-        rung0 = np.linalg.solve(hess, -grad)
-        assert rung0[0] == -math.inf and math.isnan(np.linalg.norm(hess @ rung0 + grad))
-        expected = newton_delta_oracle(hess, grad, 1)
-    assert expected is not None and -math.inf < expected[0] < -1e307  # the 1e-8 rung
-    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), expected)
-
-    # no rung gives a step: SolverError, with |K| in its message
+    # the constraint pivots are subnormal, so the step overflows to infinity
+    # and H delta + K is NaN: SolverError, with |K| in its message
+    hess = 1e-320 * np.eye(8)
     grad = np.full(8, 3.0)
+    assert newton_delta_oracle(hess, grad, 1) is None
+    with pytest.raises(SolverError, match=r"\|K\|=8\.485e\+00"):
+        newton_step(hess, grad, 1)
+    # a zero matrix stays singular under the floor: the same error
     assert newton_delta_oracle(np.zeros((8, 8)), grad, 1) is None
     with pytest.raises(SolverError, match=r"\|K\|=8\.485e\+00"):
         newton_step(np.zeros((8, 8)), grad, 1)
+
+
+def test_a_block_on_its_floor_keeps_its_bits():
+    """Smaller eigenvalue exactly f: a diagonal block, a coupled one and one far above it."""
+    f2 = 1e-6 * 2.0  # the floor of a block with 2.0 on its diagonal
+    hess = _kkt_of_blocks([(1e-6, 0.0, 1.0), (2.0, 2.0 - f2, 2.0), (3.0, 0.5, 4.0)])
+    assert allocation._floored(hess, 3) is hess
+    assert same_bits(floored_oracle(hess, 3), hess)
+    step = np.concatenate(newton_step(hess, _GRAD, 3))
+    assert same_bits(step, np.linalg.solve(hess, -_GRAD))
+    assert same_bits(step, newton_delta_oracle(hess, _GRAD, 3))
+
+
+def test_a_block_one_ulp_below_its_floor_is_lifted_to_it():
+    f2 = 1e-6 * 2.0
+    below = float(np.nextafter(1e-6, 0.0))
+    hess = _kkt_of_blocks([(below, 0.0, 1.0), (2.0, float(np.nextafter(2.0 - f2, 3.0)), 2.0),
+                           (3.0, 0.5, 4.0)])
+    matrix = allocation._floored(hess, 3)
+    assert matrix is not hess and same_bits(matrix, floored_oracle(hess, 3))
+    moved = np.argwhere(matrix != hess).tolist()
+    assert [0, 0] in moved and [1, 1] in moved
+    assert all(i == j and i in (0, 1, 3, 4) for i, j in moved)  # diagonal entries of arms 0 and 1
+    assert matrix[0, 0] == 1e-6  # the diagonal block sits on its floor now
+    assert np.linalg.eigvalsh(matrix[np.ix_([1, 4], [1, 4])]).min() >= f2 * (1.0 - 1e-9)
+    step = np.concatenate(newton_step(hess, _GRAD, 3))
+    assert same_bits(step, newton_delta_oracle(hess, _GRAD, 3))
+    assert same_bits(step, np.linalg.solve(matrix, -_GRAD))
+    assert not same_bits(step, np.linalg.solve(hess, -_GRAD))
+
+
+def test_the_floor_on_fixed_arms():
+    """A fixed arm's block is diagonal; the floor lifts it only under a throttle weight below f / 2."""
+    model = DroneModel(build_catalog("hexagon_tilt30_fixed"))
+    n = model.geometry.n_arms
+    warm = AllocatorState.cold_start(model)
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.5, -0.3, 23.0]), np.array([0.1, 0.0, -0.05]))
+    hess, grad = assemble_kkt(warm, inp, model, PenaltyWeights())
+    i = np.arange(n)
+    assert not hess[i, n + i].any()  # no throttle-angle coupling on a fixed arm
+    assert allocation._floored(hess, n) is hess
+
+    weights = PenaltyWeights(throttle=1e-7)
+    hess, grad = assemble_kkt(warm, inp, model, weights)
+    saved = hess.copy()
+    matrix = allocation._floored(hess, n)
+    assert same_bits(matrix, floored_oracle(hess, n))
+    h_uu, h_aa = hess[i, i], hess[n + i, n + i]
+    f = 1e-6 * h_aa  # the angle curvature 2 arm_rate / dt^2 is the block's largest entry
+    np.testing.assert_allclose(matrix[i, i], f, rtol=1e-12)
+    np.testing.assert_allclose(matrix[n + i, n + i] - h_aa, f - h_uu, rtol=1e-6)
+    step = np.concatenate(newton_step(hess, grad, n))
+    assert same_bits(step, newton_delta_oracle(hess, grad, n))
+    assert same_bits(hess, saved)  # newton_step only reads H
 
 
 def test_solve_vector_is_np_linalg_solve_bit_for_bit(rng):
@@ -754,6 +821,36 @@ def test_step_scale_limits():
     for d_throttles in ([math.nan, 1.0], [1.0, math.nan]):
         assert step_scale(d_throttles, [0.0, 0.0]) == 1.0
         assert step_scale(np.array(d_throttles), np.array([0.0, 0.4])) == 0.5
+
+
+def test_a_tick_that_cycled_without_the_floor_converges():
+    """A warm start and demand of cube_pitch_roll's reference flight, taken where the solve cycled.
+
+    Without the per-arm floor this solve met KKT matrices of the wrong
+    inertia and ran its 30 iterations to a wrench residual of 7.5e-3; it is
+    the first of that flight's 30 non-converged ticks. The weights are the
+    defaults: no arm was in transit.
+    """
+    model = DroneModel(build_catalog("cube_rot"))
+    inp = AllocatorInput(
+        Quaternion(0.9177023379742185, 5.295693131117133e-17, 0.39726869858655267,
+                   -1.258767254222249e-17),
+        np.array([-0.5089334455671325, 3.2062517408540584e-15, 23.489362607174915]),
+        np.array([-2.762747694970214e-16, 0.003911186427393187, 3.555364272004856e-16]))
+    angles = np.array([-0.6025178649066837, -1.0689238698306152, 0.602517864906684,
+                       1.0689238698306152, -1.0653092725751436, -0.6026010593805229,
+                       1.0653092725751439, 0.6026010593805222])
+    warm = AllocatorState(
+        np.array([0.38285587475020366, 0.009216517346826084, 0.382855874750206,
+                  0.009216517346825501, 0.008381658402271312, 0.3836773938312277,
+                  0.008381658402271982, 0.38367739383122523]),
+        angles,
+        np.array([2.0518096096302494, -4.882187408386111e-15, 2.184798511219037,
+                  -3.3817873793895808e-15, 0.00020168252569252926, 4.292545061399158e-15]),
+        angles.copy())
+    sol = sqp_allocate(inp, warm, model)
+    assert sol.converged and sol.iterations < 10
+    assert np.linalg.norm(constraint_residual(sol.throttles, sol.angles, inp, model)) < 1e-5
 
 
 def test_sqp_hover_from_cold_start(octa_model):
@@ -1087,6 +1184,38 @@ def test_sqp_allocate_is_bit_identical_to_the_array_formulas(problem):
     for name, value, old in zip(("throttles", "angles", "multipliers", "iterations", "residual",
                                  "objective", "converged"), ours, expected):
         assert same_bits(value, old), name
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, phases=_FAIL_FAST)
+@given(problem=_allocation_problem())
+def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
+    """Where J has rank 6, the matrix the step solves has 2n positive and 6 negative eigenvalues.
+
+    Every arm's block that is already above its floor keeps its bits, and
+    nothing off the primal diagonal moves.
+    """
+    model, weights, inp, warm = problem
+    n = model.geometry.n_arms
+    hess, _ = assemble_kkt(warm, inp, model, weights)
+    matrix = allocation._floored(hess, n)
+    assert same_bits(matrix, floored_oracle(hess, n))
+    i = np.arange(n)
+    a, c, b = hess[i, i], hess[n + i, n + i], hess[i, n + i]
+    f = 1e-6 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(c)))
+    above = (a - f > 0.0) & ((a - f) * (c - f) > b * b)
+    lifted = np.concatenate((~above, ~above, np.zeros(6, dtype=bool)))
+    assert same_bits(np.diag(matrix)[~lifted], np.diag(hess)[~lifted])
+    off_diagonal = ~np.eye(2 * n + 6, dtype=bool)
+    assert same_bits(matrix[off_diagonal], hess[off_diagonal])
+    # the lifted blocks sit on their floor, to rounding
+    for arm in np.nonzero(~above)[0]:
+        block = matrix[np.ix_([arm, n + arm], [arm, n + arm])]
+        assert np.linalg.eigvalsh(block).min() >= f[arm] * (1.0 - 1e-6)
+
+    jacobian = hess[2 * n:, :2 * n]
+    if np.linalg.matrix_rank(jacobian) == 6:
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        assert (np.sum(eigenvalues > 0.0), np.sum(eigenvalues < 0.0)) == (2 * n, 6)
 
 
 def test_pinv_builds_its_matrix_once_per_model(monkeypatch):

@@ -12,8 +12,8 @@ inside ``after_solve``, and the solver's own stages inside
 ``sqp_allocate``) is taken out of the outer stage's time, so every
 nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
 pair, residual and objective of one iterate), ``_assemble`` (the KKT
-matrix and gradient) and ``_newton_delta`` (the Newton solve with its
-regularization ladder); what they leave of ``sqp_allocate`` is its own
+matrix and gradient) and ``_newton_delta`` (the per-arm inertia floor and
+the Newton solve); what they leave of ``sqp_allocate`` is its own
 loop: the step scale, the update and the stopping tests. The tick is the time from the first
 ``sweep_setpoint`` call to the end of the last ``rigid_body_step``, over
 the number of ticks; "loop body" is what the stages leave of it (the
