@@ -553,14 +553,14 @@ def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
     A block whose smaller eigenvalue l is below f = _INERTIA_FLOOR max(1, |a|, |c|) gets f - l on
     both diagonal entries, in a copy (H itself where none is below). The primal block is then positive
     definite, so H has the inertia (2n, 6, 0) of a step toward a constrained minimum wherever the
-    constraint Jacobian has rank 6. l - f, the smaller eigenvalue of the block less f I, is their
-    product over the larger one where their mean is positive, so a block on its floor keeps its bits
-    and one an ulp below is lifted. A NaN entry lifts nothing.
+    constraint Jacobian has rank 6. l - f is the smaller eigenvalue of the block less f I, taken as
+    the eigenvalues' product over the larger one where their mean is positive: a block on its floor
+    keeps its bits, and one an ulp below it is lifted. A NaN entry lifts nothing.
     """
-    diagonal, matrix = hess.diagonal(), hess
-    for i, (a, c, b) in enumerate(zip(diagonal[:n_arms].tolist(), diagonal[n_arms: 2 * n_arms].tolist(),
-                                      hess.diagonal(n_arms)[:n_arms].tolist())):
-        f = _INERTIA_FLOOR * max(1.0, abs(a), abs(c))
+    h, matrix = hess.diagonal().tolist(), hess
+    for i, (a, c, b) in enumerate(zip(h[:n_arms], h[n_arms:], hess.diagonal(n_arms).tolist())):
+        size = abs(a) if abs(a) > abs(c) else abs(c)
+        f = _INERTIA_FLOOR * size if size > 1.0 else _INERTIA_FLOOR
         p, q = a - f, c - f
         if p > 0.0 and p * q > b * b:  # above the floor, with no square root taken
             continue
