@@ -4,6 +4,8 @@ Run from a source checkout:
 
     PYTHONPATH=src python tests/flight_digests.py [NAME ...]
     PYTHONPATH=src python tests/flight_digests.py --check tests/flight_digests.expected
+    PYTHONPATH=src python tests/flight_digests.py --summary after.json
+    PYTHONPATH=src python tests/flight_digests.py --compare before.json after.json
 
 For each flight (all of them, or only the named ones) it prints the number
 of non-converged ticks, the maximum position error and the sha256 of the
@@ -26,10 +28,11 @@ also writes the figures of each flight and chain it ran to FILE as JSON
 (see ``flight_figures`` and ``chain_line``), from the same runs as the
 lines. ``--compare A B`` runs nothing: it prints the figures of two such
 files side by side with their deltas, B less A, and the number of figures
-that moved; it exits 0 whatever moved, so it reports and gates nothing. The jobs run in a pool of one
-process per CPU and print flights first, in the order of ``FLIGHTS``, then
-sweeps, then chains; they take a few minutes of CPU time in total. The file name does
-not match ``test_*.py``, so the test suite does not collect it.
+that moved; it exits 0 whatever moved, so it reports and gates nothing.
+The jobs run in a pool of one process per CPU and print flights first, in
+the order of ``FLIGHTS``, then sweeps, then chains; they take a few minutes
+of CPU time in total. The file name does not match ``test_*.py``, so the
+test suite does not collect it.
 
 Seventeen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
 with the pseudoinverse allocator. ``hexagon_fixed_position`` is the one

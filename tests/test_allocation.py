@@ -621,7 +621,10 @@ def test_newton_step_breaks_down_and_recovers_without_warnings():
 
 
 def _kkt_of_blocks(blocks):
-    """A KKT matrix of three arms: primal blocks [a, b; b, c] per arm and the identity as constraint Jacobian."""
+    """A KKT matrix with primal blocks [a, b; b, c] per arm and constraints on the first six primal variables.
+
+    Its constraint Jacobian is the identity there, of rank 6 for three arms or more.
+    """
     n = len(blocks)
     hess = np.zeros((2 * n + 6, 2 * n + 6))
     for i, (a, b, c) in enumerate(blocks):
