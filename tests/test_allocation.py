@@ -830,8 +830,9 @@ def test_a_tick_that_cycled_without_the_floor_converges():
     """A warm start and demand of cube_pitch_roll's reference flight, taken where the solve cycled.
 
     Without the per-arm floor this solve met KKT matrices of the wrong
-    inertia and ran its 30 iterations to a wrench residual of 7.5e-3; it is
-    the first of that flight's 30 non-converged ticks. The weights are the
+    inertia (10 of its 30 by eigvalsh) and ran its 30 iterations to a
+    wrench residual of 7.5e-3; it is the first of that flight's 30
+    non-converged ticks. The weights are the
     defaults: no arm was in transit.
     """
     model = DroneModel(build_catalog("cube_rot"))
