@@ -68,30 +68,9 @@ def _solve_vector_from(gufuncs):
     return solve_vector, solve_quieted
 
 
-def _lstsq_column_from(gufuncs):
-    """np.linalg.lstsq(matrix, column, rcond=cutoff)[0] for a float matrix and an (m, 1) column, bit for bit.
-
-    The function returned calls ``gufuncs.lstsq``, the LAPACK gufunc that
-    np.linalg.lstsq itself dispatches to, without that wrapper's checks and
-    error state; where ``gufuncs`` has no such name it calls np.linalg.lstsq.
-    Where the SVD fails the gufunc gives NaN and lstsq raises LinAlgError,
-    so a caller checks the result for NaN.
-    """
-    lstsq = getattr(gufuncs, "lstsq", None)
-    if lstsq is None:
-        def lstsq_column(matrix, column, cutoff: float) -> np.ndarray:
-            return np.linalg.lstsq(matrix, column, rcond=cutoff)[0]
-    else:
-        def lstsq_column(matrix, column, cutoff: float) -> np.ndarray:
-            return lstsq(matrix, column, cutoff, signature="ddd->ddid")[0]
-    return lstsq_column
-
-
-# numpy's private LAPACK gufuncs are looked up once here; a numpy without
-# them under these names (1.x names lstsq's gufunc by shape) gets the public
-# functions, with the same bits
+# numpy's private LAPACK gufunc is looked up once here; a numpy without it
+# under this name gets the public function, with the same bits
 solve_vector, _solve_quieted = _solve_vector_from(_umath_linalg)
-lstsq_column = _lstsq_column_from(_umath_linalg)
 
 
 @dataclass(frozen=True)

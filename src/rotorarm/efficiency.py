@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _abs_max, _add_reduce, lstsq_column
+from .allocation import _abs_max, _add_reduce
 from .geometry import DroneGeometry
 from .tables import write_csv
 
@@ -47,6 +47,8 @@ class HoverProblem:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.gravity > 0.0 and math.isfinite(self.gravity)):
             raise ValueError(f"gravity must be positive, got {self.gravity}")
+        if not math.isfinite(self.mass * self.gravity):
+            raise ValueError(f"weight mass * gravity must be finite, got {self.mass} * {self.gravity}")
 
 
 @dataclass
@@ -67,11 +69,10 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     minimum-norm least-squares solve. One-sided (unidirectional) arms that
     come out negative are clamped to zero one at a time, most negative
     first, and the reduced system is re-solved; at most one clamp per arm.
-    The clamps and the feasibility test are decided with the pseudo-inverse
-    of the free columns, cached per clamp set on the hover map; the forces
-    of a feasible hover come from one least-squares solve on the final set,
-    with the bits of ``np.linalg.lstsq``, and raise LinAlgError where that
-    solve breaks down.
+    Each solve is one product with the pseudo-inverse of the free columns,
+    cached per clamp set on the hover map. The forces of a feasible hover
+    are the coordinates of the final set, the ones whose residual the
+    feasibility test checked; non-finite coordinates raise LinAlgError.
     """
     g = problem.geometry
     fm = g.hover_map
@@ -102,7 +103,6 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
             f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm"
         )
 
-    coords = lstsq_column(free.matrix, target[:, None], free.cutoff).ravel().tolist()
     if not all(map(math.isfinite, coords)):
         raise np.linalg.LinAlgError(f"least-squares hover solve failed for up=({x}, {y}, {z}) on {g.name}")
     # np.add.at's order: per arm, 0.0 plus each free column's share in column

@@ -24,9 +24,10 @@ byte-identical on its own, since the supervisor moves every warm point;
 the chain feeds ``sqp_allocate`` nothing else. With ``--check FILE`` it also compares each line
 with the line of the same name in FILE, prints every line that moved next
 to the expected one, and exits 1 if any did. With ``--summary FILE`` it
-also writes the figures of each flight and chain it ran to FILE as JSON
-(see ``flight_figures`` and ``chain_line``), from the same runs as the
-lines. ``--compare A B`` runs nothing: it prints the figures of two such
+also writes the figures of each flight, sweep and chain it ran to FILE as
+JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
+are its infeasible count and the least and greatest x1 and x2), from the
+same runs as the lines. ``--compare A B`` runs nothing: it prints the figures of two such
 files side by side with their deltas, B less A, and the number of figures
 that moved; it exits 0 whatever moved, so it reports and gates nothing.
 The jobs run in a pool of one process per CPU and print flights first, in
@@ -181,14 +182,21 @@ def chain_line(name: str) -> tuple[str, dict]:
                   **iteration_figures(iterations or [0])}
 
 
-def digest_line(name: str) -> tuple[str, dict | None]:
-    """The line of one flight, sweep or chain, and its figures (None for a sweep)."""
+def sweep_line(name: str) -> tuple[str, dict]:
+    """Sweep one catalog layout over 2000 up directions, hash its table and take its ranges."""
+    sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
+    summary = sweep.summary()
+    line = (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
+            f"infeasible  sha256 {digest(sweep)}")
+    return line, {key: summary[key] for key in ("n_infeasible", "x1_min", "x1_max", "x2_min", "x2_max")}
+
+
+def digest_line(name: str) -> tuple[str, dict]:
+    """The line of one flight, sweep or chain, and its figures."""
     if name in CHAINS:
         return chain_line(name)
     if name in SWEEPS:
-        sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
-        return (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
-                f"infeasible  sha256 {digest(sweep)}"), None
+        return sweep_line(name)
     log = fly(name)
     nonconverged = int(np.sum(~log.converged))
     return (f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
@@ -228,7 +236,7 @@ def main(argv) -> int:
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the lines in FILE; exit 1 if any line moved")
     parser.add_argument("--summary", metavar="FILE",
-                        help="also write each flight's and chain's figures to FILE as JSON")
+                        help="also write each flight's, sweep's and chain's figures to FILE as JSON")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="print the figures of two summaries with their deltas, and run nothing")
     args = parser.parse_args(argv)
@@ -256,9 +264,8 @@ def main(argv) -> int:
                 print(f"MOVED, expected: {expected.get(name, '(no line for this name)')}",
                       flush=True)
     if args.summary:
-        summary = {name: f for name, f in figures.items() if f is not None}
-        Path(args.summary).write_text(json.dumps(summary, indent=1) + "\n")
-        print(f"wrote the figures of {len(summary)} flights and chains to {args.summary}")
+        Path(args.summary).write_text(json.dumps(figures, indent=1) + "\n")
+        print(f"wrote the figures of {len(figures)} flights, sweeps and chains to {args.summary}")
     if args.check:
         print(f"{len(moved)} of {len(names)} lines moved"
               + (f": {', '.join(moved)}" if moved else ""), flush=True)

@@ -1,8 +1,7 @@
 """Shared numeric test utilities: oracles, finite differences, random inputs."""
 
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -502,6 +501,7 @@ class HoverReference:
     solution: object  # a HoverSolution, or None where the hover is infeasible
     force_residual: float
     torque_residual: float
+    free: np.ndarray  # per hover-map column: False where the final clamp set holds it at zero
 
 
 def solve_hover_reference(problem) -> HoverReference:
@@ -533,14 +533,35 @@ def solve_hover_reference(problem) -> HoverReference:
     force_res = float(np.linalg.norm(residual[:3]))
     torque_res = float(np.linalg.norm(residual[3:]))
     if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
-        return HoverReference(None, force_res, torque_res)
+        return HoverReference(None, force_res, torque_res, free)
 
-    forces = np.zeros((g.n_arms, 3))
-    np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
     active = np.ones(g.n_arms, dtype=bool)
     for col in np.nonzero(~free)[0]:
         active[fm.col_arm[col]] = False
-    return HoverReference(HoverSolution(forces, active), force_res, torque_res)
+    return HoverReference(HoverSolution(_hover_forces(g, coords), active), force_res, torque_res, free)
+
+
+def _hover_forces(geometry, coords) -> np.ndarray:
+    """Per-arm forces (n_arms, 3) from per-column coordinates, summed with np.add.at."""
+    fm = geometry.hover_map
+    forces = np.zeros((geometry.n_arms, 3))
+    np.add.at(forces, fm.col_arm, coords[:, None] * fm.matrix[:3].T)
+    return forces
+
+
+def pinv_hover_forces_oracle(problem, free) -> np.ndarray:
+    """The forces on the clamp set `free` (a column mask) from np.linalg.pinv, not lstsq.
+
+    The pseudo-inverse has lstsq's singular-value cutoff, eps * max(shape);
+    clamped columns hold 0.0.
+    """
+    g = problem.geometry
+    matrix = g.hover_map.matrix[:, free]
+    weight = problem.mass * problem.gravity
+    target = np.concatenate([weight * problem.up, np.zeros(3)])
+    coords = np.zeros(len(free))
+    coords[free] = np.linalg.pinv(matrix, rcond=np.finfo(float).eps * max(matrix.shape)) @ target
+    return _hover_forces(g, coords)
 
 
 # the sweep's per-sample figures as first written, on arrays; the program's
@@ -566,13 +587,17 @@ def capacity_fraction_oracle(forces, mass: float, gravity: float, n_arms: int) -
     return mass * gravity / (peak * n_arms)
 
 
-def nan_lstsq_column():
-    """lstsq_column on a LAPACK gufunc whose SVD fails: its solution is all NaN."""
+def plant_nan_pinv(geometry, clamped: int = 0):
+    """Put an all-NaN pseudo-inverse in the hover map's cache for `clamped`, as a failed SVD leaves one.
 
-    def nan_lstsq(matrix, column, cutoff, signature):
-        return np.full((matrix.shape[1], column.shape[1]), math.nan), None, None, None
-
-    return allocation._lstsq_column_from(SimpleNamespace(lstsq=nan_lstsq))
+    Returns the geometry; the cached entry is otherwise the one free_columns builds.
+    """
+    fm = geometry.hover_map
+    free = fm.free_columns(clamped)
+    nan = np.full_like(free.pinv, math.nan)
+    nan.flags.writeable = False
+    fm._free[clamped] = replace(free, pinv=nan)
+    return geometry
 
 
 def least_norm_allocation_oracle(body_wrench, model, prev_angles=None):

@@ -756,18 +756,6 @@ def test_public_solve_gives_solve_vector_its_bits(rng, monkeypatch):
     assert len(calls) == 4 * 100 + 3
 
 
-def test_public_lstsq_gives_lstsq_column_its_bits(rng):
-    public = allocation._lstsq_column_from(SimpleNamespace())
-    for n_cols in (3, 6, 8, 12, 24):
-        for _ in range(100):
-            matrix = rng.normal(size=(6, n_cols))
-            if n_cols > 6 and rng.random() < 0.3:
-                matrix[:, -1] = matrix[:, 0]  # a repeated column: rank below full
-            column = rng.normal(size=(6, 1))
-            cutoff = np.finfo(float).eps * max(matrix.shape)
-            assert same_bits(public(matrix, column, cutoff), allocation.lstsq_column(matrix, column, cutoff))
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from((0.0, -0.0, 1e300, -1e300))),
                 max_size=300))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rotorarm
-from helpers import nan_lstsq_column
+from helpers import plant_nan_pinv
 from rotorarm import build_catalog, cli, efficiency
 from rotorarm.geometry import ARM_KINDS, load_geometry
 from rotorarm.tables import write_csv
@@ -85,7 +85,8 @@ def test_efficiency_json_table_format(tmp_path):
 
 
 def test_efficiency_reports_a_failed_least_squares_solve_with_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(efficiency, "lstsq_column", nan_lstsq_column())
+    resolve = cli.resolve_geometry
+    monkeypatch.setattr(cli, "resolve_geometry", lambda *args: plant_nan_pinv(resolve(*args)))
     assert run_cli("efficiency", "--samples", 100, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: least-squares hover solve failed") and "Traceback" not in err
@@ -299,6 +300,11 @@ def _efficiency_infinite_control_period(tmp_path):
     return _config_value(tmp_path, "efficiency", model={"control_period": math.inf}, samples=100)
 
 
+def _efficiency_overflowing_weight(tmp_path):
+    """Each constant finite, but mass * gravity overflows to inf."""
+    return _config_value(tmp_path, "efficiency", model={"mass": 1e300, "gravity": 1e10}, samples=200)
+
+
 def _fly_infinite_motor_lag(tmp_path):
     return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
                          motor_lag=math.inf)
@@ -346,6 +352,7 @@ def _radius_with_custom_geometry(tmp_path):
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
     _efficiency_nan_thrust_constant, _fly_negative_gain, _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
+    _efficiency_overflowing_weight,
     _fly_infinite_motor_lag, _fly_infinite_limit_weight, _fly_infinite_arm_rate_weight,
     _fly_infinite_throttle_weight, _allocate_infinite_limit_weight, _radius_with_custom_geometry,
 ], ids=lambda f: f.__name__.lstrip("_"))

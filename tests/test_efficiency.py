@@ -3,7 +3,6 @@
 import itertools
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from scipy.linalg import null_space
 from helpers import (
     capacity_fraction_oracle,
     hover_norms_oracle,
-    nan_lstsq_column,
+    pinv_hover_forces_oracle,
+    plant_nan_pinv,
     random_unit,
     same_bits,
     solve_hover_reference,
@@ -35,7 +35,6 @@ from rotorarm import (
     sweep_orientations,
     upward_fraction,
 )
-from rotorarm import allocation, efficiency
 from rotorarm.efficiency import HoverSolution
 from rotorarm.geometry import FIXED_UNIDIRECTIONAL, ROTATING, default_zero_dir
 
@@ -74,6 +73,10 @@ def test_hover_problem_validation():
         HoverProblem(g, EZ, mass=-1.0)
     with pytest.raises(ValueError):
         HoverProblem(g, EZ, gravity=0.0)
+    # each finite, but their product overflows
+    with pytest.raises(ValueError, match=r"weight mass \* gravity must be finite, got 1e\+300 \* 10000000000\.0$"):
+        HoverProblem(g, EZ, mass=1e300, gravity=1e10)
+    HoverProblem(g, EZ, mass=1e300, gravity=1.0)
 
 
 def test_solve_hover_balances_weight_without_torque(rng):
@@ -213,7 +216,12 @@ def test_unidirectional_arms_clamp_or_fail():
 
 
 def test_solve_hover_is_the_lstsq_reference_bit_for_bit():
-    """Same forces, active flags and infeasible orientations as one lstsq per clamp set."""
+    """The clamp sets and infeasible orientations of one lstsq per clamp set, with the pinv oracle's bits.
+
+    The forces are np.linalg.pinv's product on the reference's final clamp
+    set, bit for bit, and agree with the reference's lstsq forces to the
+    tolerance of the mixed-layout property.
+    """
     ups = fibonacci_sphere(2000)
     for config_id in CATALOG_IDS:
         g = build_catalog(config_id)
@@ -227,8 +235,10 @@ def test_solve_hover_is_the_lstsq_reference_bit_for_bit():
                     solve_hover(problem)
                 continue
             sol = solve_hover(problem)
-            assert same_bits(sol.forces, reference.solution.forces), (config_id, up)
+            assert same_bits(sol.forces, pinv_hover_forces_oracle(problem, reference.free)), (config_id, up)
             np.testing.assert_array_equal(sol.active, reference.solution.active)
+            weight = problem.mass * problem.gravity
+            np.testing.assert_allclose(sol.forces, reference.solution.forces, rtol=0.0, atol=1e-9 * weight)
         assert n_infeasible == (1942 if config_id == "hexagon_tilt30_fixed" else 0)
 
 
@@ -302,26 +312,10 @@ def test_solve_hover_agrees_with_the_reference_on_mixed_layouts(seed, n_rotating
         assert_figures_are_the_array_formulas(sol, problem)
 
 
-def test_a_failed_least_squares_solve_raises_linalgerror(monkeypatch):
-    monkeypatch.setattr(efficiency, "lstsq_column", nan_lstsq_column())
+def test_a_failed_least_squares_solve_raises_linalgerror():
+    g = plant_nan_pinv(build_catalog("octahedron_rot"))
     with pytest.raises(np.linalg.LinAlgError, match="least-squares hover solve failed"):
-        solve_hover(HoverProblem(build_catalog("octahedron_rot"), EZ))
-
-
-def test_public_lstsq_gives_the_sweep_its_bits(monkeypatch):
-    """Through np.linalg.lstsq, as on a numpy without the gufunc under that name, every table bit stays."""
-    tables = {cid: sweep_orientations(build_catalog(cid), 300).table()[1] for cid in CATALOG_IDS}
-    lstsq, calls = np.linalg.lstsq, []
-
-    def counted_lstsq(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-    monkeypatch.setattr(efficiency, "lstsq_column", allocation._lstsq_column_from(SimpleNamespace()))
-    for config_id, table in tables.items():
-        assert same_bits(sweep_orientations(build_catalog(config_id), 300).table()[1], table), config_id
-    assert len(calls) == 6 * 300 - 291  # one per feasible sample; 291 are infeasible on the fixed layout
+        solve_hover(HoverProblem(g, EZ))
 
 
 def test_infeasible_hover_message_gives_up_and_residuals():

@@ -138,7 +138,6 @@ def test_free_columns_are_cached_pseudo_inverses():
                                            rtol=0.0, atol=1e-12)
             assert free.one_sided == tuple(k for k, c in enumerate(free.cols)
                                            if fm.unidirectional_cols[c])
-            assert free.cutoff == np.finfo(float).eps * max(6, len(free.cols))
             assert free.directions == tuple(tuple(fm.matrix[:3, c].tolist()) for c in free.cols)
             assert free.arms == tuple(int(fm.col_arm[c]) for c in free.cols)
             clamped_arms = {int(fm.col_arm[c]) for c in range(n_cols) if clamped >> c & 1}
