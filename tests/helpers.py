@@ -588,9 +588,10 @@ def capacity_fraction_oracle(forces, mass: float, gravity: float, n_arms: int) -
 
 
 def plant_nan_pinv(geometry, clamped: int = 0):
-    """Put an all-NaN pseudo-inverse in the hover map's cache for `clamped`, as a failed SVD leaves one.
+    """Put an all-NaN pseudo-inverse in the hover map's cache for `clamped`: a numerical breakdown.
 
-    Returns the geometry; the cached entry is otherwise the one free_columns builds.
+    Every hover coordinate on that clamp set is then NaN. Returns the
+    geometry; the cached entry is otherwise the one free_columns builds.
     """
     fm = geometry.hover_map
     free = fm.free_columns(clamped)
