@@ -195,6 +195,9 @@ class PidGains:
         bad = [name for name in gains if not 0.0 <= getattr(self, name) < math.inf]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite and non-negative")
+        if not isinstance(self.proportional_on_measurement, (bool, np.bool_)):
+            raise ValueError("proportional_on_measurement must be true or false, got "
+                             f"{self.proportional_on_measurement!r}")
 
 
 class PidController:
@@ -540,14 +543,13 @@ class _BranchSupervisor:
     landscape. After each converged solve, the single-shot linear
     least-norm solution serves as a reference for two mechanisms:
 
-    * Branch transits. The reference is projected onto each lightly loaded
-      arm's current thrust direction; a small component falling fast
-      enough that a short extrapolation of it is clearly negative means
-      the demand is moving to that arm's opposite branch, which no sequence
-      of cheap local steps can reach. The arm is walked half a turn at just
+    * Branch transits. The reference is projected onto each free arm's
+      current thrust direction; a small component falling fast enough
+      that a short extrapolation of it is clearly negative means the
+      demand is moving to that arm's opposite branch, which no sequence of
+      cheap local steps can reach. The arm is walked half a turn at just
       under the servo rate, kept nearly unloaded by a raised throttle
-      weight. An arm already pinned negative swings only when its mirrored
-      branch, re-solved, puts real load on it.
+      weight.
 
     * Warm-angle pull. The chain can settle into a far costlier load split
       than the reference spread, so each tick the warm angles of the arms
@@ -556,7 +558,8 @@ class _BranchSupervisor:
       warm throttles are the solved ones.
 
     Supervision only ever moves the solver's warm point and weights, never
-    the servo command, so commanded angles stay continuous.
+    the servo command, so commanded angles stay continuous, and it never
+    calls the solver.
     """
 
     hist_len = 12  # ticks of share history behind the extrapolation
@@ -597,18 +600,18 @@ class _BranchSupervisor:
         except SolverError:
             return None
 
-    def after_solve(self, k: int, sol: AllocatorSolution, ref: LeastNormAllocation | None,
-                    inp: AllocatorInput, weights: PenaltyWeights) -> AllocatorState:
+    def after_solve(self, k: int, sol: AllocatorSolution,
+                    ref: LeastNormAllocation | None) -> AllocatorState:
         """Warm start for the next tick from tick k's converged solve.
 
         ref is `reference` for the solved angles (anything with throttles and
-        angles arrays), or None; inp and weights are what the solve used. It
-        runs on Python floats in numpy's operation order, with its bits.
+        angles arrays), or None. It runs on Python floats in numpy's
+        operation order, with its bits.
         """
         if ref is None:
             return sol.next_warm()
         t = k * self.dt
-        u, a = sol.throttles.tolist(), sol.angles.tolist()
+        a = sol.angles.tolist()
         # wrap_angle(ref.angles - sol.angles), and the reference's projection
         # on each solved thrust direction
         gap = [(r - s + math.pi) % TWO_PI - math.pi for r, s in zip(ref.angles.tolist(), a)]
@@ -616,29 +619,25 @@ class _BranchSupervisor:
         free = list(map(math.isnan, self.target.tolist()))
         row = k % self.hist_len
         # an ordinary handoff of load to other arms keeps the projection
-        # near zero; one falling through zero means the demand changes branch
-        watch = [i for i, (f, c, ui) in enumerate(zip(free, self.cool.tolist(), u))
-                 if f and c <= t and ui < 0.05]
-        if watch:
-            # the projection is continuous through a crossing, so a short
-            # extrapolation starts the half-turn slightly before the demand
-            # actually reverses
-            past, span = self.share_hist[row].tolist(), self.hist_len * self.dt
-            for i in watch:
-                slope = (share[i] - past[i]) / span
-                if not (share[i] < 0.02 and slope < -0.1 and share[i] + 0.18 * slope < -0.04):
-                    continue
-                if u[i] < -0.02 and not self._mirror_pays_off(i, sol, inp, weights):
-                    continue
-                # past a crossing the reference sits on the far branch and
-                # picks the turn direction; before one, either way round
-                # reaches the same branch
-                direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
-                self.target[i] = a[i] + math.copysign(math.pi, direction)
-                free[i] = False
-                # refractory gap so one crossing cannot retrigger on its own
-                # settling transient
-                self.cool[i] = t + 0.3
+        # near zero; one falling through zero means the demand changes
+        # branch. The projection is continuous through a crossing, so a short
+        # extrapolation starts the half-turn slightly before the demand
+        # actually reverses
+        past, span = self.share_hist[row].tolist(), self.hist_len * self.dt
+        for i, c in enumerate(self.cool.tolist()):
+            slope = (share[i] - past[i]) / span
+            if not (free[i] and c <= t and share[i] < 0.02 and slope < -0.1
+                    and share[i] + 0.18 * slope < -0.04):
+                continue
+            # past a crossing the reference sits on the far branch and picks
+            # the turn direction; before one, either way round reaches the
+            # same branch
+            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
+            self.target[i] = a[i] + math.copysign(math.pi, direction)
+            free[i] = False
+            # refractory gap so one crossing cannot retrigger on its own
+            # settling transient
+            self.cool[i] = t + 0.3
         self.share_hist[row] = share
         # a small capped pull of the angles toward the reference lets the
         # solver ratchet over to a better valley, or undo the pull; arms in
@@ -646,27 +645,6 @@ class _BranchSupervisor:
         angles = np.array([ai + (_clip_float(0.1 * g, -0.01, 0.01) if f else -0.0)
                            for ai, g, f in zip(a, gap, free)])
         return AllocatorState(sol.throttles.copy(), angles, sol.multipliers.copy(), angles.copy())
-
-    def _mirror_pays_off(self, arm: int, sol: AllocatorSolution, inp: AllocatorInput,
-                         weights: PenaltyWeights) -> bool:
-        """Whether the arm restarted on its mirrored branch takes real load there.
-
-        A thrust of u at angle a equals a thrust of -u half a turn away, so a
-        negatively pinned arm always has a feasible twin configuration. The
-        twin counts only when its solve converges AND puts real positive
-        throttle on the flipped arm. A twin that leaves the arm unloaded has
-        only moved the load to the other arms, which swinging this arm
-        cannot capture, and chasing it causes endless swings.
-        """
-        mirrored = sol.next_warm()
-        mirrored.throttles[arm] = max(-sol.throttles[arm], 0.01)
-        mirrored.angles[arm] += math.pi
-        mirrored.prev_angles[arm] = mirrored.angles[arm]
-        try:
-            trial = sqp_allocate(inp, mirrored, self.scenario.model, weights, self.scenario.solver)
-        except SolverError:
-            return False
-        return trial.converged and trial.throttles[arm] >= 0.04
 
 
 def _arm_wrenches(arms: list, throttles: list, angles: list) -> tuple[list, list]:
@@ -748,7 +726,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
             if sol.converged:
                 throttle_cmd, angle_cmd = sol.throttles, sol.angles
                 ref = supervisor.reference(inp, sol.angles)
-                warm = supervisor.after_solve(k, sol, ref, inp, weights)
+                warm = supervisor.after_solve(k, sol, ref)
         else:
             sol = pinv_allocate(inp, model, prev_angles=angle_cmd)
             if sol.converged:

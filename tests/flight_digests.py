@@ -26,8 +26,9 @@ with the line of the same name in FILE, prints every line that moved next
 to the expected one, and exits 1 if any did. With ``--summary FILE`` it
 also writes the figures of each flight, sweep and chain it ran to FILE as
 JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
-are its infeasible count and the least and greatest x1 and x2), from the
-same runs as the lines. ``--compare A B`` runs nothing: it prints the figures of two such
+are its infeasible count and the least and greatest x1 and x2, and an SQP
+flight's add its ``transit_starts``, counted by ``fly_counting_transits``),
+from the same runs as the lines. ``--compare A B`` runs nothing: it prints the figures of two such
 files side by side with their deltas, B less A, and the number of figures
 that moved; it exits 0 whatever moved, so it reports and gates nothing.
 The jobs run in a pool of one process per CPU and print flights first, in
@@ -62,6 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import wrench_chain
+from rotorarm import simulation
 from rotorarm import (
     CATALOG_IDS,
     AllocatorState,
@@ -126,6 +128,28 @@ def fly(name: str):
     geometry, factory, sweep_args, scenario_args = FLIGHTS[name]
     model = DroneModel(build_catalog(geometry))
     return run_flight(Scenario(model=model, sweep=factory(**sweep_args), **scenario_args))
+
+
+def fly_counting_transits(name: str):
+    """Fly one flight and count its transit starts: the arms whose target goes from NaN to finite.
+
+    ``_BranchSupervisor.after_solve`` is wrapped from outside the program for
+    the flight, as ``tick_profile.py`` wraps its stages; no logged value moves.
+    """
+    supervisor = simulation._BranchSupervisor
+    after_solve, starts = supervisor.after_solve, [0]
+
+    def counted(self, *args, **kwargs):
+        free = np.isnan(self.target)
+        warm = after_solve(self, *args, **kwargs)
+        starts[0] += int(np.sum(free & ~np.isnan(self.target)))
+        return warm
+
+    supervisor.after_solve = counted
+    try:
+        return fly(name), starts[0]
+    finally:
+        supervisor.after_solve = after_solve
 
 
 def digest(result) -> str:
@@ -197,10 +221,13 @@ def digest_line(name: str) -> tuple[str, dict]:
         return chain_line(name)
     if name in SWEEPS:
         return sweep_line(name)
-    log = fly(name)
+    log, transit_starts = fly_counting_transits(name)
+    figures = flight_figures(log)
+    if log.allocator == "sqp":
+        figures["transit_starts"] = transit_starts
     nonconverged = int(np.sum(~log.converged))
     return (f"{name:28s} {nonconverged:5d}/{len(log.t):<6d} "
-            f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}"), flight_figures(log)
+            f"max_pos {np.max(log.pos_error):.6g} m  sha256 {digest(log)}"), figures
 
 
 def compare(path_a: str, path_b: str) -> int:

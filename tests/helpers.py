@@ -615,12 +615,11 @@ def least_norm_allocation_oracle(body_wrench, model, prev_angles=None):
     return throttles, angles
 
 
-def after_solve_oracle(supervisor, k, sol, ref, inp, weights):
+def after_solve_oracle(supervisor, k, sol, ref):
     """_BranchSupervisor.after_solve as first written, on arrays.
 
     It updates the supervisor's target, cool and share_hist arrays as the
-    method does, calls its _mirror_pays_off the same way, and returns the
-    next warm start.
+    method does and returns the next warm start.
     """
     if ref is None:
         return sol.next_warm()
@@ -628,18 +627,14 @@ def after_solve_oracle(supervisor, k, sol, ref, inp, weights):
     gap = allocation.wrap_angle(ref.angles - sol.angles)
     share = ref.throttles * np.cos(gap)
     free = np.isnan(supervisor.target)
-    watch = free & (supervisor.cool <= t) & (sol.throttles < 0.05)
     row = k % supervisor.hist_len
-    if watch.any():
-        slope = (share - supervisor.share_hist[row]) / (supervisor.hist_len * supervisor.dt)
-        early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
-        for i in np.nonzero(watch & early)[0]:
-            if sol.throttles[i] < -0.02 and not supervisor._mirror_pays_off(i, sol, inp, weights):
-                continue
-            direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
-            supervisor.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
-            free[i] = False
-            supervisor.cool[i] = t + 0.3
+    slope = (share - supervisor.share_hist[row]) / (supervisor.hist_len * supervisor.dt)
+    early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
+    for i in np.nonzero(free & (supervisor.cool <= t) & early)[0]:
+        direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
+        supervisor.target[i] = sol.angles[i] + math.copysign(math.pi, direction)
+        free[i] = False
+        supervisor.cool[i] = t + 0.3
     supervisor.share_hist[row] = share
     angles = sol.angles + np.where(free, np.clip(0.1 * gap, -0.01, 0.01), -0.0)
     return AllocatorState(sol.throttles.copy(), angles, sol.multipliers.copy(), angles.copy())

@@ -1206,8 +1206,14 @@ def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
 
     jacobian = hess[2 * n:, :2 * n]
     if np.linalg.matrix_rank(jacobian) == 6:
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        assert (np.sum(eigenvalues > 0.0), np.sum(eigenvalues < 0.0)) == (2 * n, 6)
+        # Haynsworth: In(M) = In(D) + In(-J D^-1 J^T) for the primal block D,
+        # and J D^-1 J^T is positive definite when D is and J has rank 6, so M
+        # has 2n positive and 6 negative eigenvalues exactly when D is
+        # positive definite. M's own negative eigenvalues are about
+        # -sigma_min(J D^-1/2)^2, below eigvalsh's rounding where J is near
+        # rank 5, so their signs are counted through D
+        primal = np.linalg.eigvalsh(matrix[:2 * n, :2 * n])
+        assert np.sum(primal > 0.0) == 2 * n
 
 
 def test_pinv_builds_its_matrix_once_per_model(monkeypatch):

@@ -315,6 +315,12 @@ def _fly_negative_gain(tmp_path):
                          gains={"kp_pos": -5})
 
 
+def _fly_string_proportional_on_measurement(tmp_path):
+    """A string, even "no", is no boolean: it must not switch the PID mode on."""
+    return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.05, settle=0.0,
+                         gains={"proportional_on_measurement": "no"})
+
+
 def _fly_with_weights(tmp_path, **weights):
     return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
                          weights=weights)
@@ -350,7 +356,8 @@ def _radius_with_custom_geometry(tmp_path):
     _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
     _fractional_seed, _boolean_seed, _boolean_noise_std, _boolean_radius, _boolean_model_mass,
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
-    _efficiency_nan_thrust_constant, _fly_negative_gain, _efficiency_infinite_thrust_constant,
+    _efficiency_nan_thrust_constant, _fly_negative_gain, _fly_string_proportional_on_measurement,
+    _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
     _efficiency_overflowing_weight,
     _fly_infinite_motor_lag, _fly_infinite_limit_weight, _fly_infinite_arm_rate_weight,

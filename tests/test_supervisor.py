@@ -2,12 +2,11 @@
 
 Each test feeds the supervisor a synthetic converged solve and least-norm
 reference for the six-arm octahedron, so one rule decides the outcome. Arm
-0 is the lightly loaded arm under watch; the other arms carry load and
-agree with the reference.
+0 is the arm under test; the other arms carry load and agree with the
+reference.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,14 +58,8 @@ def reference(sol, share0=0.0, gap0=0.0) -> AllocatorSolution:
     return AllocatorSolution(throttles, sol.angles + gaps, np.zeros(6), 1, 0.0, 0.0, True)
 
 
-def demand(model) -> AllocatorInput:
-    return AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, model.mass * model.gravity]),
-                          np.zeros(3))
-
-
 def after(supervisor, sol, ref, k=K):
-    weights = supervisor.scenario.weights
-    return supervisor.after_solve(k, sol, ref, demand(supervisor.scenario.model), weights)
+    return supervisor.after_solve(k, sol, ref)
 
 
 def with_history(supervisor, share0):
@@ -83,11 +76,11 @@ def transiting(supervisor):
 # starting transits
 
 
-def test_loaded_arm_is_not_watched(supervisor):
+def test_loaded_arm_starts_a_transit_when_its_share_falls_through_zero(supervisor):
     sol = solution(throttle0=0.2)
     with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    assert transiting(supervisor) == []
+    assert transiting(supervisor) == [0]
 
 
 def test_falling_share_starts_early(supervisor):
@@ -164,66 +157,34 @@ def test_cool_down_blocks_a_retrigger_for_0_3_s(supervisor):
 
 
 # ---------------------------------------------------------------------------
-# the mirror check on an arm pinned negative
+# the supervisor never calls the solver
 
 
 @pytest.fixture
-def trials(monkeypatch):
-    """Replace the mirrored re-solve with a scripted outcome; record its warm points."""
+def solves(monkeypatch):
+    """Make every solve through the simulation module break down, and record its calls."""
     calls = []
-    outcome = {}
 
-    def scripted(inp, warm, model, weights, *args):
-        calls.append(warm)
-        if outcome["result"] is SolverError:
-            raise SolverError("scripted breakdown")
-        return outcome["result"]
+    def breaks_down(*args):
+        calls.append(args)
+        raise SolverError("no solve expected here")
 
-    monkeypatch.setattr(simulation, "sqp_allocate", scripted)
-    return calls, outcome
+    monkeypatch.setattr(simulation, "sqp_allocate", breaks_down)
+    return calls
 
 
-def pinned_case(supervisor, trials, result):
-    """Arm 0 pinned at throttle -0.03 under a falling share; result is the mirror solve or SolverError."""
-    calls, outcome = trials
+def test_pinned_arm_swings_without_a_solve(supervisor, solves):
     sol = solution(throttle0=-0.03)
-    outcome["result"] = result
     with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    return sol, calls
+    assert transiting(supervisor) == [0] and solves == []
 
 
-def test_pinned_arm_swings_when_its_mirror_solves_clearly_cheaper(supervisor, trials):
-    # the objective does not decide: the load the mirror puts on the flipped arm does
-    sol, calls = pinned_case(supervisor, trials, replace(solution(throttle0=0.2), objective=0.9))
-    assert transiting(supervisor) == [0]
-    (mirrored,) = calls
-    assert mirrored.throttles[0] == 0.03
-    assert mirrored.angles[0] == mirrored.prev_angles[0] == sol.angles[0] + math.pi
-    np.testing.assert_array_equal(mirrored.throttles[1:], sol.throttles[1:])
-
-
-def test_pinned_arm_stays_when_its_mirror_leaves_it_unloaded(supervisor, trials):
-    pinned_case(supervisor, trials, solution(throttle0=0.03))
-    assert transiting(supervisor) == []
-
-
-def test_pinned_arm_stays_when_its_mirror_does_not_converge(supervisor, trials):
-    pinned_case(supervisor, trials, solution(throttle0=0.2, converged=False))
-    assert transiting(supervisor) == []
-
-
-def test_pinned_arm_stays_when_its_mirror_breaks_down(supervisor, trials):
-    pinned_case(supervisor, trials, SolverError)
-    assert transiting(supervisor) == []
-
-
-def test_unpinned_arm_swings_without_a_mirror_solve(supervisor, trials):
-    calls, _ = trials
+def test_unpinned_arm_swings_without_a_mirror_solve(supervisor, solves):
     sol = solution(throttle0=-0.01)
     with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    assert transiting(supervisor) == [0] and calls == []
+    assert transiting(supervisor) == [0] and solves == []
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +250,15 @@ def test_no_reference_leaves_the_warm_point_and_history_alone(supervisor):
 def test_after_solve_is_the_array_formulas_bit_for_bit(supervisor, rng):
     """Random solves, references and supervisor states against the first array formulas.
 
-    Transits run on some arms (finite targets, NaN elsewhere), cool-downs
-    are on either side of the tick's time, and the mirror check is a
-    scripted stub, so transits start, pinned arms stay and every branch of
-    the turn direction is taken. The warm start, target, cool and share
-    history must match byte for byte, and the stub must see the same calls;
-    the warm throttles are the solved ones, byte for byte.
+    Transits run on some arms (finite targets, NaN elsewhere) and
+    cool-downs are on either side of the tick's time, so transits start and
+    every branch of the turn direction is taken. The warm start, target,
+    cool and share history must match byte for byte; the warm throttles are
+    the solved ones, byte for byte.
     """
-    scenario, inp = supervisor.scenario, demand(supervisor.scenario.model)
+    scenario = supervisor.scenario
     edges = [0.0, -0.0, 0.05, -0.02, 0.02, math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi]
-    started = mirrored = 0
+    started = 0
     for case in range(400):
         program, oracle = _BranchSupervisor(scenario), _BranchSupervisor(scenario)
         k = int(rng.integers(0, 20000))
@@ -306,11 +266,8 @@ def test_after_solve_is_the_array_formulas_bit_for_bit(supervisor, rng):
         target = np.where(rng.random(6) < 0.3, rng.uniform(-10.0, 10.0, 6), np.nan)
         cool = t + rng.uniform(-0.5, 0.5, 6)
         history = rng.uniform(-0.1, 0.3, (supervisor.hist_len, 6))
-        calls = []
         for each in (program, oracle):
             each.target[:], each.cool[:], each.share_hist[:] = target, cool, history
-            each._mirror_pays_off = lambda arm, sol, inp, weights, each=each: (
-                calls.append((each is program, arm)) or (arm + case) % 2 == 0)
         throttles = rng.uniform(-0.1, 0.3, 6)
         gaps = rng.uniform(-4.0, 4.0, 6)
         for values in (throttles, gaps):
@@ -319,19 +276,16 @@ def test_after_solve_is_the_array_formulas_bit_for_bit(supervisor, rng):
         angles[rng.integers(6)] = rng.choice([0.0, -0.0])
         sol = AllocatorSolution(throttles, angles, rng.normal(size=6), 3, 0.0, 1.0, True)
         ref = LeastNormAllocation(rng.uniform(-0.3, 0.3, 6), angles + gaps)
-        weights = scenario.weights
 
-        warm = program.after_solve(k, sol, ref, inp, weights)
-        expected = after_solve_oracle(oracle, k, sol, ref, inp, weights)
+        warm = program.after_solve(k, sol, ref)
+        expected = after_solve_oracle(oracle, k, sol, ref)
         for name in ("throttles", "angles", "multipliers", "prev_angles"):
             assert same_bits(getattr(warm, name), getattr(expected, name)), (case, name)
         assert same_bits(warm.throttles, sol.throttles), case
         for name in ("target", "cool", "share_hist"):
             assert same_bits(getattr(program, name), getattr(oracle, name)), (case, name)
-        assert [arm for mine, arm in calls if mine] == [arm for mine, arm in calls if not mine]
         started += int(np.sum(np.isnan(target) & ~np.isnan(program.target)))
-        mirrored += len(calls) // 2
-    assert started > 100 and mirrored > 20  # transits started, pinned arms were tried
+    assert started > 100
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +317,8 @@ def test_a_layout_without_a_reference_flies_with_no_transit_and_no_pull(monkeypa
     seen = []
     after_solve = _BranchSupervisor.after_solve
 
-    def recorded(self, k, sol, ref, inp, weights):
-        warm = after_solve(self, k, sol, ref, inp, weights)
+    def recorded(self, k, sol, ref):
+        warm = after_solve(self, k, sol, ref)
         seen.append((ref, sol, warm, np.isnan(self.target).all() and not self.share_hist.any()))
         return warm
 

@@ -7,8 +7,7 @@ Run from a source checkout:
 It flies the ``pitch_roll`` reference flight of ``tests/flight_digests.py``
 three times. Each stage of the tick is replaced, on its
 module or class, by a wrapper that reads ``perf_counter_ns`` around the
-call; a stage called inside another (the mirror trial's ``sqp_allocate``
-inside ``after_solve``, and the solver's own stages inside
+call; a stage called inside another (the solver's own stages inside
 ``sqp_allocate``) is taken out of the outer stage's time, so every
 nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
 pair, residual and objective of one iterate), ``_assemble`` (the KKT
