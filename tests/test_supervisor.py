@@ -180,13 +180,6 @@ def test_pinned_arm_swings_without_a_solve(supervisor, solves):
     assert transiting(supervisor) == [0] and solves == []
 
 
-def test_unpinned_arm_swings_without_a_mirror_solve(supervisor, solves):
-    sol = solution(throttle0=-0.01)
-    with_history(supervisor, 0.1)
-    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    assert transiting(supervisor) == [0] and solves == []
-
-
 # ---------------------------------------------------------------------------
 # running transits and pulling the warm point
 
