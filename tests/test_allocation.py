@@ -1204,7 +1204,10 @@ def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
         block = matrix[np.ix_([arm, n + arm], [arm, n + arm])]
         assert np.linalg.eigvalsh(block).min() >= f[arm] * (1.0 - 1e-6)
 
-    jacobian = hess[2 * n:, :2 * n]
+    # the matrix is [[D, J^T], [J, 0]], the form the count below rests on
+    jacobian = matrix[2 * n:, :2 * n]
+    assert same_bits(matrix[:2 * n, 2 * n:], jacobian.T)
+    assert not matrix[2 * n:, 2 * n:].any()
     if np.linalg.matrix_rank(jacobian) == 6:
         # Haynsworth: In(M) = In(D) + In(-J D^-1 J^T) for the primal block D,
         # and J D^-1 J^T is positive definite when D is and J has rank 6, so M

@@ -76,13 +76,6 @@ def transiting(supervisor):
 # starting transits
 
 
-def test_loaded_arm_starts_a_transit_when_its_share_falls_through_zero(supervisor):
-    sol = solution(throttle0=0.2)
-    with_history(supervisor, 0.1)
-    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
-    assert transiting(supervisor) == [0]
-
-
 def test_falling_share_starts_early(supervisor):
     sol = solution()
     with_history(supervisor, 0.1)  # slope -1.58 /s, extrapolated share -0.28
@@ -173,8 +166,11 @@ def solves(monkeypatch):
     return calls
 
 
-def test_pinned_arm_swings_without_a_solve(supervisor, solves):
-    sol = solution(throttle0=-0.03)
+@pytest.mark.parametrize("throttle0", [0.2, -0.03], ids=["loaded", "pinned"])
+def test_an_arm_starts_a_transit_without_a_solve_when_its_share_falls_through_zero(
+        supervisor, solves, throttle0):
+    """Whatever its throttle, loaded or pinned negative, the share test alone starts the half-turn."""
+    sol = solution(throttle0=throttle0)
     with_history(supervisor, 0.1)
     after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
     assert transiting(supervisor) == [0] and solves == []
