@@ -467,13 +467,15 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
 
 
 def _assemble(x, it: _Iterate, model: DroneModel):
-    """Jacobian H and gradient K of the stationarity system at the iterate x.
+    """Jacobian H, gradient K and per-arm blocks of the stationarity system at the iterate x.
 
     ``it`` is the evaluation of the same x. Layout: variables are (throttles,
     angles, multipliers); K stacks the two stationarity blocks and the
     constraint residual, H is its symmetric Jacobian. Arms never couple to
     each other through second derivatives, so the primal blocks are
-    diagonal, and one pass over the arms gives every per-arm entry.
+    diagonal, and one pass over the arms gives every per-arm entry. The
+    blocks are those entries as lists of Python floats, (H_uu, H_aa, H_ua),
+    for `_floored`.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
@@ -503,7 +505,7 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     constraint = hess[:n_primal, n_primal:]
     np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
-    return hess, np.array(grad_u + grad_a + it.residual.tolist())
+    return hess, np.array(grad_u + grad_a + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
@@ -513,7 +515,7 @@ def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, 
     x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
     it = _evaluate(x, x.tolist(), state.prev_angles.tolist(), inp.body_wrench(), model,
                    _penalized(weights, n_arms))
-    return _assemble(x, it, model)
+    return _assemble(x, it, model)[:2]
 
 
 def _check_warm(warm: AllocatorState, n_arms: int) -> None:
@@ -526,18 +528,19 @@ def _check_warm(warm: AllocatorState, n_arms: int) -> None:
 _INERTIA_FLOOR = 1e-6  # f / max(1, |H_uu|, |H_aa|): see _floored
 
 
-def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
+def _floored(hess: np.ndarray, h_uu: list, h_aa: list, h_ua: list) -> np.ndarray:
     """H with each arm's primal block [a, b; b, c] = [H_uu, H_ua; H_ua, H_aa] lifted to its floor.
 
-    A block whose smaller eigenvalue l is below f = _INERTIA_FLOOR max(1, |a|, |c|) gets f - l on
-    both diagonal entries, in a copy (H itself where none is below). The primal block is then positive
-    definite, so H has the inertia (2n, 6, 0) of a step toward a constrained minimum wherever the
-    constraint Jacobian has rank 6. l - f is the smaller eigenvalue of the block less f I, taken as
-    the eigenvalues' product over the larger one where their mean is positive: a block on its floor
-    keeps its bits, and one an ulp below it is lifted. A NaN entry lifts nothing.
+    The per-arm entries come as lists of Python floats, with the bits of H's. A block whose smaller
+    eigenvalue l is below f = _INERTIA_FLOOR max(1, |a|, |c|) gets f - l on both diagonal entries,
+    in a copy (H itself where none is below). The primal block is then positive definite, so H has
+    the inertia (2n, 6, 0) of a step toward a constrained minimum wherever the constraint Jacobian
+    has rank 6. l - f is the smaller eigenvalue of the block less f I, taken as the eigenvalues'
+    product over the larger one where their mean is positive: a block on its floor keeps its bits,
+    and one an ulp below it is lifted. A NaN entry lifts nothing.
     """
-    h, matrix = hess.diagonal().tolist(), hess
-    for i, (a, c, b) in enumerate(zip(h[:n_arms], h[n_arms:], hess.diagonal(n_arms).tolist())):
+    n_arms, matrix = len(h_uu), hess
+    for i, (a, c, b) in enumerate(zip(h_uu, h_aa, h_ua)):
         size = abs(a) if abs(a) > abs(c) else abs(c)
         f = _INERTIA_FLOOR * size if size > 1.0 else _INERTIA_FLOOR
         p, q = a - f, c - f
@@ -552,13 +555,14 @@ def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
     return matrix
 
 
-def _newton_delta(hess: np.ndarray, grad: np.ndarray, n_arms: int) -> np.ndarray:
+def _newton_delta(hess: np.ndarray, grad: np.ndarray, blocks: tuple) -> np.ndarray:
     """The whole step delta of `newton_step`, as one array laid out like the iterate.
 
-    With H `_floored`, delta is taken when |H delta + K| <= 1e-10 max(1, |K|), which a singular
-    solve's NaN (the caller holds a `_quiet` scope) or an infinite delta fails: 0 * inf is NaN.
+    ``blocks`` are H's per-arm (H_uu, H_aa, H_ua), as `_assemble` gives them. With H `_floored`,
+    delta is taken when |H delta + K| <= 1e-10 max(1, |K|), which a singular solve's NaN (the
+    caller holds a `_quiet` scope) or an infinite delta fails: 0 * inf is NaN.
     """
-    matrix = _floored(hess, n_arms)
+    matrix = _floored(hess, *blocks)
     delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
     residual = matrix @ delta + grad
     res = math.sqrt(residual @ residual)  # what np.linalg.norm computes, without its dispatch
@@ -573,8 +577,14 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
     The step `sqp_allocate` takes from the same H and K; SolverError where that fails.
     """
     with _quiet():
-        delta = _newton_delta(hess, grad, n_arms)
+        delta = _newton_delta(hess, grad, _primal_blocks(hess, n_arms))
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
+
+
+def _primal_blocks(hess: np.ndarray, n_arms: int) -> tuple:
+    """The per-arm (H_uu, H_aa, H_ua) of a dense H, read back out of it as lists of floats."""
+    h = hess.diagonal().tolist()
+    return h[:n_arms], h[n_arms: 2 * n_arms], hess.diagonal(n_arms)[:n_arms].tolist()
 
 
 def _abs_max(values) -> float:
@@ -664,7 +674,7 @@ def sqp_allocate(
         it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
-            delta = _newton_delta(*_assemble(x, it, model), n_arms)
+            delta = _newton_delta(*_assemble(x, it, model))
             step = delta.tolist()  # finite (see _newton_delta), so the maxima need no NaN scan
             alpha = _scale_for(max(map(abs, step[:n_arms])), max(map(abs, step[n_arms: 2 * n_arms])),
                                settings.throttle_step_limit, settings.angle_step_limit)

@@ -47,8 +47,12 @@ class HoverProblem:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.gravity > 0.0 and math.isfinite(self.gravity)):
             raise ValueError(f"gravity must be positive, got {self.gravity}")
-        if not math.isfinite(self.mass * self.gravity):
-            raise ValueError(f"weight mass * gravity must be finite, got {self.mass} * {self.gravity}")
+        # solve_hover's residuals and the per-arm force norms square force components of the
+        # weight's size
+        weight = float(self.mass) * float(self.gravity)
+        if not math.isfinite(weight * weight):
+            raise ValueError(f"weight mass * gravity must have a finite square, "
+                             f"got {self.mass} * {self.gravity}")
 
 
 @dataclass
@@ -70,9 +74,13 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     come out negative are clamped to zero one at a time, most negative
     first, and the reduced system is re-solved; at most one clamp per arm.
     Each solve is one product with the pseudo-inverse of the free columns,
-    cached per clamp set on the hover map. The forces of a feasible hover
-    are the coordinates of the final set, the ones whose residual the
-    feasibility test checked; non-finite coordinates raise LinAlgError.
+    cached per clamp set on the hover map. The clamp sets are nested, so a
+    clamp can only grow the least-squares residual: the loop gives up at
+    the first clamp set whose residual norm already exceeds the hypot of
+    the force and torque tolerances, and quotes that set's residuals. The
+    forces of a feasible hover are the coordinates of the final set, the
+    ones whose residual the feasibility test checked; non-finite
+    coordinates raise LinAlgError.
     """
     g = problem.geometry
     fm = g.hover_map
@@ -82,9 +90,17 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
 
     clamped = 0  # bit c set: column c is clamped to zero
     threshold = -1e-12 * weight
+    tol_force = 1e-8 * weight
+    tol_torque = tol_force * max(g.max_radius, 1e-9)
+    hopeless = False
     for _ in range(g.n_arms + 1):
         free = fm.free_columns(clamped)
         sol = free.pinv @ target
+        if clamped:
+            force_res, torque_res = _residual_norms(free.matrix @ sol - target)
+            hopeless = math.hypot(force_res, torque_res) > math.hypot(tol_force, tol_torque)
+            if hopeless:
+                break
         coords = sol.tolist()
         worst, lowest = -1, threshold
         for k in free.one_sided:  # ascending, so the first of equal minima wins
@@ -94,10 +110,9 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
             break
         clamped |= 1 << free.cols[worst]
 
-    fx, fy, fz, tx, ty, tz = (free.matrix @ sol - target).tolist()
-    force_res = math.sqrt((fx * fx + fy * fy) + fz * fz)
-    torque_res = math.sqrt((tx * tx + ty * ty) + tz * tz)
-    if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
+    if not clamped:
+        force_res, torque_res = _residual_norms(free.matrix @ sol - target)
+    if hopeless or force_res > tol_force or torque_res > tol_torque:
         raise InfeasibleHoverError(
             f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {g.name}: "
             f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm"
@@ -114,6 +129,12 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
         forces[i + 1] += c * dy
         forces[i + 2] += c * dz
     return HoverSolution(np.array(forces).reshape(g.n_arms, 3), free.active)
+
+
+def _residual_norms(residual: np.ndarray) -> tuple[float, float]:
+    """Lengths of the force and the torque part of a 6-vector wrench residual."""
+    fx, fy, fz, tx, ty, tz = residual.tolist()
+    return math.sqrt((fx * fx + fy * fy) + fz * fz), math.sqrt((tx * tx + ty * ty) + tz * tz)
 
 
 def upward_fraction(solution: HoverSolution, up) -> float:

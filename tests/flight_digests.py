@@ -26,11 +26,13 @@ with the line of the same name in FILE, prints every line that moved next
 to the expected one, and exits 1 if any did. With ``--summary FILE`` it
 also writes the figures of each flight, sweep and chain it ran to FILE as
 JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
-are its infeasible count and the least and greatest x1 and x2, and an SQP
-flight's add its ``transit_starts``, counted by ``fly_counting_transits``),
-from the same runs as the lines. ``--compare A B`` runs nothing: it prints the figures of two such
-files side by side with their deltas, B less A, and the number of figures
-that moved; it exits 0 whatever moved, so it reports and gates nothing.
+are its infeasible count and the least and greatest x1 and x2; every
+flight's include its ``flip_events``, the ``detect_flip_events`` count on
+its own geometry, and an SQP flight's add its ``transit_starts``, counted
+by ``fly_counting_transits``), from the same runs as the lines.
+``--compare A B`` runs nothing: it prints the figures of two such files
+side by side with their deltas, B less A, and the number of figures that
+moved; it exits 0 whatever moved, so it reports and gates nothing.
 The jobs run in a pool of one process per CPU and print flights first, in
 the order of ``FLIGHTS``, then sweeps, then chains; they take a few minutes
 of CPU time in total. The file name does not match ``test_*.py``, so the
@@ -72,6 +74,7 @@ from rotorarm import (
     SolverError,
     build_catalog,
     continuous_roll,
+    detect_flip_events,
     max_command_step,
     orientation_sweep,
     position_sweep,
@@ -163,8 +166,8 @@ def iteration_figures(iterations) -> dict:
     return {"iterations_p50": p50, "iterations_p99": p99, "iterations_max": int(np.max(iterations))}
 
 
-def flight_figures(log) -> dict:
-    """What a flight did, beyond its bytes: failures, tracking error, iterations, command steps."""
+def flight_figures(log, geometry) -> dict:
+    """What a flight did, beyond its bytes: failures, tracking error, iterations, command steps, flips."""
     settled = summarize(log, settle=SETTLE_S)
     max_pos = float(np.max(log.pos_error))
     return {
@@ -176,6 +179,7 @@ def flight_figures(log) -> dict:
         "ori_settled_mean_rad": settled.ori_mean,
         **iteration_figures(log.iterations),
         "max_command_step_rad": max_command_step(log),
+        "flip_events": len(detect_flip_events(log, geometry)),
     }
 
 
@@ -222,7 +226,7 @@ def digest_line(name: str) -> tuple[str, dict]:
     if name in SWEEPS:
         return sweep_line(name)
     log, transit_starts = fly_counting_transits(name)
-    figures = flight_figures(log)
+    figures = flight_figures(log, build_catalog(FLIGHTS[name][0]))
     if log.allocator == "sqp":
         figures["transit_starts"] = transit_starts
     nonconverged = int(np.sum(~log.converged))

@@ -502,43 +502,53 @@ class HoverReference:
     force_residual: float
     torque_residual: float
     free: np.ndarray  # per hover-map column: False where the final clamp set holds it at zero
+    # (force, torque) residual of the first clamp set, one clamp or more, whose residual norm
+    # exceeds the hypot of the two tolerances; None where no set does
+    deciding: tuple | None
 
 
 def solve_hover_reference(problem) -> HoverReference:
     """solve_hover with one np.linalg.lstsq per clamp set: the greedy active set, re-solved.
 
     Clamps the most negative one-sided coordinate to zero and solves again
-    until none is negative; infeasible when the balance residual exceeds
-    solve_hover's tolerances.
+    until none is negative; infeasible when the final set's balance residual
+    exceeds solve_hover's tolerances. The loop runs to its end whatever the
+    residuals along the way.
     """
     g = problem.geometry
     fm = g.hover_map
     weight = problem.mass * problem.gravity
     target = np.concatenate([weight * problem.up, np.zeros(3)])
+    tol_force, tol_torque = 1e-8 * weight, 1e-8 * weight * max(g.max_radius, 1e-9)
+    give_up = np.hypot(tol_force, tol_torque)
 
     n_cols = fm.matrix.shape[1]
     free = np.ones(n_cols, dtype=bool)
     coords = np.zeros(n_cols)
+    deciding = None
     for _ in range(g.n_arms + 1):
         coords[:] = 0.0
         sol, *_ = np.linalg.lstsq(fm.matrix[:, free], target, rcond=None)
         coords[free] = sol
+        residual = fm.matrix @ coords - target
+        if deciding is None and not np.all(free) and np.linalg.norm(residual) > give_up:
+            deciding = (float(np.linalg.norm(residual[:3])), float(np.linalg.norm(residual[3:])))
         negative = fm.unidirectional_cols & free & (coords < -1e-12 * weight)
         if not np.any(negative):
             break
         worst = np.argmin(np.where(negative, coords, np.inf))
         free[worst] = False
 
-    residual = fm.matrix @ coords - target
     force_res = float(np.linalg.norm(residual[:3]))
     torque_res = float(np.linalg.norm(residual[3:]))
-    if force_res > 1e-8 * weight or torque_res > 1e-8 * weight * max(g.max_radius, 1e-9):
-        return HoverReference(None, force_res, torque_res, free)
+    if force_res > tol_force or torque_res > tol_torque:
+        return HoverReference(None, force_res, torque_res, free, deciding)
 
     active = np.ones(g.n_arms, dtype=bool)
     for col in np.nonzero(~free)[0]:
         active[fm.col_arm[col]] = False
-    return HoverReference(HoverSolution(_hover_forces(g, coords), active), force_res, torque_res, free)
+    return HoverReference(HoverSolution(_hover_forces(g, coords), active), force_res, torque_res, free,
+                          deciding)
 
 
 def _hover_forces(geometry, coords) -> np.ndarray:

@@ -643,7 +643,8 @@ def test_the_step_acceptance_test_at_its_edges():
     k = np.arange(8.0)
     hess = np.cos(np.add.outer(k, 2.0 * k)) + 4.0 * np.eye(8)
     grad = 1e8 * np.sin(k + 1.0)
-    assert allocation._floored(hess, 1) is hess  # the one block is above its floor
+    # the one block is above its floor
+    assert allocation._floored(hess, *allocation._primal_blocks(hess, 1)) is hess
     step = np.linalg.solve(hess, -grad)
     assert 1e-10 < np.linalg.norm(hess @ step + grad) <= 1e-10 * np.linalg.norm(grad)
     assert same_bits(newton_delta_oracle(hess, grad, 1), step)
@@ -666,7 +667,7 @@ def test_a_block_on_its_floor_keeps_its_bits():
     """Smaller eigenvalue exactly f: a diagonal block, a coupled one and one far above it."""
     f2 = 1e-6 * 2.0  # the floor of a block with 2.0 on its diagonal
     hess = _kkt_of_blocks([(1e-6, 0.0, 1.0), (2.0, 2.0 - f2, 2.0), (3.0, 0.5, 4.0)])
-    assert allocation._floored(hess, 3) is hess
+    assert allocation._floored(hess, *allocation._primal_blocks(hess, 3)) is hess
     assert same_bits(floored_oracle(hess, 3), hess)
     step = np.concatenate(newton_step(hess, _GRAD, 3))
     assert same_bits(step, np.linalg.solve(hess, -_GRAD))
@@ -678,7 +679,7 @@ def test_a_block_one_ulp_below_its_floor_is_lifted_to_it():
     below = float(np.nextafter(1e-6, 0.0))
     hess = _kkt_of_blocks([(below, 0.0, 1.0), (2.0, float(np.nextafter(2.0 - f2, 3.0)), 2.0),
                            (3.0, 0.5, 4.0)])
-    matrix = allocation._floored(hess, 3)
+    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, 3))
     assert matrix is not hess and same_bits(matrix, floored_oracle(hess, 3))
     moved = np.argwhere(matrix != hess).tolist()
     assert [0, 0] in moved and [1, 1] in moved
@@ -700,12 +701,12 @@ def test_the_floor_on_fixed_arms():
     hess, grad = assemble_kkt(warm, inp, model, PenaltyWeights())
     i = np.arange(n)
     assert not hess[i, n + i].any()  # no throttle-angle coupling on a fixed arm
-    assert allocation._floored(hess, n) is hess
+    assert allocation._floored(hess, *allocation._primal_blocks(hess, n)) is hess
 
     weights = PenaltyWeights(throttle=1e-7)
     hess, grad = assemble_kkt(warm, inp, model, weights)
     saved = hess.copy()
-    matrix = allocation._floored(hess, n)
+    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, n))
     assert same_bits(matrix, floored_oracle(hess, n))
     h_uu, h_aa = hess[i, i], hess[n + i, n + i]
     f = 1e-6 * h_aa  # the angle curvature 2 arm_rate / dt^2 is the block's largest entry
@@ -793,7 +794,7 @@ def test_the_loops_step_scale_on_exact_bound_ties(monkeypatch, octa_model, du, d
     step = np.array([du, 0.0, -0.0, 0.01, -0.02, 0.0] + [-0.0, da, 0.0, 0.05, -0.0, -0.1]
                     + [0.5, -0.25, 0.0, -0.0, 1e-3, 2.0])
     # the step _newton_delta would return, fed to the loop's own step scale and update
-    monkeypatch.setattr(allocation, "_newton_delta", lambda hess, grad, n_arms: step.copy())
+    monkeypatch.setattr(allocation, "_newton_delta", lambda hess, grad, blocks: step.copy())
     warm = AllocatorState.cold_start(octa_model)
     inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
     sol = sqp_allocate(inp, warm, octa_model, settings=SolverSettings(max_iterations=1))
@@ -1141,9 +1142,11 @@ def test_newton_iterate_is_bit_identical_to_the_array_formulas(problem):
     assert same_bits(model.wrenches_at(warm.angles), old["wrench"])
     assert same_bits(constraint_residual(warm.throttles, warm.angles, inp, model), old["residual"])
 
-    hess, grad = allocation._assemble(x, it, model)
+    hess, grad, blocks = allocation._assemble(x, it, model)
     old_hess, old_grad = assemble_oracle(x, old, model)
     assert same_bits(hess, old_hess) and same_bits(grad, old_grad)
+    # the per-arm entries _floored reads are H's own
+    assert all(map(same_bits, blocks, allocation._primal_blocks(hess, n)))
     public = assemble_kkt(warm, inp, model, weights)
     assert same_bits(public[0], old_hess) and same_bits(public[1], old_grad)
 
@@ -1189,7 +1192,7 @@ def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
     model, weights, inp, warm = problem
     n = model.geometry.n_arms
     hess, _ = assemble_kkt(warm, inp, model, weights)
-    matrix = allocation._floored(hess, n)
+    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, n))
     assert same_bits(matrix, floored_oracle(hess, n))
     i = np.arange(n)
     a, c, b = hess[i, i], hess[n + i, n + i], hess[i, n + i]

@@ -305,6 +305,11 @@ def _efficiency_overflowing_weight(tmp_path):
     return _config_value(tmp_path, "efficiency", model={"mass": 1e300, "gravity": 1e10}, samples=200)
 
 
+def _efficiency_weight_square_overflows(tmp_path):
+    """The weight is finite, but its square, and so each per-arm force norm, overflows."""
+    return _config_value(tmp_path, "efficiency", model={"mass": 1e160, "gravity": 1.0}, samples=200)
+
+
 def _fly_infinite_motor_lag(tmp_path):
     return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
                          motor_lag=math.inf)
@@ -359,7 +364,7 @@ def _radius_with_custom_geometry(tmp_path):
     _efficiency_nan_thrust_constant, _fly_negative_gain, _fly_string_proportional_on_measurement,
     _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
-    _efficiency_overflowing_weight,
+    _efficiency_overflowing_weight, _efficiency_weight_square_overflows,
     _fly_infinite_motor_lag, _fly_infinite_limit_weight, _fly_infinite_arm_rate_weight,
     _fly_infinite_throttle_weight, _allocate_infinite_limit_weight, _radius_with_custom_geometry,
 ], ids=lambda f: f.__name__.lstrip("_"))

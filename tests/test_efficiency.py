@@ -36,7 +36,7 @@ from rotorarm import (
     upward_fraction,
 )
 from rotorarm.efficiency import HoverSolution
-from rotorarm.geometry import FIXED_UNIDIRECTIONAL, ROTATING, default_zero_dir
+from rotorarm.geometry import FIXED_UNIDIRECTIONAL, ROTATING, ForceMap, default_zero_dir
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -73,10 +73,13 @@ def test_hover_problem_validation():
         HoverProblem(g, EZ, mass=-1.0)
     with pytest.raises(ValueError):
         HoverProblem(g, EZ, gravity=0.0)
-    # each finite, but their product overflows
-    with pytest.raises(ValueError, match=r"weight mass \* gravity must be finite, got 1e\+300 \* 10000000000\.0$"):
-        HoverProblem(g, EZ, mass=1e300, gravity=1e10)
-    HoverProblem(g, EZ, mass=1e300, gravity=1.0)
+    # each finite, but their product overflows, or its square does
+    for mass, gravity, shown in ((1e300, 1e10, r"1e\+300 \* 10000000000\.0"), (1e300, 1.0, r"1e\+300 \* 1\.0"),
+                                 (1.35e154, 1.0, r"1\.35e\+154 \* 1\.0"), (10**200, 10**200, "1" + "0" * 200)):
+        with pytest.raises(ValueError, match=rf"weight mass \* gravity must have a finite square, got {shown}"):
+            HoverProblem(g, EZ, mass=mass, gravity=gravity)
+    HoverProblem(g, EZ, mass=1e150, gravity=1.0)
+    HoverProblem(g, EZ, mass=1.34e154, gravity=1.0)  # sqrt of the largest float is 1.3408e154
 
 
 def test_solve_hover_balances_weight_without_torque(rng):
@@ -151,6 +154,18 @@ def test_metrics_do_not_depend_on_mass_or_gravity():
             reference = metrics
         else:
             np.testing.assert_allclose(metrics, reference, atol=1e-9)
+
+
+def test_a_weight_whose_square_is_finite_sweeps_as_the_nominal_one():
+    """No residual or per-arm norm overflows at the largest weights HoverProblem accepts."""
+    ups = fibonacci_sphere(200)
+    for config_id in CATALOG_IDS:
+        g = build_catalog(config_id)
+        nominal = sweep_orientations(g, len(ups))
+        heavy = sweep_orientations(g, len(ups), mass=1.34e154, gravity=1.0)
+        assert [i for i, _ in heavy.failures] == [i for i, _ in nominal.failures]
+        np.testing.assert_allclose(heavy.x1, nominal.x1, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(heavy.x2, nominal.x2, rtol=0.0, atol=1e-15)
 
 
 def _fractions_or_none(geometry, up):
@@ -240,6 +255,34 @@ def test_solve_hover_is_the_lstsq_reference_bit_for_bit():
             weight = problem.mass * problem.gravity
             np.testing.assert_allclose(sol.forces, reference.solution.forces, rtol=0.0, atol=1e-9 * weight)
         assert n_infeasible == (1942 if config_id == "hexagon_tilt30_fixed" else 0)
+
+
+def test_an_infeasible_tilted_hexagon_sample_gives_up_at_its_first_clamp(monkeypatch):
+    """Two clamp-set solves per infeasible lattice sample, the unclamped set and one clamp; one per feasible.
+
+    The reference's full loop reaches the same verdict, and its first
+    clamp set is the one whose residual decides.
+    """
+    g = build_catalog("hexagon_tilt30_fixed")
+    solved = []
+    free_columns = ForceMap.free_columns
+    monkeypatch.setattr(ForceMap, "free_columns",
+                        lambda fm, clamped=0: solved.append(clamped) or free_columns(fm, clamped))
+    n_infeasible = 0
+    for up in fibonacci_sphere(2000):
+        problem = HoverProblem(g, up)
+        solved.clear()
+        try:
+            solve_hover(problem)
+        except InfeasibleHoverError:
+            n_infeasible += 1
+            assert len(solved) == 2 and solved[0] == 0 and bin(solved[1]).count("1") == 1, solved
+            reference = solve_hover_reference(problem)
+            assert reference.solution is None and reference.deciding is not None
+            assert np.count_nonzero(~reference.free) > 1  # the full loop clamps further
+        else:
+            assert solved == [0]
+    assert n_infeasible == 1942
 
 
 def assert_figures_are_the_array_formulas(sol, problem):
@@ -333,9 +376,11 @@ def test_infeasible_hover_message_gives_up_and_residuals():
         match = pattern.fullmatch(str(raised.value))
         assert match, str(raised.value)
         assert [float(v) for v in match.groups()[:3]] == [round(v, 6) for v in up.tolist()]
-        assert match[4] == f"{reference.force_residual:.3e}"
+        # the residuals of the clamp set that decided, not of the set the full loop ends on
+        force_res, torque_res = reference.deciding
+        assert match[4] == f"{force_res:.3e}"
         # the torque residual is the pseudo-inverse's, equal to lstsq's up to rounding
-        assert float(match[5]) == pytest.approx(reference.torque_residual, rel=1e-2, abs=1e-13)
+        assert float(match[5]) == pytest.approx(torque_res, rel=1e-2, abs=1e-13)
 
 
 def test_fraction_helpers_reject_zero_thrust():
