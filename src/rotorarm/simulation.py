@@ -432,8 +432,6 @@ class Scenario:
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
     duration: float | None = None  # defaults to sweep duration plus a 2 s tail
     solver: SolverSettings = field(default_factory=SolverSettings)
-    servo_rate_limit: float = SERVO_RATE_LIMIT
-    servo_delay: float = SERVO_DELAY
     motor_lag: float = 0.0  # s, first-order throttle lag; 0 = instant
     noise_std: float = 0.0  # N / Nm, optional body-wrench disturbance
     seed: int = 0
@@ -446,10 +444,8 @@ class Scenario:
         ticks = self.duration / self.model.control_period
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ValueError(f"duration must cover at least one control tick, got {self.duration}")
-        if not all(0.0 <= v < math.inf for v in (self.noise_std, self.motor_lag, self.servo_delay)):
-            raise ValueError("noise_std, motor_lag and servo_delay must be finite and non-negative")
-        if not self.servo_rate_limit > 0.0:  # also rejects NaN
-            raise ValueError(f"servo_rate_limit must be positive, got {self.servo_rate_limit}")
+        if not all(0.0 <= v < math.inf for v in (self.noise_std, self.motor_lag)):
+            raise ValueError("noise_std and motor_lag must be finite and non-negative")
 
 
 def _columns(*names: str, dtype=float):
@@ -544,9 +540,9 @@ class _BranchSupervisor:
     least-norm solution serves as a reference for two mechanisms:
 
     * Branch transits. The reference is projected onto each free arm's
-      current thrust direction; a small component falling fast enough
-      that a short extrapolation of it is clearly negative means the
-      demand is moving to that arm's opposite branch, which no sequence of
+      current thrust direction; a component that is clearly negative, now
+      or on a short extrapolation of its recent slope, means the demand is
+      on or moving to that arm's opposite branch, which no sequence of
       cheap local steps can reach. The arm is walked half a turn at just
       under the servo rate, kept nearly unloaded by a raised throttle
       weight.
@@ -568,7 +564,7 @@ class _BranchSupervisor:
         self.scenario = scenario
         self.dt = scenario.model.control_period
         n_arms = scenario.model.geometry.n_arms
-        self.transit_step = 0.9 * scenario.servo_rate_limit * self.dt
+        self.transit_step = 0.9 * SERVO_RATE_LIMIT * self.dt
         self.target = np.full(n_arms, np.nan)  # NaN = no transit active
         self.cool = np.full(n_arms, -np.inf)  # earliest time an arm may re-trigger
         self.share_hist = np.zeros((self.hist_len, n_arms))
@@ -619,15 +615,14 @@ class _BranchSupervisor:
         free = list(map(math.isnan, self.target.tolist()))
         row = k % self.hist_len
         # an ordinary handoff of load to other arms keeps the projection
-        # near zero; one falling through zero means the demand changes
+        # near zero; one clearly below zero means the demand is on the other
         # branch. The projection is continuous through a crossing, so a short
         # extrapolation starts the half-turn slightly before the demand
-        # actually reverses
+        # actually reverses, however loaded the arm still is
         past, span = self.share_hist[row].tolist(), self.hist_len * self.dt
         for i, c in enumerate(self.cool.tolist()):
             slope = (share[i] - past[i]) / span
-            if not (free[i] and c <= t and share[i] < 0.02 and slope < -0.1
-                    and share[i] + 0.18 * slope < -0.04):
+            if not (free[i] and c <= t and share[i] + 0.18 * slope < -0.04):
                 continue
             # past a crossing the reference sits on the far branch and picks
             # the turn direction; before one, either way round reaches the
@@ -688,7 +683,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
     pid = PidController(scenario.gains, model.mass, model.gravity)
     warm = AllocatorState.cold_start(model)
     supervisor = _BranchSupervisor(scenario)
-    servos = ServoState(np.zeros(n_arms), (), scenario.servo_rate_limit, scenario.servo_delay)
+    servos = ServoState(np.zeros(n_arms))
     throttle_cmd = np.zeros(n_arms)
     angle_cmd = np.zeros(n_arms)
     throttle_act = [0.0] * n_arms

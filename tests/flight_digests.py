@@ -38,8 +38,10 @@ the order of ``FLIGHTS``, then sweeps, then chains; they take a few minutes
 of CPU time in total. The file name does not match ``test_*.py``, so the
 test suite does not collect it.
 
-Seventeen flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
-with the pseudoinverse allocator. ``hexagon_fixed_position`` is the one
+Twenty-one flights use the SQP allocator; ``pitch_pinv`` flies the pitch sweep
+with the pseudoinverse allocator. The four ``*_2s_steps`` flights and
+``continuous_roll_5rev_3s`` keep the fast-step regime in every comparison;
+``pitch_roll_2s_steps`` still diverges. ``hexagon_fixed_position`` is the one
 flight on a layout with fixed arms, so the only one through the fixed-arm
 branches of the allocator.
 
@@ -109,6 +111,13 @@ FLIGHTS = {
                             {"axes": PITCH_ROLL, "step_duration": 3.0}, {}),
     "continuous_roll_5rev_4s": ("octahedron_rot", continuous_roll,
                                 {"revolutions": 5.0, "seconds_per_rev": 4.0}, {}),
+    "roll_2s_steps": ("octahedron_rot", orientation_sweep,
+                      {"axes": ("roll",), "step_duration": 2.0}, {}),
+    "yaw_pitch_roll_2s_steps": ("octahedron_rot", orientation_sweep, {"step_duration": 2.0}, {}),
+    "continuous_roll_5rev_3s": ("octahedron_rot", continuous_roll,
+                                {"revolutions": 5.0, "seconds_per_rev": 3.0}, {}),
+    "pitch_roll_2s_steps": ("octahedron_rot", orientation_sweep,
+                            {"axes": PITCH_ROLL, "step_duration": 2.0}, {}),
     "cube_pitch_roll": ("cube_rot", orientation_sweep, {"axes": PITCH_ROLL}, {}),
     "hexagon_pitch_roll_0.6": ("hexagon_rot", orientation_sweep,
                                {"axes": PITCH_ROLL, "amplitude": 0.6}, {}),

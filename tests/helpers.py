@@ -639,7 +639,7 @@ def after_solve_oracle(supervisor, k, sol, ref):
     free = np.isnan(supervisor.target)
     row = k % supervisor.hist_len
     slope = (share - supervisor.share_hist[row]) / (supervisor.hist_len * supervisor.dt)
-    early = (share < 0.02) & (slope < -0.1) & (share + 0.18 * slope < -0.04)
+    early = share + 0.18 * slope < -0.04
     for i in np.nonzero(free & (supervisor.cool <= t) & early)[0]:
         direction = gap[i] if abs(gap[i]) > 0.5 * math.pi else math.pi
         supervisor.target[i] = sol.angles[i] + math.copysign(math.pi, direction)

@@ -516,12 +516,10 @@ def test_scenario_defaults_and_validation(octa_model):
 @pytest.mark.parametrize("kwargs", [
     {"duration": 0.0}, {"duration": -1.0}, {"duration": 0.002}, {"duration": math.inf},
     {"noise_std": -0.05}, {"motor_lag": -0.02}, {"noise_std": math.nan},
-    {"max_iterations": 0}, {"servo_delay": -0.01}, {"servo_delay": math.nan},
-    {"servo_rate_limit": -1.0}, {"servo_rate_limit": 0.0}, {"servo_rate_limit": math.nan},
-    {"throttle_step_limit": 0.0}, {"throttle_step_limit": math.nan}, {"angle_step_limit": -0.2},
-    {"angle_step_limit": math.nan}, {"tol_objective": 0.0}, {"tol_objective": math.nan},
-    {"tol_constraint": -1e-5}, {"tol_constraint": math.nan},
-    {"noise_std": math.inf}, {"motor_lag": math.inf}, {"servo_delay": math.inf},
+    {"max_iterations": 0}, {"throttle_step_limit": 0.0}, {"throttle_step_limit": math.nan},
+    {"angle_step_limit": -0.2}, {"angle_step_limit": math.nan}, {"tol_objective": 0.0},
+    {"tol_objective": math.nan}, {"tol_constraint": -1e-5}, {"tol_constraint": math.nan},
+    {"noise_std": math.inf}, {"motor_lag": math.inf},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_rejects_invalid_flight_inputs(octa_model, kwargs):
     # the solver settings go into the scenario's SolverSettings, as the CLI's solver section does

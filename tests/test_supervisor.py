@@ -21,13 +21,14 @@ from rotorarm import (
     SolverError,
     SweepSpec,
     build_catalog,
+    orientation_sweep,
     pinv_allocate,
     run_flight,
     vectored_thrust_matrix,
 )
 from rotorarm import simulation
 from rotorarm.allocation import LeastNormAllocation
-from rotorarm.simulation import _BranchSupervisor
+from rotorarm.simulation import SERVO_RATE_LIMIT, _BranchSupervisor
 
 K = 100  # a tick well past the share history's length
 LOADED = 0.3
@@ -93,19 +94,19 @@ def test_the_slope_is_taken_over_the_recorded_share_history(supervisor):
     assert transiting(supervisor) == [0]
 
 
-def test_early_start_needs_a_small_share(supervisor):
+def test_a_loaded_arm_whose_share_falls_steeply_starts(supervisor):
     sol = solution()
-    with_history(supervisor, 0.5)  # steep fall, but the arm still has share 0.05
+    with_history(supervisor, 0.5)  # slope -7.5 /s from share 0.05 extrapolates to -1.3
     after(supervisor, sol, reference(sol, share0=0.05))
-    assert transiting(supervisor) == []
+    assert transiting(supervisor) == [0]
 
 
-def test_early_start_needs_a_clear_fall(supervisor):
+def test_an_arm_held_flat_below_the_margin_starts(supervisor):
     sol = solution()
-    # slope -0.08 /s extrapolates to -0.0434, below -0.04, but the fall is too slow
-    with_history(supervisor, -0.029 + 0.08 * supervisor.hist_len * supervisor.dt)
-    after(supervisor, sol, reference(sol, share0=-0.029, gap0=3.0))
-    assert transiting(supervisor) == []
+    with_history(supervisor, -0.05)  # slope 0: the share itself is clearly negative
+    after(supervisor, sol, reference(sol, share0=-0.05, gap0=3.0))
+    assert transiting(supervisor) == [0]
+    assert supervisor.target[0] == sol.angles[0] + math.pi
 
 
 def test_early_start_needs_the_extrapolation_clearly_negative(supervisor):
@@ -134,6 +135,13 @@ def test_turn_direction_follows_the_reference_past_a_crossing(supervisor):
     assert supervisor.target[0] == sol.angles[0] - math.pi
 
 
+def test_turn_direction_is_positive_before_a_crossing(supervisor):
+    sol = solution()
+    with_history(supervisor, 0.1)
+    after(supervisor, sol, reference(sol, share0=0.005, gap0=-0.3))
+    assert supervisor.target[0] == sol.angles[0] + math.pi
+
+
 def test_cool_down_blocks_a_retrigger_for_0_3_s(supervisor):
     sol = solution()
     ref = reference(sol, share0=-0.05, gap0=3.0)
@@ -147,6 +155,18 @@ def test_cool_down_blocks_a_retrigger_for_0_3_s(supervisor):
     assert transiting(supervisor) == []
     after(supervisor, sol, ref, k=61)
     assert transiting(supervisor) == [0]
+
+
+def test_the_2_s_pitch_steps_fly_with_every_tick_converged(octa_model):
+    """Fast pitch steps demand branch changes while arms still carry load.
+
+    A share test that also waits for a small share starts those half-turns
+    too late, and the flight leaves its sweep by hundreds of metres.
+    """
+    log = run_flight(Scenario(model=octa_model,
+                              sweep=orientation_sweep(axes=("pitch",), step_duration=2.0)))
+    assert len(log.t) == 2400 and log.converged.all()
+    assert np.max(log.pos_error) < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +214,7 @@ def test_transit_walks_the_warm_point_under_a_raised_throttle_weight(supervisor)
     assert warm.angles[0] - start[0] == pytest.approx(supervisor.transit_step)
     assert warm.prev_angles[0] == warm.angles[0]
     np.testing.assert_array_equal(warm.angles[1:], start[1:])
-    assert supervisor.transit_step == pytest.approx(0.9 * supervisor.scenario.servo_rate_limit
-                                                    * supervisor.dt)
+    assert supervisor.transit_step == pytest.approx(0.9 * SERVO_RATE_LIMIT * supervisor.dt)
     for _ in range(60):  # the half-turn takes 47 ticks
         supervisor.advance(warm)
     assert transiting(supervisor) == []
