@@ -455,7 +455,8 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
     per-arm arithmetic runs on Python floats in numpy's operation order,
     so every value has the bits of the array formulas; the wrench blocks
     and the matrix products stay numpy. The penalty derivatives wait for
-    `_assemble`, which a converged iterate never reaches.
+    `_gradient`, which an iterate that passes the objective test never
+    reaches.
     """
     n_arms = model.geometry.n_arms
     angles = values[n_arms: 2 * n_arms]
@@ -466,35 +467,56 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
                     over, tables)
 
 
-def _assemble(x, it: _Iterate, model: DroneModel):
+class _Gradient(NamedTuple):
+    """The primal rows of K at one iterate, and what of their pass the Jacobian H reuses."""
+
+    rows: list  # [grad_u; grad_a]: the Lagrangian's gradient, as Python floats
+    ddp: list  # the penalty curvatures of [throttles; arm rates]
+    lam_pair: list  # lambda . W over lambda . dW
+
+
+def _gradient(x, it: _Iterate, model: DroneModel) -> _Gradient:
+    """The Lagrangian's gradient at the iterate x, whose evaluation is ``it``.
+
+    The wrench is throttles @ W, so W is its throttle Jacobian and u * dW
+    its angle Jacobian: grad_u = dp_u + lambda . W and grad_a = dp_a / dt
+    + u lambda . dW, from one `_penalty_slopes` call and one product that
+    gives lambda . W over lambda . dW. `sqp_allocate` tests the rows'
+    norm for stationarity and hands them on to `_assemble`.
+    """
+    dt = model.control_period
+    n_arms = model.geometry.n_arms
+    dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
+    lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
+    grad_u = [dpu + lw for dpu, lw in zip(dp[:n_arms], lam_pair)]
+    grad_a = [dpa / dt + ui * hu for dpa, ui, hu in zip(dp[n_arms:], it.values, lam_pair[n_arms:])]
+    return _Gradient(grad_u + grad_a, ddp, lam_pair)
+
+
+def _assemble(x, it: _Iterate, model: DroneModel, gradient: _Gradient | None = None):
     """Jacobian H, gradient K and per-arm blocks of the stationarity system at the iterate x.
 
-    ``it`` is the evaluation of the same x. Layout: variables are (throttles,
+    ``it`` is the evaluation of the same x, and ``gradient`` its `_gradient`
+    where the caller already holds it. Layout: variables are (throttles,
     angles, multipliers); K stacks the two stationarity blocks and the
     constraint residual, H is its symmetric Jacobian. Arms never couple to
     each other through second derivatives, so the primal blocks are
-    diagonal, and one pass over the arms gives every per-arm entry. The
-    blocks are those entries as lists of Python floats, (H_uu, H_aa, H_ua),
-    for `_floored`.
+    diagonal. The blocks are H's per-arm entries as lists of Python floats,
+    (H_uu, H_aa, H_ua), for `_floored`.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
     u = it.values[:n_arms]
-    dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
+    if gradient is None:
+        gradient = _gradient(x, it, model)
+    ddp, lam_pair = gradient.ddp, gradient.lam_pair
 
-    # the wrench is throttles @ W, so W is its throttle Jacobian and u * dW
-    # its angle Jacobian; second derivatives are diagonal per arm, with
-    # d2W/da2 = -W on rotating arms and 0 on fixed ones. One product gives
-    # lambda . W over lambda . dW
-    lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
+    # second derivatives are diagonal per arm, with d2W/da2 = -W on rotating
+    # arms and 0 on fixed ones
     h_ua = lam_pair[n_arms:]
     dt2 = dt * dt
-    diag_a, grad_u, grad_a = [], [], []
-    for ui, lw, hu, rotating, dpu, dpa, dda in zip(u, lam_pair, h_ua, model._rotating, dp,
-                                                   dp[n_arms:], ddp[n_arms:]):
-        diag_a.append(dda / dt2 + (-ui * lw if rotating else 0.0))
-        grad_u.append(dpu + lw)
-        grad_a.append(dpa / dt + ui * hu)
+    diag_a = [dda / dt2 + (-ui * lw if rotating else 0.0)
+              for ui, lw, rotating, dda in zip(u, lam_pair, model._rotating, ddp[n_arms:])]
 
     n_primal = 2 * n_arms
     hess = np.zeros((n_primal + 6, n_primal + 6))
@@ -505,7 +527,7 @@ def _assemble(x, it: _Iterate, model: DroneModel):
     constraint = hess[:n_primal, n_primal:]
     np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
-    return hess, np.array(grad_u + grad_a + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
+    return hess, np.array(gradient.rows + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
@@ -606,6 +628,7 @@ class SolverSettings:
 
     tol_objective: float = 1e-4  # relative objective change
     tol_constraint: float = 1e-5  # wrench residual norm
+    tol_stationarity: float = 1e-4  # norm of the Lagrangian's gradient
     max_iterations: int = 30
     throttle_step_limit: float = 0.1
     angle_step_limit: float = 0.2
@@ -616,7 +639,8 @@ class SolverSettings:
             raise ValueError(f"max_iterations must be an integer, got {iterations!r}")
         if iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {iterations}")
-        names = ("throttle_step_limit", "angle_step_limit", "tol_objective", "tol_constraint")
+        names = ("throttle_step_limit", "angle_step_limit", "tol_objective", "tol_constraint",
+                 "tol_stationarity")
         # `not > 0` also rejects NaN
         not_positive = [name for name in names if not getattr(self, name) > 0.0]
         if not_positive:
@@ -650,14 +674,20 @@ def sqp_allocate(
 ) -> AllocatorSolution:
     """Allocate a wrench demand by Newton iteration on the optimality system.
 
-    Terminates when the relative objective change falls below
-    settings.tol_objective AND the constraint residual norm falls below
-    settings.tol_constraint, or after settings.max_iterations. Arm angles
-    are left unwrapped so they can accumulate over continuous rotations.
-    The warm state is only read. The iteration runs in one `_quiet` scope.
+    Accepts an iterate once its constraint residual norm is below
+    settings.tol_constraint and either the relative objective change is
+    below settings.tol_objective or the norm of the Lagrangian's gradient
+    (the primal rows of K) is below settings.tol_stationarity; stops
+    unconverged after settings.max_iterations. The gradient is taken only
+    where the residual passes and the objective test fails, and the next
+    assembly reuses it, so the stationarity exit costs no extra work. Arm
+    angles are left unwrapped so they can accumulate over continuous
+    rotations. The warm state is only read. The iteration runs in one
+    `_quiet` scope.
     """
     weights = PenaltyWeights() if weights is None else weights
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
+    tol_stationarity = settings.tol_stationarity
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
     _check_warm(warm, n_arms)
@@ -669,12 +699,12 @@ def sqp_allocate(
     u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
     tables = _penalized(weights, n_arms)
 
-    iterations, converged, res_norm = 0, False, math.inf
+    iterations, converged, res_norm, gradient = 0, False, math.inf, None
     with _quiet():
         it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
-            delta = _newton_delta(*_assemble(x, it, model))
+            delta = _newton_delta(*_assemble(x, it, model, gradient))
             step = delta.tolist()  # finite (see _newton_delta), so the maxima need no NaN scan
             alpha = _scale_for(max(map(abs, step[:n_arms])), max(map(abs, step[n_arms: 2 * n_arms])),
                                settings.throttle_step_limit, settings.angle_step_limit)
@@ -688,7 +718,12 @@ def sqp_allocate(
             obj = it.objective
             force, torque = it.residual[:3], it.residual[3:]
             res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
-            converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective and res_norm < tol_constraint
+            gradient = None
+            if res_norm < tol_constraint:
+                converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective
+                if not converged:
+                    gradient = _gradient(x, it, model)
+                    converged = math.hypot(*gradient.rows) < tol_stationarity
             obj_prev = obj
             if converged:
                 break

@@ -48,6 +48,8 @@ _AXIS_VECTORS = {
 _ORIENTATION_AXES = ("yaw", "pitch", "roll")
 _POSITION_AXES = ("x", "y", "z")
 _IDENTITY = Quaternion.identity()  # immutable, so every setpoint shares it
+_ZERO = np.zeros(3)
+_ZERO.flags.writeable = False  # read-only, so every setpoint's zero position or accel shares it
 
 
 def _clip(x, low, high):
@@ -389,7 +391,7 @@ def continuous_roll_angle(t: float, spec: SweepSpec) -> float:
 
 
 def _origin() -> PoseSetpoint:
-    return PoseSetpoint(np.zeros(3), _IDENTITY, np.zeros(3))
+    return PoseSetpoint(_ZERO, _IDENTITY, _ZERO)
 
 
 def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
@@ -398,7 +400,7 @@ def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
         return _origin()
     if spec.kind == "continuous_roll":
         angle = continuous_roll_angle(t, spec)
-        return PoseSetpoint(np.zeros(3), Quaternion._about(1.0, 0.0, 0.0, angle), np.zeros(3))
+        return PoseSetpoint(_ZERO, Quaternion._about(1.0, 0.0, 0.0, angle), _ZERO)
 
     tau = t - spec.start_delay
     targets = spec._targets
@@ -416,7 +418,7 @@ def sweep_setpoint(t: float, spec: SweepSpec) -> PoseSetpoint:
         return PoseSetpoint(value * axis, _IDENTITY, accel * axis)
     if abs(value) < 1e-15:
         return _origin()
-    return PoseSetpoint(np.zeros(3), Quaternion._about(*axis.tolist(), value), np.zeros(3))
+    return PoseSetpoint(_ZERO, Quaternion._about(*axis.tolist(), value), _ZERO)
 
 
 # ---------------------------------------------------------------------------

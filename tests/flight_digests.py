@@ -29,7 +29,10 @@ JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
 are its infeasible count and the least and greatest x1 and x2; every
 flight's include its ``flip_events``, the ``detect_flip_events`` count on
 its own geometry, and an SQP flight's add its ``transit_starts``, counted
-by ``fly_counting_transits``), from the same runs as the lines.
+by ``fly_counting_transits``; a chain's include the p99 and the largest
+stationarity norm of its returned iterates, the norm of the primal rows of
+``assemble_kkt``'s K, recomputed at each of them), from the same runs as
+the lines.
 ``--compare A B`` runs nothing: it prints the figures of two such files
 side by side with their deltas, B less A, and the number of figures that
 moved; it exits 0 whatever moved, so it reports and gates nothing.
@@ -72,8 +75,10 @@ from rotorarm import (
     CATALOG_IDS,
     AllocatorState,
     DroneModel,
+    PenaltyWeights,
     Scenario,
     SolverError,
+    assemble_kkt,
     build_catalog,
     continuous_roll,
     detect_flip_events,
@@ -199,7 +204,8 @@ def chain_line(name: str) -> tuple[str, dict]:
     warm = AllocatorState.cold_start(model)
     sha = hashlib.sha256()
     nonconverged = errors = 0
-    iterations = []
+    iterations, stationarity = [], []
+    n_primal = 2 * model.geometry.n_arms
     for inp in chain:
         try:
             sol = sqp_allocate(inp, warm, model)
@@ -209,14 +215,19 @@ def chain_line(name: str) -> tuple[str, dict]:
             continue
         nonconverged += not sol.converged
         iterations.append(sol.iterations)
+        _, grad = assemble_kkt(AllocatorState(sol.throttles, sol.angles, sol.multipliers,
+                                              warm.prev_angles), inp, model, PenaltyWeights())
+        stationarity.append(np.linalg.norm(grad[:n_primal]))
         for values in (sol.throttles, sol.angles, sol.multipliers,
                        [sol.iterations, sol.residual, sol.objective, sol.converged]):
             sha.update(np.asarray(values, dtype=float).tobytes())
         warm = sol.next_warm()
     line = (f"{name:28s} {nonconverged:5d}/{len(chain):<6d} "
             f"non-converged, {errors} SolverError  sha256 {sha.hexdigest()}")
+    p99, peak = np.percentile(stationarity or [0.0], [99, 100]).tolist()
     return line, {"nonconverged": nonconverged, "solver_errors": errors,
-                  **iteration_figures(iterations or [0])}
+                  **iteration_figures(iterations or [0]),
+                  "stationarity_p99": p99, "stationarity_max": peak}
 
 
 def sweep_line(name: str) -> tuple[str, dict]:

@@ -332,11 +332,15 @@ def step_scale_oracle(d_throttles, d_angles, throttle_step_limit=0.1, angle_step
     return alpha
 
 
-def sqp_allocate_oracle(inp, warm, model, weights, max_iterations: int = 30):
+def sqp_allocate_oracle(inp, warm, model, weights, max_iterations: int = 30,
+                        tol_stationarity: float | None = 1e-4):
     """sqp_allocate's loop over the oracles above, default tolerances and trust bounds.
 
-    Returns (throttles, angles, multipliers, iterations, residual,
-    objective, converged), or None where sqp_allocate raises SolverError.
+    An iterate whose residual passes is accepted when the objective test
+    passes or the norm of the primal rows of the assembled K is below
+    tol_stationarity; None leaves the stationarity exit out. Returns
+    (throttles, angles, multipliers, iterations, residual, objective,
+    converged), or None where sqp_allocate raises SolverError.
     """
     n = model.geometry.n_arms
     body_wrench = inp.body_wrench()
@@ -353,12 +357,15 @@ def sqp_allocate_oracle(inp, warm, model, weights, max_iterations: int = 30):
         it = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
         obj = it["objective"]
         res_norm = math.hypot(np.linalg.norm(it["residual"][:3]), np.linalg.norm(it["residual"][3:]))
-        if abs(obj - obj_prev) / max(obj, 1e-9) < 1e-4 and res_norm < 1e-5:
+        stationary = (tol_stationarity is not None
+                      and np.linalg.norm(assemble_oracle(x, it, model)[1][:2 * n]) < tol_stationarity)
+        if res_norm < 1e-5 and (abs(obj - obj_prev) / max(obj, 1e-9) < 1e-4 or stationary):
             converged = True
             obj_prev = obj
             break
         obj_prev = obj
     return x[:n], x[n: 2 * n], x[2 * n:], iterations, res_norm, obj_prev, converged
+
 
 def wrench_chain(model, n_steps: int, seed: int) -> list[AllocatorInput]:
     """Smooth random demand path around hover: the warm-start regime.

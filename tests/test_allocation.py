@@ -347,8 +347,8 @@ def test_penalty_throttle_shape_and_derivatives():
 
     p = [penalty(x)[0] for x in (-0.2, 0.0, 0.3, 1.0, 1.25)]
     assert p[2] == pytest.approx(0.09, abs=1e-12)  # plain quadratic inside the band
-    assert p[0] == pytest.approx(0.04 + 100.0 * 0.04)
-    assert p[4] == pytest.approx(1.25**2 + 100.0 * 0.0625)
+    assert p[0] == pytest.approx(0.04 + w.limit * 0.04)
+    assert p[4] == pytest.approx(1.25**2 + w.limit * 0.0625)
     for x in (-0.2, 0.3, 1.25):  # away from the kinks the derivatives are smooth
         fd_p = (penalty(x + FD_H)[0] - penalty(x - FD_H)[0]) / (2 * FD_H)
         fd_dp = (penalty(x + FD_H)[1] - penalty(x - FD_H)[1]) / (2 * FD_H)
@@ -1179,6 +1179,86 @@ def test_sqp_allocate_is_bit_identical_to_the_array_formulas(problem):
     for name, value, old in zip(("throttles", "angles", "multipliers", "iterations", "residual",
                                  "objective", "converged"), ours, expected):
         assert same_bits(value, old), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None, phases=_FAIL_FAST)
+@given(problem=_allocation_problem())
+def test_the_stationarity_exit_never_adds_an_iteration(problem):
+    """A solve takes no more iterations than the oracle loop without the exit, on the same warm start.
+
+    The two follow the same iterates until the exit fires, so a solve the
+    oracle ends has ended by then, and one that raises SolverError raises
+    it where the oracle gives none.
+    """
+    model, weights, inp, warm = problem
+    expected = sqp_allocate_oracle(inp, warm, model, weights, tol_stationarity=None)
+    try:
+        sol = sqp_allocate(inp, warm, model, weights)
+    except SolverError:
+        assert expected is None
+        return
+    if expected is not None:
+        assert sol.iterations <= expected[3]
+        assert sol.converged or not expected[6]
+        if sol.iterations == expected[3]:
+            assert same_bits(np.concatenate((sol.throttles, sol.angles, sol.multipliers)),
+                             np.concatenate(expected[:3]))
+
+
+def _chain_exits(model, n_steps: int):
+    """Each solve of a warm-started demand chain, with its warm start, input and how it stopped.
+
+    A converged solve whose objective test fails ended through the
+    stationarity exit. The test is taken as sqp_allocate takes it, on the
+    objectives of the last iterate and of the one before it, which is the
+    same solve stopped one iteration earlier (the warm start itself after
+    one iteration).
+    """
+    warm = AllocatorState.cold_start(model)
+    weights = PenaltyWeights()
+    for inp in wrench_chain(model, n_steps, seed=11):
+        sol = sqp_allocate(inp, warm, model)
+        if sol.iterations > 1:
+            before = sqp_allocate(inp, warm, model,
+                                  settings=SolverSettings(max_iterations=sol.iterations - 1)).objective
+        else:
+            before = allocation_objective(warm.throttles, warm.angles, warm.prev_angles,
+                                          model.control_period, weights)
+        objective_test = abs(sol.objective - before) / max(sol.objective, 1e-9) < 1e-4
+        yield warm, inp, sol, sol.converged and not objective_test
+        warm = sol.next_warm()
+
+
+@pytest.mark.parametrize("config_id", ["octahedron_rot", "hexagon_tilt30_fixed"])
+def test_a_solve_ends_through_the_stationarity_exit_only_at_a_stationary_point(config_id):
+    """Every solve the exit ends has a primal-row norm of assemble_kkt's K under the tolerance."""
+    model = DroneModel(build_catalog(config_id))
+    n = model.geometry.n_arms
+    tol = SolverSettings().tol_stationarity
+    exits = 0
+    for warm, inp, sol, exited in _chain_exits(model, 400):
+        assert sol.converged and sol.residual < 1e-5
+        if exited:
+            exits += 1
+            state = AllocatorState(sol.throttles, sol.angles, sol.multipliers, warm.prev_angles)
+            _, grad = assemble_kkt(state, inp, model, PenaltyWeights())
+            assert np.linalg.norm(grad[:2 * n]) < tol
+    assert exits >= 40  # the exit ends a share of the chain's solves, not a stray few
+
+
+def test_the_fixed_hexagon_chain_converges_in_one_step():
+    """On fixed arms the constraints are linear in the throttles, so one Newton step lands on the
+    KKT point; the objective test needs a second iterate to see it, the stationarity exit does not."""
+    model = DroneModel(build_catalog("hexagon_tilt30_fixed"))
+    warm = AllocatorState.cold_start(model)
+    iterations = []
+    for inp in wrench_chain(model, 10_001, seed=11):
+        sol = sqp_allocate(inp, warm, model)
+        assert sol.converged
+        iterations.append(sol.iterations)
+        warm = sol.next_warm()
+    assert np.mean(np.array(iterations) == 1) >= 0.95
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, phases=_FAIL_FAST)

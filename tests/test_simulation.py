@@ -447,6 +447,19 @@ def test_a_sweep_builds_its_step_targets_once(monkeypatch):
                                                                          -math.pi / 2)) < 1e-12
 
 
+def test_setpoints_share_one_read_only_zero_vector():
+    """Origin, orientation and roll setpoints share one zero position and acceleration, read-only."""
+    spec = orientation_sweep(axes=("pitch",))
+    setpoints = [sweep_setpoint(t, spec) for t in (1.0, 5.0, 14.0, spec.duration + 1.0)]
+    setpoints.append(sweep_setpoint(3.0, continuous_roll()))
+    zero = setpoints[0].position
+    assert zero.shape == (3,) and not zero.any()
+    for sp in setpoints:
+        assert sp.position is zero and sp.accel is zero
+    with pytest.raises(ValueError, match="read-only"):
+        zero[0] = 1.0
+
+
 def test_orientation_sweep_setpoints_follow_the_stage_plan():
     spec = orientation_sweep()  # yaw, pitch, roll at amplitude pi
     assert quat_distance(sweep_setpoint(1.0, spec).orientation, Quaternion.identity()) == 0.0
@@ -519,6 +532,7 @@ def test_scenario_defaults_and_validation(octa_model):
     {"max_iterations": 0}, {"throttle_step_limit": 0.0}, {"throttle_step_limit": math.nan},
     {"angle_step_limit": -0.2}, {"angle_step_limit": math.nan}, {"tol_objective": 0.0},
     {"tol_objective": math.nan}, {"tol_constraint": -1e-5}, {"tol_constraint": math.nan},
+    {"tol_stationarity": 0.0}, {"tol_stationarity": math.nan},
     {"noise_std": math.inf}, {"motor_lag": math.inf},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_rejects_invalid_flight_inputs(octa_model, kwargs):

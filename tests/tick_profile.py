@@ -10,10 +10,12 @@ module or class, by a wrapper that reads ``perf_counter_ns`` around the
 call; a stage called inside another (the solver's own stages inside
 ``sqp_allocate``) is taken out of the outer stage's time, so every
 nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
-pair, residual and objective of one iterate), ``_assemble`` (the KKT
-matrix and gradient) and ``_newton_delta`` (the per-arm inertia floor and
-the Newton solve); what they leave of ``sqp_allocate`` is its own
-loop: the step scale, the update and the stopping tests. The tick is the time from the first
+pair, residual and objective of one iterate), ``_gradient`` (the
+Lagrangian's gradient, for the stationarity exit or the next assembly),
+``_assemble`` (the KKT matrix and the rest of K) and ``_newton_delta`` (the
+per-arm inertia floor and the Newton solve); what they leave of
+``sqp_allocate`` is its own loop: the step scale, the update and the
+stopping tests. The tick is the time from the first
 ``sweep_setpoint`` call to the end of the last ``rigid_body_step``, over
 the number of ticks; "loop body" is what the stages leave of it (the
 per-arm wrenches, the noise branch, the log row and the loop itself).
@@ -42,6 +44,7 @@ REPEAT = 3
 STAGES = (
     (simulation, "sqp_allocate", "sqp_allocate"),
     (allocation, "_evaluate", "_evaluate"),
+    (allocation, "_gradient", "_gradient"),
     (allocation, "_assemble", "_assemble"),
     (allocation, "_newton_delta", "_newton_delta"),
     (simulation, "pinv_allocate", "pinv_allocate"),
