@@ -467,33 +467,30 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
                     over, tables)
 
 
-class _Gradient(NamedTuple):
-    """The primal rows of K at one iterate, and what of their pass the Jacobian H reuses."""
-
-    rows: list  # [grad_u; grad_a]: the Lagrangian's gradient, as Python floats
-    ddp: list  # the penalty curvatures of [throttles; arm rates]
-    lam_pair: list  # lambda . W over lambda . dW
-
-
-def _gradient(x, it: _Iterate, model: DroneModel) -> _Gradient:
-    """The Lagrangian's gradient at the iterate x, whose evaluation is ``it``.
+def _gradient(x, it: _Iterate, model: DroneModel) -> tuple[list, list, list]:
+    """The Lagrangian's gradient at the iterate x, whose evaluation is ``it``, and what H reuses.
 
     The wrench is throttles @ W, so W is its throttle Jacobian and u * dW
     its angle Jacobian: grad_u = dp_u + lambda . W and grad_a = dp_a / dt
     + u lambda . dW, from one `_penalty_slopes` call and one product that
-    gives lambda . W over lambda . dW. `sqp_allocate` tests the rows'
-    norm for stationarity and hands them on to `_assemble`.
+    gives lambda . W over lambda . dW. Returns the rows [grad_u; grad_a],
+    the penalty curvatures and lambda . [W; dW], each a list of Python
+    floats (a plain tuple: a NamedTuple costs a microsecond more per call).
+    `sqp_allocate` tests the rows' norm for stationarity and hands all
+    three on to `_assemble`.
     """
     dt = model.control_period
     n_arms = model.geometry.n_arms
     dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
     lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
-    grad_u = [dpu + lw for dpu, lw in zip(dp[:n_arms], lam_pair)]
-    grad_a = [dpa / dt + ui * hu for dpa, ui, hu in zip(dp[n_arms:], it.values, lam_pair[n_arms:])]
-    return _Gradient(grad_u + grad_a, ddp, lam_pair)
+    grad_u, grad_a = [], []
+    for ui, lw, hu, dpu, dpa in zip(it.values, lam_pair, lam_pair[n_arms:], dp, dp[n_arms:]):
+        grad_u.append(dpu + lw)
+        grad_a.append(dpa / dt + ui * hu)
+    return grad_u + grad_a, ddp, lam_pair
 
 
-def _assemble(x, it: _Iterate, model: DroneModel, gradient: _Gradient | None = None):
+def _assemble(x, it: _Iterate, model: DroneModel, gradient: tuple | None = None):
     """Jacobian H, gradient K and per-arm blocks of the stationarity system at the iterate x.
 
     ``it`` is the evaluation of the same x, and ``gradient`` its `_gradient`
@@ -507,9 +504,7 @@ def _assemble(x, it: _Iterate, model: DroneModel, gradient: _Gradient | None = N
     dt = model.control_period
     n_arms = model.geometry.n_arms
     u = it.values[:n_arms]
-    if gradient is None:
-        gradient = _gradient(x, it, model)
-    ddp, lam_pair = gradient.ddp, gradient.lam_pair
+    rows, ddp, lam_pair = _gradient(x, it, model) if gradient is None else gradient
 
     # second derivatives are diagonal per arm, with d2W/da2 = -W on rotating
     # arms and 0 on fixed ones
@@ -527,7 +522,7 @@ def _assemble(x, it: _Iterate, model: DroneModel, gradient: _Gradient | None = N
     constraint = hess[:n_primal, n_primal:]
     np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
-    return hess, np.array(gradient.rows + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
+    return hess, np.array(rows + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
@@ -723,7 +718,7 @@ def sqp_allocate(
                 converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective
                 if not converged:
                     gradient = _gradient(x, it, model)
-                    converged = math.hypot(*gradient.rows) < tol_stationarity
+                    converged = math.hypot(*gradient[0]) < tol_stationarity
             obj_prev = obj
             if converged:
                 break
