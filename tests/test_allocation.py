@@ -1247,6 +1247,30 @@ def test_a_solve_ends_through_the_stationarity_exit_only_at_a_stationary_point(c
     assert exits >= 40  # the exit ends a share of the chain's solves, not a stray few
 
 
+def test_a_handed_on_gradient_belongs_to_the_iterate_it_is_used_at(octa_model):
+    """Tolerances that never stop a solve never move its iterates.
+
+    From a cold start this demand's residual falls to 0.0197 at iteration
+    7 and rises to 0.0263 at iteration 8. With tol_constraint at 0.022
+    and the other tolerances too tight to pass, the loop takes iterate 7's
+    gradient for the exit test and hands it to the next assembly, then
+    meets an iterate whose residual fails; each assembly must still read
+    its own iterate's gradient, so the iterates are those of the solve
+    whose residual never passes.
+    """
+    inp = AllocatorInput(Quaternion.identity(), np.array([4.816, 0.578, 24.726]),
+                         np.array([0.488, 0.937, 0.219]))
+    warm = AllocatorState.cold_start(octa_model)
+    tight = dict(tol_objective=5e-324, tol_stationarity=5e-324, max_iterations=10)
+    residuals = [sqp_allocate(inp, warm, octa_model, settings=SolverSettings(
+        tol_constraint=5e-324, **{**tight, "max_iterations": k})).residual for k in (7, 8)]
+    assert residuals[0] < 0.022 < residuals[1]
+    sols = [sqp_allocate(inp, warm, octa_model, settings=SolverSettings(tol_constraint=tol, **tight))
+            for tol in (0.022, 5e-324)]
+    assert not any(sol.converged for sol in sols)
+    assert same_bits(*(np.concatenate((sol.throttles, sol.angles, sol.multipliers)) for sol in sols))
+
+
 def test_the_fixed_hexagon_chain_converges_in_one_step():
     """On fixed arms the constraints are linear in the throttles, so one Newton step lands on the
     KKT point; the objective test needs a second iterate to see it, the stationarity exit does not."""
