@@ -1211,9 +1211,8 @@ def _chain_exits(model, n_steps: int):
 
     A converged solve whose objective test fails ended through the
     stationarity exit. The test is taken as sqp_allocate takes it, on the
-    objectives of the last iterate and of the one before it, which is the
-    same solve stopped one iteration earlier (the warm start itself after
-    one iteration).
+    objectives of the last iterate and of the one before it: the same solve
+    stopped one iteration earlier, or the warm start for a one-step solve.
     """
     warm = AllocatorState.cold_start(model)
     weights = PenaltyWeights()
