@@ -623,7 +623,6 @@ class SolverSettings:
 
     tol_objective: float = 1e-4  # relative objective change
     tol_constraint: float = 1e-5  # wrench residual norm
-    tol_stationarity: float = 1e-4  # norm of the Lagrangian's gradient
     max_iterations: int = 30
     throttle_step_limit: float = 0.1
     angle_step_limit: float = 0.2
@@ -634,8 +633,7 @@ class SolverSettings:
             raise ValueError(f"max_iterations must be an integer, got {iterations!r}")
         if iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {iterations}")
-        names = ("throttle_step_limit", "angle_step_limit", "tol_objective", "tol_constraint",
-                 "tol_stationarity")
+        names = ("throttle_step_limit", "angle_step_limit", "tol_objective", "tol_constraint")
         # `not > 0` also rejects NaN
         not_positive = [name for name in names if not getattr(self, name) > 0.0]
         if not_positive:
@@ -660,6 +658,9 @@ def _scale_for(max_du: float, max_da: float, throttle_step_limit: float, angle_s
     return alpha
 
 
+_TOL_STATIONARITY = 1e-4  # norm of the Lagrangian's gradient
+
+
 def sqp_allocate(
     inp: AllocatorInput,
     warm: AllocatorState,
@@ -672,17 +673,17 @@ def sqp_allocate(
     Accepts an iterate once its constraint residual norm is below
     settings.tol_constraint and either the relative objective change is
     below settings.tol_objective or the norm of the Lagrangian's gradient
-    (the primal rows of K) is below settings.tol_stationarity; stops
-    unconverged after settings.max_iterations. The gradient is taken only
-    where the residual passes and the objective test fails, and the next
-    assembly reuses it, so the stationarity exit costs no extra work. Arm
-    angles are left unwrapped so they can accumulate over continuous
-    rotations. The warm state is only read. The iteration runs in one
-    `_quiet` scope.
+    (the primal rows of K) is below _TOL_STATIONARITY; stops unconverged
+    after settings.max_iterations. The gradient is taken only where the
+    residual passes and the objective test fails, and the next assembly
+    reuses it, so the exit adds no work to a solve it does not end; one it
+    ends after k steps takes one gradient more than a k-step solve that
+    ends on the objective test. Arm angles are left unwrapped so they can
+    accumulate over continuous rotations. The warm state is only read. The
+    iteration runs in one `_quiet` scope.
     """
     weights = PenaltyWeights() if weights is None else weights
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
-    tol_stationarity = settings.tol_stationarity
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
     _check_warm(warm, n_arms)
@@ -718,7 +719,7 @@ def sqp_allocate(
                 converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective
                 if not converged:
                     gradient = _gradient(x, it, model)
-                    converged = math.hypot(*gradient[0]) < tol_stationarity
+                    converged = math.hypot(*gradient[0]) < _TOL_STATIONARITY
             obj_prev = obj
             if converged:
                 break

@@ -1231,22 +1231,30 @@ def _chain_exits(model, n_steps: int):
 
 @pytest.mark.parametrize("config_id", ["octahedron_rot", "hexagon_tilt30_fixed"])
 def test_a_solve_ends_through_the_stationarity_exit_only_at_a_stationary_point(config_id):
-    """Every solve the exit ends has a primal-row norm of assemble_kkt's K under the tolerance."""
+    """Every solve the exit ends has a primal-row norm of assemble_kkt's K under the tolerance.
+
+    On fixed arms the constraints are linear in the throttles, so one
+    Newton step lands on the KKT point; the objective test needs a second
+    iterate to see it, the exit does not.
+    """
     model = DroneModel(build_catalog(config_id))
     n = model.geometry.n_arms
-    tol = SolverSettings().tol_stationarity
-    exits = 0
+    tol = allocation._TOL_STATIONARITY
+    exits = one_step = 0
     for warm, inp, sol, exited in _chain_exits(model, 400):
         assert sol.converged and sol.residual < 1e-5
+        one_step += sol.iterations == 1
         if exited:
             exits += 1
             state = AllocatorState(sol.throttles, sol.angles, sol.multipliers, warm.prev_angles)
             _, grad = assemble_kkt(state, inp, model, PenaltyWeights())
             assert np.linalg.norm(grad[:2 * n]) < tol
     assert exits >= 40  # the exit ends a share of the chain's solves, not a stray few
+    if config_id == "hexagon_tilt30_fixed":
+        assert one_step >= 0.95 * 400
 
 
-def test_a_handed_on_gradient_belongs_to_the_iterate_it_is_used_at(octa_model):
+def test_a_handed_on_gradient_belongs_to_the_iterate_it_is_used_at(octa_model, monkeypatch):
     """Tolerances that never stop a solve never move its iterates.
 
     From a cold start this demand's residual falls to 0.0197 at iteration
@@ -1260,7 +1268,8 @@ def test_a_handed_on_gradient_belongs_to_the_iterate_it_is_used_at(octa_model):
     inp = AllocatorInput(Quaternion.identity(), np.array([4.816, 0.578, 24.726]),
                          np.array([0.488, 0.937, 0.219]))
     warm = AllocatorState.cold_start(octa_model)
-    tight = dict(tol_objective=5e-324, tol_stationarity=5e-324, max_iterations=10)
+    monkeypatch.setattr(allocation, "_TOL_STATIONARITY", 5e-324)
+    tight = dict(tol_objective=5e-324, max_iterations=10)
     residuals = [sqp_allocate(inp, warm, octa_model, settings=SolverSettings(
         tol_constraint=5e-324, **{**tight, "max_iterations": k})).residual for k in (7, 8)]
     assert residuals[0] < 0.022 < residuals[1]
@@ -1268,20 +1277,6 @@ def test_a_handed_on_gradient_belongs_to_the_iterate_it_is_used_at(octa_model):
             for tol in (0.022, 5e-324)]
     assert not any(sol.converged for sol in sols)
     assert same_bits(*(np.concatenate((sol.throttles, sol.angles, sol.multipliers)) for sol in sols))
-
-
-def test_the_fixed_hexagon_chain_converges_in_one_step():
-    """On fixed arms the constraints are linear in the throttles, so one Newton step lands on the
-    KKT point; the objective test needs a second iterate to see it, the stationarity exit does not."""
-    model = DroneModel(build_catalog("hexagon_tilt30_fixed"))
-    warm = AllocatorState.cold_start(model)
-    iterations = []
-    for inp in wrench_chain(model, 10_001, seed=11):
-        sol = sqp_allocate(inp, warm, model)
-        assert sol.converged
-        iterations.append(sol.iterations)
-        warm = sol.next_warm()
-    assert np.mean(np.array(iterations) == 1) >= 0.95
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, phases=_FAIL_FAST)

@@ -532,7 +532,6 @@ def test_scenario_defaults_and_validation(octa_model):
     {"max_iterations": 0}, {"throttle_step_limit": 0.0}, {"throttle_step_limit": math.nan},
     {"angle_step_limit": -0.2}, {"angle_step_limit": math.nan}, {"tol_objective": 0.0},
     {"tol_objective": math.nan}, {"tol_constraint": -1e-5}, {"tol_constraint": math.nan},
-    {"tol_stationarity": 0.0}, {"tol_stationarity": math.nan},
     {"noise_std": math.inf}, {"motor_lag": math.inf},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_rejects_invalid_flight_inputs(octa_model, kwargs):
