@@ -254,8 +254,8 @@ class AllocatorInput:
 
     @cached_property
     def _body_wrench(self) -> np.ndarray:
-        # v @ R is R^T v: world to body for both rows at once
-        wrench = (np.array((self.force, self.torque)) @ self.orientation.to_matrix()).ravel()
+        # v R is R^T v: world to body for both rows at once
+        wrench = np.array((self.force, self.torque)).dot(self.orientation.to_matrix()).ravel()
         wrench.setflags(write=False)
         return wrench
 
@@ -310,7 +310,7 @@ def constraint_residual(throttles, angles, inp: AllocatorInput, model: DroneMode
     """Produced-minus-demanded body wrench; zero at an exact allocation."""
     throttles = np.asarray(throttles, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    return throttles @ model.wrenches_at(angles) - inp.body_wrench()
+    return throttles.dot(model.wrenches_at(angles)) - inp.body_wrench()
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +463,14 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
     pair = model._wrench_pair(angles)
     objective, penalized, over = _objective_pass(values[:n_arms], angles, prev_angles,
                                                  model.control_period, tables)
-    return _Iterate(pair, x[:n_arms] @ pair[:n_arms] - body_wrench, objective, values, penalized,
+    return _Iterate(pair, x[:n_arms].dot(pair[:n_arms]) - body_wrench, objective, values, penalized,
                     over, tables)
 
 
 def _gradient(x, it: _Iterate, model: DroneModel) -> tuple[list, list, list]:
     """The Lagrangian's gradient at the iterate x, whose evaluation is ``it``, and what H reuses.
 
-    The wrench is throttles @ W, so W is its throttle Jacobian and u * dW
+    The wrench is throttles . W, so W is its throttle Jacobian and u * dW
     its angle Jacobian: grad_u = dp_u + lambda . W and grad_a = dp_a / dt
     + u lambda . dW, from one `_penalty_slopes` call and one product that
     gives lambda . W over lambda . dW. Returns the rows [grad_u; grad_a],
@@ -482,7 +482,7 @@ def _gradient(x, it: _Iterate, model: DroneModel) -> tuple[list, list, list]:
     dt = model.control_period
     n_arms = model.geometry.n_arms
     dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
-    lam_pair = (it.pair @ x[2 * n_arms:]).tolist()
+    lam_pair = it.pair.dot(x[2 * n_arms:]).tolist()
     grad_u, grad_a = [], []
     for ui, lw, hu, dpu, dpa in zip(it.values, lam_pair, lam_pair[n_arms:], dp, dp[n_arms:]):
         grad_u.append(dpu + lw)
@@ -581,11 +581,11 @@ def _newton_delta(hess: np.ndarray, grad: np.ndarray, blocks: tuple) -> np.ndarr
     """
     matrix = _floored(hess, *blocks)
     delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
-    residual = matrix @ delta + grad
-    res = math.sqrt(residual @ residual)  # what np.linalg.norm computes, without its dispatch
-    if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad @ grad)):
+    residual = matrix.dot(delta) + grad
+    res = math.sqrt(residual.dot(residual))  # what np.linalg.norm computes, without its dispatch
+    if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad.dot(grad))):
         return delta
-    raise SolverError(f"no usable Newton step (dim {hess.shape[0]}, |K|={math.sqrt(grad @ grad):.3e})")
+    raise SolverError(f"no usable Newton step (dim {hess.shape[0]}, |K|={math.sqrt(grad.dot(grad)):.3e})")
 
 
 def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
@@ -713,7 +713,7 @@ def sqp_allocate(
             it = _evaluate(x, values, a_prev, body_wrench, model, tables)
             obj = it.objective
             force, torque = it.residual[:3], it.residual[3:]
-            res_norm = math.hypot(math.sqrt(force @ force), math.sqrt(torque @ torque))
+            res_norm = math.hypot(math.sqrt(force.dot(force)), math.sqrt(torque.dot(torque)))
             gradient = None
             if res_norm < tol_constraint:
                 converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective
@@ -773,7 +773,7 @@ def least_norm_allocation(body_wrench: np.ndarray, model: DroneModel,
     pinv, rank = model._thrust_plane_pinv
     if rank < 6:
         raise SolverError(f"thrust-plane wrench map of {model.geometry.name} is rank deficient")
-    coords = (pinv @ body_wrench).reshape(-1, 2)
+    coords = pinv.dot(body_wrench).reshape(-1, 2)
     flat = coords.ravel().tolist()
     throttles = [math.sqrt(x * x + y * y) for x, y in zip(flat[0::2], flat[1::2])]
     raw = np.arctan2(coords[:, 1], coords[:, 0]).tolist()

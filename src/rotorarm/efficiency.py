@@ -95,9 +95,9 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     hopeless = False
     for _ in range(g.n_arms + 1):
         free = fm.free_columns(clamped)
-        sol = free.pinv @ target
+        sol = free.pinv.dot(target)
         if clamped:
-            force_res, torque_res = _residual_norms(free.matrix @ sol - target)
+            force_res, torque_res = _residual_norms(free.matrix.dot(sol) - target)
             hopeless = math.hypot(force_res, torque_res) > math.hypot(tol_force, tol_torque)
             if hopeless:
                 break
@@ -111,7 +111,7 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
         clamped |= 1 << free.cols[worst]
 
     if not clamped:
-        force_res, torque_res = _residual_norms(free.matrix @ sol - target)
+        force_res, torque_res = _residual_norms(free.matrix.dot(sol) - target)
     if hopeless or force_res > tol_force or torque_res > tol_torque:
         raise InfeasibleHoverError(
             f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {g.name}: "
@@ -143,7 +143,7 @@ def upward_fraction(solution: HoverSolution, up) -> float:
     total = _add_reduce(solution.norms.tolist())
     if total < 1e-12:
         raise ValueError("hover solution produces no thrust; fraction undefined")
-    return _add_reduce((solution.forces @ up).tolist()) / total
+    return _add_reduce(solution.forces.dot(up).tolist()) / total
 
 
 def capacity_fraction(solution: HoverSolution, mass: float, gravity: float, n_arms: int) -> float:

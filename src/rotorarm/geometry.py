@@ -196,7 +196,7 @@ def force_map(geometry: DroneGeometry) -> ForceMap:
     n = geometry.n_arms
     keep = np.column_stack([np.ones(n, dtype=bool), geometry.rotating]).ravel()
     owners = np.repeat(np.arange(n), 2)[keep]
-    # Fortran order: the bits of solve_hover's matrix @ coords depend on the layout
+    # Fortran order: the bits of solve_hover's matrix.dot(sol) depend on the layout
     matrix = geometry.plane_block.reshape(-1, 6)[keep].T
     return ForceMap(matrix, owners, geometry.unidirectional[owners])
 

@@ -148,7 +148,7 @@ def rigid_body_step(
 
     omega = state.angular_velocity
     wx, wy, wz = omega.tolist()
-    hx, hy, hz = (model.inertia @ omega).tolist()
+    hx, hy, hz = model.inertia.dot(omega).tolist()
     # minus the gyroscopic term omega x (I omega), by np.cross's formulas
     torque_net = [tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)]
     # never singular: DroneModel accepts only a positive-definite inertia
@@ -707,8 +707,8 @@ def run_flight(scenario: Scenario) -> FlightLog:
         # the attitude keeps this matrix, so the allocator's body wrench and
         # the rigid-body step reuse it
         to_world = state.orientation.to_matrix()
-        force, torque = pid.update(pos_error, to_world @ ori_error_body, state.velocity,
-                                   to_world @ state.angular_velocity, sp.accel, dt)
+        force, torque = pid.update(pos_error, to_world.dot(ori_error_body), state.velocity,
+                                   to_world.dot(state.angular_velocity), sp.accel, dt)
 
         inp = AllocatorInput(state.orientation, force, torque)
         if sqp:
@@ -842,7 +842,7 @@ def detect_flip_events(log: FlightLog, geometry, require_vertical: bool = True) 
     for k in range(len(log.t)):
         q = Quaternion(*log.orientation[k])
         ups[k] = q.inverse().rotate(np.array([0.0, 0.0, 1.0]))
-    alignments = np.abs(ups @ geometry.axes.T)  # (ticks, arms)
+    alignments = np.abs(ups.dot(geometry.axes.T))  # (ticks, arms)
     reload_ticks = max(1, int(round(0.3 / log.dt))) if log.dt > 0 else 1
 
     events: list[FlipEvent] = []

@@ -80,7 +80,7 @@ class Quaternion:
 
     def rotate(self, v) -> np.ndarray:
         """Apply the rotation to a 3-vector."""
-        return self.to_matrix() @ np.asarray(v, dtype=float)
+        return self.to_matrix().dot(np.asarray(v, dtype=float))
 
     def to_matrix(self) -> np.ndarray:
         """Rotation matrix (read-only), built once per quaternion."""
