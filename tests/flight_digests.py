@@ -28,11 +28,11 @@ also writes the figures of each flight, sweep and chain it ran to FILE as
 JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
 are its infeasible count and the least and greatest x1 and x2; every
 flight's include its ``flip_events``, the ``detect_flip_events`` count on
-its own geometry, and an SQP flight's add its ``transit_starts``, counted
-by ``fly_counting_transits``; a chain's include the p99 and the largest
-stationarity norm of its returned iterates, the norm of the primal rows of
-``assemble_kkt``'s K, recomputed at each of them), from the same runs as
-the lines.
+its own geometry, and its ``clamp_figures``; an SQP flight's add its
+``transit_starts``, counted by ``fly_counting_transits``; a chain's
+include the p99 and the largest stationarity norm of its returned
+iterates, the norm of the primal rows of ``assemble_kkt``'s K, recomputed
+at each of them), from the same runs as the lines.
 ``--compare A B`` runs nothing: it prints the figures of two such files
 side by side with their deltas, B less A, and the number of figures that
 moved; it exits 0 whatever moved, so it reports and gates nothing.
@@ -180,8 +180,32 @@ def iteration_figures(iterations) -> dict:
     return {"iterations_p50": p50, "iterations_p99": p99, "iterations_max": int(np.max(iterations))}
 
 
-def flight_figures(log, geometry) -> dict:
-    """What a flight did, beyond its bytes: failures, tracking error, iterations, command steps, flips."""
+def clamp_figures(log, model) -> dict:
+    """What the flight loop's [0, 1] clamp took from the commanded throttles, read from the log.
+
+    The lost wrench of a tick is (clip(u) - u) . W at the commanded angles,
+    with W = cos(a) wrench1 + sin(a) wrench2 on a rotating arm and wrench1 on
+    a fixed one. Returns the ticks with any command outside [0, 1], and the
+    p99 and the largest length of the lost force, in units of the weight,
+    and of the lost torque, in Nm.
+    """
+    u = log.throttle_cmd
+    lost = np.clip(u, 0.0, 1.0) - u
+    rotating = model.geometry.rotating
+    c = np.where(rotating, np.cos(log.angle_cmd), 1.0)
+    s = np.where(rotating, np.sin(log.angle_cmd), 0.0)
+    wrench = (lost * c) @ model.wrench1 + (lost * s) @ model.wrench2  # (ticks, 6)
+    force = np.linalg.norm(wrench[:, :3], axis=1) / (model.mass * model.gravity)
+    torque = np.linalg.norm(wrench[:, 3:], axis=1)
+    force_p99, force_max = np.percentile(force, [99, 100]).tolist()
+    torque_p99, torque_max = np.percentile(torque, [99, 100]).tolist()
+    return {"clamped_ticks": int(np.sum(np.any((u < 0.0) | (u > 1.0), axis=1))),
+            "force_lost_p99_weight": force_p99, "force_lost_max_weight": force_max,
+            "torque_lost_p99_nm": torque_p99, "torque_lost_max_nm": torque_max}
+
+
+def flight_figures(log, model) -> dict:
+    """What a flight did, beyond its bytes: failures, errors, iterations, command steps, flips, clamp."""
     settled = summarize(log, settle=SETTLE_S)
     max_pos = float(np.max(log.pos_error))
     return {
@@ -193,7 +217,8 @@ def flight_figures(log, geometry) -> dict:
         "ori_settled_mean_rad": settled.ori_mean,
         **iteration_figures(log.iterations),
         "max_command_step_rad": max_command_step(log),
-        "flip_events": len(detect_flip_events(log, geometry)),
+        "flip_events": len(detect_flip_events(log, model.geometry)),
+        **clamp_figures(log, model),
     }
 
 
@@ -246,7 +271,7 @@ def digest_line(name: str) -> tuple[str, dict]:
     if name in SWEEPS:
         return sweep_line(name)
     log, transit_starts = fly_counting_transits(name)
-    figures = flight_figures(log, build_catalog(FLIGHTS[name][0]))
+    figures = flight_figures(log, DroneModel(build_catalog(FLIGHTS[name][0])))
     if log.allocator == "sqp":
         figures["transit_starts"] = transit_starts
     nonconverged = int(np.sum(~log.converged))

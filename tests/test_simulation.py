@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flight_digests import clamp_figures
 from helpers import (
     PidOracle,
     arm_wrenches_oracle,
@@ -814,3 +815,32 @@ def test_max_command_step():
     assert max_command_step(log) == 0.0
     log.angle_cmd[5:, 2] = 0.4
     assert max_command_step(log) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("config_id", ["octahedron_rot", "hexagon_tilt30_fixed"])
+def test_clamp_figures_are_the_wrench_the_clamp_takes(config_id, rng):
+    model = DroneModel(build_catalog(config_id))
+    n_ticks, n_arms = 400, model.geometry.n_arms
+    log = _blank_log(n_ticks, n_arms)
+    log.throttle_cmd[:] = rng.uniform(0.0, 1.0, (n_ticks, n_arms))
+    log.angle_cmd[:] = rng.uniform(-np.pi, np.pi, (n_ticks, n_arms))
+    # one arm below 0 on every fourth tick, another above 1 on every eighth, on other ticks
+    log.throttle_cmd[::4, 1] = rng.uniform(-0.3, -1e-3, n_ticks // 4)
+    log.throttle_cmd[2::8, 2] = rng.uniform(1.001, 1.2, n_ticks // 8)
+    lost = np.array([(np.clip(u, 0.0, 1.0) - u).dot(model.wrenches_at(a))
+                     for u, a in zip(log.throttle_cmd, log.angle_cmd)])
+    force = np.linalg.norm(lost[:, :3], axis=1) / (model.mass * model.gravity)
+    torque = np.linalg.norm(lost[:, 3:], axis=1)
+    figures = clamp_figures(log, model)
+    assert figures["clamped_ticks"] == n_ticks // 4 + n_ticks // 8
+    for key, values in (("force_lost", force), ("torque_lost", torque)):
+        unit = "weight" if key == "force_lost" else "nm"
+        p99, peak = np.percentile(values, [99, 100])
+        assert figures[f"{key}_p99_{unit}"] == pytest.approx(p99, rel=1e-12)
+        assert figures[f"{key}_max_{unit}"] == pytest.approx(peak, rel=1e-12)
+        assert peak > 0.0
+
+    log.throttle_cmd[:] = np.clip(log.throttle_cmd, 0.0, 1.0)
+    assert clamp_figures(log, model) == {
+        "clamped_ticks": 0, "force_lost_p99_weight": 0.0, "force_lost_max_weight": 0.0,
+        "torque_lost_p99_nm": 0.0, "torque_lost_max_nm": 0.0}
