@@ -254,7 +254,7 @@ class AllocatorInput:
 
     @cached_property
     def _body_wrench(self) -> np.ndarray:
-        # v R is R^T v: world to body for both rows at once
+        # v.dot(R) is R^T v: world to body for both rows at once
         wrench = np.array((self.force, self.torque)).dot(self.orientation.to_matrix()).ravel()
         wrench.setflags(write=False)
         return wrench

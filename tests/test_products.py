@@ -1,8 +1,8 @@
 """Matrix products: the package writes them as ``a.dot(b)``, which must give the bits of ``a @ b``.
 
 ``ndarray.dot`` reaches the same BLAS kernels as the matmul operator without
-its ufunc dispatch, which costs more than the product itself at the sizes
-the package multiplies. The oracles in ``helpers.py`` keep ``@``: they are
+its ufunc dispatch, which at the sizes the package multiplies costs about as
+much as the whole ``.dot`` call. The oracles in ``helpers.py`` keep ``@``: they are
 the array formulas.
 """
 
