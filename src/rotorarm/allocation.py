@@ -34,9 +34,52 @@ class SolverError(RuntimeError):
     """Raised when a linear solve inside the allocator cannot be completed."""
 
 
-def _quiet() -> np.errstate:
-    """A fresh scope that silences every floating-point warning; a scope enters only once."""
-    return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
+class _ErrorStateScope:
+    """A reusable `with` scope that sets numpy's error state to ``inside`` and ``outside`` again on exit."""
+
+    __slots__ = ("_set", "_inside", "_outside")
+
+    def __init__(self, set_state, inside, outside):
+        self._set, self._inside, self._outside = set_state, inside, outside
+
+    def __enter__(self):
+        self._set(self._inside)
+
+    def __exit__(self, exc_type, exc, traceback):
+        self._set(self._outside)
+
+
+def _quiet_from(umath):
+    """`_quiet` over ``umath``, numpy's ufunc module: a scope that silences every floating-point warning.
+
+    Where ``umath`` has numpy's error-state context variable and
+    ``_make_extobj``, the state current when this runs (numpy's default,
+    unless the importer changed it) and an all-ignore state made from it,
+    with its buffer size and error callback, are built once; while the
+    caller's state is that very object, the scope is one prebuilt
+    `_ErrorStateScope` that switches between the two, with nothing made
+    per call. Otherwise, and where ``umath`` has no such names, it is a
+    fresh np.errstate, which makes the same all-ignore state from the
+    caller's and resets it on exit.
+    """
+    def errstate() -> np.errstate:
+        return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
+
+    state, make = getattr(umath, "_extobj_contextvar", None), getattr(umath, "_make_extobj", None)
+    if state is None or make is None:
+        return errstate
+    outside = state.get()
+    scope = _ErrorStateScope(state.set, make(all="ignore"), outside)
+    current = state.get
+
+    def quiet():
+        return scope if current() is outside else errstate()
+    return quiet
+
+
+# numpy's error-state internals are looked up once here, as solve1 is below;
+# a numpy without them gets np.errstate
+_quiet = _quiet_from(getattr(getattr(np, "_core", None), "umath", None))
 
 
 def _solve_vector_from(gufuncs):
@@ -252,16 +295,17 @@ class AllocatorInput:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    @cached_property
-    def _body_wrench(self) -> np.ndarray:
-        # v.dot(R) is R^T v: world to body for both rows at once
-        wrench = np.array((self.force, self.torque)).dot(self.orientation.to_matrix()).ravel()
-        wrench.setflags(write=False)
-        return wrench
+    _body_wrench = None  # set on the instance by the first body_wrench() call
 
     def body_wrench(self) -> np.ndarray:
         """Demanded [force; torque] in the body frame (read-only, computed once)."""
-        return self._body_wrench
+        wrench = self._body_wrench
+        if wrench is None:
+            # v.dot(R) is R^T v: world to body for both rows at once
+            wrench = np.array((self.force, self.torque)).dot(self.orientation.to_matrix()).ravel()
+            wrench.setflags(write=False)
+            object.__setattr__(self, "_body_wrench", wrench)
+        return wrench
 
 
 @dataclass
@@ -330,7 +374,7 @@ class _PenaltyTables(NamedTuple):
 
 
 def _penalty_tables(weight, low, high, limit: float) -> _PenaltyTables:
-    """The tables of `_penalty` and `_penalty_slopes` for the given per-entry weights and band.
+    """The tables of `_penalty` and of its slopes in `_arm_pass` for the given per-entry weights and band.
 
     With positive weights and a finite limit, the curvature 2 w + 2 limit
     (d != 0) is one of the two curvature entries, bit for bit.
@@ -359,15 +403,6 @@ def _penalty(x, tables: _PenaltyTables) -> tuple[list, list]:
         p.append(wi * xi * xi + limit * (v * v))
         over.append(v)
     return p, over
-
-
-def _penalty_slopes(x, over: list, tables: _PenaltyTables) -> tuple[list, list]:
-    """First and second derivatives of `_penalty` at x, from its distances ``over``."""
-    two_limit = tables.two_limit
-    dp = [tw * xi + two_limit * v for tw, xi, v in zip(tables.two_weight, x, over)]
-    ddp = [out if v != 0.0 else inside
-           for inside, out, v in zip(tables.two_weight, tables.two_weight_over, over)]
-    return dp, ddp
 
 
 def _add_reduce(values) -> float:
@@ -455,7 +490,7 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
     per-arm arithmetic runs on Python floats in numpy's operation order,
     so every value has the bits of the array formulas; the wrench blocks
     and the matrix products stay numpy. The penalty derivatives wait for
-    `_gradient`, which an iterate that passes the objective test never
+    `_arm_pass`, which an iterate that passes the objective test never
     reaches.
     """
     n_arms = model.geometry.n_arms
@@ -467,62 +502,67 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
                     over, tables)
 
 
-def _gradient(x, it: _Iterate, model: DroneModel) -> tuple[list, list, list]:
-    """The Lagrangian's gradient at the iterate x, whose evaluation is ``it``, and what H reuses.
+def _arm_pass(x, it: _Iterate, model: DroneModel, floored: bool = True) -> tuple[list, list]:
+    """K's primal rows and H's per-arm entries at the iterate x, evaluated as ``it``, in one arm loop.
 
     The wrench is throttles . W, so W is its throttle Jacobian and u * dW
     its angle Jacobian: grad_u = dp_u + lambda . W and grad_a = dp_a / dt
-    + u lambda . dW, from one `_penalty_slopes` call and one product that
-    gives lambda . W over lambda . dW. Returns the rows [grad_u; grad_a],
-    the penalty curvatures and lambda . [W; dW], each a list of Python
-    floats (a plain tuple: a NamedTuple costs a microsecond more per call).
-    `sqp_allocate` tests the rows' norm for stationarity and hands all
-    three on to `_assemble`.
+    + u lambda . dW, with one product giving lambda . W over lambda . dW.
+    Second derivatives are diagonal per arm, with d2W/da2 = -W on rotating
+    arms and 0 on fixed ones: H_uu = ddp_u, H_aa = ddp_a / dt^2 - u lambda
+    . W and H_ua = lambda . dW. The penalty slopes of `_penalty` are taken
+    here, from its distances outside the bands: dp = 2 w x + 2 limit d and
+    ddp = 2 w inside the band, 2 w + 2 limit outside it. Where ``floored``
+    each arm's diagonal pair is lifted by `_floor_gap`, so the entries are
+    those of the matrix the Newton step solves; otherwise they are the
+    exact Jacobian's. Returns the rows [grad_u; grad_a], which
+    `sqp_allocate` tests for stationarity, and the entries in the order of
+    `DroneModel._kkt_diagonals`, each a list of Python floats (a plain
+    tuple: a NamedTuple costs a microsecond more per call); `_assemble`
+    takes both.
     """
     dt = model.control_period
-    n_arms = model.geometry.n_arms
-    dp, ddp = _penalty_slopes(it.penalized, it.over, it.tables)
-    lam_pair = it.pair.dot(x[2 * n_arms:]).tolist()
-    grad_u, grad_a = [], []
-    for ui, lw, hu, dpu, dpa in zip(it.values, lam_pair, lam_pair[n_arms:], dp, dp[n_arms:]):
-        grad_u.append(dpu + lw)
-        grad_a.append(dpa / dt + ui * hu)
-    return grad_u + grad_a, ddp, lam_pair
-
-
-def _assemble(x, it: _Iterate, model: DroneModel, gradient: tuple | None = None):
-    """Jacobian H, gradient K and per-arm blocks of the stationarity system at the iterate x.
-
-    ``it`` is the evaluation of the same x, and ``gradient`` its `_gradient`
-    where the caller already holds it. Layout: variables are (throttles,
-    angles, multipliers); K stacks the two stationarity blocks and the
-    constraint residual, H is its symmetric Jacobian. Arms never couple to
-    each other through second derivatives, so the primal blocks are
-    diagonal. The blocks are H's per-arm entries as lists of Python floats,
-    (H_uu, H_aa, H_ua), for `_floored`.
-    """
-    dt = model.control_period
-    n_arms = model.geometry.n_arms
-    u = it.values[:n_arms]
-    rows, ddp, lam_pair = _gradient(x, it, model) if gradient is None else gradient
-
-    # second derivatives are diagonal per arm, with d2W/da2 = -W on rotating
-    # arms and 0 on fixed ones
-    h_ua = lam_pair[n_arms:]
     dt2 = dt * dt
-    diag_a = [dda / dt2 + (-ui * lw if rotating else 0.0)
-              for ui, lw, rotating, dda in zip(u, lam_pair, model._rotating, ddp[n_arms:])]
+    n_arms = model.geometry.n_arms
+    tables = it.tables
+    two_limit, two_weight, two_weight_over = tables.two_limit, tables.two_weight, tables.two_weight_over
+    over = it.over
+    lam_pair = it.pair.dot(x[2 * n_arms:]).tolist()
+    h_ua = lam_pair[n_arms:]
+    grad_u, grad_a, h_uu, h_aa = [], [], [], []
+    for ui, rate, vu, va, tw_u, tw_a, out_u, out_a, lw, hu, rotating in zip(
+            it.values, it.penalized[n_arms:], over, over[n_arms:], two_weight, two_weight[n_arms:],
+            two_weight_over, two_weight_over[n_arms:], lam_pair, h_ua, model._rotating):
+        grad_u.append((tw_u * ui + two_limit * vu) + lw)
+        grad_a.append((tw_a * rate + two_limit * va) / dt + ui * hu)
+        a = out_u if vu != 0.0 else tw_u
+        c = (out_a if va != 0.0 else tw_a) / dt2 + (-ui * lw if rotating else 0.0)
+        gap = _floor_gap(a, c, hu) if floored else 0.0  # a - 0.0 is a, bit for bit
+        h_uu.append(a - gap)
+        h_aa.append(c - gap)
+    return grad_u + grad_a, h_uu + h_aa + h_ua + h_ua
 
+
+def _assemble(it: _Iterate, arms: tuple[list, list], model: DroneModel):
+    """Jacobian H and gradient K of the stationarity system at the iterate evaluated as ``it``.
+
+    ``arms`` is that iterate's `_arm_pass`. Layout: variables are
+    (throttles, angles, multipliers); K stacks the two stationarity blocks
+    and the constraint residual, H is its symmetric Jacobian. Arms never
+    couple to each other through second derivatives, so the primal blocks
+    are diagonal, and their entries come from the pass.
+    """
+    n_arms = model.geometry.n_arms
+    rows, entries = arms
     n_primal = 2 * n_arms
     hess = np.zeros((n_primal + 6, n_primal + 6))
-    # throttle second derivatives never touch the constraints; the entries
-    # go in the order of DroneModel._kkt_diagonals
-    hess.put(model._kkt_diagonals, ddp[:n_arms] + diag_a + h_ua + h_ua)
+    # throttle second derivatives never touch the constraints
+    hess.put(model._kkt_diagonals, entries)
     # the constraint Jacobian, transposed: [W; u * dW], with 1.0 * W = W bit for bit
     constraint = hess[:n_primal, n_primal:]
-    np.multiply(it.pair, np.array([1.0] * n_arms + u).reshape(-1, 1), out=constraint)
+    np.multiply(it.pair, np.array([1.0] * n_arms + it.values[:n_arms]).reshape(-1, 1), out=constraint)
     hess[n_primal:, :n_primal] = constraint.T
-    return hess, np.array(rows + it.residual.tolist()), (ddp[:n_arms], diag_a, h_ua)
+    return hess, np.array(rows + it.residual.tolist())
 
 
 def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
@@ -532,7 +572,7 @@ def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, 
     x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
     it = _evaluate(x, x.tolist(), state.prev_angles.tolist(), inp.body_wrench(), model,
                    _penalized(weights, n_arms))
-    return _assemble(x, it, model)[:2]
+    return _assemble(it, _arm_pass(x, it, model, floored=False), model)
 
 
 def _check_warm(warm: AllocatorState, n_arms: int) -> None:
@@ -542,50 +582,58 @@ def _check_warm(warm: AllocatorState, n_arms: int) -> None:
         raise ValueError("warm-start arrays do not match the geometry")
 
 
-_INERTIA_FLOOR = 1e-6  # f / max(1, |H_uu|, |H_aa|): see _floored
+_INERTIA_FLOOR = 1e-6  # f / max(1, |H_uu|, |H_aa|): see _floor_gap
 
 
-def _floored(hess: np.ndarray, h_uu: list, h_aa: list, h_ua: list) -> np.ndarray:
-    """H with each arm's primal block [a, b; b, c] = [H_uu, H_ua; H_ua, H_aa] lifted to its floor.
+def _floor_gap(a: float, c: float, b: float) -> float:
+    """l - f for one arm's primal block [a, b; b, c] = [H_uu, H_ua; H_ua, H_aa] below its floor, else 0.0.
 
-    The per-arm entries come as lists of Python floats, with the bits of H's. A block whose smaller
-    eigenvalue l is below f = _INERTIA_FLOOR max(1, |a|, |c|) gets f - l on both diagonal entries,
-    in a copy (H itself where none is below). The primal block is then positive definite, so H has
-    the inertia (2n, 6, 0) of a step toward a constrained minimum wherever the constraint Jacobian
-    has rank 6. l - f is the smaller eigenvalue of the block less f I, taken as the eigenvalues'
-    product over the larger one where their mean is positive: a block on its floor keeps its bits,
-    and one an ulp below it is lifted. A NaN entry lifts nothing.
+    l is the block's smaller eigenvalue and f = _INERTIA_FLOOR max(1, |a|, |c|). A block below its
+    floor is lifted to it by a - gap and c - gap on its diagonal entries; then the primal block is
+    positive definite, so H has the inertia (2n, 6, 0) of a step toward a constrained minimum
+    wherever the constraint Jacobian has rank 6. l - f is the smaller eigenvalue of the block less
+    f I, taken as the eigenvalues' product over the larger one where their mean is positive: a
+    block on its floor keeps its bits, and one an ulp below it is lifted. A NaN entry lifts nothing.
     """
-    n_arms, matrix = len(h_uu), hess
-    for i, (a, c, b) in enumerate(zip(h_uu, h_aa, h_ua)):
-        size = abs(a) if abs(a) > abs(c) else abs(c)
-        f = _INERTIA_FLOOR * size if size > 1.0 else _INERTIA_FLOOR
-        p, q = a - f, c - f
-        if p > 0.0 and p * q > b * b:  # above the floor, with no square root taken
-            continue
-        mean, half = 0.5 * (p + q), 0.5 * (p - q)
-        root = math.sqrt(half * half + b * b)
-        low = (p * q - b * b) / (mean + root) if mean > 0.0 else mean - root
-        if low < 0.0:
+    size = abs(a) if abs(a) > abs(c) else abs(c)
+    f = _INERTIA_FLOOR * size if size > 1.0 else _INERTIA_FLOOR
+    p, q = a - f, c - f
+    if p > 0.0 and p * q > b * b:  # above the floor, with no square root taken
+        return 0.0
+    mean, half = 0.5 * (p + q), 0.5 * (p - q)
+    root = math.sqrt(half * half + b * b)
+    low = (p * q - b * b) / (mean + root) if mean > 0.0 else mean - root
+    return low if low < 0.0 else 0.0
+
+
+def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
+    """A dense H with each arm's primal block lifted to its floor by `_floor_gap`.
+
+    The lift goes into a copy; H itself comes back where no block is below its floor.
+    """
+    h, coupling = hess.diagonal().tolist(), hess.diagonal(n_arms)[:n_arms].tolist()
+    matrix = hess
+    for i, (a, c, b) in enumerate(zip(h, h[n_arms: 2 * n_arms], coupling)):
+        gap = _floor_gap(a, c, b)
+        if gap < 0.0:
             matrix = hess.copy() if matrix is hess else matrix
-            matrix[i, i], matrix[n_arms + i, n_arms + i] = a - low, c - low
+            matrix[i, i], matrix[n_arms + i, n_arms + i] = a - gap, c - gap
     return matrix
 
 
-def _newton_delta(hess: np.ndarray, grad: np.ndarray, blocks: tuple) -> np.ndarray:
-    """The whole step delta of `newton_step`, as one array laid out like the iterate.
+def _newton_delta(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The whole step delta of matrix delta = -K, as one array laid out like the iterate.
 
-    ``blocks`` are H's per-arm (H_uu, H_aa, H_ua), as `_assemble` gives them. With H `_floored`,
-    delta is taken when |H delta + K| <= 1e-10 max(1, |K|), which a singular solve's NaN (the
-    caller holds a `_quiet` scope) or an infinite delta fails: 0 * inf is NaN.
+    ``matrix`` is H already floored. delta is taken when |matrix delta + K| <= 1e-10 max(1, |K|),
+    which a singular solve's NaN (the caller holds a `_quiet` scope) or an infinite delta fails:
+    0 * inf is NaN.
     """
-    matrix = _floored(hess, *blocks)
     delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
     residual = matrix.dot(delta) + grad
     res = math.sqrt(residual.dot(residual))  # what np.linalg.norm computes, without its dispatch
     if res <= 1e-10 or res <= 1e-10 * max(1.0, math.sqrt(grad.dot(grad))):
         return delta
-    raise SolverError(f"no usable Newton step (dim {hess.shape[0]}, |K|={math.sqrt(grad.dot(grad)):.3e})")
+    raise SolverError(f"no usable Newton step (dim {matrix.shape[0]}, |K|={math.sqrt(grad.dot(grad)):.3e})")
 
 
 def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
@@ -594,14 +642,8 @@ def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
     The step `sqp_allocate` takes from the same H and K; SolverError where that fails.
     """
     with _quiet():
-        delta = _newton_delta(hess, grad, _primal_blocks(hess, n_arms))
+        delta = _newton_delta(_floored(hess, n_arms), grad)
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
-
-
-def _primal_blocks(hess: np.ndarray, n_arms: int) -> tuple:
-    """The per-arm (H_uu, H_aa, H_ua) of a dense H, read back out of it as lists of floats."""
-    h = hess.diagonal().tolist()
-    return h[:n_arms], h[n_arms: 2 * n_arms], hess.diagonal(n_arms)[:n_arms].tolist()
 
 
 def _abs_max(values) -> float:
@@ -674,13 +716,14 @@ def sqp_allocate(
     settings.tol_constraint and either the relative objective change is
     below settings.tol_objective or the norm of the Lagrangian's gradient
     (the primal rows of K) is below _TOL_STATIONARITY; stops unconverged
-    after settings.max_iterations. The gradient is taken only where the
-    residual passes and the objective test fails, and the next assembly
-    reuses it, so the exit adds no work to a solve it does not end; one it
-    ends after k steps takes one gradient more than a k-step solve that
-    ends on the objective test. Arm angles are left unwrapped so they can
-    accumulate over continuous rotations. The warm state is only read. The
-    iteration runs in one `_quiet` scope.
+    after settings.max_iterations. The gradient comes from the iterate's
+    `_arm_pass`, which is taken only where the residual passes and the
+    objective test fails and which the next assembly reuses, so the exit
+    adds no work to a solve it does not end; one it ends after k steps
+    takes one pass more than a k-step solve that ends on the objective
+    test. Arm angles are left unwrapped so they can accumulate over
+    continuous rotations. The warm state is only read. The iteration runs
+    in one `_quiet` scope.
     """
     weights = PenaltyWeights() if weights is None else weights
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
@@ -695,12 +738,14 @@ def sqp_allocate(
     u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
     tables = _penalized(weights, n_arms)
 
-    iterations, converged, res_norm, gradient = 0, False, math.inf, None
+    iterations, converged, res_norm, arms = 0, False, math.inf, None
     with _quiet():
         it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
-            delta = _newton_delta(*_assemble(x, it, model, gradient))
+            if arms is None:
+                arms = _arm_pass(x, it, model)
+            delta = _newton_delta(*_assemble(it, arms, model))
             step = delta.tolist()  # finite (see _newton_delta), so the maxima need no NaN scan
             alpha = _scale_for(max(map(abs, step[:n_arms])), max(map(abs, step[n_arms: 2 * n_arms])),
                                settings.throttle_step_limit, settings.angle_step_limit)
@@ -714,12 +759,12 @@ def sqp_allocate(
             obj = it.objective
             force, torque = it.residual[:3], it.residual[3:]
             res_norm = math.hypot(math.sqrt(force.dot(force)), math.sqrt(torque.dot(torque)))
-            gradient = None
+            arms = None
             if res_norm < tol_constraint:
                 converged = abs(obj - obj_prev) / max(obj, 1e-9) < tol_objective
                 if not converged:
-                    gradient = _gradient(x, it, model)
-                    converged = math.hypot(*gradient[0]) < _TOL_STATIONARITY
+                    arms = _arm_pass(x, it, model)
+                    converged = math.hypot(*arms[0]) < _TOL_STATIONARITY
             obj_prev = obj
             if converged:
                 break
