@@ -1,6 +1,7 @@
 """Allocator internals: derivatives, KKT assembly, Newton steps, both solve routes."""
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from numpy._core import umath
 from numpy.linalg import _umath_linalg
 
 from helpers import (
@@ -332,18 +334,37 @@ def test_unit_wrenches_match_the_scalar_oracle(arms, mu, tau, data):
             )
 
 
-def _one_penalty(x, weight, low, high, limit):
-    """`allocation._penalty` and `_penalty_slopes` of one value: its p, dp and ddp."""
-    tables = allocation._penalty_tables([weight], [low], [high], limit)
-    p, over = allocation._penalty([x], tables)
-    return [r[0] for r in (p, *allocation._penalty_slopes([x], over, tables))]
+def _slopes(throttles, rates, weights):
+    """dp and ddp of the stacked [throttles; rates] as the solver takes them, through assemble_kkt.
+
+    On fixed arms with zero multipliers and a control period of 1 s, with
+    each rate as its arm's angle moved from 0, K's primal rows are dp_u +
+    (+-0.0) and dp_a / 1.0 + u (+-0.0), and H's primal diagonal is ddp_u
+    and ddp_a / 1.0 + 0.0: dp's and ddp's own bits, since dp is never -0.0
+    (inside the band its distance is +0.0, and 2 w x + 0.0 is not -0.0).
+    """
+    n = len(throttles)
+    arm = Arm([0.3, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 1, FIXED_BIDIRECTIONAL)
+    model = DroneModel(DroneGeometry([arm] * n), control_period=1.0)
+    state = AllocatorState(throttles, rates, np.zeros(6), np.zeros(n))
+    hess, grad = assemble_kkt(state, AllocatorInput(Quaternion.identity(), np.zeros(3), np.zeros(3)),
+                              model, weights)
+    return grad[:2 * n].tolist(), hess.diagonal()[:2 * n].tolist()
+
+
+def _one_penalty(x, weights, rate=False):
+    """`allocation._penalty` of one throttle (or one arm rate) and the solver's dp and ddp of it."""
+    stacked = [0.5, x] if rate else [x, 0.0]
+    p, _ = allocation._penalty(stacked, allocation._penalized(weights, 1))
+    dp, ddp = _slopes(stacked[:1], stacked[1:], weights)
+    return [r[int(rate)] for r in (p, dp, ddp)]
 
 
 def test_penalty_throttle_shape_and_derivatives():
     w = PenaltyWeights()
 
     def penalty(x):
-        return _one_penalty(x, w.throttle, w.throttle_low, w.throttle_high, w.limit)
+        return _one_penalty(x, w)
 
     p = [penalty(x)[0] for x in (-0.2, 0.0, 0.3, 1.0, 1.25)]
     assert p[2] == pytest.approx(0.09, abs=1e-12)  # plain quadratic inside the band
@@ -365,7 +386,7 @@ def test_penalty_arm_rate_shape_and_derivatives():
     limit = w.rate_limit
 
     def penalty(x):
-        return _one_penalty(x, w.arm_rate, -limit, limit, w.limit)
+        return _one_penalty(x, w, rate=True)
 
     assert penalty(0.5 * limit)[0] == pytest.approx(w.arm_rate * 0.25 * limit**2)
     over = penalty(limit + 1.0)[0]
@@ -425,7 +446,7 @@ def test_clip_form_penalty_is_bit_identical_to_the_over_under_form(data):
     # the stacked pass over [throttles; rates] that every Newton iterate runs
     stacked, tables = np.concatenate((u, rate)).tolist(), allocation._penalized(weights, n)
     p, over = allocation._penalty(stacked, tables)
-    dp, ddp = allocation._penalty_slopes(stacked, over, tables)
+    dp, ddp = _slopes(u, rate, weights)
     assert _bits(p) == _bits(np.concatenate((old_u[0], regrouped)))
     assert _bits(dp) == _bits(np.concatenate((old_u[1], old_rate[1])))
     assert _bits(ddp) == _bits(np.concatenate((old_u[2], old_rate[2])))
@@ -644,7 +665,7 @@ def test_the_step_acceptance_test_at_its_edges():
     hess = np.cos(np.add.outer(k, 2.0 * k)) + 4.0 * np.eye(8)
     grad = 1e8 * np.sin(k + 1.0)
     # the one block is above its floor
-    assert allocation._floored(hess, *allocation._primal_blocks(hess, 1)) is hess
+    assert allocation._floored(hess, 1) is hess
     step = np.linalg.solve(hess, -grad)
     assert 1e-10 < np.linalg.norm(hess @ step + grad) <= 1e-10 * np.linalg.norm(grad)
     assert same_bits(newton_delta_oracle(hess, grad, 1), step)
@@ -667,7 +688,7 @@ def test_a_block_on_its_floor_keeps_its_bits():
     """Smaller eigenvalue exactly f: a diagonal block, a coupled one and one far above it."""
     f2 = 1e-6 * 2.0  # the floor of a block with 2.0 on its diagonal
     hess = _kkt_of_blocks([(1e-6, 0.0, 1.0), (2.0, 2.0 - f2, 2.0), (3.0, 0.5, 4.0)])
-    assert allocation._floored(hess, *allocation._primal_blocks(hess, 3)) is hess
+    assert allocation._floored(hess, 3) is hess
     assert same_bits(floored_oracle(hess, 3), hess)
     step = np.concatenate(newton_step(hess, _GRAD, 3))
     assert same_bits(step, np.linalg.solve(hess, -_GRAD))
@@ -679,7 +700,7 @@ def test_a_block_one_ulp_below_its_floor_is_lifted_to_it():
     below = float(np.nextafter(1e-6, 0.0))
     hess = _kkt_of_blocks([(below, 0.0, 1.0), (2.0, float(np.nextafter(2.0 - f2, 3.0)), 2.0),
                            (3.0, 0.5, 4.0)])
-    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, 3))
+    matrix = allocation._floored(hess, 3)
     assert matrix is not hess and same_bits(matrix, floored_oracle(hess, 3))
     moved = np.argwhere(matrix != hess).tolist()
     assert [0, 0] in moved and [1, 1] in moved
@@ -701,12 +722,12 @@ def test_the_floor_on_fixed_arms():
     hess, grad = assemble_kkt(warm, inp, model, PenaltyWeights())
     i = np.arange(n)
     assert not hess[i, n + i].any()  # no throttle-angle coupling on a fixed arm
-    assert allocation._floored(hess, *allocation._primal_blocks(hess, n)) is hess
+    assert allocation._floored(hess, n) is hess
 
     weights = PenaltyWeights(throttle=1e-7)
     hess, grad = assemble_kkt(warm, inp, model, weights)
     saved = hess.copy()
-    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, n))
+    matrix = allocation._floored(hess, n)
     assert same_bits(matrix, floored_oracle(hess, n))
     h_uu, h_aa = hess[i, i], hess[n + i, n + i]
     f = 1e-6 * h_aa  # the angle curvature 2 arm_rate / dt^2 is the block's largest entry
@@ -757,6 +778,80 @@ def test_public_solve_gives_solve_vector_its_bits(rng, monkeypatch):
     assert len(calls) == 4 * 100 + 3
 
 
+def _float_errors() -> None:
+    """One divide by zero, one overflow, one invalid operation and one underflow."""
+    one, zero = np.array([1.0]), np.array([0.0])
+    one / zero, np.array([1e308]) * 10.0, zero / zero, np.array([1e-308]) * 1e-300
+
+
+def _warnings_of(quiet) -> tuple[list, list]:
+    """The messages of the warnings `_float_errors` gives inside a ``quiet()`` scope, and after it."""
+    with warnings.catch_warnings(record=True) as inside:
+        warnings.simplefilter("always")
+        with quiet():
+            _float_errors()
+    with warnings.catch_warnings(record=True) as after:
+        warnings.simplefilter("always")
+        _float_errors()
+    return [str(w.message) for w in inside], [str(w.message) for w in after]
+
+
+_ALL_IGNORED = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+
+
+def test_the_quiet_scope_ignores_every_error_and_gives_the_callers_state_back():
+    """One prebuilt scope, the same object on every call; the caller's state comes back however it is left."""
+    state = umath._extobj_contextvar
+    before, bufsize = state.get(), np.getbufsize()
+    scope = allocation._quiet()
+    assert scope is allocation._quiet()  # nothing is made per call
+    with scope:
+        assert np.geterr() == _ALL_IGNORED
+        assert np.getbufsize() == bufsize
+    assert state.get() is before
+    with pytest.raises(SolverError):
+        with allocation._quiet():
+            raise SolverError("left by an exception")
+    assert state.get() is before
+    with allocation._quiet():
+        inner = allocation._quiet()
+        assert inner is not scope  # inside a scope the caller's state is no longer the prebuilt one's
+        with inner:
+            assert np.geterr() == _ALL_IGNORED
+        assert np.geterr() == _ALL_IGNORED
+    assert state.get() is before and np.getbufsize() == bufsize
+
+
+def test_a_caller_in_another_errstate_keeps_its_buffer_size():
+    """Under a state of the caller's own the scope is np.errstate, which keeps that state's buffer size."""
+    state, bufsize = umath._extobj_contextvar, np.getbufsize()
+    with np.errstate(divide="raise"):
+        np.setbufsize(4096)
+        callers = state.get()
+        with allocation._quiet():
+            assert np.geterr() == _ALL_IGNORED
+            assert np.getbufsize() == 4096
+        assert state.get() is callers
+        with pytest.raises(FloatingPointError):
+            np.array([1.0]) / 0.0
+    assert np.getbufsize() == bufsize
+
+
+def test_the_errstate_fallback_warns_and_stays_silent_as_the_prebuilt_scope():
+    """Built from a module without numpy's error-state names, `_quiet` is a fresh np.errstate per call."""
+    fallback = allocation._quiet_from(SimpleNamespace())
+    assert isinstance(fallback(), np.errstate) and fallback() is not fallback()
+    silent, warned = _warnings_of(allocation._quiet)
+    assert silent == [] and len(warned) == 3  # numpy ignores underflow by default
+    assert _warnings_of(fallback) == (silent, warned)
+    with np.errstate(all="raise"):
+        for quiet in (allocation._quiet, fallback):
+            with quiet():
+                _float_errors()
+            with pytest.raises(FloatingPointError):
+                _float_errors()
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from((0.0, -0.0, 1e300, -1e300))),
                 max_size=300))
@@ -794,7 +889,7 @@ def test_the_loops_step_scale_on_exact_bound_ties(monkeypatch, octa_model, du, d
     step = np.array([du, 0.0, -0.0, 0.01, -0.02, 0.0] + [-0.0, da, 0.0, 0.05, -0.0, -0.1]
                     + [0.5, -0.25, 0.0, -0.0, 1e-3, 2.0])
     # the step _newton_delta would return, fed to the loop's own step scale and update
-    monkeypatch.setattr(allocation, "_newton_delta", lambda hess, grad, blocks: step.copy())
+    monkeypatch.setattr(allocation, "_newton_delta", lambda matrix, grad: step.copy())
     warm = AllocatorState.cold_start(octa_model)
     inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
     sol = sqp_allocate(inp, warm, octa_model, settings=SolverSettings(max_iterations=1))
@@ -1134,21 +1229,19 @@ def test_newton_iterate_is_bit_identical_to_the_array_formulas(problem):
     it = allocation._evaluate(x, x.tolist(), warm.prev_angles.tolist(), body_wrench, model,
                               allocation._penalized(weights, n))
     old = evaluate_oracle(x, warm.prev_angles, body_wrench, model, weights)
-    dp, ddp = allocation._penalty_slopes(it.penalized, it.over, it.tables)
     ours = {"wrench": it.pair[:n], "d_wrench": it.pair[n:], "residual": it.residual,
-            "objective": it.objective, "dp": dp, "ddp": ddp}
-    for name in ("wrench", "d_wrench", "residual", "objective", "dp", "ddp"):
+            "objective": it.objective}
+    for name in ("wrench", "d_wrench", "residual", "objective"):
         assert same_bits(ours[name], old[name]), name
     assert same_bits(model.wrenches_at(warm.angles), old["wrench"])
     assert same_bits(constraint_residual(warm.throttles, warm.angles, inp, model), old["residual"])
 
-    hess, grad, blocks = allocation._assemble(x, it, model)
+    # the exact Jacobian of assemble_kkt, and the floored one sqp_allocate assembles
     old_hess, old_grad = assemble_oracle(x, old, model)
+    hess, grad = assemble_kkt(warm, inp, model, weights)
     assert same_bits(hess, old_hess) and same_bits(grad, old_grad)
-    # the per-arm entries _floored reads are H's own
-    assert all(map(same_bits, blocks, allocation._primal_blocks(hess, n)))
-    public = assemble_kkt(warm, inp, model, weights)
-    assert same_bits(public[0], old_hess) and same_bits(public[1], old_grad)
+    floored, floored_grad = allocation._assemble(it, allocation._arm_pass(x, it, model), model)
+    assert same_bits(floored, floored_oracle(old_hess, n)) and same_bits(floored_grad, old_grad)
 
     expected = newton_delta_oracle(old_hess, old_grad, n)
     if expected is None:
@@ -1285,13 +1378,20 @@ def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
     """Where J has rank 6, the matrix the step solves has 2n positive and 6 negative eigenvalues.
 
     Every arm's block that is already above its floor keeps its bits, and
-    nothing off the primal diagonal moves.
+    nothing off the primal diagonal moves. The one pass over the arms that
+    sqp_allocate assembles from gives that matrix and assemble_kkt's K,
+    byte for byte, lifted blocks included.
     """
     model, weights, inp, warm = problem
     n = model.geometry.n_arms
-    hess, _ = assemble_kkt(warm, inp, model, weights)
-    matrix = allocation._floored(hess, *allocation._primal_blocks(hess, n))
+    hess, grad = assemble_kkt(warm, inp, model, weights)
+    matrix = allocation._floored(hess, n)
     assert same_bits(matrix, floored_oracle(hess, n))
+    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers))
+    it = allocation._evaluate(x, x.tolist(), warm.prev_angles.tolist(), inp.body_wrench(), model,
+                              allocation._penalized(weights, n))
+    one_pass, one_pass_grad = allocation._assemble(it, allocation._arm_pass(x, it, model), model)
+    assert same_bits(one_pass, matrix) and same_bits(one_pass_grad, grad)
     i = np.arange(n)
     a, c, b = hess[i, i], hess[n + i, n + i], hess[i, n + i]
     f = 1e-6 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(c)))

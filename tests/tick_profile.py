@@ -10,19 +10,21 @@ module or class, by a wrapper that reads ``perf_counter_ns`` around the
 call; a stage called inside another (the solver's own stages inside
 ``sqp_allocate``) is taken out of the outer stage's time, so every
 nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
-pair, residual and objective of one iterate), ``_gradient`` (the
-Lagrangian's gradient, for the stationarity exit or the next assembly),
-``_assemble`` (the KKT matrix and the rest of K) and ``_newton_delta`` (the
-per-arm inertia floor and the Newton solve); what they leave of
-``sqp_allocate`` is its own loop: the step scale, the update and the
-stopping tests. The tick is the time from the first
+pair, residual and objective of one iterate), ``_arm_pass`` (the one loop
+over the arms: the penalty slopes, the Lagrangian's gradient for the
+stationarity exit or the next assembly, and H's per-arm entries with the
+inertia floor taken), ``_assemble`` (the KKT matrix and the rest of K) and
+``_newton_delta`` (the Newton solve and its residual check); what they
+leave of ``sqp_allocate`` is its own loop: the step scale, the update and
+the stopping tests. The tick is the time from the first
 ``sweep_setpoint`` call to the end of the last ``rigid_body_step``, over
 the number of ticks; "loop body" is what the stages leave of it (the
 per-arm wrenches, the noise branch, the log row and the loop itself).
 For each stage it prints the median over the flights of µs per tick, its
-share of the tick and calls per tick. The figures are raw wall time on the
-host that runs it, and the wrappers add their own cost to every stage and
-to the loop body. The program is not changed and no logged value moves.
+share of the tick and calls per tick; a stage the flight never calls
+prints as 0. The figures are raw wall time on the host that runs it, and
+the wrappers add their own cost to every stage and to the loop body. The
+program is not changed and no logged value moves.
 
 The file name does not match ``test_*.py``, so the test suite does not
 collect it.
@@ -40,13 +42,16 @@ from rotorarm import allocation, simulation
 FLIGHT = "pitch_roll"
 REPEAT = 3
 
-# (owner, attribute, label) of every stage, in the order printed
-STAGES = (
+# (owner, attribute, label) of the solver's stages: sqp_allocate and what it calls
+SOLVER_STAGES = (
     (simulation, "sqp_allocate", "sqp_allocate"),
     (allocation, "_evaluate", "_evaluate"),
-    (allocation, "_gradient", "_gradient"),
+    (allocation, "_arm_pass", "_arm_pass"),
     (allocation, "_assemble", "_assemble"),
     (allocation, "_newton_delta", "_newton_delta"),
+)
+# every stage, in the order printed
+STAGES = SOLVER_STAGES + (
     (simulation, "pinv_allocate", "pinv_allocate"),
     (simulation._BranchSupervisor, "after_solve", "after_solve"),
     (simulation._BranchSupervisor, "reference", "reference"),
@@ -88,14 +93,14 @@ class StageClock:
         return timed
 
 
-def profile() -> tuple[int, int, dict, dict]:
-    """Fly FLIGHT once under the wrappers; (ticks, tick ns, self ns, calls)."""
+def profile(flight=lambda: fly(FLIGHT)) -> tuple[int, int, dict, dict]:
+    """Run ``flight()`` once under the wrappers; (ticks, tick ns, self ns, calls)."""
     clock = StageClock()
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in STAGES]
     try:
         for (owner, attr, label), (_, _, original) in zip(STAGES, originals):
             setattr(owner, attr, clock.wrap(original, label))
-        log = fly(FLIGHT)
+        log = flight()
     finally:
         for owner, attr, original in originals:
             setattr(owner, attr, original)
@@ -116,8 +121,6 @@ def main() -> int:
     for _, _, label in STAGES:
         us = per_tick([self_ns[label] for _, _, self_ns, _ in runs]) / 1e3
         calls = per_tick([calls[label] for _, _, _, calls in runs])
-        if calls == 0:
-            continue
         staged += us
         print(f"{label:24s} {us:9.1f} {us / tick_us:7.1%} {calls:11.3f}")
     rest = tick_us - staged
