@@ -23,7 +23,25 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 class InfeasibleHoverError(RuntimeError):
-    """Hover is not achievable for the requested orientation."""
+    """Hover is not achievable for the requested orientation.
+
+    `solve_hover` raises it as `_NoHover`, whose message is formatted only
+    when it is read; catch this class.
+    """
+
+
+class _NoHover(InfeasibleHoverError):
+    """`solve_hover`'s infeasible orientation, its message formatted on demand.
+
+    Its args are the figures of the message: up's x, y and z, the geometry's
+    name, and the force and torque residuals. With no `__init__` of its own it
+    pickles as any exception does.
+    """
+
+    def __str__(self):
+        x, y, z, name, force_res, torque_res = self.args
+        return (f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {name}: "
+                f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm")
 
 
 @dataclass
@@ -113,10 +131,7 @@ def solve_hover(problem: HoverProblem) -> HoverSolution:
     if not clamped:
         force_res, torque_res = _residual_norms(free.matrix.dot(sol) - target)
     if hopeless or force_res > tol_force or torque_res > tol_torque:
-        raise InfeasibleHoverError(
-            f"no admissible hover for up=({x:.6f}, {y:.6f}, {z:.6f}) on {g.name}: "
-            f"residual force {force_res:.3e} N, torque {torque_res:.3e} Nm"
-        )
+        raise _NoHover(x, y, z, g.name, force_res, torque_res)
 
     if not all(map(math.isfinite, coords)):
         raise np.linalg.LinAlgError(f"least-squares hover solve failed for up=({x}, {y}, {z}) on {g.name}")
@@ -177,7 +192,9 @@ class EfficiencyMap:
     x2: np.ndarray  # capacity fraction per sample (NaN when infeasible)
     mass: float
     gravity: float
-    failures: list[tuple[int, str]] = field(default_factory=list)
+    # (sample index, its error) per infeasible sample, in index order; str() of an
+    # error gives its message, formatted when read. No traceback is kept.
+    failures: list[tuple[int, InfeasibleHoverError]] = field(default_factory=list)
 
     @property
     def n_samples(self) -> int:
@@ -215,19 +232,21 @@ def sweep_orientations(
     """Evaluate both efficiency metrics over a Fibonacci lattice of up directions.
 
     Infeasible orientations (possible with one-sided fixed arms) are recorded
-    as NaN samples rather than aborting the sweep.
+    as NaN samples rather than aborting the sweep, and their errors in
+    `failures`.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples for a meaningful sweep, got {n_samples}")
     ups = fibonacci_sphere(n_samples)
     x1 = np.full(n_samples, np.nan)
     x2 = np.full(n_samples, np.nan)
-    failures: list[tuple[int, str]] = []
+    failures: list[tuple[int, InfeasibleHoverError]] = []
     for i, up in enumerate(ups):
         try:
             sol = solve_hover(HoverProblem(geometry, up, mass, gravity))
         except InfeasibleHoverError as exc:
-            failures.append((i, str(exc)))
+            # a traceback would keep every solve_hover frame of the sweep alive
+            failures.append((i, exc.with_traceback(None)))
             continue
         x1[i] = upward_fraction(sol, up)
         x2[i] = capacity_fraction(sol, mass, gravity, geometry.n_arms)
