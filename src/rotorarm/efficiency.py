@@ -31,12 +31,9 @@ class InfeasibleHoverError(RuntimeError):
 
 
 class _NoHover(InfeasibleHoverError):
-    """`solve_hover`'s infeasible orientation, its message formatted on demand.
-
-    Its args are the figures of the message: up's x, y and z, the geometry's
-    name, and the force and torque residuals. With no `__init__` of its own it
-    pickles as any exception does.
-    """
+    """`solve_hover`'s error: args are up's x, y and z, the geometry's name and the
+    force and torque residuals, formatted when the message is read. With no
+    `__init__` of its own it pickles as any exception does."""
 
     def __str__(self):
         x, y, z, name, force_res, torque_res = self.args

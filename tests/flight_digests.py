@@ -26,7 +26,9 @@ with the line of the same name in FILE, prints every line that moved next
 to the expected one, and exits 1 if any did. With ``--summary FILE`` it
 also writes the figures of each flight, sweep and chain it ran to FILE as
 JSON (see ``flight_figures``, ``sweep_line`` and ``chain_line``; a sweep's
-are its infeasible count and the least and greatest x1 and x2; every
+are its infeasible count, the least and greatest x1 and x2, and
+``failures_sha256``, the sha256 of its failures' messages, newline-joined
+in index order; every
 flight's include its ``flip_events``, the ``detect_flip_events`` count on
 its own geometry, and its ``clamp_figures``; an SQP flight's add its
 ``transit_starts``, counted by ``fly_counting_transits``; a chain's
@@ -34,8 +36,9 @@ include the p99 and the largest stationarity norm of its returned
 iterates, the norm of the primal rows of ``assemble_kkt``'s K, recomputed
 at each of them), from the same runs as the lines.
 ``--compare A B`` runs nothing: it prints the figures of two such files
-side by side with their deltas, B less A, and the number of figures that
-moved; it exits 0 whatever moved, so it reports and gates nothing.
+side by side with their deltas, B less A (a flag or a hash shows
+"changed" or nothing), and the number of figures that moved; it exits 0
+whatever moved, so it reports and gates nothing.
 The jobs run in a pool of one process per CPU and print flights first, in
 the order of ``FLIGHTS``, then sweeps, then chains; they take a few minutes
 of CPU time in total. The file name does not match ``test_*.py``, so the
@@ -256,12 +259,17 @@ def chain_line(name: str) -> tuple[str, dict]:
 
 
 def sweep_line(name: str) -> tuple[str, dict]:
-    """Sweep one catalog layout over 2000 up directions, hash its table and take its ranges."""
+    """Sweep one catalog layout over 2000 up directions, hash its table and take its ranges.
+
+    The figures also hash the failures' messages, which the line leaves out.
+    """
     sweep = sweep_orientations(build_catalog(SWEEPS[name]), 2000)
     summary = sweep.summary()
     line = (f"{name:28s} {len(sweep.failures):5d}/{sweep.n_samples:<6d} "
             f"infeasible  sha256 {digest(sweep)}")
-    return line, {key: summary[key] for key in ("n_infeasible", "x1_min", "x1_max", "x2_min", "x2_max")}
+    messages = "\n".join(str(exc) for _, exc in sweep.failures)
+    figures = {key: summary[key] for key in ("n_infeasible", "x1_min", "x1_max", "x2_min", "x2_max")}
+    return line, {**figures, "failures_sha256": hashlib.sha256(messages.encode()).hexdigest()}
 
 
 def digest_line(name: str) -> tuple[str, dict]:
@@ -289,7 +297,7 @@ def compare(path_a: str, path_b: str) -> int:
         for key in [*fa, *(k for k in fb if k not in fa)]:
             va, vb = fa.get(key), fb.get(key)
             total += 1
-            if va is None or vb is None or isinstance(va, bool):
+            if va is None or vb is None or isinstance(va, (bool, str)) or isinstance(vb, str):
                 delta = "" if va == vb else "changed"
             else:
                 delta = f"{vb - va:+.6g}"
@@ -302,6 +310,8 @@ def compare(path_a: str, path_b: str) -> int:
 def _figure(value) -> str:
     if value is None:
         return "(none)"
+    if isinstance(value, str):
+        return value[:14]  # a hash: its head tells two apart at a glance
     return str(value) if isinstance(value, (bool, int)) else f"{value:.6g}"
 
 

@@ -96,14 +96,15 @@ def test_efficiency_with_no_feasible_sample_exits_2_and_writes_nothing(tmp_path,
                                                                         monkeypatch):
     def all_infeasible(geometry, n_samples, mass, gravity):
         nan = np.full(n_samples, np.nan)
-        failures = [(i, "no admissible hover") for i in range(n_samples)]
+        failures = [(i, efficiency.InfeasibleHoverError("no admissible hover"))
+                    for i in range(n_samples)]
         return efficiency.EfficiencyMap(geometry.name, efficiency.fibonacci_sphere(n_samples),
                                         nan, nan.copy(), mass, gravity, failures)
 
     monkeypatch.setattr(cli, "sweep_orientations", all_infeasible)
     out = tmp_path / "out"
     assert run_cli("efficiency", "--samples", 100, "--out", out) == 2
-    assert capsys.readouterr().err.startswith("numerical failure: no feasible orientation")
+    assert capsys.readouterr().err == "numerical failure: no feasible orientation among 100 samples\n"
     assert not out.exists()
 
 

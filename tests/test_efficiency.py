@@ -1,7 +1,9 @@
 """Hover solutions and efficiency metrics against analytic symmetry points."""
 
 import itertools
+import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from flight_digests import compare
 from helpers import (
     capacity_fraction_oracle,
     hover_norms_oracle,
@@ -383,6 +386,34 @@ def test_infeasible_hover_message_gives_up_and_residuals():
         # the torque residual is the pseudo-inverse's, equal to lstsq's up to rounding
         assert float(match[5]) == pytest.approx(torque_res, rel=1e-2, abs=1e-13)
 
+    # a sweep keeps each error, without its traceback, and formats its message when read
+    eff = sweep_orientations(g, 2000)
+    assert len(eff.failures) == 1942
+    for i, exc in eff.failures:
+        assert isinstance(exc, InfeasibleHoverError) and exc.__traceback__ is None
+        with pytest.raises(InfeasibleHoverError) as raised:
+            solve_hover(HoverProblem(g, eff.ups[i]))
+        assert str(exc) == str(raised.value)
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc) and str(again) == str(exc)
+
+
+def test_digest_summaries_compare_a_failures_hash_as_text(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"efficiency_x": {"n_infeasible": 3, "failures_sha256": "0" * 64}}))
+    b.write_text(json.dumps({"efficiency_x": {"n_infeasible": 3, "failures_sha256": "f" * 64},
+                             "efficiency_y": {"failures_sha256": "1" * 64}}))
+    assert compare(a, b) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[1] == ["efficiency_x", "n_infeasible", "3", "3", "+0"]
+    assert rows[2] == ["efficiency_x", "failures_sha256", "0" * 14, "f" * 14, "changed"]
+    assert rows[3] == ["efficiency_y", "failures_sha256", "(none)", "1" * 14, "changed"]
+    assert rows[4] == ["2", "of", "3", "figures", "moved"]
+    assert compare(b, b) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[2] == ["efficiency_x", "failures_sha256", "f" * 14, "f" * 14]
+    assert rows[4] == ["0", "of", "3", "figures", "moved"]
+
 
 def test_fraction_helpers_reject_zero_thrust():
     empty = HoverSolution(np.zeros((4, 3)), np.ones(4, dtype=bool))
@@ -437,7 +468,10 @@ def test_efficiency_map_csv_round_trip(tmp_path):
 
 
 def test_efficiency_map_summary_requires_a_feasible_sample():
+    failures = [(i, InfeasibleHoverError("x")) for i in range(100)]
     bad = EfficiencyMap("none", fibonacci_sphere(100), np.full(100, np.nan),
-                        np.full(100, np.nan), 2.4, 9.81, failures=[(i, "x") for i in range(100)])
-    with pytest.raises(InfeasibleHoverError):
+                        np.full(100, np.nan), 2.4, 9.81, failures=failures)
+    with pytest.raises(InfeasibleHoverError) as raised:
         bad.summary()
+    assert type(raised.value) is InfeasibleHoverError
+    assert str(raised.value) == "no feasible orientation among 100 samples"

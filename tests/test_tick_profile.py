@@ -6,7 +6,7 @@ from rotorarm import DroneModel, Scenario, build_catalog, run_flight
 
 
 def test_every_stage_is_an_attribute_of_its_owner():
-    for owner, attr, label in tick_profile.STAGES:
+    for owner, attr, label in tick_profile.STAGES + tick_profile.SWEEP_STAGES:
         assert attr in vars(owner), f"{label}: {owner.__name__} has no {attr}"
 
 
@@ -19,3 +19,14 @@ def test_a_short_sqp_flight_calls_every_solver_stage():
     for _, _, label in tick_profile.SOLVER_STAGES:
         assert calls[label] >= 1, label
     assert calls["sqp_allocate"] == ticks
+
+
+def test_a_short_fixed_arm_sweep_calls_every_sweep_stage():
+    samples, sweep_ns, self_ns, calls = tick_profile.profile_sweep(
+        build_catalog("hexagon_tilt30_fixed"), 100)
+    assert samples == 100 and sweep_ns > 0
+    assert calls["sweep_orientations"] == 1
+    assert calls["HoverProblem"] == calls["solve_hover"] == 100
+    # the feasible samples, and only they, take both fractions
+    assert 1 <= calls["upward_fraction"] == calls["capacity_fraction"] < 100
+    assert all(ns > 0 for ns in self_ns.values())

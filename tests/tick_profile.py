@@ -3,10 +3,11 @@
 Run from a source checkout:
 
     PYTHONPATH=src python tests/tick_profile.py
+    PYTHONPATH=src python tests/tick_profile.py --sweep hexagon_tilt30_fixed
 
-It flies the ``pitch_roll`` reference flight of ``tests/flight_digests.py``
-three times. Each stage of the tick is replaced, on its
-module or class, by a wrapper that reads ``perf_counter_ns`` around the
+Without options it flies the ``pitch_roll`` reference flight of
+``tests/flight_digests.py`` three times. Each stage of the tick is
+replaced, on its module or class, by a wrapper that reads ``perf_counter_ns`` around the
 call; a stage called inside another (the solver's own stages inside
 ``sqp_allocate``) is taken out of the outer stage's time, so every
 nanosecond counts once. The solver's stages are ``_evaluate`` (the wrench
@@ -26,21 +27,34 @@ prints as 0. The figures are raw wall time on the host that runs it, and
 the wrappers add their own cost to every stage and to the loop body. The
 program is not changed and no logged value moves.
 
+With ``--sweep LAYOUT`` it times, with the same clock, the efficiency
+sweep of a catalog layout instead: ``SWEEP_REPEAT`` 2000-sample
+``sweep_orientations`` runs on one geometry, whose stages are
+``HoverProblem`` (building and checking one problem), ``solve_hover``,
+``upward_fraction`` and ``capacity_fraction``. What they leave of
+``sweep_orientations`` is its own loop, with the catch and the record of
+each infeasible sample, and its one lattice and two NaN arrays. It prints
+the median over the sweeps of µs per sample, its share of the sweep and
+calls per sample.
+
 The file name does not match ``test_*.py``, so the test suite does not
 collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import statistics
 import sys
 from time import perf_counter_ns
 
 from flight_digests import fly
-from rotorarm import allocation, simulation
+from rotorarm import CATALOG_IDS, allocation, build_catalog, efficiency, simulation
 
 FLIGHT = "pitch_roll"
 REPEAT = 3
+SWEEP_SAMPLES = 2000
+SWEEP_REPEAT = 15
 
 # (owner, attribute, label) of the solver's stages: sqp_allocate and what it calls
 SOLVER_STAGES = (
@@ -63,14 +77,22 @@ STAGES = SOLVER_STAGES + (
     (simulation, "servo_update", "servo_update"),
     (simulation, "AllocatorInput", "AllocatorInput"),
 )
+# the stages of an efficiency sweep: sweep_orientations and what it calls per sample
+SWEEP_STAGES = (
+    (efficiency, "sweep_orientations", "sweep_orientations"),
+    (efficiency, "HoverProblem", "HoverProblem"),
+    (efficiency, "solve_hover", "solve_hover"),
+    (efficiency, "upward_fraction", "upward_fraction"),
+    (efficiency, "capacity_fraction", "capacity_fraction"),
+)
 
 
 class StageClock:
-    """Self time and calls per stage, and the span of the ticks."""
+    """Self time and calls per stage, and the span from the first call to the last."""
 
-    def __init__(self):
-        self.self_ns = {label: 0 for _, _, label in STAGES}
-        self.calls = {label: 0 for _, _, label in STAGES}
+    def __init__(self, stages=STAGES):
+        self.self_ns = {label: 0 for _, _, label in stages}
+        self.calls = {label: 0 for _, _, label in stages}
         self.inner = [0]  # per open stage, the time of the stages called inside it
         self.first = None
         self.last = None
@@ -93,41 +115,69 @@ class StageClock:
         return timed
 
 
-def profile(flight=lambda: fly(FLIGHT)) -> tuple[int, int, dict, dict]:
-    """Run ``flight()`` once under the wrappers; (ticks, tick ns, self ns, calls)."""
-    clock = StageClock()
-    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in STAGES]
+def _timed(stages, run) -> tuple[StageClock, object]:
+    """Run ``run()`` once with ``stages`` wrapped; (clock, what it returned)."""
+    clock = StageClock(stages)
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in stages]
     try:
-        for (owner, attr, label), (_, _, original) in zip(STAGES, originals):
+        for (owner, attr, label), (_, _, original) in zip(stages, originals):
             setattr(owner, attr, clock.wrap(original, label))
-        log = flight()
+        result = run()
     finally:
         for owner, attr, original in originals:
             setattr(owner, attr, original)
+    return clock, result
+
+
+def profile(flight=lambda: fly(FLIGHT)) -> tuple[int, int, dict, dict]:
+    """Run ``flight()`` once under the wrappers; (ticks, tick ns, self ns, calls)."""
+    clock, log = _timed(STAGES, flight)
     return len(log.t), clock.last - clock.first, clock.self_ns, clock.calls
 
 
-def main() -> int:
-    runs = [profile() for _ in range(REPEAT)]
-    ticks = runs[0][0]
+def profile_sweep(geometry, n_samples: int = SWEEP_SAMPLES) -> tuple[int, int, dict, dict]:
+    """Sweep ``geometry`` once under the wrappers; (samples, sweep ns, self ns, calls)."""
+    clock, _ = _timed(SWEEP_STAGES, lambda: efficiency.sweep_orientations(geometry, n_samples))
+    # the outermost stage's whole call: every stage's self time, each nanosecond once
+    return n_samples, sum(clock.self_ns.values()), clock.self_ns, clock.calls
 
-    def per_tick(values) -> float:
-        return statistics.median(values) / ticks
 
-    tick_us = per_tick([tick_ns for _, tick_ns, _, _ in runs]) / 1e3
-    print(f"{FLIGHT}: {ticks} ticks, median of {REPEAT} flights, raw µs per tick")
-    print(f"{'stage':24s} {'us/tick':>9s} {'share':>7s} {'calls/tick':>11s}")
+def report(runs, stages, title: str, unit: str, rest_label: str | None) -> None:
+    """Print the median over ``runs`` of each stage's µs and calls per ``unit``."""
+    count = runs[0][0]
+
+    def per_unit(values) -> float:
+        return statistics.median(values) / count
+
+    total_us = per_unit([span_ns for _, span_ns, _, _ in runs]) / 1e3
+    print(f"{title}: {count} {unit}s, median of {len(runs)}, raw µs per {unit}")
+    print(f"{'stage':24s} {f'us/{unit}':>9s} {'share':>7s} {f'calls/{unit}':>13s}")
     staged = 0.0
-    for _, _, label in STAGES:
-        us = per_tick([self_ns[label] for _, _, self_ns, _ in runs]) / 1e3
-        calls = per_tick([calls[label] for _, _, _, calls in runs])
+    for _, _, label in stages:
+        us = per_unit([self_ns[label] for _, _, self_ns, _ in runs]) / 1e3
+        calls = per_unit([calls[label] for _, _, _, calls in runs])
         staged += us
-        print(f"{label:24s} {us:9.1f} {us / tick_us:7.1%} {calls:11.3f}")
-    rest = tick_us - staged
-    print(f"{'loop body':24s} {rest:9.1f} {rest / tick_us:7.1%}")
-    print(f"{'tick':24s} {tick_us:9.1f}")
+        print(f"{label:24s} {us:9.2f} {us / total_us:7.1%} {calls:13.3f}")
+    if rest_label:
+        rest = total_us - staged
+        print(f"{rest_label:24s} {rest:9.2f} {rest / total_us:7.1%}")
+    print(f"{unit:24s} {total_us:9.2f}")
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweep", metavar="LAYOUT", choices=CATALOG_IDS,
+                        help="time the efficiency sweep of this catalog layout instead of a flight")
+    args = parser.parse_args(argv)
+    if args.sweep:
+        geometry = build_catalog(args.sweep)
+        runs = [profile_sweep(geometry) for _ in range(SWEEP_REPEAT)]
+        report(runs, SWEEP_STAGES, f"sweep of {args.sweep}", "sample", None)
+    else:
+        runs = [profile() for _ in range(REPEAT)]
+        report(runs, STAGES, FLIGHT, "tick", "loop body")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
