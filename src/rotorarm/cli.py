@@ -114,8 +114,8 @@ def load_run_config(path) -> dict:
         if section in config:
             _check_keys(config[section], defaults, f"config.{section}")
             for key, value in config[section].items():
-                # JSON true is a number to Python; only a boolean setting may take one
-                if not isinstance(defaults[key], bool) and any(isinstance(v, bool) for v in _leaves(value)):
+                # JSON true is a number to Python, and no setting is a boolean
+                if any(isinstance(v, bool) for v in _leaves(value)):
                     raise ValueError(f"config.{section}.{key} must not be a boolean, got {value!r}")
                 settings[f"config.{section}.{key}"] = value
     for where, value in settings.items():  # the rule of finite_numbers; type() passes over bools

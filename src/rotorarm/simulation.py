@@ -124,9 +124,9 @@ class RigidBodyState:
 
 
 def rigid_body_step(
-    state: RigidBodyState, forces: np.ndarray, torques: np.ndarray, model: DroneModel, dt: float
+    state: RigidBodyState, force, torque, model: DroneModel, dt: float
 ) -> RigidBodyState:
-    """Semi-implicit Euler step under per-arm body-frame forces and torques.
+    """Semi-implicit Euler step under a net body-frame force and torque, each a 3-vector.
 
     Velocity and angular rate update first, then position and attitude use
     the updated rates. Gyroscopic coupling w x Iw is included; the attitude
@@ -136,11 +136,10 @@ def rigid_body_step(
         raise ValueError(f"dt must be positive, got {dt}")
     # elementwise arithmetic on 3-vectors in Python floats, as in
     # PidController.update; the matrix products and the solve stay numpy
-    fx, fy, fz = _row_sums(forces)
-    tx, ty, tz = _row_sums(torques)
+    tx, ty, tz = torque
     weight, mass = model.mass * model.gravity, model.mass
     dx, dy, dz = _GRAVITY_DIR
-    gx, gy, gz = state.orientation.rotate([fx, fy, fz]).tolist()
+    gx, gy, gz = state.orientation.rotate(force).tolist()
     vx, vy, vz = state.velocity.tolist()
     vx, vy, vz = (vx + ((gx + weight * dx) / mass) * dt, vy + ((gy + weight * dy) / mass) * dt,
                   vz + ((gz + weight * dz) / mass) * dt)
@@ -159,23 +158,6 @@ def rigid_body_step(
                           np.array([vx, vy, vz]), orientation, angular_velocity)
 
 
-def _row_sums(rows) -> list[float]:
-    """np.asarray(rows, dtype=float).reshape(-1, 3).sum(axis=0) bit for bit, as Python floats.
-
-    numpy sums over the first axis row by row, starting from +0.0. A list
-    of rows, each a tuple or list of three floats, is summed as it is,
-    without building an array; anything else goes through the array.
-    """
-    if not (isinstance(rows, list) and rows and isinstance(rows[0], (tuple, list))):
-        rows = np.asarray(rows, dtype=float).reshape(-1, 3).tolist()
-    x = y = z = 0.0
-    for rx, ry, rz in rows:
-        x += rx
-        y += ry
-        z += rz
-    return [x, y, z]
-
-
 # ---------------------------------------------------------------------------
 # pose controller
 
@@ -190,25 +172,17 @@ class PidGains:
     ki_ori: float = 0.4
     kd_ori: float = 0.28
     i_max_ori: float = 0.8  # Nm
-    proportional_on_measurement: bool = False
 
     def __post_init__(self):
-        gains = [f.name for f in fields(self) if f.name != "proportional_on_measurement"]
-        bad = [name for name in gains if not 0.0 <= getattr(self, name) < math.inf]
+        bad = [f.name for f in fields(self) if not 0.0 <= getattr(self, f.name) < math.inf]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite and non-negative")
-        if not isinstance(self.proportional_on_measurement, (bool, np.bool_)):
-            raise ValueError("proportional_on_measurement must be true or false, got "
-                             f"{self.proportional_on_measurement!r}")
 
 
 class PidController:
     """Pose PID producing a world-frame wrench demand with weight feedforward.
 
-    Derivative terms act on measured rates. With proportional_on_measurement
-    the proportional term is accumulated from measured motion instead of the
-    error, which removes setpoint kick on steps (best for regulation, not for
-    tracking moving setpoints).
+    Derivative terms act on measured rates.
     """
 
     def __init__(self, gains: PidGains, mass: float, gravity: float):
@@ -219,9 +193,8 @@ class PidController:
         self.reset()
 
     def reset(self) -> None:
-        # integrator and proportional-on-measurement states, as Python floats
+        # integrator states, as Python floats
         self._i_pos, self._i_ori = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
-        self._pom_pos, self._pom_ori = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
     def update(self, pos_error, ori_error, velocity, angular_velocity, accel_ff, dt: float):
         """World-frame (force, torque) demand for one control tick.
@@ -254,20 +227,10 @@ class PidController:
                                     _clip_float(jy + gain * ry * dt, -limit, limit),
                                     _clip_float(jz + gain * rz * dt, -limit, limit))
 
-        if g.proportional_on_measurement:
-            gain = g.kp_pos
-            px, py, pz = self._pom_pos
-            px, py, pz = self._pom_pos = (px - gain * vx * dt, py - gain * vy * dt,
-                                          pz - gain * vz * dt)
-            gain = g.kp_ori
-            qx, qy, qz = self._pom_ori
-            qx, qy, qz = self._pom_ori = (qx - gain * wx * dt, qy - gain * wy * dt,
-                                          qz - gain * wz * dt)
-        else:
-            gain = g.kp_pos
-            px, py, pz = gain * ex, gain * ey, gain * ez
-            gain = g.kp_ori
-            qx, qy, qz = gain * rx, gain * ry, gain * rz
+        gain = g.kp_pos
+        px, py, pz = gain * ex, gain * ey, gain * ez
+        gain = g.kp_ori
+        qx, qy, qz = gain * rx, gain * ry, gain * rz
 
         gain, mass = g.kd_pos, self.mass
         fx, fy, fz = self._weight_ff
@@ -570,6 +533,14 @@ class _BranchSupervisor:
         self.target = np.full(n_arms, np.nan)  # NaN = no transit active
         self.cool = np.full(n_arms, -np.inf)  # earliest time an arm may re-trigger
         self.share_hist = np.zeros((self.hist_len, n_arms))
+        # whether the linear route fails depends on the model alone (fixed
+        # arms, a rank-deficient map), and a failed pinv lookup is not
+        # cached, so it is tried once here instead of on every converged tick
+        try:
+            least_norm_allocation(np.zeros(6), scenario.model)
+            self.linear = True
+        except SolverError:
+            self.linear = False
 
     def advance(self, warm: AllocatorState) -> PenaltyWeights:
         """Step every active transit's warm angle; return the weights for this solve."""
@@ -593,10 +564,9 @@ class _BranchSupervisor:
 
     def reference(self, inp: AllocatorInput, angles) -> LeastNormAllocation | None:
         """The least-norm allocation of inp unwrapped to angles, or None when the linear route fails."""
-        try:
-            return least_norm_allocation(inp.body_wrench(), self.scenario.model, angles)
-        except SolverError:
+        if not self.linear:
             return None
+        return least_norm_allocation(inp.body_wrench(), self.scenario.model, angles)
 
     def after_solve(self, k: int, sol: AllocatorSolution,
                     ref: LeastNormAllocation | None) -> AllocatorState:
@@ -644,31 +614,39 @@ class _BranchSupervisor:
         return AllocatorState(sol.throttles.copy(), angles, sol.multipliers.copy(), angles.copy())
 
 
-def _arm_wrenches(arms: list, throttles: list, angles: list) -> tuple[list, list]:
-    """Per-arm body forces and torques as lists of 3-tuples, from throttles and angles as floats.
+def _net_wrench(arms: list, throttles: list, angles: list, noise: list) -> tuple[list, list]:
+    """Net body force and torque of the arms, each as a list of three floats.
 
     ``arms`` holds, per arm, whether it rotates and its rows of the model's
     wrench1 and wrench2 as Python floats. Arm i's wrench is throttles[i] *
     model.wrenches_at(angles)[i], with the bits of that array product:
     u * (cos(a) wrench1 + sin(a) wrench2), where a fixed arm takes cos 1
-    and sin 0 whatever its angle.
+    and sin 0 whatever its angle. noise[i] is added to arm i's force before
+    it joins the sum; a row of -0.0 adds nothing, signed zeros included.
+    Each sum runs arm by arm from +0.0, as numpy's ``.sum(axis=0)`` over
+    the per-arm rows does.
     """
-    forces, torques = [], []
-    for u, a, (rotating, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5)) in zip(
-            throttles, angles, arms):
+    fx = fy = fz = tx = ty = tz = 0.0
+    for u, a, (rotating, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5)), (ex, ey, ez) in zip(
+            throttles, angles, arms, noise):
         c, s = (math.cos(a), math.sin(a)) if rotating else (1.0, 0.0)
-        forces.append((u * (c * p0 + s * q0), u * (c * p1 + s * q1), u * (c * p2 + s * q2)))
-        torques.append((u * (c * p3 + s * q3), u * (c * p4 + s * q4), u * (c * p5 + s * q5)))
-    return forces, torques
+        fx += u * (c * p0 + s * q0) + ex
+        fy += u * (c * p1 + s * q1) + ey
+        fz += u * (c * p2 + s * q2) + ez
+        tx += u * (c * p3 + s * q3)
+        ty += u * (c * p4 + s * q4)
+        tz += u * (c * p5 + s * q5)
+    return [fx, fy, fz], [tx, ty, tz]
 
 
 def run_flight(scenario: Scenario) -> FlightLog:
     """Simulate one closed-loop flight and return the full log.
 
     Each tick: sweep setpoint -> pose PID -> wrench demand -> allocator ->
-    servos and throttles -> per-arm wrenches (plus optional noise) -> log ->
-    rigid-body step. When the allocator fails to converge, the previous
-    actuator commands are held for that tick and the event is logged.
+    servos and throttles -> net body wrench of the arms (plus optional
+    per-arm noise) -> log -> rigid-body step. When the allocator fails to
+    converge, the previous actuator commands are held for that tick and the
+    event is logged. A wrench demand that is not finite raises SolverError.
 
     The Newton-KKT allocator is warm-started from the previous tick. Around
     each of its solves `_BranchSupervisor` advances the arms in branch
@@ -691,6 +669,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
     throttle_act = [0.0] * n_arms
     arms = list(zip(model._rotating, model.wrench1.tolist(), model.wrench2.tolist()))
     rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
+    noise = [(-0.0, -0.0, -0.0)] * n_arms  # x + -0.0 is x, so these rows add nothing
     motor_step = 1.0 - math.exp(-dt / scenario.motor_lag) if scenario.motor_lag > 0.0 else None
     sqp = scenario.allocator == "sqp"
 
@@ -710,7 +689,10 @@ def run_flight(scenario: Scenario) -> FlightLog:
         force, torque = pid.update(pos_error, to_world.dot(ori_error_body), state.velocity,
                                    to_world.dot(state.angular_velocity), sp.accel, dt)
 
-        inp = AllocatorInput(state.orientation, force, torque)
+        try:
+            inp = AllocatorInput(state.orientation, force, torque)
+        except ValueError as exc:  # the gains are finite, so a demand that is not is a breakdown
+            raise SolverError(f"the flight broke down at tick {k}: {exc}") from None
         if sqp:
             weights = supervisor.advance(warm)
             try:
@@ -738,10 +720,9 @@ def run_flight(scenario: Scenario) -> FlightLog:
         else:
             throttle_act = clamped
 
-        forces, torques = _arm_wrenches(arms, throttle_act, angle_act)
         if rng is not None:
             noise = (rng.normal(0.0, scenario.noise_std, (n_arms, 3)) / max(n_arms, 1)).tolist()
-            forces = [[f + e for f, e in zip(row, extra)] for row, extra in zip(forces, noise)]
+        body_force, body_torque = _net_wrench(arms, throttle_act, angle_act, noise)
 
         # the tick's values in the order of FlightLog's fields (a test pins
         # that order); the norms are what np.linalg.norm computes
@@ -754,7 +735,7 @@ def run_flight(scenario: Scenario) -> FlightLog:
             sol.iterations, sol.residual, sol.converged,
             math.sqrt(pos_error.dot(pos_error)), math.sqrt(ori_error_body.dot(ori_error_body))]
 
-        state = rigid_body_step(state, forces, torques, model, dt)
+        state = rigid_body_step(state, body_force, body_torque, model, dt)
 
     return FlightLog.from_table(header, table, dt, scenario.allocator)
 

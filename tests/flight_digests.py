@@ -30,7 +30,7 @@ are its infeasible count, the least and greatest x1 and x2, and
 ``failures_sha256``, the sha256 of its failures' messages, newline-joined
 in index order; every
 flight's include its ``flip_events``, the ``detect_flip_events`` count on
-its own geometry, and its ``clamp_figures``; an SQP flight's add its
+its own geometry, its ``clamp_figures`` and its ``servo_figures``; an SQP flight's add its
 ``transit_starts``, counted by ``fly_counting_transits``; a chain's
 include the p99 and the largest stationarity norm of its returned
 iterates, the norm of the primal rows of ``assemble_kkt``'s K, recomputed
@@ -183,23 +183,34 @@ def iteration_figures(iterations) -> dict:
     return {"iterations_p50": p50, "iterations_p99": p99, "iterations_max": int(np.max(iterations))}
 
 
+def _log_wrenches(model, throttles, angles):
+    """Per tick, the body wrench of per-arm throttles at per-arm angles, both (ticks, n_arms).
+
+    With W = cos(a) wrench1 + sin(a) wrench2 on a rotating arm and wrench1
+    on a fixed one, a tick's wrench is u . W; the result is (ticks, 6).
+    """
+    rotating = model.geometry.rotating
+    c = np.where(rotating, np.cos(angles), 1.0)
+    s = np.where(rotating, np.sin(angles), 0.0)
+    return (throttles * c) @ model.wrench1 + (throttles * s) @ model.wrench2
+
+
+def _lengths(model, wrenches):
+    """Each tick's force length, in units of the weight, and torque length, in Nm."""
+    force = np.linalg.norm(wrenches[:, :3], axis=1) / (model.mass * model.gravity)
+    return force, np.linalg.norm(wrenches[:, 3:], axis=1)
+
+
 def clamp_figures(log, model) -> dict:
     """What the flight loop's [0, 1] clamp took from the commanded throttles, read from the log.
 
-    The lost wrench of a tick is (clip(u) - u) . W at the commanded angles,
-    with W = cos(a) wrench1 + sin(a) wrench2 on a rotating arm and wrench1 on
-    a fixed one. Returns the ticks with any command outside [0, 1], and the
-    p99 and the largest length of the lost force, in units of the weight,
-    and of the lost torque, in Nm.
+    The lost wrench of a tick is (clip(u) - u) . W at the commanded angles.
+    Returns the ticks with any command outside [0, 1], and the p99 and the
+    largest length of the lost force, in units of the weight, and of the
+    lost torque, in Nm.
     """
     u = log.throttle_cmd
-    lost = np.clip(u, 0.0, 1.0) - u
-    rotating = model.geometry.rotating
-    c = np.where(rotating, np.cos(log.angle_cmd), 1.0)
-    s = np.where(rotating, np.sin(log.angle_cmd), 0.0)
-    wrench = (lost * c) @ model.wrench1 + (lost * s) @ model.wrench2  # (ticks, 6)
-    force = np.linalg.norm(wrench[:, :3], axis=1) / (model.mass * model.gravity)
-    torque = np.linalg.norm(wrench[:, 3:], axis=1)
+    force, torque = _lengths(model, _log_wrenches(model, np.clip(u, 0.0, 1.0) - u, log.angle_cmd))
     force_p99, force_max = np.percentile(force, [99, 100]).tolist()
     torque_p99, torque_max = np.percentile(torque, [99, 100]).tolist()
     return {"clamped_ticks": int(np.sum(np.any((u < 0.0) | (u > 1.0), axis=1))),
@@ -207,8 +218,28 @@ def clamp_figures(log, model) -> dict:
             "torque_lost_p99_nm": torque_p99, "torque_lost_max_nm": torque_max}
 
 
+def servo_figures(log, model) -> dict:
+    """How far the flown wrench is from the wrench of the clamped commands, read from the log.
+
+    The flown wrench of a tick is u_act . W(a_act), the commanded one
+    clip(u_cmd) . W(a_cmd); the arm servos' delay and rate bound, and the
+    motor lag where there is one, put the gap between them. Returns the
+    p50, p99 and largest length of the force gap, in units of the weight,
+    and of the torque gap, in Nm.
+    """
+    gap = (_log_wrenches(model, log.throttle_act, log.angle_act)
+           - _log_wrenches(model, np.clip(log.throttle_cmd, 0.0, 1.0), log.angle_cmd))
+    figures = {}
+    for name, unit, lengths in zip(("servo_force", "servo_torque"), ("weight", "nm"),
+                                   _lengths(model, gap)):
+        p50, p99, peak = np.percentile(lengths, [50, 99, 100]).tolist()
+        figures.update({f"{name}_p50_{unit}": p50, f"{name}_p99_{unit}": p99,
+                        f"{name}_max_{unit}": peak})
+    return figures
+
+
 def flight_figures(log, model) -> dict:
-    """What a flight did, beyond its bytes: failures, errors, iterations, command steps, flips, clamp."""
+    """What a flight did, beyond its bytes: failures, errors, iterations, steps, flips, clamp, servos."""
     settled = summarize(log, settle=SETTLE_S)
     max_pos = float(np.max(log.pos_error))
     return {
@@ -222,6 +253,7 @@ def flight_figures(log, model) -> dict:
         "max_command_step_rad": max_command_step(log),
         "flip_events": len(detect_flip_events(log, model.geometry)),
         **clamp_figures(log, model),
+        **servo_figures(log, model),
     }
 
 

@@ -160,10 +160,9 @@ def integrate_orientation_oracle(q, omega_body, dt: float) -> np.ndarray:
     return product_oracle(q, dq)
 
 
-def rigid_body_step_oracle(state, forces, torques, model, dt: float):
+def rigid_body_step_oracle(state, body_force, body_torque, model, dt: float):
     """(position, velocity, orientation components, angular velocity) after one step."""
-    body_force = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0)
-    body_torque = np.asarray(torques, dtype=float).reshape(-1, 3).sum(axis=0)
+    body_force, body_torque = np.asarray(body_force, dtype=float), np.asarray(body_torque, dtype=float)
     world_force = (state.orientation.to_matrix() @ body_force
                    + model.mass * model.gravity * np.array([0.0, 0.0, -1.0]))
     velocity = state.velocity + (world_force / model.mass) * dt
@@ -186,18 +185,13 @@ class PidOracle:
 
     def __init__(self, gains, mass: float, gravity: float):
         self.gains, self.mass, self.gravity = gains, float(mass), float(gravity)
-        self.i_pos, self.i_ori, self.pom_pos, self.pom_ori = (np.zeros(3) for _ in range(4))
+        self.i_pos, self.i_ori = np.zeros(3), np.zeros(3)
 
     def update(self, pos_error, ori_error, velocity, angular_velocity, accel_ff, dt: float):
         g = self.gains
         self.i_pos = np.clip(self.i_pos + g.ki_pos * pos_error * dt, -g.i_max_pos, g.i_max_pos)
         self.i_ori = np.clip(self.i_ori + g.ki_ori * ori_error * dt, -g.i_max_ori, g.i_max_ori)
-        if g.proportional_on_measurement:
-            self.pom_pos -= g.kp_pos * velocity * dt
-            self.pom_ori -= g.kp_ori * angular_velocity * dt
-            p_pos, p_ori = self.pom_pos, self.pom_ori
-        else:
-            p_pos, p_ori = g.kp_pos * pos_error, g.kp_ori * ori_error
+        p_pos, p_ori = g.kp_pos * pos_error, g.kp_ori * ori_error
         weight_ff = self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
         force = p_pos + self.i_pos - g.kd_pos * velocity + self.mass * accel_ff + weight_ff
         torque = p_ori + self.i_ori - g.kd_ori * angular_velocity

@@ -321,12 +321,6 @@ def _fly_negative_gain(tmp_path):
                          gains={"kp_pos": -5})
 
 
-def _fly_string_proportional_on_measurement(tmp_path):
-    """A string, even "no", is no boolean: it must not switch the PID mode on."""
-    return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.05, settle=0.0,
-                         gains={"proportional_on_measurement": "no"})
-
-
 def _fly_with_weights(tmp_path, **weights):
     return _config_value(tmp_path, "fly", sweep={"kind": "hover"}, duration=0.5, settle=0.2,
                          weights=weights)
@@ -362,7 +356,7 @@ def _radius_with_custom_geometry(tmp_path):
     _allocate_negative_tol_constraint, _fractional_samples, _boolean_samples,
     _fractional_seed, _boolean_seed, _boolean_noise_std, _boolean_radius, _boolean_model_mass,
     _boolean_max_iterations, _boolean_request_vector, _efficiency_negative_thrust_constant,
-    _efficiency_nan_thrust_constant, _fly_negative_gain, _fly_string_proportional_on_measurement,
+    _efficiency_nan_thrust_constant, _fly_negative_gain,
     _efficiency_infinite_thrust_constant,
     _efficiency_infinite_torque_constant, _efficiency_infinite_control_period,
     _efficiency_overflowing_weight, _efficiency_weight_square_overflows,
@@ -541,8 +535,6 @@ def test_a_malformed_allocation_request_is_a_validation_error(payload, tmp_path,
 def test_config_sections_take_exactly_their_dataclass_fields(tmp_path, section, cls):
     names = {f.name for f in fields(cls)} - {"geometry"}  # the model's geometry is its own key
     values = dict.fromkeys(names, 0)
-    if section == "gains":
-        values["proportional_on_measurement"] = True  # the one boolean setting
     config = cli.load_run_config(write_json_file(tmp_path / "c.json", {section: values}))
     assert config[section] == values
     for extra in ("geometry", "bogus"):
@@ -593,6 +585,25 @@ def test_fly_hover_writes_log_and_stats(tmp_path):
     assert run_cli("fly", "--config", config) == 0
     assert (out / "flight_log.csv").read_bytes() == first
     assert len(first.splitlines()) == 201
+
+
+def test_a_flight_whose_demand_overflows_exits_2(tmp_path, capsys):
+    """Finite gains, but kp_pos * error passes the largest float: a numerical failure, not a bad input."""
+    config = hover_config(tmp_path, gains={"kp_pos": 1e308}, duration=3.0,
+                          sweep={"kind": "position", "amplitude": 5.0, "start_delay": 0.0})
+    assert run_cli("fly", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "finite 3-vector" in err
+    assert "Traceback" not in err and not (tmp_path / "flight").exists()
+
+
+def test_a_config_setting_the_removed_pid_mode_exits_1_as_an_unknown_key(tmp_path, capsys):
+    for value in (False, True, "no"):
+        config = hover_config(tmp_path, gains={"proportional_on_measurement": value})
+        assert run_cli("fly", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown config.gains key(s): proportional_on_measurement\n"
+        assert not (tmp_path / "flight").exists()
 
 
 def test_fly_settle_window_must_leave_samples(tmp_path):

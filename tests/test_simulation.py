@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flight_digests import clamp_figures
+from flight_digests import clamp_figures, servo_figures
 from helpers import (
     PidOracle,
     arm_wrenches_oracle,
@@ -49,10 +49,9 @@ from rotorarm.geometry import CATALOG_IDS
 from rotorarm.simulation import (
     SERVO_DELAY,
     SERVO_RATE_LIMIT,
-    _arm_wrenches,
     _clip,
     _clip_float,
-    _row_sums,
+    _net_wrench,
     continuous_roll_angle,
 )
 from rotorarm.spatial import orientation_error
@@ -169,9 +168,8 @@ def test_all_arm_servo_update_equals_one_call_per_arm(delay):
 def test_free_fall_matches_closed_form(octa_model):
     state = RigidBodyState.at_rest()
     g = octa_model.gravity
-    no_forces = np.zeros((6, 3))
     for k in range(1, 101):
-        state = rigid_body_step(state, no_forces, no_forces, octa_model, DT)
+        state = rigid_body_step(state, np.zeros(3), np.zeros(3), octa_model, DT)
         assert state.velocity[2] == pytest.approx(-g * k * DT, rel=1e-12)
         # semi-implicit Euler sums the already-updated velocity
         assert state.position[2] == pytest.approx(-g * DT * DT * k * (k + 1) / 2, rel=1e-12)
@@ -181,9 +179,9 @@ def test_free_fall_matches_closed_form(octa_model):
 
 def test_exact_weight_compensation_holds_still(octa_model):
     state = RigidBodyState.at_rest()
-    lift = np.array([[0.0, 0.0, octa_model.mass * octa_model.gravity]])
+    lift = np.array([0.0, 0.0, octa_model.mass * octa_model.gravity])
     for _ in range(50):
-        state = rigid_body_step(state, lift, np.zeros((1, 3)), octa_model, DT)
+        state = rigid_body_step(state, lift, np.zeros(3), octa_model, DT)
     np.testing.assert_allclose(state.position, 0.0, atol=1e-12)
     np.testing.assert_allclose(state.velocity, 0.0, atol=1e-12)
 
@@ -191,12 +189,11 @@ def test_exact_weight_compensation_holds_still(octa_model):
 def test_torque_free_isotropic_body_keeps_its_rate(octa_model):
     # isotropic inertia cancels the gyroscopic term exactly
     state = RigidBodyState(np.zeros(3), np.zeros(3), Quaternion.identity(), np.array([0.3, -0.2, 0.5]))
-    zero = np.zeros((1, 3))
-    lift = np.array([[0.0, 0.0, octa_model.mass * octa_model.gravity]])
+    lift = np.array([0.0, 0.0, octa_model.mass * octa_model.gravity])
     omega0 = state.angular_velocity.copy()
     for _ in range(100):
-        lift_body = state.orientation.inverse().rotate(lift[0])[None, :]
-        state = rigid_body_step(state, lift_body, zero, octa_model, DT)
+        lift_body = state.orientation.inverse().rotate(lift)
+        state = rigid_body_step(state, lift_body, np.zeros(3), octa_model, DT)
     np.testing.assert_allclose(state.angular_velocity, omega0, atol=1e-12)
 
 
@@ -204,7 +201,7 @@ def test_gyroscopic_coupling_single_step():
     model = DroneModel(build_catalog("octahedron_rot"), inertia=np.array([1.0, 2.0, 3.0]))
     omega = np.array([1.0, 1.0, 1.0])
     state = RigidBodyState(np.zeros(3), np.zeros(3), Quaternion.identity(), omega.copy())
-    state = rigid_body_step(state, np.zeros((1, 3)), np.zeros((1, 3)), model, DT)
+    state = rigid_body_step(state, np.zeros(3), np.zeros(3), model, DT)
     coupling = -np.cross(omega, np.array([1.0, 2.0, 3.0]) * omega)  # (-1, 2, -1)
     expected = omega + coupling / np.array([1.0, 2.0, 3.0]) * DT
     np.testing.assert_allclose(state.angular_velocity, expected, atol=1e-12)
@@ -212,9 +209,9 @@ def test_gyroscopic_coupling_single_step():
 
 def test_constant_torque_spins_up(octa_model):
     state = RigidBodyState.at_rest()
-    torque = np.array([[0.02, 0.0, 0.0]])  # inertia is 0.02 about x
+    torque = np.array([0.02, 0.0, 0.0])  # inertia is 0.02 about x
     for k in range(1, 101):
-        state = rigid_body_step(state, np.zeros((1, 3)), torque, octa_model, DT)
+        state = rigid_body_step(state, np.zeros(3), torque, octa_model, DT)
         assert state.angular_velocity[0] == pytest.approx(k * DT, rel=1e-12)
 
 
@@ -228,59 +225,50 @@ def test_rigid_body_step_is_bit_identical_to_the_array_formulas(rng):
             omega[rng.integers(3)] = rng.choice([0.0, -0.0, omega[0]])
             state = RigidBodyState(rng.normal(size=3), rng.normal(size=3),
                                    Quaternion(*rng.normal(size=4)), omega)
-            forces, torques = rng.normal(size=(6, 3)) * 10.0, rng.normal(size=(6, 3))
-            forces[rng.integers(6)] = -0.0
+            force, torque = rng.normal(size=3) * 10.0, rng.normal(size=3)
+            force[rng.integers(3)] = -0.0
+            torque[rng.integers(3)] = rng.choice([0.0, -0.0, torque[0]])
             position, velocity, orientation, angular_velocity = rigid_body_step_oracle(
-                state, forces, torques, model, DT)
-            # as arrays, and as the flight loop passes the per-arm rows: lists of 3-tuples
-            for rows in ((forces, torques), ([tuple(f) for f in forces.tolist()],
-                                             [tuple(t) for t in torques.tolist()])):
-                stepped = rigid_body_step(state, *rows, model, DT)
+                state, force, torque, model, DT)
+            # as arrays, and as the flight loop passes the net wrench: lists of floats
+            for vectors in ((force, torque), (force.tolist(), torque.tolist())):
+                stepped = rigid_body_step(state, *vectors, model, DT)
                 assert same_bits(stepped.position, position)
                 assert same_bits(stepped.velocity, velocity)
                 assert same_bits(stepped.orientation.wxyz, orientation)
                 assert same_bits(stepped.angular_velocity, angular_velocity)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 4, 6, 8, 9, 17])
-def test_body_sums_are_numpy_row_sums_bit_for_bit(n_rows, rng):
-    """Rows as lists of 3-tuples, as arrays and as column views of a wider array; signed zeros too."""
-    for case in range(200):
-        wrenches = rng.normal(size=(n_rows, 6)) * 10.0 ** rng.uniform(-8.0, 3.0)
-        if case % 3 == 0:
-            wrenches[rng.random((n_rows, 6)) < 0.5] = -0.0
-        if case % 7 == 0:
-            wrenches[:] = -0.0
-        for rows in (wrenches[:, :3], wrenches[:, 3:]):
-            expected = np.asarray(rows, dtype=float).reshape(-1, 3).sum(axis=0)
-            as_tuples = [tuple(row) for row in rows.tolist()]
-            assert same_bits(_row_sums(rows), expected)
-            assert same_bits(_row_sums(np.ascontiguousarray(rows)), expected)
-            assert same_bits(_row_sums(as_tuples), expected)
-    for flat in (np.array([1.0, -0.0, 2.5]), [1.0, -0.0, 2.5], []):  # one flat 3-vector, no rows
-        expected = np.asarray(flat, dtype=float).reshape(-1, 3).sum(axis=0)
-        assert same_bits(_row_sums(flat), expected)
-
-
 @pytest.mark.parametrize("config_id", CATALOG_IDS)
 def test_arm_wrenches_are_the_array_product_bit_for_bit(config_id, rng):
-    """Clamped and lagged throttles, signed zeros, angles many turns out; fixed arms ignore theirs."""
+    """The flight loop's net wrench is the array product's per-arm rows, noise added, summed by numpy.
+
+    Clamped and lagged throttles, signed zeros, angles many turns out; fixed
+    arms ignore theirs. Without noise, run_flight passes rows of -0.0, and
+    the sums must keep every signed zero of numpy's sum from +0.0: on every
+    fifth draw all throttles are zeros of either sign.
+    """
     model = DroneModel(build_catalog(config_id))
     n = model.geometry.n_arms
     arms = list(zip(model._rotating, model.wrench1.tolist(), model.wrench2.tolist()))
-    for _ in range(200):
+    silent = np.full((n, 3), -0.0)
+    for case in range(400):
         throttles = np.clip(rng.uniform(-0.2, 1.2, n), 0.0, 1.0)
         throttles[rng.integers(n)] = rng.choice([0.0, -0.0, 1.0, 1e-300])
+        if case % 5 == 0:
+            throttles = rng.choice([0.0, -0.0], n)
         angles = rng.uniform(-20.0, 20.0, n) * 10.0 ** rng.integers(0, 4)
         angles[rng.integers(n)] = rng.choice([0.0, -0.0, math.pi, -0.5 * math.pi])
-        forces, torques = _arm_wrenches(arms, throttles.tolist(), angles.tolist())
-        expected_forces, expected_torques = arm_wrenches_oracle(model, throttles, angles)
-        assert same_bits(forces, expected_forces) and same_bits(torques, expected_torques)
+        forces, torques = arm_wrenches_oracle(model, throttles, angles)
+        for noise in (silent, rng.normal(0.0, 0.05, (n, 3)) / n):
+            force, torque = _net_wrench(arms, throttles.tolist(), angles.tolist(), noise.tolist())
+            assert same_bits(force, (forces + noise).sum(axis=0))
+            assert same_bits(torque, torques.sum(axis=0))
 
 
 def test_rigid_body_rejects_bad_dt(octa_model):
     with pytest.raises(ValueError):
-        rigid_body_step(RigidBodyState.at_rest(), np.zeros((1, 3)), np.zeros((1, 3)), octa_model, -DT)
+        rigid_body_step(RigidBodyState.at_rest(), np.zeros(3), np.zeros(3), octa_model, -DT)
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +313,9 @@ def test_pid_integrators_clamp():
     assert force[0] == pytest.approx(gains.kp_pos * 1.0 + gains.ki_pos * DT)
 
 
-def test_pid_proportional_on_measurement_removes_setpoint_kick():
-    gains = PidGains(proportional_on_measurement=True)
-    pid = PidController(gains, mass=2.4, gravity=9.81)
-    step_error = np.array([1.0, 0.0, 0.0])
-    force, _ = pid.update(step_error, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), DT)
-    # no kp * error spike; only the tiny first integrator contribution remains
-    assert abs(force[0]) < 1.0
-    # measured motion accumulates into the proportional state with a minus sign
-    force, _ = pid.update(step_error, np.zeros(3), np.array([2.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), DT)
-    assert force[0] < 0.1
-
-
-@pytest.mark.parametrize("on_measurement", [False, True])
-def test_pid_update_is_bit_identical_to_the_array_formulas(rng, on_measurement):
+def test_pid_update_is_bit_identical_to_the_array_formulas(rng):
     """Tight integrator bounds, so both clamps act in long runs of ticks."""
-    gains = PidGains(i_max_pos=0.05, i_max_ori=0.01, proportional_on_measurement=on_measurement)
+    gains = PidGains(i_max_pos=0.05, i_max_ori=0.01)
     pid, oracle = PidController(gains, 2.4, 9.81), PidOracle(gains, 2.4, 9.81)
     for _ in range(300):
         inputs = [rng.normal(size=3) * 10.0 ** rng.uniform(-2, 1) for _ in range(5)]
@@ -356,8 +331,7 @@ def test_pid_rejects_bad_dt():
         pid.update(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(PidGains)
-                                  if f.name != "proportional_on_measurement"])
+@pytest.mark.parametrize("name", [f.name for f in fields(PidGains)])
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
 def test_pid_gains_reject_a_negative_or_non_finite_gain(name, value):
     with pytest.raises(ValueError, match=name):
@@ -582,6 +556,15 @@ def test_a_solver_breakdown_holds_the_commands_for_one_tick(octa_model, monkeypa
         assert same_bits(commands[k], commands[k - 1])
     # the hover's commands move in their last bits every tick, so the hold shows
     assert not same_bits(log.throttle_cmd[k + 1], log.throttle_cmd[k])
+
+
+@pytest.mark.parametrize("allocator", ["sqp", "pinv"])
+def test_a_demand_that_overflows_is_a_solver_error(octa_model, allocator):
+    """kp_pos * error passes the largest float partway through a 5 m position step."""
+    scenario = Scenario(model=octa_model, sweep=position_sweep(5.0, start_delay=0.0),
+                        allocator=allocator, gains=PidGains(kp_pos=1e308), duration=3.0)
+    with pytest.raises(SolverError, match=r"broke down at tick \d+: force must be a finite 3-vector"):
+        run_flight(scenario)
 
 
 def test_flights_are_deterministic(octa_model):
@@ -844,3 +827,31 @@ def test_clamp_figures_are_the_wrench_the_clamp_takes(config_id, rng):
     assert clamp_figures(log, model) == {
         "clamped_ticks": 0, "force_lost_p99_weight": 0.0, "force_lost_max_weight": 0.0,
         "torque_lost_p99_nm": 0.0, "torque_lost_max_nm": 0.0}
+
+
+@pytest.mark.parametrize("config_id", ["octahedron_rot", "hexagon_tilt30_fixed"])
+def test_servo_figures_are_the_gap_between_the_flown_and_the_clamped_wrench(config_id, rng):
+    model = DroneModel(build_catalog(config_id))
+    n_ticks, n_arms = 400, model.geometry.n_arms
+    log = _blank_log(n_ticks, n_arms)
+    log.throttle_cmd[:] = rng.uniform(-0.2, 1.2, (n_ticks, n_arms))
+    log.angle_cmd[:] = rng.uniform(-np.pi, np.pi, (n_ticks, n_arms))
+    log.throttle_act[:] = np.clip(log.throttle_cmd, 0.0, 1.0)
+    log.angle_act[:] = log.angle_cmd
+    # flown as commanded, but for the clamp: no gap, whatever the clamp took
+    assert set(servo_figures(log, model).values()) == {0.0}
+
+    # every other tick lags: its arms at older angles, its throttles part way there
+    log.angle_act[1::2] = log.angle_cmd[1::2] + rng.uniform(-0.5, 0.5, (n_ticks // 2, n_arms))
+    log.throttle_act[1::2] = rng.uniform(0.0, 1.0, (n_ticks // 2, n_arms))
+    gap = np.array([u.dot(model.wrenches_at(a)) - np.clip(c, 0.0, 1.0).dot(model.wrenches_at(b))
+                    for u, a, c, b in zip(log.throttle_act, log.angle_act, log.throttle_cmd,
+                                          log.angle_cmd)])
+    figures = servo_figures(log, model)
+    for name, unit, values in (("servo_force", "weight", np.linalg.norm(gap[:, :3], axis=1)
+                                / (model.mass * model.gravity)),
+                               ("servo_torque", "nm", np.linalg.norm(gap[:, 3:], axis=1))):
+        for q in (50, 99, 100):
+            key = f"{name}_{'max' if q == 100 else f'p{q}'}_{unit}"
+            assert figures[key] == pytest.approx(np.percentile(values, q), rel=1e-12, abs=1e-15)
+        assert figures[f"{name}_max_{unit}"] > 0.0

@@ -26,7 +26,7 @@ from rotorarm import (
     run_flight,
     vectored_thrust_matrix,
 )
-from rotorarm import simulation
+from rotorarm import allocation, simulation
 from rotorarm.allocation import LeastNormAllocation
 from rotorarm.simulation import SERVO_RATE_LIMIT, _BranchSupervisor
 
@@ -338,3 +338,23 @@ def test_a_layout_without_a_reference_flies_with_no_transit_and_no_pull(monkeypa
         assert ref is None and untouched
         assert same_bits(warm.throttles, sol.throttles) and same_bits(warm.angles, sol.angles)
         assert same_bits(warm.prev_angles, sol.angles)
+
+
+def test_a_fixed_arm_layout_looks_for_its_thrust_plane_map_once(monkeypatch):
+    """A failed map lookup is not cached, so the supervisor decides once, not on every converged tick."""
+    calls = []
+    matrix = allocation.vectored_thrust_matrix
+
+    def counted(model):
+        calls.append(model)
+        return matrix(model)
+
+    monkeypatch.setattr(allocation, "vectored_thrust_matrix", counted)
+    model = DroneModel(build_catalog("hexagon_tilt30_fixed"))
+    log = run_flight(Scenario(model=model, sweep=SweepSpec("hover"), duration=0.5))
+    assert np.all(log.converged) and len(log.t) == 100
+    assert len(calls) <= 1
+    # the pinv route still refuses the layout, with the same message
+    hover = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.5]), np.zeros(3))
+    with pytest.raises(SolverError, match="^the pseudoinverse route needs every arm to be a rotating arm$"):
+        pinv_allocate(hover, model)

@@ -18,7 +18,7 @@ def test_a_short_sqp_flight_calls_every_solver_stage():
     assert ticks == 20
     for _, _, label in tick_profile.SOLVER_STAGES:
         assert calls[label] >= 1, label
-    assert calls["sqp_allocate"] == ticks
+    assert calls["sqp_allocate"] == calls["_net_wrench"] == calls["rigid_body_step"] == ticks
 
 
 def test_a_short_fixed_arm_sweep_calls_every_sweep_stage():

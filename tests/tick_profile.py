@@ -17,10 +17,12 @@ stationarity exit or the next assembly, and H's per-arm entries with the
 inertia floor taken), ``_assemble`` (the KKT matrix and the rest of K) and
 ``_newton_delta`` (the Newton solve and its residual check); what they
 leave of ``sqp_allocate`` is its own loop: the step scale, the update and
-the stopping tests. The tick is the time from the first
+the stopping tests. ``_net_wrench`` is the plant's one pass over the
+arms: each arm's wrench at its flown throttle and angle, summed into the
+net body force and torque. The tick is the time from the first
 ``sweep_setpoint`` call to the end of the last ``rigid_body_step``, over
 the number of ticks; "loop body" is what the stages leave of it (the
-per-arm wrenches, the noise branch, the log row and the loop itself).
+throttle clamp, the noise branch, the log row and the loop itself).
 For each stage it prints the median over the flights of µs per tick, its
 share of the tick and calls per tick; a stage the flight never calls
 prints as 0. The figures are raw wall time on the host that runs it, and
@@ -70,6 +72,7 @@ STAGES = SOLVER_STAGES + (
     (simulation._BranchSupervisor, "after_solve", "after_solve"),
     (simulation._BranchSupervisor, "reference", "reference"),
     (simulation._BranchSupervisor, "advance", "advance"),
+    (simulation, "_net_wrench", "_net_wrench"),
     (simulation, "rigid_body_step", "rigid_body_step"),
     (simulation.PidController, "update", "PidController.update"),
     (simulation, "orientation_error", "orientation_error"),
