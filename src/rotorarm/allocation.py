@@ -310,12 +310,21 @@ class AllocatorInput:
 
 @dataclass
 class AllocatorState:
-    """Warm-start data: current iterate plus the previous tick's arm angles."""
+    """Warm-start data: current iterate plus the previous tick's arm angles.
+
+    A state made by `AllocatorSolution.next_warm` also carries, privately
+    and as no field, the evaluation that ended that solve, which
+    `sqp_allocate` reuses while it holds (see `_handed_on`). Any other
+    state carries none.
+    """
 
     throttles: np.ndarray
     angles: np.ndarray
     multipliers: np.ndarray
     prev_angles: np.ndarray
+
+    # (bytes of the evaluated [throttles; angles], its _Iterate, its model), set by next_warm
+    _evaluated = None
 
     def __post_init__(self):
         self.throttles = np.asarray(self.throttles, dtype=float)
@@ -339,11 +348,21 @@ class AllocatorSolution:
     objective: float
     converged: bool
 
+    _evaluated = None  # (the _Iterate that ended sqp_allocate, its model), set on the instance
+
     def next_warm(self) -> AllocatorState:
-        """Warm start for the next control tick."""
-        return AllocatorState(
+        """Warm start for the next control tick: copies of the solution, with prev_angles its angles.
+
+        The state of an `sqp_allocate` solution is handed the evaluation
+        that ended the solve, so the next solve can skip its first one.
+        """
+        state = AllocatorState(
             self.throttles.copy(), self.angles.copy(), self.multipliers.copy(), self.angles.copy()
         )
+        if self._evaluated is not None:
+            it, model = self._evaluated
+            state._evaluated = (np.array(it.values[:-6]).tobytes(), it, model)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +464,7 @@ def _penalized(weights: PenaltyWeights, n_arms: int) -> _PenaltyTables:
 
 def _objective_pass(throttles: list, angles: list, prev_angles: list, period: float,
                     tables: _PenaltyTables):
-    """The objective, the stacked [throttles; arm rates] and their distances outside the bands.
+    """The throttle cost, the objective, the stacked [throttles; arm rates] and their distances off the bands.
 
     The inputs are lists of floats. The objective is two partial sums, the
     throttle costs and then the arm-rate costs, each added as numpy's sum
@@ -454,7 +473,8 @@ def _objective_pass(throttles: list, angles: list, prev_angles: list, period: fl
     n_arms = len(throttles)
     penalized = throttles + [(a - b) / period for a, b in zip(angles, prev_angles)]
     p, over = _penalty(penalized, tables)
-    return _add_reduce(p[:n_arms]) + _add_reduce(p[n_arms:]), penalized, over
+    throttle_cost = _add_reduce(p[:n_arms])
+    return throttle_cost, throttle_cost + _add_reduce(p[n_arms:]), penalized, over
 
 
 def allocation_objective(throttles, angles, prev_angles, period: float, weights: PenaltyWeights) -> float:
@@ -462,7 +482,7 @@ def allocation_objective(throttles, angles, prev_angles, period: float, weights:
     if period <= 0.0:
         raise ValueError(f"control period must be positive, got {period}")
     u, a, a_prev = (np.asarray(v, dtype=float).tolist() for v in (throttles, angles, prev_angles))
-    return _objective_pass(u, a, a_prev, period, _penalized(weights, len(u)))[0]
+    return _objective_pass(u, a, a_prev, period, _penalized(weights, len(u)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +493,9 @@ class _Iterate(NamedTuple):
     """Every quantity of one iterate that its convergence test and its assembly read."""
 
     pair: np.ndarray  # [W; dW/da]: per-arm unit wrenches over their angle derivatives, (2n, 6)
+    produced: np.ndarray  # the produced body wrench throttles . W
     residual: np.ndarray  # produced minus demanded body wrench
+    throttle_cost: float  # the objective's first partial sum
     objective: float  # what allocation_objective gives, by the same pass
     values: list  # the iterate as Python floats
     penalized: list  # [throttles; arm rates] as Python floats
@@ -496,10 +518,50 @@ def _evaluate(x, values, prev_angles, body_wrench, model: DroneModel, tables) ->
     n_arms = model.geometry.n_arms
     angles = values[n_arms: 2 * n_arms]
     pair = model._wrench_pair(angles)
-    objective, penalized, over = _objective_pass(values[:n_arms], angles, prev_angles,
-                                                 model.control_period, tables)
-    return _Iterate(pair, x[:n_arms].dot(pair[:n_arms]) - body_wrench, objective, values, penalized,
-                    over, tables)
+    throttle_cost, objective, penalized, over = _objective_pass(values[:n_arms], angles, prev_angles,
+                                                                model.control_period, tables)
+    produced = x[:n_arms].dot(pair[:n_arms])
+    return _Iterate(pair, produced, produced - body_wrench, throttle_cost, objective, values,
+                    penalized, over, tables)
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _handed_on(warm: AllocatorState, x, n_arms: int, model: DroneModel, tables) -> _Iterate | None:
+    """The evaluation ``warm`` was handed by `next_warm`, where it still holds for the iterate x; else None.
+
+    It holds where x's throttles and angles are bitwise the ones it
+    evaluated, warm's prev_angles are float64 and bitwise those angles, so
+    that each arm rate a - a is +0.0 (they are finite, as the solve that
+    made it checked), and the solve's model and penalty tables are its
+    own. Bitwise, as the state is mutable: a -0.0 angle gives other wrench
+    bits than +0.0, and a NaN equals nothing.
+    """
+    key, it, evaluated_model = warm._evaluated
+    primal = x[:2 * n_arms].tobytes()
+    prev = warm.prev_angles
+    if (primal == key and prev.dtype is _FLOAT64 and prev.tobytes() == primal[8 * n_arms:]
+            and it.tables is tables and evaluated_model is model):
+        return it
+    return None
+
+
+def _evaluate_at_rest(values: list, it: _Iterate, body_wrench) -> _Iterate:
+    """`_evaluate` of ``values`` at zero arm rates, taken from ``it``, which evaluated its throttles and angles.
+
+    The wrench pair, the produced wrench and the throttle half of the
+    penalty depend on the throttles and angles alone, so they are its;
+    the residual is one subtraction. Each arm rate is +0.0, whose penalty
+    is +0.0 at distance +0.0 from its band (the rate limit is positive),
+    and any `_add_reduce` of +0.0s is +0.0, so the objective is the
+    throttle cost + 0.0, as `_objective_pass` adds it.
+    """
+    n_arms = len(it.penalized) // 2
+    rest = [0.0] * n_arms
+    return _Iterate(it.pair, it.produced, it.produced - body_wrench, it.throttle_cost,
+                    it.throttle_cost + 0.0, values, values[:n_arms] + rest, it.over[:n_arms] + rest,
+                    it.tables)
 
 
 def _arm_pass(x, it: _Iterate, model: DroneModel, floored: bool = True) -> tuple[list, list]:
@@ -702,6 +764,10 @@ def _scale_for(max_du: float, max_da: float, throttle_step_limit: float, angle_s
 
 _TOL_STATIONARITY = 1e-4  # norm of the Lagrangian's gradient
 
+# the weights of a solve given none: one object, so its penalty tables are
+# built once and a handed-on evaluation's tables are the next solve's
+_DEFAULT_WEIGHTS = PenaltyWeights()
+
 
 def sqp_allocate(
     inp: AllocatorInput,
@@ -723,9 +789,15 @@ def sqp_allocate(
     takes one pass more than a k-step solve that ends on the objective
     test. Arm angles are left unwrapped so they can accumulate over
     continuous rotations. The warm state is only read. The iteration runs
-    in one `_quiet` scope.
+    in one `_quiet` scope. Without ``weights`` the solve takes the default
+    `PenaltyWeights`, one object shared by every such call.
+
+    The solution keeps the evaluation of the iterate it returns for its
+    `next_warm` state. A solve from that state takes its first evaluation
+    from it while it holds (`_handed_on`), with the same bits; any other
+    warm state costs one `is None` test.
     """
-    weights = PenaltyWeights() if weights is None else weights
+    weights = _DEFAULT_WEIGHTS if weights is None else weights
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
@@ -739,8 +811,12 @@ def sqp_allocate(
     tables = _penalized(weights, n_arms)
 
     iterations, converged, res_norm, arms = 0, False, math.inf, None
+    it = None if warm._evaluated is None else _handed_on(warm, x, n_arms, model, tables)
     with _quiet():
-        it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
+        if it is None:
+            it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
+        else:
+            it = _evaluate_at_rest(x.tolist(), it, body_wrench)
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
             if arms is None:
@@ -768,7 +844,9 @@ def sqp_allocate(
             obj_prev = obj
             if converged:
                 break
-    return AllocatorSolution(u, a, lam, iterations, res_norm, obj_prev, converged)
+    solution = AllocatorSolution(u, a, lam, iterations, res_norm, obj_prev, converged)
+    solution._evaluated = (it, model)  # it evaluated x as returned; next_warm hands it on
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -840,15 +918,20 @@ def pinv_allocate(inp: AllocatorInput, model: DroneModel, prev_angles=None) -> A
     demand half-turn jumps, which is this method's singularity behavior.
     """
     body_wrench = inp.body_wrench()
-    throttles, angles = least_norm_allocation(body_wrench, model, prev_angles)
-    residual = constraint_residual(throttles, angles, inp, model)
-    res_norm = float(np.linalg.norm(residual))
+    # a demand near the largest float overflows here; its non-finite
+    # residual is the answer, so the arithmetic runs in one `_quiet` scope
+    with _quiet():
+        throttles, angles = least_norm_allocation(body_wrench, model, prev_angles)
+        residual = constraint_residual(throttles, angles, inp, model)
+        res_norm = float(np.linalg.norm(residual))
+        objective = float(np.sum(throttles**2))
+        converged = res_norm <= 1e-6 * max(1.0, float(np.linalg.norm(body_wrench)))
     return AllocatorSolution(
         throttles=throttles,
         angles=angles,
         multipliers=np.zeros(6),
         iterations=1,
         residual=res_norm,
-        objective=float(np.sum(throttles**2)),
-        converged=res_norm <= 1e-6 * max(1.0, float(np.linalg.norm(body_wrench))),
+        objective=objective,
+        converged=converged,
     )

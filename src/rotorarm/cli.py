@@ -392,8 +392,6 @@ def cmd_fly(args) -> int:
 
 def cmd_compare(args) -> int:
     settings = merge_settings(args)
-    if not settings["sweep"]:
-        settings["sweep"] = {"kind": "orientation"}
     scenario_sqp = build_scenario(settings, allocator="sqp")
     scenario_pinv = build_scenario(settings, allocator="pinv")
     geometry = scenario_sqp.model.geometry

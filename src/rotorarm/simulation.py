@@ -94,6 +94,11 @@ def servo_update(state: ServoState, setpoint, dt: float) -> ServoState:
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    # `not` of a comparison also rejects NaN; an infinite delay has no tick count
+    if not 0.0 <= state.delay < math.inf:
+        raise ValueError(f"servo delay must be non-negative and finite, got {state.delay}")
+    if not state.rate_limit > 0.0:
+        raise ValueError(f"servo rate_limit must be positive, got {state.rate_limit}")
     n_delay = int(round(state.delay / dt))
     pending = state.pending + (np.array(setpoint, dtype=float),)
     if len(pending) > n_delay:

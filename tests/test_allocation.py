@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -1084,6 +1084,136 @@ def test_next_warm_copies_arrays(octa_model):
     warm.prev_angles += 1.0
     np.testing.assert_array_equal(sol.angles, saved_angles)
     np.testing.assert_array_equal(sol.throttles, saved_throttles)
+
+
+def _without_record(state: AllocatorState) -> AllocatorState:
+    """A copy of ``state`` that carries no handed-on evaluation."""
+    return AllocatorState(state.throttles.copy(), state.angles.copy(), state.multipliers.copy(),
+                          state.prev_angles.copy())
+
+
+def _same_solutions(a, b) -> bool:
+    return all(same_bits(getattr(a, name), getattr(b, name)) for name in
+               ("throttles", "angles", "multipliers", "iterations", "residual", "objective", "converged"))
+
+
+def _count_reuses(monkeypatch) -> list:
+    """Patch `_evaluate_at_rest` to count its calls; returns the one-entry counter."""
+    count, at_rest = [0], allocation._evaluate_at_rest
+
+    def counted(*args):
+        count[0] += 1
+        return at_rest(*args)
+    monkeypatch.setattr(allocation, "_evaluate_at_rest", counted)
+    return count
+
+
+REUSE_LAYOUTS = ["octahedron_rot", "cube_rot", "hexagon_tilt30_fixed"]  # 6 arms, 8 (pairwise sums), fixed
+
+
+@pytest.mark.parametrize("config_id", REUSE_LAYOUTS)
+def test_a_handed_on_evaluation_gives_the_bits_of_evaluating_the_warm_start(config_id, monkeypatch):
+    """A warm chain through next_warm solves as the same chain with every record dropped, bit for bit.
+
+    Every solve after the first takes its first evaluation from the
+    record, so the comparison covers the reuse on each of them.
+    """
+    model = DroneModel(build_catalog(config_id))
+    reuses = _count_reuses(monkeypatch)
+    handed = dropped = AllocatorState.cold_start(model)
+    chain = wrench_chain(model, 500, seed=23)
+    for k, inp in enumerate(chain):
+        with_record = sqp_allocate(inp, handed, model)
+        assert reuses[0] == k
+        without = sqp_allocate(inp, _without_record(dropped), model)
+        assert reuses[0] == k
+        assert _same_solutions(with_record, without), k
+        handed, dropped = with_record.next_warm(), without.next_warm()
+    assert reuses[0] == len(chain) - 1
+
+
+def _handed_at(state: AllocatorState, inp: AllocatorInput, model) -> AllocatorState:
+    """The next_warm state of a solve that ended at ``state``'s iterate, its evaluation handed on."""
+    x = np.concatenate((state.throttles, state.angles, state.multipliers))
+    it = allocation._evaluate(x, x.tolist(), state.prev_angles.tolist(), inp.body_wrench(), model,
+                              allocation._penalized(allocation._DEFAULT_WEIGHTS, model.geometry.n_arms))
+    solution = allocation.AllocatorSolution(state.throttles, state.angles, state.multipliers, 1, 0.0,
+                                            it.objective, True)
+    solution._evaluated = (it, model)
+    return solution.next_warm()
+
+
+def _move_one_angle(warm):
+    warm.angles[1] += 1e-3  # as the supervisor's advance moves an arm in transit
+    warm.prev_angles[1] += 1e-3
+
+
+def _change_one_throttle(warm):
+    warm.throttles[0] += 1e-3
+
+
+def _change_one_prev_angle(warm):
+    warm.prev_angles[2] -= 1e-3
+
+
+def _negate_a_zero_angle(warm):
+    assert same_bits(warm.angles[0], 0.0)
+    warm.angles[0] = -0.0
+
+
+@pytest.mark.parametrize("config_id", REUSE_LAYOUTS)
+@pytest.mark.parametrize("change", [_move_one_angle, _change_one_throttle, _change_one_prev_angle,
+                                    _negate_a_zero_angle, None],
+                         ids=["angle", "throttle", "prev_angle", "negative_zero", "new_weights"])
+def test_a_changed_warm_state_is_evaluated_afresh(config_id, change, monkeypatch):
+    """A next_warm state changed before its solve gives the bits of the same state with no record.
+
+    Each change, or a new weights object equal to the default, voids the
+    record, so the solve must not take its evaluation from it. The record
+    is of an iterate with arm 0 at +0.0, whose wrench pair differs from
+    -0.0's in signed zeros.
+    """
+    model = DroneModel(build_catalog(config_id))
+    chain = wrench_chain(model, 30, seed=29)
+    warm = AllocatorState.cold_start(model)
+    for inp in chain[:-1]:
+        warm = sqp_allocate(inp, warm, model).next_warm()
+    warm.angles[0] = warm.prev_angles[0] = 0.0
+    warm = _handed_at(warm, chain[-2], model)
+    weights = None
+    if change is None:
+        weights = PenaltyWeights()
+    else:
+        change(warm)
+    reuses = _count_reuses(monkeypatch)
+    expected = sqp_allocate(chain[-1], _without_record(warm), model, weights)
+    assert _same_solutions(sqp_allocate(chain[-1], warm, model, weights), expected)
+    assert reuses[0] == 0
+    # unchanged, the state takes the record
+    untouched = _handed_at(_without_record(warm), chain[-2], model)
+    assert _same_solutions(sqp_allocate(chain[-1], untouched, model), sqp_allocate(
+        chain[-1], _without_record(untouched), model))
+    assert reuses[0] == 1
+
+
+def test_solves_without_weights_build_their_penalty_tables_once(octa_model, monkeypatch):
+    built, penalty_tables = [0], allocation._penalty_tables
+
+    def counted(*args):
+        built[0] += 1
+        return penalty_tables(*args)
+    monkeypatch.setattr(allocation, "_penalty_tables", counted)
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 20.0]), np.zeros(3))
+    for _ in range(2):
+        sqp_allocate(inp, AllocatorState.cold_start(octa_model), octa_model)
+    assert built[0] <= 1
+
+
+def test_the_warm_start_record_is_no_field():
+    assert [f.name for f in fields(AllocatorState)] == ["throttles", "angles", "multipliers",
+                                                          "prev_angles"]
+    assert [f.name for f in fields(allocation.AllocatorSolution)] == [
+        "throttles", "angles", "multipliers", "iterations", "residual", "objective", "converged"]
 
 
 def test_wrap_angle():

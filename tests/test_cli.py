@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -588,13 +590,22 @@ def test_fly_hover_writes_log_and_stats(tmp_path):
 
 
 def test_a_flight_whose_demand_overflows_exits_2(tmp_path, capsys):
-    """Finite gains, but kp_pos * error passes the largest float: a numerical failure, not a bad input."""
-    config = hover_config(tmp_path, gains={"kp_pos": 1e308}, duration=3.0,
-                          sweep={"kind": "position", "amplitude": 5.0, "start_delay": 0.0})
-    assert run_cli("fly", "--config", config) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "finite 3-vector" in err
-    assert "Traceback" not in err and not (tmp_path / "flight").exists()
+    """Finite gains, but kp_pos * error passes the largest float: a numerical failure, not a bad input.
+
+    On either allocator the one line on stderr is the failure: no numpy
+    warning comes first.
+    """
+    for allocator in ("sqp", "pinv"):
+        config = hover_config(tmp_path, allocator=allocator, gains={"kp_pos": 1e308}, duration=3.0,
+                              sweep={"kind": "position", "amplitude": 5.0, "start_delay": 0.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("fly", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: the flight broke down at tick \d+: "
+                            r"force must be a finite 3-vector, got .*\n", err), (allocator, err)
+        assert [str(w.message) for w in caught] == [], allocator
+        assert not (tmp_path / "flight").exists()
 
 
 def test_a_config_setting_the_removed_pid_mode_exits_1_as_an_unknown_key(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Actuator models, rigid-body stepping, sweep trajectories, and flight analysis."""
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -121,6 +122,13 @@ def test_servo_tracks_changing_setpoints():
 def test_servo_rejects_bad_dt():
     with pytest.raises(ValueError):
         servo_update(ServoState(), 0.0, 0.0)
+    # settings it cannot honour: a negative delay raised IndexError and a NaN
+    # one a conversion error; a negative rate limit drove the servo away
+    for field, value in (("delay", -0.01), ("delay", math.nan), ("delay", math.inf),
+                         ("rate_limit", -1.0), ("rate_limit", 0.0), ("rate_limit", math.nan)):
+        servo = ServoState(np.zeros(3), **{field: value})
+        with pytest.raises(ValueError, match=f"servo {field} must be"):
+            servo_update(servo, np.ones(3), DT)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -563,8 +571,11 @@ def test_a_demand_that_overflows_is_a_solver_error(octa_model, allocator):
     """kp_pos * error passes the largest float partway through a 5 m position step."""
     scenario = Scenario(model=octa_model, sweep=position_sweep(5.0, start_delay=0.0),
                         allocator=allocator, gains=PidGains(kp_pos=1e308), duration=3.0)
-    with pytest.raises(SolverError, match=r"broke down at tick \d+: force must be a finite 3-vector"):
-        run_flight(scenario)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match=r"broke down at tick \d+: force must be a finite 3-vector"):
+            run_flight(scenario)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_flights_are_deterministic(octa_model):

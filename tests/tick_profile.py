@@ -4,6 +4,7 @@ Run from a source checkout:
 
     PYTHONPATH=src python tests/tick_profile.py
     PYTHONPATH=src python tests/tick_profile.py --sweep hexagon_tilt30_fixed
+    PYTHONPATH=src python tests/tick_profile.py --chain octahedron_rot
 
 Without options it flies the ``pitch_roll`` reference flight of
 ``tests/flight_digests.py`` three times. Each stage of the tick is
@@ -39,6 +40,19 @@ each infeasible sample, and its one lattice and two NaN arrays. It prints
 the median over the sweeps of µs per sample, its share of the sweep and
 calls per sample.
 
+With ``--chain LAYOUT`` it times, with the same clock, the solver alone
+along the warm chain of perfbench's ``alloc_chain`` workload on a catalog
+layout: ``CHAIN_ROUNDS`` rounds of its seeded demand path at seed
+``CHAIN_SEED``, each solve warm-started from the last converged one's
+``next_warm``, ``CHAIN_REPEAT`` times. Its stages are the solver's, with
+``sqp_allocate`` traced where the workload calls it, plus
+``_evaluate_at_rest`` (a first evaluation taken from the record the warm
+state was handed, so its calls per solve are the share of solves that
+reuse it) and ``DroneModel._wrench_pair`` (one per evaluation made
+afresh). It prints the median over the chains of µs per solve, its share
+and calls per solve. A flight's ``_evaluate_at_rest`` line is its share
+of ticks that reuse a record.
+
 The file name does not match ``test_*.py``, so the test suite does not
 collect it.
 """
@@ -48,6 +62,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from pathlib import Path
 from time import perf_counter_ns
 
 from flight_digests import fly
@@ -57,6 +72,10 @@ FLIGHT = "pitch_roll"
 REPEAT = 3
 SWEEP_SAMPLES = 2000
 SWEEP_REPEAT = 15
+CHAIN_SEED = 2801
+CHAIN_ROUNDS = 50  # of perfbench's BLOCK_ITEMS = 100 solves each
+CHAIN_REPEAT = 3
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (owner, attribute, label) of the solver's stages: sqp_allocate and what it calls
 SOLVER_STAGES = (
@@ -66,8 +85,11 @@ SOLVER_STAGES = (
     (allocation, "_assemble", "_assemble"),
     (allocation, "_newton_delta", "_newton_delta"),
 )
+# a first evaluation taken from the warm state's record
+REUSE_STAGE = (allocation, "_evaluate_at_rest", "_evaluate_at_rest")
 # every stage, in the order printed
 STAGES = SOLVER_STAGES + (
+    REUSE_STAGE,
     (simulation, "pinv_allocate", "pinv_allocate"),
     (simulation._BranchSupervisor, "after_solve", "after_solve"),
     (simulation._BranchSupervisor, "reference", "reference"),
@@ -87,6 +109,11 @@ SWEEP_STAGES = (
     (efficiency, "solve_hover", "solve_hover"),
     (efficiency, "upward_fraction", "upward_fraction"),
     (efficiency, "capacity_fraction", "capacity_fraction"),
+)
+# the stages of a warm chain: the solver's, the reuse and the wrench pair
+CHAIN_STAGES = ((allocation, "sqp_allocate", "sqp_allocate"),) + SOLVER_STAGES[1:] + (
+    REUSE_STAGE,
+    (allocation.DroneModel, "_wrench_pair", "DroneModel._wrench_pair"),
 )
 
 
@@ -145,6 +172,44 @@ def profile_sweep(geometry, n_samples: int = SWEEP_SAMPLES) -> tuple[int, int, d
     return n_samples, sum(clock.self_ns.values()), clock.self_ns, clock.calls
 
 
+class _Untimed:
+    """The clock a perfbench workload round reports to, left unread: the stages keep the time."""
+
+    def start(self) -> None:
+        pass
+
+    def item(self, ns: int) -> None:
+        pass
+
+    def mark(self) -> None:
+        pass
+
+
+def alloc_chain(config_id: str, seed: int = CHAIN_SEED):
+    """perfbench's ``alloc_chain`` workload on a catalog layout, set up and settled onto its path."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from worker import AllocChain
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    workload = AllocChain()
+    workload.geometry_id = config_id
+    workload.setup()
+    workload.prepare(seed, None)
+    return workload
+
+
+def profile_chain(config_id: str, rounds: int = CHAIN_ROUNDS) -> tuple[int, int, dict, dict]:
+    """Solve ``rounds`` rounds of the warm chain under the wrappers; (solves, chain ns, self ns, calls)."""
+    workload = alloc_chain(config_id)
+
+    def chain():
+        for _ in range(rounds):
+            workload.round(_Untimed())
+    clock, _ = _timed(CHAIN_STAGES, chain)
+    return clock.calls["sqp_allocate"], sum(clock.self_ns.values()), clock.self_ns, clock.calls
+
+
 def report(runs, stages, title: str, unit: str, rest_label: str | None) -> None:
     """Print the median over ``runs`` of each stage's µs and calls per ``unit``."""
     count = runs[0][0]
@@ -171,8 +236,13 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweep", metavar="LAYOUT", choices=CATALOG_IDS,
                         help="time the efficiency sweep of this catalog layout instead of a flight")
+    parser.add_argument("--chain", metavar="LAYOUT", choices=CATALOG_IDS,
+                        help="time the solver along alloc_chain's warm chain on this catalog layout")
     args = parser.parse_args(argv)
-    if args.sweep:
+    if args.chain:
+        runs = [profile_chain(args.chain) for _ in range(CHAIN_REPEAT)]
+        report(runs, CHAIN_STAGES, f"alloc_chain of {args.chain}, seed {CHAIN_SEED}", "solve", None)
+    elif args.sweep:
         geometry = build_catalog(args.sweep)
         runs = [profile_sweep(geometry) for _ in range(SWEEP_REPEAT)]
         report(runs, SWEEP_STAGES, f"sweep of {args.sweep}", "sample", None)
