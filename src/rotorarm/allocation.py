@@ -314,8 +314,8 @@ class AllocatorState:
 
     A state made by `AllocatorSolution.next_warm` also carries, privately
     and as no field, the evaluation that ended that solve, which
-    `sqp_allocate` reuses while it holds (see `_handed_on`). Any other
-    state carries none.
+    `sqp_allocate`, `assemble_kkt` and `newton_step` reuse while it holds
+    (see `_warm_start`). Any other state carries none.
     """
 
     throttles: np.ndarray
@@ -627,13 +627,29 @@ def _assemble(it: _Iterate, arms: tuple[list, list], model: DroneModel):
     return hess, np.array(rows + it.residual.tolist())
 
 
-def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
-    """Public wrapper around the optimality-system assembly; returns (H, K)."""
+def _warm_start(warm: AllocatorState, body_wrench, model: DroneModel, weights: PenaltyWeights):
+    """(x, prev_angles as floats, x's `_Iterate`): the first iterate of a solve from ``warm``, x a fresh array.
+
+    The evaluation is the one ``warm`` was handed where it still holds
+    (`_handed_on`), else a fresh `_evaluate`. `sqp_allocate`, `assemble_kkt`
+    and `newton_step` all start here, so they see the same bits.
+    """
     n_arms = model.geometry.n_arms
-    _check_warm(state, n_arms)
-    x = np.concatenate((state.throttles, state.angles, state.multipliers), dtype=float)
-    it = _evaluate(x, x.tolist(), state.prev_angles.tolist(), inp.body_wrench(), model,
-                   _penalized(weights, n_arms))
+    _check_warm(warm, n_arms)
+    a_prev = warm.prev_angles.tolist()
+    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers), dtype=float)
+    tables = _penalized(weights, n_arms)
+    it = None if warm._evaluated is None else _handed_on(warm, x, n_arms, model, tables)
+    if it is None:
+        it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
+    else:
+        it = _evaluate_at_rest(x.tolist(), it, body_wrench)
+    return x, a_prev, it
+
+
+def assemble_kkt(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
+    """(H, K) at the first iterate `sqp_allocate` takes from the state, H the exact Jacobian, unfloored."""
+    x, _, it = _warm_start(state, inp.body_wrench(), model, weights)
     return _assemble(it, _arm_pass(x, it, model, floored=False), model)
 
 
@@ -668,26 +684,12 @@ def _floor_gap(a: float, c: float, b: float) -> float:
     return low if low < 0.0 else 0.0
 
 
-def _floored(hess: np.ndarray, n_arms: int) -> np.ndarray:
-    """A dense H with each arm's primal block lifted to its floor by `_floor_gap`.
-
-    The lift goes into a copy; H itself comes back where no block is below its floor.
-    """
-    h, coupling = hess.diagonal().tolist(), hess.diagonal(n_arms)[:n_arms].tolist()
-    matrix = hess
-    for i, (a, c, b) in enumerate(zip(h, h[n_arms: 2 * n_arms], coupling)):
-        gap = _floor_gap(a, c, b)
-        if gap < 0.0:
-            matrix = hess.copy() if matrix is hess else matrix
-            matrix[i, i], matrix[n_arms + i, n_arms + i] = a - gap, c - gap
-    return matrix
-
-
 def _newton_delta(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The whole step delta of matrix delta = -K, as one array laid out like the iterate.
 
-    ``matrix`` is H already floored. delta is taken when |matrix delta + K| <= 1e-10 max(1, |K|),
-    which a singular solve's NaN (the caller holds a `_quiet` scope) or an infinite delta fails:
+    ``matrix`` is H already floored, as `_assemble` builds it from `_arm_pass`'s floored entries.
+    delta is taken when |matrix delta + K| <= 1e-10 max(1, |K|), which a singular solve's NaN (the
+    caller, `sqp_allocate` or `newton_step`, holds a `_quiet` scope) or an infinite delta fails:
     0 * inf is NaN.
     """
     delta = _solve_quieted(matrix, -grad)  # all NaN where the matrix is singular
@@ -698,24 +700,26 @@ def _newton_delta(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray:
     raise SolverError(f"no usable Newton step (dim {matrix.shape[0]}, |K|={math.sqrt(grad.dot(grad)):.3e})")
 
 
-def newton_step(hess: np.ndarray, grad: np.ndarray, n_arms: int):
-    """(d_throttles, d_angles, d_multipliers) of H delta = -K, H `_floored`; H is only read.
+def newton_step(state: AllocatorState, inp: AllocatorInput, model: DroneModel, weights: PenaltyWeights):
+    """(d_throttles, d_angles, d_multipliers) of the first, unscaled step `sqp_allocate` takes from the state.
 
-    The step `sqp_allocate` takes from the same H and K; SolverError where that fails.
+    The same `_warm_start`, `_arm_pass` with the floor, `_assemble` and
+    `_newton_delta`, in one `_quiet` scope, so the step has the solver's
+    bits; SolverError wherever the solver raises it. The state is only read.
     """
+    n_arms = model.geometry.n_arms
     with _quiet():
-        delta = _newton_delta(_floored(hess, n_arms), grad)
+        x, _, it = _warm_start(state, inp.body_wrench(), model, weights)
+        delta = _newton_delta(*_assemble(it, _arm_pass(x, it, model), model))
     return delta[:n_arms], delta[n_arms: 2 * n_arms], delta[2 * n_arms:]
 
 
-def _abs_max(values) -> float:
-    """np.abs(values).max() of a list of floats or an array, 0 when there are none.
+def _abs_max(values: list) -> float:
+    """np.abs(values).max() of a list of floats, 0 when there are none.
 
     A NaN anywhere gives NaN, as numpy's max does; Python's max passes over
     a NaN that does not come first.
     """
-    if not isinstance(values, list):
-        values = np.ravel(values).tolist()
     if any(map(math.isnan, values)):
         return math.nan
     return max(map(abs, values), default=0.0)
@@ -744,18 +748,11 @@ class SolverSettings:
             raise ValueError(f"{', '.join(not_positive)} must be positive")
 
 
-def step_scale(d_throttles, d_angles, throttle_step_limit: float = SolverSettings.throttle_step_limit,
-               angle_step_limit: float = SolverSettings.angle_step_limit) -> float:
-    """Shrink factor keeping per-iteration updates inside trust bounds.
-
-    The steps are arrays or lists of Python floats. A NaN step is never
-    over a bound, so it leaves the factor at 1.
-    """
-    return _scale_for(_abs_max(d_throttles), _abs_max(d_angles), throttle_step_limit, angle_step_limit)
-
-
 def _scale_for(max_du: float, max_da: float, throttle_step_limit: float, angle_step_limit: float) -> float:
-    """`step_scale` of steps whose largest magnitudes are max_du and max_da."""
+    """Shrink factor keeping a step inside the trust bounds, from its largest magnitudes max_du and max_da.
+
+    A NaN maximum is never over its bound, so it leaves the factor at 1.
+    """
     alpha = angle_step_limit / max_da if max_da > angle_step_limit else 1.0  # a ratio under 1 then, so no min
     if max_du > throttle_step_limit:
         alpha = min(alpha, throttle_step_limit / max_du)
@@ -801,22 +798,14 @@ def sqp_allocate(
     tol_objective, tol_constraint = settings.tol_objective, settings.tol_constraint
     body_wrench = inp.body_wrench()
     n_arms = model.geometry.n_arms
-    _check_warm(warm, n_arms)
-    a_prev = warm.prev_angles.tolist()
-
-    # the iterate [throttles; angles; multipliers] in one fresh array, and a
-    # view of each part
-    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers), dtype=float)
-    u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
-    tables = _penalized(weights, n_arms)
 
     iterations, converged, res_norm, arms = 0, False, math.inf, None
-    it = None if warm._evaluated is None else _handed_on(warm, x, n_arms, model, tables)
     with _quiet():
-        if it is None:
-            it = _evaluate(x, x.tolist(), a_prev, body_wrench, model, tables)
-        else:
-            it = _evaluate_at_rest(x.tolist(), it, body_wrench)
+        # the iterate [throttles; angles; multipliers] in one fresh array, and
+        # a view of each part
+        x, a_prev, it = _warm_start(warm, body_wrench, model, weights)
+        u, a, lam = x[:n_arms], x[n_arms: 2 * n_arms], x[2 * n_arms:]
+        tables = it.tables
         obj_prev = it.objective
         for iterations in range(1, settings.max_iterations + 1):
             if arms is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _abs_max, _add_reduce
+from .allocation import DroneModel, _abs_max, _add_reduce
 from .geometry import DroneGeometry
 from .tables import write_csv
 
@@ -45,8 +45,8 @@ class _NoHover(InfeasibleHoverError):
 class HoverProblem:
     geometry: DroneGeometry
     up: np.ndarray  # body-frame direction opposing gravity, unit length
-    mass: float = 2.4
-    gravity: float = 9.81
+    mass: float = DroneModel.mass
+    gravity: float = DroneModel.gravity
 
     def __post_init__(self):
         up = self.up = np.asarray(self.up, dtype=float)
@@ -223,8 +223,8 @@ class EfficiencyMap:
 def sweep_orientations(
     geometry: DroneGeometry,
     n_samples: int = 2000,
-    mass: float = 2.4,
-    gravity: float = 9.81,
+    mass: float = DroneModel.mass,
+    gravity: float = DroneModel.gravity,
 ) -> EfficiencyMap:
     """Evaluate both efficiency metrics over a Fibonacci lattice of up directions.
 

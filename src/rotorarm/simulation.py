@@ -92,8 +92,8 @@ def servo_update(state: ServoState, setpoint, dt: float) -> ServoState:
     Every arm moves independently, so one call on an array of arms gives
     the same angles as one call per arm.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     # `not` of a comparison also rejects NaN; an infinite delay has no tick count
     if not 0.0 <= state.delay < math.inf:
         raise ValueError(f"servo delay must be non-negative and finite, got {state.delay}")
@@ -137,8 +137,8 @@ def rigid_body_step(
     the updated rates. Gyroscopic coupling w x Iw is included; the attitude
     quaternion is renormalized by construction every step.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     # elementwise arithmetic on 3-vectors in Python floats, as in
     # PidController.update; the matrix products and the solve stay numpy
     tx, ty, tz = torque
@@ -209,8 +209,8 @@ class PidController:
         measured world-frame rates; accel_ff is a feedforward acceleration.
         All five are 3-vectors.
         """
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         g = self.gains
         # each 3-vector as three Python floats, with the arithmetic written
         # out per component: the same elementwise operations as on arrays,
@@ -810,12 +810,12 @@ class FlipEvent:
     alignment: float  # |<arm axis, body-frame up>| at the event
 
 
-def detect_flip_events(log: FlightLog, geometry, require_vertical: bool = True) -> list[FlipEvent]:
+def detect_flip_events(log: FlightLog, geometry) -> list[FlipEvent]:
     """Find per-arm commanded-angle jumps larger than pi/2 rad.
 
-    With require_vertical, an event also needs the arm's rotation axis to be
-    within 25 degrees of the world vertical, which is the alignment that
-    forces the jump in the linear allocator. An arm is unloaded at the jump
+    An event needs the arm's rotation axis to be within 25 degrees of the
+    world vertical, which is the alignment that forces the jump in the
+    linear allocator. An arm is unloaded at the jump
     itself, so a throttle of at least 0.02 is required over the 0.3 s that
     follow: a flip whose arm never reloads produces no wrench disturbance and
     is skipped. Repeated triggers of one arm within 0.5 s collapse into a
@@ -836,7 +836,7 @@ def detect_flip_events(log: FlightLog, geometry, require_vertical: bool = True) 
     for k, arm in zip(*np.nonzero(deltas > threshold)):
         t = float(log.t[k + 1])
         align = float(alignments[k + 1, arm])
-        if require_vertical and align < vertical_cos:
+        if align < vertical_cos:
             continue
         if np.max(log.throttle_cmd[k + 1: k + 2 + reload_ticks, arm]) < min_throttle:
             continue

@@ -177,8 +177,8 @@ def integrate_orientation(q: Quaternion, omega_body, dt: float) -> Quaternion:
     renormalizes through the Quaternion constructor; the increment is
     normalized as that constructor would, without building it.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     theta = np.asarray(omega_body, dtype=float) * dt
     angle = math.sqrt(theta.dot(theta))  # what np.linalg.norm computes
     x, y, z = theta.tolist()

@@ -52,7 +52,6 @@ from rotorarm import (
     wrap_angle,
 )
 from rotorarm import allocation
-from rotorarm.allocation import step_scale
 from rotorarm.geometry import (
     ARM_KINDS,
     CATALOG_IDS,
@@ -605,25 +604,47 @@ def test_newton_step_solves_the_kkt_system(rng, octa_model):
     inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
     state = _random_state(octa_model, rng)
     hess, grad = assemble_kkt(state, inp, octa_model, weights)
-    du, da, dlam = newton_step(hess, grad, octa_model.geometry.n_arms)
+    du, da, dlam = newton_step(state, inp, octa_model, weights)
     delta = np.concatenate([du, da, dlam])
     residual = hess @ delta + grad
     assert np.linalg.norm(residual) < 1e-9 * max(1.0, np.linalg.norm(grad))
 
 
+def _floored_by_gap(hess, n_arms: int):
+    """(H with each arm's block lifted by `_floor_gap` of its entries, as `_arm_pass` lifts them; the gaps)."""
+    i = np.arange(n_arms)
+    a, c, b = hess[i, i], hess[n_arms + i, n_arms + i], hess[i, n_arms + i]
+    gaps = np.array([allocation._floor_gap(*block) for block in zip(a.tolist(), c.tolist(), b.tolist())])
+    matrix = hess.copy()
+    matrix[i, i], matrix[n_arms + i, n_arms + i] = a - gaps, c - gaps
+    return matrix, gaps
+
+
+def _floored_step(hess, grad, n_arms: int):
+    """`_newton_delta` on a hand-built H lifted by `_floor_gap`, in the `_quiet` scope its callers hold."""
+    with allocation._quiet():
+        return allocation._newton_delta(_floored_by_gap(hess, n_arms)[0], grad)
+
+
+def _solver_kkt(state, inp, model, weights):
+    """The floored H and K that sqp_allocate's first step solves from ``state``."""
+    x, _, it = allocation._warm_start(state, inp.body_wrench(), model, weights)
+    return allocation._assemble(it, allocation._arm_pass(x, it, model), model)
+
+
 def test_newton_step_raises_on_hopeless_systems():
     grad = np.ones(8)
     with pytest.raises(SolverError):
-        newton_step(np.zeros((8, 8)), grad, 1)  # the floor lifts the primal block; the constraint rows stay zero
+        _floored_step(np.zeros((8, 8)), grad, 1)  # the floor lifts the primal block; the constraint rows stay zero
     with pytest.raises(SolverError):
-        newton_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: the step overflows
+        _floored_step(1e-320 * np.eye(8), grad, 1)  # subnormal constraint pivots: the step overflows
 
 
 @pytest.mark.filterwarnings("error")
 def test_newton_step_breaks_down_and_recovers_without_warnings():
     # the subnormal case reaches the non-finite-step guard
     with pytest.raises(SolverError):
-        newton_step(1e-320 * np.eye(8), np.ones(8), 1)
+        _floored_step(1e-320 * np.eye(8), np.ones(8), 1)
     # four arms, constraints on the first six primal variables only, and a
     # zero primal block: H is exactly singular, and the floor, 1e-6 on every
     # primal diagonal entry, recovers the step; the angles of arms 2 and 3
@@ -638,7 +659,7 @@ def test_newton_step_breaks_down_and_recovers_without_warnings():
     expected = newton_delta_oracle(hess, grad, n_arms)
     assert expected is not None
     np.testing.assert_allclose(expected[6:8], -grad[6:8] / 1e-6, rtol=1e-12)
-    assert same_bits(np.concatenate(newton_step(hess, grad, n_arms)), expected)
+    assert same_bits(_floored_step(hess, grad, n_arms), expected)
 
 
 def _kkt_of_blocks(blocks):
@@ -665,11 +686,12 @@ def test_the_step_acceptance_test_at_its_edges():
     hess = np.cos(np.add.outer(k, 2.0 * k)) + 4.0 * np.eye(8)
     grad = 1e8 * np.sin(k + 1.0)
     # the one block is above its floor
-    assert allocation._floored(hess, 1) is hess
+    assert _floored_by_gap(hess, 1)[1].tolist() == [0.0]
+    assert same_bits(floored_oracle(hess, 1), hess)
     step = np.linalg.solve(hess, -grad)
     assert 1e-10 < np.linalg.norm(hess @ step + grad) <= 1e-10 * np.linalg.norm(grad)
     assert same_bits(newton_delta_oracle(hess, grad, 1), step)
-    assert same_bits(np.concatenate(newton_step(hess, grad, 1)), step)
+    assert same_bits(_floored_step(hess, grad, 1), step)
 
     # the constraint pivots are subnormal, so the step overflows to infinity
     # and H delta + K is NaN: SolverError, with |K| in its message
@@ -677,20 +699,21 @@ def test_the_step_acceptance_test_at_its_edges():
     grad = np.full(8, 3.0)
     assert newton_delta_oracle(hess, grad, 1) is None
     with pytest.raises(SolverError, match=r"\|K\|=8\.485e\+00"):
-        newton_step(hess, grad, 1)
+        _floored_step(hess, grad, 1)
     # a zero matrix stays singular under the floor: the same error
     assert newton_delta_oracle(np.zeros((8, 8)), grad, 1) is None
     with pytest.raises(SolverError, match=r"\|K\|=8\.485e\+00"):
-        newton_step(np.zeros((8, 8)), grad, 1)
+        _floored_step(np.zeros((8, 8)), grad, 1)
 
 
 def test_a_block_on_its_floor_keeps_its_bits():
     """Smaller eigenvalue exactly f: a diagonal block, a coupled one and one far above it."""
     f2 = 1e-6 * 2.0  # the floor of a block with 2.0 on its diagonal
     hess = _kkt_of_blocks([(1e-6, 0.0, 1.0), (2.0, 2.0 - f2, 2.0), (3.0, 0.5, 4.0)])
-    assert allocation._floored(hess, 3) is hess
+    matrix, gaps = _floored_by_gap(hess, 3)
+    assert gaps.tolist() == [0.0, 0.0, 0.0] and same_bits(matrix, hess)
     assert same_bits(floored_oracle(hess, 3), hess)
-    step = np.concatenate(newton_step(hess, _GRAD, 3))
+    step = _floored_step(hess, _GRAD, 3)
     assert same_bits(step, np.linalg.solve(hess, -_GRAD))
     assert same_bits(step, newton_delta_oracle(hess, _GRAD, 3))
 
@@ -700,14 +723,15 @@ def test_a_block_one_ulp_below_its_floor_is_lifted_to_it():
     below = float(np.nextafter(1e-6, 0.0))
     hess = _kkt_of_blocks([(below, 0.0, 1.0), (2.0, float(np.nextafter(2.0 - f2, 3.0)), 2.0),
                            (3.0, 0.5, 4.0)])
-    matrix = allocation._floored(hess, 3)
-    assert matrix is not hess and same_bits(matrix, floored_oracle(hess, 3))
+    matrix, gaps = _floored_by_gap(hess, 3)
+    assert gaps[0] < 0.0 and gaps[1] < 0.0 and gaps[2] == 0.0
+    assert same_bits(matrix, floored_oracle(hess, 3))
     moved = np.argwhere(matrix != hess).tolist()
     assert [0, 0] in moved and [1, 1] in moved
     assert all(i == j and i in (0, 1, 3, 4) for i, j in moved)  # diagonal entries of arms 0 and 1
     assert matrix[0, 0] == 1e-6  # the diagonal block sits on its floor now
     assert np.linalg.eigvalsh(matrix[np.ix_([1, 4], [1, 4])]).min() >= f2 * (1.0 - 1e-9)
-    step = np.concatenate(newton_step(hess, _GRAD, 3))
+    step = _floored_step(hess, _GRAD, 3)
     assert same_bits(step, newton_delta_oracle(hess, _GRAD, 3))
     assert same_bits(step, np.linalg.solve(matrix, -_GRAD))
     assert not same_bits(step, np.linalg.solve(hess, -_GRAD))
@@ -719,23 +743,26 @@ def test_the_floor_on_fixed_arms():
     n = model.geometry.n_arms
     warm = AllocatorState.cold_start(model)
     inp = AllocatorInput(Quaternion.identity(), np.array([0.5, -0.3, 23.0]), np.array([0.1, 0.0, -0.05]))
-    hess, grad = assemble_kkt(warm, inp, model, PenaltyWeights())
+    weights = PenaltyWeights()
+    hess, grad = assemble_kkt(warm, inp, model, weights)
     i = np.arange(n)
     assert not hess[i, n + i].any()  # no throttle-angle coupling on a fixed arm
-    assert allocation._floored(hess, n) is hess
+    assert same_bits(_solver_kkt(warm, inp, model, weights)[0], hess)  # no block is lifted
 
     weights = PenaltyWeights(throttle=1e-7)
     hess, grad = assemble_kkt(warm, inp, model, weights)
-    saved = hess.copy()
-    matrix = allocation._floored(hess, n)
-    assert same_bits(matrix, floored_oracle(hess, n))
+    saved = [arr.copy() for arr in (warm.throttles, warm.angles, warm.multipliers, warm.prev_angles)]
+    matrix, floored_grad = _solver_kkt(warm, inp, model, weights)
+    assert same_bits(matrix, floored_oracle(hess, n)) and same_bits(floored_grad, grad)
     h_uu, h_aa = hess[i, i], hess[n + i, n + i]
     f = 1e-6 * h_aa  # the angle curvature 2 arm_rate / dt^2 is the block's largest entry
     np.testing.assert_allclose(matrix[i, i], f, rtol=1e-12)
     np.testing.assert_allclose(matrix[n + i, n + i] - h_aa, f - h_uu, rtol=1e-6)
-    step = np.concatenate(newton_step(hess, grad, n))
+    step = np.concatenate(newton_step(warm, inp, model, weights))
     assert same_bits(step, newton_delta_oracle(hess, grad, n))
-    assert same_bits(hess, saved)  # newton_step only reads H
+    # newton_step only reads the state
+    assert all(same_bits(arr, old) for arr, old in zip(
+        (warm.throttles, warm.angles, warm.multipliers, warm.prev_angles), saved))
 
 
 def test_solve_vector_is_np_linalg_solve_bit_for_bit(rng):
@@ -871,8 +898,13 @@ def test_step_scale_is_bit_identical_to_the_array_formulas(data):
     da = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="d_angles"))
     limits = data.draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)), label="limits")
     expected = step_scale_oracle(du, da, *limits)
-    for args in ((du, da), (du.tolist(), da.tolist())):  # the arrays of the API, the lists of the solver
-        assert same_bits(step_scale(*args, *limits), expected)
+    # the step maxima as np.abs(step).max() takes them, NaN for a NaN step and 0 for none
+    maxima = [float(np.abs(d).max()) if d.size else 0.0 for d in (du, da)]
+    assert same_bits(allocation._scale_for(*maxima, *limits), expected)
+    # _abs_max's list path gives the same maxima, and a finite step those of the loop's max(map(abs, ...))
+    assert same_bits([allocation._abs_max(d.tolist()) for d in (du, da)], maxima)
+    if n and np.isfinite(du).all() and np.isfinite(da).all():
+        assert same_bits([max(map(abs, d.tolist())) for d in (du, da)], maxima)
 
 
 _UP, _DOWN = (lambda v: float(np.nextafter(v, math.inf))), (lambda v: float(np.nextafter(v, -math.inf)))
@@ -899,15 +931,19 @@ def test_the_loops_step_scale_on_exact_bound_ties(monkeypatch, octa_model, du, d
 
 
 def test_step_scale_limits():
-    assert step_scale(np.array([0.05]), np.array([0.1])) == 1.0
-    assert step_scale(np.array([0.05]), np.array([0.8])) == pytest.approx(0.25)
-    assert step_scale(np.array([0.4]), np.array([0.1])) == pytest.approx(0.25)
+    limits = (SolverSettings.throttle_step_limit, SolverSettings.angle_step_limit)
+
+    def scale(d_throttles, d_angles):
+        return allocation._scale_for(allocation._abs_max(d_throttles), allocation._abs_max(d_angles), *limits)
+    assert scale([0.05], [0.1]) == 1.0
+    assert scale([0.05], [0.8]) == pytest.approx(0.25)
+    assert scale([0.4], [0.1]) == pytest.approx(0.25)
     # both limits binding: the tighter one wins
-    assert step_scale(np.array([1.0]), np.array([0.4])) == pytest.approx(0.1)
+    assert scale([1.0], [0.4]) == pytest.approx(0.1)
     # a NaN anywhere in a step leaves that step's bound unused, as np.abs(step).max() does
     for d_throttles in ([math.nan, 1.0], [1.0, math.nan]):
-        assert step_scale(d_throttles, [0.0, 0.0]) == 1.0
-        assert step_scale(np.array(d_throttles), np.array([0.0, 0.4])) == 0.5
+        assert scale(d_throttles, [0.0, 0.0]) == 1.0
+        assert scale(d_throttles, [0.0, 0.4]) == 0.5
 
 
 def test_a_tick_that_cycled_without_the_floor_converges():
@@ -1216,6 +1252,86 @@ def test_the_warm_start_record_is_no_field():
         "throttles", "angles", "multipliers", "iterations", "residual", "objective", "converged"]
 
 
+def _first_steps(monkeypatch) -> list:
+    """Patch `_newton_delta` to pass through and keep a copy of every step it returns; returns the list."""
+    steps, newton_delta = [], allocation._newton_delta
+
+    def kept(matrix, grad):
+        delta = newton_delta(matrix, grad)
+        steps.append(delta.copy())  # the loop scales delta in place
+        return delta
+    monkeypatch.setattr(allocation, "_newton_delta", kept)
+    return steps
+
+
+@pytest.mark.parametrize("config_id", REUSE_LAYOUTS)
+def test_newton_step_is_the_first_step_of_sqp_allocate(config_id, monkeypatch):
+    """newton_step gives the bits of the first step sqp_allocate takes from the same state, or both raise.
+
+    From cold starts, random states (whose blocks the floor lifts) and
+    next_warm states along a warm chain, whose records both take.
+    """
+    model = DroneModel(build_catalog(config_id))
+    weights = PenaltyWeights()
+    steps, reuses = _first_steps(monkeypatch), _count_reuses(monkeypatch)
+    one_step = SolverSettings(max_iterations=1)
+
+    def check(state, inp):
+        steps.clear()
+        try:
+            sqp_allocate(inp, state, model, weights, one_step)
+        except SolverError:
+            if not steps:  # the solver found no first step
+                with pytest.raises(SolverError):
+                    newton_step(state, inp, model, weights)
+                return
+        assert same_bits(np.concatenate(newton_step(state, inp, model, weights)), steps[0])
+
+    chain = wrench_chain(model, 200, seed=31)
+    rng = np.random.default_rng(37)
+    for inp in chain[:20]:
+        check(AllocatorState.cold_start(model), inp)
+        check(_random_state(model, rng, spread=50.0), inp)
+    assert reuses[0] == 0
+    warm = AllocatorState.cold_start(model)
+    for k, inp in enumerate(chain):
+        reuses[0] = 0
+        check(warm, inp)
+        assert reuses[0] == (2 if k else 0)  # the one-step solve and newton_step both take the record
+        warm = sqp_allocate(inp, warm, model, weights).next_warm()
+
+
+@pytest.mark.parametrize("config_id", REUSE_LAYOUTS)
+def test_assemble_kkt_on_a_handed_on_state_is_the_state_evaluated_afresh(config_id, monkeypatch):
+    model = DroneModel(build_catalog(config_id))
+    weights = PenaltyWeights()
+    reuses = _count_reuses(monkeypatch)
+    warm = AllocatorState.cold_start(model)
+    chain = wrench_chain(model, 50, seed=41)
+    for inp, after in zip(chain, chain[1:]):
+        warm = sqp_allocate(inp, warm, model, weights).next_warm()
+        taken = reuses[0]
+        hess, grad = assemble_kkt(warm, after, model, weights)
+        assert reuses[0] == taken + 1
+        fresh_hess, fresh_grad = assemble_kkt(_without_record(warm), after, model, weights)
+        assert reuses[0] == taken + 1
+        assert same_bits(hess, fresh_hess) and same_bits(grad, fresh_grad)
+
+
+@pytest.mark.parametrize("part", ["throttles", "multipliers"])
+def test_a_nan_in_the_warm_state_makes_newton_step_raise_without_warnings(octa_model, part):
+    state = AllocatorState.cold_start(octa_model)
+    getattr(state, part)[1] = math.nan
+    inp = AllocatorInput(Quaternion.identity(), np.array([0.0, 0.0, 23.0]), np.zeros(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError):
+            newton_step(state, inp, octa_model, PenaltyWeights())
+        with pytest.raises(SolverError):
+            sqp_allocate(inp, state, octa_model)
+    assert caught == []
+
+
 def test_wrap_angle():
     assert wrap_angle(0.3) == pytest.approx(0.3)
     assert wrap_angle(math.pi) == pytest.approx(-math.pi)  # half-open interval
@@ -1376,13 +1492,13 @@ def test_newton_iterate_is_bit_identical_to_the_array_formulas(problem):
     expected = newton_delta_oracle(old_hess, old_grad, n)
     if expected is None:
         with pytest.raises(SolverError):
-            newton_step(hess, grad, n)
+            newton_step(warm, inp, model, weights)
         return
-    delta = np.concatenate(newton_step(hess, grad, n))
+    delta = np.concatenate(newton_step(warm, inp, model, weights))
     assert same_bits(delta, expected)
-    step = delta.tolist()
-    assert same_bits(step_scale(step[:n], step[n: 2 * n]),
-                     step_scale_oracle(expected[:n], expected[n: 2 * n]))
+    step = delta.tolist()  # the step scale as the loop takes it
+    maxima = max(map(abs, step[:n])), max(map(abs, step[n: 2 * n]))
+    assert same_bits(allocation._scale_for(*maxima, 0.1, 0.2), step_scale_oracle(expected[:n], expected[n: 2 * n]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1515,13 +1631,8 @@ def test_the_floored_matrix_has_the_inertia_of_a_step_to_a_minimum(problem):
     model, weights, inp, warm = problem
     n = model.geometry.n_arms
     hess, grad = assemble_kkt(warm, inp, model, weights)
-    matrix = allocation._floored(hess, n)
-    assert same_bits(matrix, floored_oracle(hess, n))
-    x = np.concatenate((warm.throttles, warm.angles, warm.multipliers))
-    it = allocation._evaluate(x, x.tolist(), warm.prev_angles.tolist(), inp.body_wrench(), model,
-                              allocation._penalized(weights, n))
-    one_pass, one_pass_grad = allocation._assemble(it, allocation._arm_pass(x, it, model), model)
-    assert same_bits(one_pass, matrix) and same_bits(one_pass_grad, grad)
+    matrix, one_pass_grad = _solver_kkt(warm, inp, model, weights)
+    assert same_bits(matrix, floored_oracle(hess, n)) and same_bits(one_pass_grad, grad)
     i = np.arange(n)
     a, c, b = hess[i, i], hess[n + i, n + i], hess[i, n + i]
     f = 1e-6 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(c)))

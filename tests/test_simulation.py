@@ -55,7 +55,7 @@ from rotorarm.simulation import (
     _net_wrench,
     continuous_roll_angle,
 )
-from rotorarm.spatial import orientation_error
+from rotorarm.spatial import integrate_orientation, orientation_error
 from rotorarm.tables import write_csv
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -272,6 +272,29 @@ def test_arm_wrenches_are_the_array_product_bit_for_bit(config_id, rng):
             force, torque = _net_wrench(arms, throttles.tolist(), angles.tolist(), noise.tolist())
             assert same_bits(force, (forces + noise).sum(axis=0))
             assert same_bits(torque, torques.sum(axis=0))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("step", ["servo_update", "PidController.update", "rigid_body_step",
+                                  "integrate_orientation"])
+def test_a_dt_that_is_not_positive_and_finite_is_refused(octa_model, step, dt):
+    """Each public step names the bad dt, warns nothing, and a refused PID update keeps its integrators."""
+    pid = PidController(PidGains(), 2.4, 9.81)
+    pid.update(EX, EY, np.zeros(3), np.zeros(3), np.zeros(3), DT)  # integrators off zero
+    integrators = (pid._i_pos, pid._i_ori)
+    calls = {
+        "servo_update": lambda: servo_update(ServoState(), 1.0, dt),
+        "PidController.update": lambda: pid.update(EX, EY, np.zeros(3), np.zeros(3), np.zeros(3), dt),
+        "rigid_body_step": lambda: rigid_body_step(RigidBodyState.at_rest(), np.zeros(3), np.zeros(3),
+                                                   octa_model, dt),
+        "integrate_orientation": lambda: integrate_orientation(Quaternion.identity(), np.ones(3), dt),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+            calls[step]()
+    assert caught == []
+    assert (pid._i_pos, pid._i_ori) == integrators and integrators != ((0.0,) * 3,) * 2
 
 
 def test_rigid_body_rejects_bad_dt(octa_model):
@@ -768,8 +791,18 @@ def test_detect_flip_events(octa_model):
     assert all(e.delta > math.pi / 2 for e in events)
     assert all(e.alignment > math.cos(math.radians(25.0)) for e in events)
 
-    lenient = detect_flip_events(log, geometry, require_vertical=False)
-    assert [(e.arm, round(e.t, 3)) for e in lenient] == [(0, 0.5), (4, 1.0), (4, 1.8)]
+    # the same jump of arm 0 with the body turned so that arm 0's axis is vertical is an event:
+    # the alignment rule, not the reload or separation rule, dropped it above
+    turned = _blank_log(400)
+    turned.throttle_cmd[:, 0] = 0.1
+    turned.angle_cmd[100:, 0] += math.pi
+    axis = geometry.axes[0]
+    turn = np.cross(axis, [0.0, 0.0, 1.0])
+    q = Quaternion.from_axis_angle(turn, math.atan2(np.linalg.norm(turn), axis[2]))
+    turned.orientation[:] = q.components
+    events = detect_flip_events(turned, geometry)
+    assert [(e.arm, round(e.t, 3)) for e in events] == [(0, 0.5)]
+    assert events[0].alignment == pytest.approx(1.0)
 
 
 def test_compare_singularity_handling_synthetic(octa_model):
